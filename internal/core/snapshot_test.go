@@ -1,8 +1,10 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 
 	"dvfsched/internal/core"
@@ -188,5 +190,67 @@ func TestRestoreOnlineRejectsBadInput(t *testing.T) {
 	// The original session is still live after its snapshot.
 	if _, err := sess.Drain(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRestoreBeforeEveryArrival replays arrivals one at a time on two
+// cores and, before every arrival, snapshots the session, abandons it,
+// and continues on the restored copy. The stitched trace must equal
+// the uninterrupted run's byte for byte: every checkpoint must carry
+// all rounding history, including that of dynamic-schedule ranges that
+// deletes emptied. The arrivals come in bursts of one to four equal
+// 0.3-Gcycle tasks, so Eq. 27 ties are common and a 1-ulp cost drift
+// moves a task to the other core.
+func TestRestoreBeforeEveryArrival(t *testing.T) {
+	ctx := context.Background()
+	params := model.CostParams{Re: 0.1, Rt: 0.4}
+	plat := platform.Homogeneous(2, platform.TableII(), platform.Ideal{})
+	rng := rand.New(rand.NewSource(1)) // deterministic workload, not randomness
+	var tasks model.TaskSet
+	for at := 0.0; len(tasks) < 200; at += 0.05 * float64(1+rng.Intn(4)) {
+		for k := rng.Intn(4); k >= 0; k-- {
+			tasks = append(tasks, model.Task{ID: len(tasks) + 1, Cycles: 0.3, Arrival: at, Deadline: model.NoDeadline})
+		}
+	}
+
+	run := func(restoreEach bool) ([]byte, *sim.Result) {
+		rec := &obs.Recorder{}
+		sched, err := core.New(params, plat, core.WithSink(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := sched.OpenOnline(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, task := range tasks {
+			if restoreEach {
+				blob, err := sess.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sess.Close()
+				if sess, err = sched.RestoreOnline(ctx, blob); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sess.Submit(ctx, model.TaskSet{task}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := sess.Drain(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return obs.AppendBinary(nil, rec.Events()), res
+	}
+
+	want, wantRes := run(false)
+	got, gotRes := run(true)
+	if !bytes.Equal(got, want) {
+		t.Errorf("restored-before-every-arrival trace differs from the uninterrupted run (%d vs %d bytes)", len(got), len(want))
+	}
+	if !bitEq(gotRes.TotalCost, wantRes.TotalCost) {
+		t.Errorf("total cost %v, uninterrupted %v", gotRes.TotalCost, wantRes.TotalCost)
 	}
 }

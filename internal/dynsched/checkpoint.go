@@ -24,7 +24,9 @@ type RangeCheckpoint struct {
 // accumulation state whose rounding depends on the full insert/delete
 // history — they are recorded verbatim, never recomputed, so a
 // restored scheduler returns bit-identical costs and makes
-// bit-identical decisions from the first operation on.
+// bit-identical decisions from the first operation on. That includes
+// the aggregates of empty ranges, which carry the residue of the
+// inserts and deletes that emptied them.
 type Checkpoint struct {
 	// Tree is the range tree's exact state.
 	Tree rangetree.TreeState `json:"tree"`
@@ -77,10 +79,13 @@ func RestoreFromEnvelope(env *envelope.Envelope, cp Checkpoint) (*Scheduler, err
 			wantB = n
 		}
 		if wantB < r.lo {
-			// Range beyond the occupied prefix: must be empty.
+			// Range beyond the occupied prefix: must be empty, but its
+			// aggregates keep the rounding residue of the inserts and
+			// deletes that emptied it, and the next insert adds to it.
 			if rc.B >= rc.A {
 				return nil, fmt.Errorf("dynsched: restore: range %d should be empty, checkpoint has [%d,%d]", i, rc.A, rc.B)
 			}
+			r.x, r.d = rc.X, rc.D
 			continue
 		}
 		if rc.A != r.lo || rc.B != wantB {
