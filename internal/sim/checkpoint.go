@@ -102,10 +102,12 @@ type Checkpoint struct {
 	// Tasks is the session's task table in injection order; policies
 	// and events reference tasks by index into it.
 	Tasks []TaskState
-	// Events is the pending event heap in its exact array layout;
-	// restoring it verbatim preserves pop order (the comparator is a
-	// strict total order, so any valid heap layout pops identically —
-	// but the layout also never needs re-heapifying this way).
+	// Events holds the pending arrivals and ticks plus each running
+	// core's one live completion, laid out as a valid 4-ary heap (the
+	// comparator is a strict total order, so any valid layout pops
+	// identically). Checkpoints written before completions left the
+	// event queue also hold superseded completions, whose Seq differs
+	// from their core's RunSeq; restore drops them.
 	Events []EventState
 	Cores  []CoreCheckpoint
 	// Policy is the CheckpointablePolicy's opaque state.
@@ -159,8 +161,15 @@ func (s *Session) Snapshot() (*Checkpoint, error) {
 		taskIdx[ts] = i
 	}
 
-	cp.Events = make([]EventState, len(e.events))
-	for i, ev := range e.events {
+	queue := make(eventHeap, len(e.events), len(e.events)+e.active)
+	copy(queue, e.events)
+	for _, c := range e.cores {
+		if c.run != nil {
+			queue.push(c.done)
+		}
+	}
+	cp.Events = make([]EventState, len(queue))
+	for i, ev := range queue {
 		cp.Events[i] = EventState{Time: ev.time, Kind: ev.kind, Order: ev.order, Core: ev.core, Seq: ev.seq, Task: ev.task}
 	}
 
@@ -267,7 +276,7 @@ func RestoreSession(cfg Config, params model.CostParams, cp *Checkpoint) (*Sessi
 		e.tasks[i] = &states[i]
 	}
 
-	e.events = make(eventHeap, len(cp.Events))
+	queue := make(eventHeap, len(cp.Events))
 	for i, es := range cp.Events {
 		if es.Kind == evArrival && (es.Task < 0 || es.Task >= len(e.tasks)) {
 			return nil, fmt.Errorf("sim: queued arrival references task %d of %d", es.Task, len(e.tasks))
@@ -275,15 +284,33 @@ func RestoreSession(cfg Config, params model.CostParams, cp *Checkpoint) (*Sessi
 		if es.Kind == evCompletion && (es.Core < 0 || es.Core >= len(e.cores)) {
 			return nil, fmt.Errorf("sim: queued completion references core %d of %d", es.Core, len(e.cores))
 		}
-		e.events[i] = event{time: es.Time, kind: es.Kind, order: es.Order, core: es.Core, seq: es.Seq, task: es.Task}
+		queue[i] = event{time: es.Time, kind: es.Kind, order: es.Order, core: es.Core, seq: es.Seq, task: es.Task}
 	}
-	// The array is restored verbatim, but verify the heap invariant so
-	// a corrupted checkpoint fails here instead of as a time-travel
-	// error mid-replay.
-	for i := 1; i < len(e.events); i++ {
-		if p := (i - 1) / heapArity; eventLess(&e.events[i], &e.events[p]) {
+	// Verify the heap invariant so a corrupted checkpoint fails here
+	// instead of as a time-travel error mid-replay.
+	for i := 1; i < len(queue); i++ {
+		if p := (i - 1) / heapArity; eventLess(&queue[i], &queue[p]) {
 			return nil, fmt.Errorf("sim: checkpoint event queue violates heap order at %d", i)
 		}
+	}
+	// Arrivals and ticks go back on the heap; each running core's live
+	// completion (Seq equal to its RunSeq) goes back into the core, and
+	// superseded completions are dropped.
+	live := make([]bool, len(e.cores))
+	for _, ev := range queue {
+		if ev.kind != evCompletion {
+			e.events.push(ev)
+			continue
+		}
+		cc := &cp.Cores[ev.core]
+		if cc.RunTask < 0 || ev.seq != cc.RunSeq {
+			continue
+		}
+		if live[ev.core] {
+			return nil, fmt.Errorf("sim: checkpoint holds two live completions for core %d", ev.core)
+		}
+		live[ev.core] = true
+		e.cores[ev.core].done = ev
 	}
 
 	active := 0
@@ -318,11 +345,15 @@ func RestoreSession(cfg Config, params model.CostParams, cp *Checkpoint) (*Sessi
 			}
 			c.run = &c.seg
 			active++
+			if !live[i] {
+				return nil, fmt.Errorf("sim: core %d runs task index %d but has no live completion", i, cc.RunTask)
+			}
 		}
 	}
 	if active != cp.Active {
 		return nil, fmt.Errorf("sim: checkpoint says %d active cores, run state has %d", cp.Active, active)
 	}
+	e.findFirstDone()
 	// Effective speeds are a pure function of (level, active count):
 	// the live engine recomputed them via rescheduleAll after every
 	// active-count change, so recomputing here reproduces the exact

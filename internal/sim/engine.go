@@ -118,11 +118,13 @@ const (
 	evArrival
 )
 
-// event is one queued simulator event. It is deliberately pointer-free
-// (tasks are referenced by index into Engine.tasks) so the event array
-// never incurs GC write barriers, and it lives in a typed d-ary heap
-// rather than container/heap: the interface boxing on every Push/Pop
-// used to dominate the LMC hot path's allocations.
+// event is one pending simulator event. It is deliberately
+// pointer-free (tasks are referenced by index into Engine.tasks) so the
+// event array never incurs GC write barriers, and arrivals and ticks
+// live in a typed d-ary heap rather than container/heap: the interface
+// boxing on every Push/Pop used to dominate the LMC hot path's
+// allocations. Completions never enter the heap: each running core
+// holds its single live completion in coreState.done.
 type event struct {
 	time  float64
 	kind  int
@@ -133,11 +135,13 @@ type event struct {
 }
 
 // eventLess is the strict total order on events: time, then kind, then
-// the unique order counter (orderCtr increments before every push, so
-// no two queued events compare equal). Because the order breaks every
-// tie, any correct min-heap — whatever its arity or internal layout —
-// pops events in exactly this sequence; the typed heap below is
-// behavior-identical to the container/heap it replaced.
+// the unique order counter (orderCtr increments before every event is
+// stamped, so no two pending events compare equal). Because the order
+// breaks every tie, any correct min-heap — whatever its arity or
+// internal layout — pops events in exactly this sequence, and so does
+// taking the lesser of the heap top and the earliest live completion
+// (Engine.next); the typed heap below is behavior-identical to the
+// container/heap it replaced.
 func eventLess(a, b *event) bool {
 	//dvfslint:allow floatcmp event-heap ordering needs a strict weak order; epsilon equality is intransitive
 	if a.time != b.time {
@@ -230,8 +234,11 @@ type coreState struct {
 	// seg is the per-core scratch segment reused across starts so the
 	// steady-state arrival path never allocates. Nothing outside the
 	// engine may retain *runSeg across events.
-	run    *runSeg
-	seg    runSeg
+	run *runSeg
+	seg runSeg
+	// done is the running task's one live completion event, restamped
+	// by every rescheduleAll; meaningless while run is nil.
+	done   event
 	isBusy bool
 	// busy accounting
 	busyMark     float64
@@ -252,20 +259,24 @@ func (c *coreState) accountBusy(now float64) {
 
 // Engine is the simulation state exposed to policies.
 type Engine struct {
-	cfg      Config
-	exec     platform.ExecutionModel
-	clock    float64
-	events   eventHeap
-	orderCtr uint64
-	seqCtr   uint64
-	cores    []*coreState
-	active   int
-	tasks    []*TaskState
-	undone   int
-	timeline []TimelineSegment
-	sink     obs.Sink
-	evSeq    uint64
-	err      error
+	cfg   Config
+	exec  platform.ExecutionModel
+	clock float64
+	// events holds the pending arrivals and ticks; firstDone is the
+	// core whose live completion is earliest by eventLess, -1 when no
+	// core runs. next merges the two.
+	events    eventHeap
+	firstDone int
+	orderCtr  uint64
+	seqCtr    uint64
+	cores     []*coreState
+	active    int
+	tasks     []*TaskState
+	undone    int
+	timeline  []TimelineSegment
+	sink      obs.Sink
+	evSeq     uint64
+	err       error
 }
 
 // testInvariants, when set (by this package's tests), attaches a
@@ -356,8 +367,9 @@ func (e *Engine) settleAll() {
 }
 
 // rescheduleAll recomputes effective speeds (which depend on the
-// active-core count) and requeues completion events. Must follow
-// settleAll within the same instant.
+// active-core count) and restamps every running core's completion,
+// replacing the one it held. Must follow settleAll within the same
+// instant.
 func (e *Engine) rescheduleAll() {
 	for _, c := range e.cores {
 		seg := c.run
@@ -374,8 +386,34 @@ func (e *Engine) rescheduleAll() {
 		}
 		end := start + seg.ts.Remaining*seg.tpc
 		e.orderCtr++
-		e.events.push(event{time: end, kind: evCompletion, order: e.orderCtr, core: c.id, seq: seg.seq, task: -1})
+		c.done = event{time: end, kind: evCompletion, order: e.orderCtr, core: c.id, seq: seg.seq, task: -1}
 	}
+	e.findFirstDone()
+}
+
+// findFirstDone caches the core whose live completion comes first.
+func (e *Engine) findFirstDone() {
+	e.firstDone = -1
+	for _, c := range e.cores {
+		if c.run != nil && (e.firstDone < 0 || eventLess(&c.done, &e.cores[e.firstDone].done)) {
+			e.firstDone = c.id
+		}
+	}
+}
+
+// next returns the earliest pending event — the lesser of the heap top
+// and the earliest live completion — or nil when none is pending.
+func (e *Engine) next() *event {
+	var top *event
+	if len(e.events) > 0 {
+		top = &e.events[0]
+	}
+	if e.firstDone >= 0 {
+		if done := &e.cores[e.firstDone].done; top == nil || eventLess(done, top) {
+			return done
+		}
+	}
+	return top
 }
 
 // Start begins executing a task on an idle core at the given level.

@@ -70,7 +70,7 @@ func OpenSession(cfg Config, params model.CostParams) (*Session, error) {
 		maxTime = 1e9
 	}
 
-	e := &Engine{cfg: cfg, exec: cfg.Platform.ExecModel(), sink: cfg.Sink}
+	e := &Engine{cfg: cfg, exec: cfg.Platform.ExecModel(), sink: cfg.Sink, firstDone: -1}
 	s := &Session{e: e, params: params, maxTime: maxTime, ids: map[int]bool{}, tickAt: math.NaN()}
 	if testInvariants {
 		s.inv = obs.NewInvariantSink()
@@ -131,17 +131,18 @@ func (s *Session) Inject(tasks model.TaskSet) error {
 	return nil
 }
 
-// step processes the earliest queued event if its time is at most
+// step processes the earliest pending event if its time is at most
 // limit; it reports whether an event was consumed. Mirrors one
 // iteration of the original Run loop, including the undone>0 guard:
 // once every task has completed the session parks, leaving any future
 // tick in the queue.
 func (s *Session) step(ctx context.Context, limit float64) (bool, error) {
 	e := s.e
-	if e.events.Len() == 0 || e.undone == 0 {
+	next := e.next()
+	if next == nil || e.undone == 0 {
 		return false, nil
 	}
-	if next := e.events[0].time; next > limit {
+	if next.time > limit {
 		return false, nil
 	}
 	if s.steps%ctxPollInterval == 0 {
@@ -150,7 +151,12 @@ func (s *Session) step(ctx context.Context, limit float64) (bool, error) {
 		}
 	}
 	s.steps++
-	ev := e.events.pop()
+	ev := *next
+	if len(e.events) > 0 && next == &e.events[0] {
+		e.events.pop()
+	} else {
+		e.firstDone = -1 // consumed; the completion's rescheduleAll picks the next
+	}
 	if ev.time > s.maxTime {
 		return false, fmt.Errorf("sim: exceeded max time %v (policy %q stuck?)", s.maxTime, e.cfg.Policy.Name())
 	}
@@ -162,7 +168,7 @@ func (s *Session) step(ctx context.Context, limit float64) (bool, error) {
 	case evCompletion:
 		c := e.cores[ev.core]
 		if c.run == nil || c.run.seq != ev.seq {
-			return true, e.err // superseded by a reschedule
+			return true, e.err // not the core's live completion
 		}
 		e.settleAll()
 		ts := c.run.ts
