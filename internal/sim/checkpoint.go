@@ -353,7 +353,7 @@ func RestoreSession(cfg Config, params model.CostParams, cp *Checkpoint) (*Sessi
 	if active != cp.Active {
 		return nil, fmt.Errorf("sim: checkpoint says %d active cores, run state has %d", cp.Active, active)
 	}
-	e.findFirstDone()
+	e.findNextDone()
 	// Effective speeds are a pure function of (level, active count):
 	// the live engine recomputed them via rescheduleAll after every
 	// active-count change, so recomputing here reproduces the exact

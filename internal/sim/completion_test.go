@@ -13,7 +13,7 @@ import (
 
 // checkLiveCompletions asserts the engine's completion bookkeeping: the
 // heap holds only arrivals and ticks, every running core holds its one
-// live completion, and firstDone names the earliest of them.
+// live completion, and nextDone names the earliest of them.
 func checkLiveCompletions(t *testing.T, e *Engine) {
 	t.Helper()
 	for i := range e.events {
@@ -33,8 +33,8 @@ func checkLiveCompletions(t *testing.T, e *Engine) {
 			first = c.id
 		}
 	}
-	if e.firstDone != first {
-		t.Fatalf("t=%v: firstDone = %d, earliest live completion is on core %d", e.clock, e.firstDone, first)
+	if e.nextDone != first {
+		t.Fatalf("t=%v: nextDone = %d, earliest live completion is on core %d", e.clock, e.nextDone, first)
 	}
 }
 

@@ -234,11 +234,9 @@ type coreState struct {
 	// seg is the per-core scratch segment reused across starts so the
 	// steady-state arrival path never allocates. Nothing outside the
 	// engine may retain *runSeg across events.
-	run *runSeg
-	seg runSeg
-	// done is the running task's one live completion event, restamped
-	// by every rescheduleAll; meaningless while run is nil.
-	done   event
+	run    *runSeg
+	seg    runSeg
+	done   event // run's one live completion, restamped by rescheduleAll
 	isBusy bool
 	// busy accounting
 	busyMark     float64
@@ -259,24 +257,21 @@ func (c *coreState) accountBusy(now float64) {
 
 // Engine is the simulation state exposed to policies.
 type Engine struct {
-	cfg   Config
-	exec  platform.ExecutionModel
-	clock float64
-	// events holds the pending arrivals and ticks; firstDone is the
-	// core whose live completion is earliest by eventLess, -1 when no
-	// core runs. next merges the two.
-	events    eventHeap
-	firstDone int
-	orderCtr  uint64
-	seqCtr    uint64
-	cores     []*coreState
-	active    int
-	tasks     []*TaskState
-	undone    int
-	timeline  []TimelineSegment
-	sink      obs.Sink
-	evSeq     uint64
-	err       error
+	cfg      Config
+	exec     platform.ExecutionModel
+	clock    float64
+	events   eventHeap // pending arrivals and ticks
+	nextDone int       // core whose live completion comes first, -1 if none runs
+	orderCtr uint64
+	seqCtr   uint64
+	cores    []*coreState
+	active   int
+	tasks    []*TaskState
+	undone   int
+	timeline []TimelineSegment
+	sink     obs.Sink
+	evSeq    uint64
+	err      error
 }
 
 // testInvariants, when set (by this package's tests), attaches a
@@ -388,15 +383,15 @@ func (e *Engine) rescheduleAll() {
 		e.orderCtr++
 		c.done = event{time: end, kind: evCompletion, order: e.orderCtr, core: c.id, seq: seg.seq, task: -1}
 	}
-	e.findFirstDone()
+	e.findNextDone()
 }
 
-// findFirstDone caches the core whose live completion comes first.
-func (e *Engine) findFirstDone() {
-	e.firstDone = -1
+// findNextDone caches the core whose live completion comes first.
+func (e *Engine) findNextDone() {
+	e.nextDone = -1
 	for _, c := range e.cores {
-		if c.run != nil && (e.firstDone < 0 || eventLess(&c.done, &e.cores[e.firstDone].done)) {
-			e.firstDone = c.id
+		if c.run != nil && (e.nextDone < 0 || eventLess(&c.done, &e.cores[e.nextDone].done)) {
+			e.nextDone = c.id
 		}
 	}
 }
@@ -408,8 +403,8 @@ func (e *Engine) next() *event {
 	if len(e.events) > 0 {
 		top = &e.events[0]
 	}
-	if e.firstDone >= 0 {
-		if done := &e.cores[e.firstDone].done; top == nil || eventLess(done, top) {
+	if e.nextDone >= 0 {
+		if done := &e.cores[e.nextDone].done; top == nil || eventLess(done, top) {
 			return done
 		}
 	}

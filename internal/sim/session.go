@@ -70,7 +70,7 @@ func OpenSession(cfg Config, params model.CostParams) (*Session, error) {
 		maxTime = 1e9
 	}
 
-	e := &Engine{cfg: cfg, exec: cfg.Platform.ExecModel(), sink: cfg.Sink, firstDone: -1}
+	e := &Engine{cfg: cfg, exec: cfg.Platform.ExecModel(), sink: cfg.Sink, nextDone: -1}
 	s := &Session{e: e, params: params, maxTime: maxTime, ids: map[int]bool{}, tickAt: math.NaN()}
 	if testInvariants {
 		s.inv = obs.NewInvariantSink()
@@ -155,7 +155,7 @@ func (s *Session) step(ctx context.Context, limit float64) (bool, error) {
 	if len(e.events) > 0 && next == &e.events[0] {
 		e.events.pop()
 	} else {
-		e.firstDone = -1 // consumed; the completion's rescheduleAll picks the next
+		e.nextDone = -1 // consumed; the completion's rescheduleAll picks the next
 	}
 	if ev.time > s.maxTime {
 		return false, fmt.Errorf("sim: exceeded max time %v (policy %q stuck?)", s.maxTime, e.cfg.Policy.Name())
