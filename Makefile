@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint build test race bench-smoke fuzz-smoke bench benchdiff benchdiff-test cover serve-smoke cluster-smoke golden
+.PHONY: check vet lint build test race bench-smoke fuzz-smoke bench benchdiff benchdiff-ab benchdiff-test cover serve-smoke cluster-smoke golden
 
 check: vet lint build race bench-smoke benchdiff benchdiff-test cover fuzz-smoke cluster-smoke
 
@@ -36,10 +36,11 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDynamicCost -fuzztime=5s ./internal/dynsched
 	$(GO) test -fuzz=FuzzBinaryRoundTrip -fuzztime=5s ./internal/obs
 
-# Benchmark the hot packages and write the machine-readable baseline
-# for this PR (diff against the previous PR's with `make benchdiff`).
+# Benchmark the hot packages (median of 5 runs each) and write the
+# machine-readable baseline for this PR (diff against the previous
+# PR's with `make benchdiff`).
 bench:
-	scripts/bench.sh BENCH_PR10.json
+	scripts/bench.sh BENCH_PR12.json
 
 # Compare the two newest BENCH_PR<N>.json baselines (numeric order);
 # fails on >20% ns/op regressions in benchmarks both files share and
@@ -47,8 +48,16 @@ bench:
 benchdiff:
 	scripts/benchdiff.sh
 
+# Same-machine A/B: benchmark commit REV (default HEAD) and the working
+# tree in alternating rounds and apply the benchdiff gate to the pair,
+# so the comparison measures the code rather than the machine.
+REV ?= HEAD
+benchdiff-ab:
+	scripts/benchdiff.sh -ab $(REV)
+
 # Shell test for the benchdiff gate itself: missing/empty baselines
-# must fail, regressions must fail, new benchmarks must be reported.
+# must fail, regressions must fail, new benchmarks must be reported;
+# also bench.sh's conversion and the -ab mode.
 benchdiff-test:
 	scripts/benchdiff_test.sh
 

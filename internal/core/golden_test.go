@@ -35,26 +35,27 @@ const (
 	goldenJudgeS = 1.0 / 64
 )
 
-func goldenScheduler(t *testing.T, sink obs.Sink) *core.Scheduler {
-	t.Helper()
+func judgeScheduler(tb testing.TB, sink obs.Sink) *core.Scheduler {
+	tb.Helper()
 	sched, err := core.New(model.CostParams{Re: 0.4, Rt: 0.1},
 		platform.Homogeneous(16, platform.TableII(), platform.Ideal{}), core.WithSink(sink))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return sched
 }
 
-// goldenBatches returns the replay's submissions in order.
-func goldenBatches(t *testing.T) []model.TaskSet {
-	t.Helper()
+// judgeBatches scales the Judgegirl trace of the given seed and splits
+// it, in arrival order, into submissions of goldenBatch tasks.
+func judgeBatches(tb testing.TB, scale float64, seed int64) []model.TaskSet {
+	tb.Helper()
 	jc := workload.DefaultJudgeConfig()
-	jc.Interactive = int(float64(jc.Interactive) * goldenJudgeS)
-	jc.NonInteractive = int(float64(jc.NonInteractive) * goldenJudgeS)
-	jc.Duration *= goldenJudgeS
-	tasks, err := jc.Generate(rand.New(rand.NewSource(3)))
+	jc.Interactive = int(float64(jc.Interactive) * scale)
+	jc.NonInteractive = int(float64(jc.NonInteractive) * scale)
+	jc.Duration *= scale
+	tasks, err := jc.Generate(rand.New(rand.NewSource(seed)))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	tasks.ByArrival()
 	var batches []model.TaskSet
@@ -63,6 +64,9 @@ func goldenBatches(t *testing.T) []model.TaskSet {
 	}
 	return batches
 }
+
+// goldenBatches returns the golden replay's submissions in order.
+func goldenBatches(t *testing.T) []model.TaskSet { return judgeBatches(t, goldenJudgeS, 3) }
 
 func submitAll(t *testing.T, sess *core.OnlineSession, batches []model.TaskSet) {
 	t.Helper()
@@ -83,7 +87,7 @@ func costLine(c float64) string {
 // bit. Regenerate with -update only for an intended schedule change.
 func TestJudgeReplayGolden(t *testing.T) {
 	rec := &obs.Recorder{}
-	sess, err := goldenScheduler(t, rec).OpenOnline(context.Background())
+	sess, err := judgeScheduler(t, rec).OpenOnline(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +142,7 @@ func TestFrozenCheckpointRestores(t *testing.T) {
 	path := filepath.Join("testdata", frozenDVSC)
 	if _, err := os.Stat(path); os.IsNotExist(err) && *update {
 		// A sink keeps the event seq counting, so EvSeq marks the cut.
-		sess, err := goldenScheduler(t, &obs.Recorder{}).OpenOnline(ctx)
+		sess, err := judgeScheduler(t, &obs.Recorder{}).OpenOnline(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +177,7 @@ func TestFrozenCheckpointRestores(t *testing.T) {
 	}
 
 	rec := &obs.Recorder{}
-	sess, err := goldenScheduler(t, rec).RestoreOnline(ctx, blob)
+	sess, err := judgeScheduler(t, rec).RestoreOnline(ctx, blob)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,16 @@
 # Compare two bench.sh baselines and fail on ns/op regressions.
 #
 # Usage: scripts/benchdiff.sh [old.json new.json]
+#        scripts/benchdiff.sh -ab REV [old.json new.json]
+#
+# -ab REV is a same-machine A/B: it extracts commit REV into a
+# temporary directory (git archive, offline) and runs this checkout's
+# scripts/bench.sh there and in the working tree back to back, one run
+# each per round for COUNT rounds (default 5), so drift in the
+# machine's load hits both sides alike. It then gates the pair as
+# below. Give old.json and new.json to keep the two baselines;
+# otherwise they are temporary. BENCH_PKGS and BENCHTIME pass through
+# to bench.sh.
 #
 # With no arguments the two most recent BENCH_PR<N>.json baselines in
 # the repo root (override with BENCH_DIR) are compared, newest as NEW.
@@ -28,7 +38,36 @@ cd "$(dirname "$0")/.."
 BENCH_DIR=${BENCH_DIR:-.}
 THRESHOLD=${THRESHOLD:-20}
 
-if [ "$#" -ge 2 ]; then
+if [ "${1:-}" = "-ab" ]; then
+    if [ "$#" -ne 2 ] && [ "$#" -ne 4 ]; then
+        echo "usage: scripts/benchdiff.sh -ab REV [old.json new.json]" >&2
+        exit 1
+    fi
+    REV=$2
+    if ! git rev-parse --verify --quiet "$REV^{commit}" >/dev/null; then
+        echo "benchdiff: unknown revision $REV" >&2
+        exit 1
+    fi
+    TMPD=$(mktemp -d)
+    trap 'rm -rf "$TMPD"' EXIT
+    OLD=${3:-$TMPD/old.json}
+    NEW=${4:-$TMPD/new.json}
+    case $OLD in /*) ;; *) OLD=$PWD/$OLD ;; esac
+    case $NEW in /*) ;; *) NEW=$PWD/$NEW ;; esac
+    mkdir "$TMPD/tree"
+    git archive "$REV" | tar -x -C "$TMPD/tree"
+    # Both sides run this checkout's bench.sh, so the package list and
+    # name handling match.
+    cp scripts/bench.sh "$TMPD/tree/scripts/bench.sh"
+    round=0
+    while [ "$round" -lt "${COUNT:-5}" ]; do
+        round=$((round + 1))
+        echo "== round $round: $REV ==" >&2
+        COUNT=1 BENCH_LOG="$TMPD/old.log" GOPROXY=off sh "$TMPD/tree/scripts/bench.sh" "$OLD" >&2
+        echo "== round $round: working tree ==" >&2
+        COUNT=1 BENCH_LOG="$TMPD/new.log" GOPROXY=off sh scripts/bench.sh "$NEW" >&2
+    done
+elif [ "$#" -ge 2 ]; then
     OLD=$1
     NEW=$2
 else

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Shell test for scripts/benchdiff.sh: the failure modes that must not
-# pass vacuously (missing or empty baselines), the regression gate, and
-# the "new benchmark" report.
+# pass vacuously (missing or empty baselines), the regression gate, the
+# "new benchmark" report, bench.sh's conversion of go test output, and
+# the same-machine A/B mode.
 #
 # Usage: scripts/benchdiff_test.sh
 set -eu
@@ -173,6 +174,45 @@ case $out in
 *) fail "single-baseline discovery: unhelpful error
 $out" ;;
 esac
+
+# bench.sh conversion: names drop go test's -N GOMAXPROCS suffix, so a
+# baseline recorded on a multi-core machine shares names with one
+# recorded on a single core, and each figure is the median of the runs.
+cat > "$DIR/raw.txt" <<'RAW'
+pkg: pkg/a
+BenchmarkShared-2   	     100	       300.0 ns/op	      64 B/op	       3 allocs/op
+BenchmarkShared-2   	     100	        95.0 ns/op	      64 B/op	       3 allocs/op
+BenchmarkShared-2   	     100	       100.0 ns/op	      64 B/op	       3 allocs/op
+BenchmarkSub/case-2 	     100	        10.0 ns/op	         7.000 ckpt-B
+RAW
+if ! COUNT=0 BENCH_LOG="$DIR/raw.txt" scripts/bench.sh "$DIR/conv.json" >/dev/null 2>&1; then
+    fail "bench.sh could not convert a raw log"
+fi
+expect 0 "1 shared benchmarks" "suffixed names match a suffix-free baseline" "$DIR/old.json" "$DIR/conv.json"
+grep -q '"name": "BenchmarkShared", "iterations": 100, "runs": 3, "ns_per_op": 100, "ns_per_op_min": 95, "ns_per_op_max": 300, "bytes_per_op": 64, "allocs_per_op": 3}' "$DIR/conv.json" ||
+    fail "conversion did not record the median and spread of three runs
+$(cat "$DIR/conv.json")"
+grep -q '"name": "BenchmarkSub/case", .*"ckpt_B": 7}' "$DIR/conv.json" ||
+    fail "conversion dropped a custom metric
+$(cat "$DIR/conv.json")"
+
+# Same-machine A/B: argument errors, then a real run on one small
+# package (one iteration each, so the gate is opened wide: this checks
+# the plumbing, not the timings).
+expect 1 "usage" "-ab without a revision" -ab
+expect 1 "unknown revision" "-ab with a bad revision" -ab no-such-revision
+if git rev-parse --verify --quiet HEAD >/dev/null; then
+    got=0
+    out=$(BENCH_PKGS=./internal/envelope BENCHTIME=1x COUNT=1 THRESHOLD=1000000 \
+        scripts/benchdiff.sh -ab HEAD "$DIR/ab_old.json" "$DIR/ab_new.json" 2>&1) || got=$?
+    case $got:$out in
+    0:*"2 shared benchmarks"*) ;;
+    *) fail "-ab HEAD: exit $got
+$out" ;;
+    esac
+else
+    echo "benchdiff_test: not a git checkout, skipping the -ab run"
+fi
 
 if [ "$fails" -gt 0 ]; then
     echo "benchdiff_test: $fails failures" >&2
