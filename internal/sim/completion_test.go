@@ -84,15 +84,9 @@ func TestEventHeapHoldsNoCompletions(t *testing.T) {
 // of any arity.
 func sortEvents(evs []EventState) {
 	sort.Slice(evs, func(i, j int) bool {
-		a, b := &evs[i], &evs[j]
-		//dvfslint:allow floatcmp exact heap order, as eventLess
-		if a.Time != b.Time {
-			return a.Time < b.Time
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		return a.Order < b.Order
+		a := event{time: evs[i].Time, kind: evs[i].Kind, order: evs[i].Order}
+		b := event{time: evs[j].Time, kind: evs[j].Kind, order: evs[j].Order}
+		return eventLess(&a, &b)
 	})
 }
 
@@ -199,5 +193,32 @@ func TestRestoreDropsSupersededCompletions(t *testing.T) {
 	sortEvents(twice.Events)
 	if _, err := RestoreSession(fresh(), paperParams, &twice); err == nil {
 		t.Error("a core with two live completions accepted")
+	}
+}
+
+// TestCompletionPrecedesArrivalAtSameInstant pins the tie between the
+// two event sources: a live completion and a queued arrival due at the
+// bit-identical instant must pop completion first, as eventLess orders
+// kinds.
+func TestCompletionPrecedesArrivalAtSameInstant(t *testing.T) {
+	first := model.TaskSet{{ID: 1, Cycles: 10, Deadline: model.NoDeadline}}
+	solo, err := Run(Config{Platform: singleCorePlatform(), Policy: newFIFO()}, first, paperParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := solo.Tasks[0].Completion
+	rec := &obs.Recorder{}
+	tasks := append(first.Clone(), model.Task{ID: 2, Cycles: 10, Arrival: end, Deadline: model.NoDeadline})
+	if _, err := Run(Config{Platform: singleCorePlatform(), Policy: newFIFO(), Sink: rec}, tasks, paperParams); err != nil {
+		t.Fatal(err)
+	}
+	var kinds []obs.Kind
+	for _, ev := range rec.Events() {
+		if ev.T == end && (ev.Kind == obs.KindComplete || ev.Kind == obs.KindArrival) {
+			kinds = append(kinds, ev.Kind)
+		}
+	}
+	if len(kinds) != 2 || kinds[0] != obs.KindComplete {
+		t.Fatalf("events at t=%v: %v, want the completion before the arrival", end, kinds)
 	}
 }
