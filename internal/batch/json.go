@@ -1,11 +1,14 @@
 package batch
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 
 	"dvfsched/internal/model"
+	"dvfsched/internal/obs"
 )
 
 // assignmentJSON is the wire form of one scheduled task.
@@ -26,28 +29,57 @@ type planJSON struct {
 	Cores [][]assignmentJSON `json:"cores"`
 }
 
-// WriteJSON serializes the plan, self-contained, as indented JSON.
+// WriteJSON serializes the plan, self-contained, as indented JSON: the
+// AppendJSON document indented by json.Indent, with a trailing newline.
 func (p *Plan) WriteJSON(w io.Writer) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	doc := planJSON{Re: p.Params.Re, Rt: p.Params.Rt, Cores: make([][]assignmentJSON, len(p.Cores))}
-	for i, cp := range p.Cores {
-		doc.Cores[i] = make([]assignmentJSON, len(cp.Sequence))
-		for j, a := range cp.Sequence {
-			doc.Cores[i][j] = assignmentJSON{
-				TaskID: a.Task.ID,
-				Name:   a.Task.Name,
-				Cycles: a.Task.Cycles,
-				Rate:   a.Level.Rate,
-				Energy: a.Level.Energy,
-				Time:   a.Level.Time,
-			}
-		}
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, append(p.AppendJSON(nil), '\n'), "", "  "); err != nil {
+		return err
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	_, err := w.Write(buf.Bytes())
+	return err
+}
+
+// AppendJSON appends the plan's compact self-contained document to
+// dst, byte-identical to json.Marshal of its planJSON form. It does not
+// validate the plan.
+func (p *Plan) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"re":`...)
+	dst = obs.AppendJSONFloat(dst, p.Params.Re)
+	dst = append(dst, `,"rt":`...)
+	dst = obs.AppendJSONFloat(dst, p.Params.Rt)
+	dst = append(dst, `,"cores":[`...)
+	for i, cp := range p.Cores {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, '[')
+		for j, a := range cp.Sequence {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"task":`...)
+			dst = strconv.AppendInt(dst, int64(a.Task.ID), 10)
+			if a.Task.Name != "" {
+				dst = append(dst, `,"name":`...)
+				dst = obs.AppendJSONString(dst, a.Task.Name)
+			}
+			dst = append(dst, `,"cycles":`...)
+			dst = obs.AppendJSONFloat(dst, a.Task.Cycles)
+			dst = append(dst, `,"rate":`...)
+			dst = obs.AppendJSONFloat(dst, a.Level.Rate)
+			dst = append(dst, `,"energy":`...)
+			dst = obs.AppendJSONFloat(dst, a.Level.Energy)
+			dst = append(dst, `,"time":`...)
+			dst = obs.AppendJSONFloat(dst, a.Level.Time)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, "]}"...)
 }
 
 // ReadPlanJSON parses a plan written by WriteJSON and validates it.

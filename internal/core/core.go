@@ -158,21 +158,31 @@ func (s *Scheduler) Params() model.CostParams { return s.params }
 // Platform returns the platform.
 func (s *Scheduler) Platform() *platform.Platform { return s.plat }
 
-// PlanBatch computes the cost-optimal batch schedule for tasks without
-// deadlines (Workload Based Greedy, Theorem 5). All tasks must have
-// Arrival 0 and no deadline. Canceling ctx aborts planning with an
-// error matching ErrCanceled.
-func (s *Scheduler) PlanBatch(ctx context.Context, tasks model.TaskSet) (*batch.Plan, error) {
+// CheckBatchable returns the ErrNotBatchable error PlanBatch gives
+// tasks, naming the first task that arrives after 0, has a deadline or
+// is interactive; nil when PlanBatch accepts them all.
+func CheckBatchable(tasks model.TaskSet) error {
 	for _, t := range tasks {
 		if t.Arrival != 0 {
-			return nil, fmt.Errorf("%w: task %d arrives at %v; batch tasks arrive at 0", ErrNotBatchable, t.ID, t.Arrival)
+			return fmt.Errorf("%w: task %d arrives at %v; batch tasks arrive at 0", ErrNotBatchable, t.ID, t.Arrival)
 		}
 		if t.HasDeadline() {
-			return nil, fmt.Errorf("%w: task %d has a deadline; use package deadline", ErrNotBatchable, t.ID)
+			return fmt.Errorf("%w: task %d has a deadline; use package deadline", ErrNotBatchable, t.ID)
 		}
 		if t.Interactive {
-			return nil, fmt.Errorf("%w: task %d is interactive; use RunOnline", ErrNotBatchable, t.ID)
+			return fmt.Errorf("%w: task %d is interactive; use RunOnline", ErrNotBatchable, t.ID)
 		}
+	}
+	return nil
+}
+
+// PlanBatch computes the cost-optimal batch schedule for tasks without
+// deadlines (Workload Based Greedy, Theorem 5). All tasks must have
+// Arrival 0 and no deadline (CheckBatchable). Canceling ctx aborts
+// planning with an error matching ErrCanceled.
+func (s *Scheduler) PlanBatch(ctx context.Context, tasks model.TaskSet) (*batch.Plan, error) {
+	if err := CheckBatchable(tasks); err != nil {
+		return nil, err
 	}
 	cores := make([]batch.CoreSpec, s.plat.NumCores())
 	for i, rt := range s.plat.Cores {

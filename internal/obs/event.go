@@ -368,6 +368,26 @@ func (r *Recorder) AppendSince(dst []Event, after uint64) []Event {
 	return r.appendSinceLocked(dst, after)
 }
 
+// AppendRange appends the events at emission positions [from, to) to
+// dst, clamped to what has been recorded, and returns the extended
+// slice. Recorded events never change, so a reader that fixes `to`
+// once (say, Len at the start) sees one consistent prefix however many
+// bounded reads it takes, while Emit keeps appending.
+func (r *Recorder) AppendRange(dst []Event, from, to int) []Event {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	from, to = max(from, 0), min(to, r.n)
+	for from < to {
+		// Every chunk but the last is full, so positions map directly.
+		c := r.chunks[from/recorderChunk]
+		i := from % recorderChunk
+		k := min(len(c), i+to-from)
+		dst = append(dst, c[i:k]...)
+		from += k - i
+	}
+	return dst
+}
+
 // LastSeq returns the sequence number of the last recorded event, or 0
 // when nothing was recorded. Engine sequence numbers are nondecreasing
 // in emission order, so this is the log tail a replication ack must

@@ -90,6 +90,32 @@ func TestMultiDropsNilsAndFansOut(t *testing.T) {
 	}
 }
 
+// TestRecorderAppendRange reads positional ranges across chunk
+// boundaries and clamps ranges that run past either end.
+func TestRecorderAppendRange(t *testing.T) {
+	r := &Recorder{}
+	const n = 3*recorderChunk + 17
+	for i := 0; i < n; i++ {
+		r.Emit(Event{Seq: uint64(i + 1), Kind: KindArrival, Task: i})
+	}
+	all := r.Events()
+	for _, c := range [][2]int{
+		{0, n}, {0, 0}, {5, 6}, {recorderChunk - 1, recorderChunk + 1},
+		{recorderChunk, 2 * recorderChunk}, {10, 3*recorderChunk + 3}, {n - 3, n + 50}, {-4, 2}, {n + 1, n + 9},
+	} {
+		from, to := c[0], c[1]
+		got := r.AppendRange([]Event{{Task: -1}}, from, to)
+		lo, hi := max(from, 0), min(to, n)
+		want := []Event{{Task: -1}}
+		if lo < hi {
+			want = append(want, all[lo:hi]...)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("AppendRange(%d, %d): %d events, want %d", from, to, len(got)-1, len(want)-1)
+		}
+	}
+}
+
 func TestEffectiveAt(t *testing.T) {
 	if got := (Event{T: 2}).EffectiveAt(); got != 2 {
 		t.Errorf("unset Eff: got %v", got)

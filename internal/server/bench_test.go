@@ -57,12 +57,19 @@ func BenchmarkPlanCacheHit(b *testing.B) {
 
 // BenchmarkPlanCompute measures the planning plane with caching
 // disabled: queue, worker pool, WBG, and response shaping per request.
-func BenchmarkPlanCompute(b *testing.B) {
+func BenchmarkPlanCompute(b *testing.B) { benchPlanCompute(b, 32) }
+
+// BenchmarkPlanCompute1000 is BenchmarkPlanCompute at the largest
+// plan-mix size, where decoding the request and encoding the plan
+// document weigh the most.
+func BenchmarkPlanCompute1000(b *testing.B) { benchPlanCompute(b, 1000) }
+
+func benchPlanCompute(b *testing.B, tasks int) {
 	s := New(Config{CacheSize: -1})
 	defer s.Close()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
-	req := PlanRequest{Tasks: benchTasks(32)}
+	req := PlanRequest{Tasks: benchTasks(tasks)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

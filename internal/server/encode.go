@@ -54,12 +54,25 @@ func appendSubmitResponse(b []byte, r SubmitResponse) []byte {
 // HTML-escape (task names with <, > or & re-escape under Marshal but
 // pass through here; both are valid JSON for the same value).
 func appendPlanResponse(b []byte, r PlanResponse) []byte {
-	b = append(b, `{"plan":`...)
+	b = append(b, planPrefix...)
 	if len(r.Plan) == 0 {
 		b = append(b, "null"...)
 	} else {
 		b = append(b, r.Plan...)
 	}
+	return appendPlanTotals(b, r)
+}
+
+// planPrefix opens a framed PlanResponse; the plan document follows.
+const planPrefix = `{"plan":`
+
+// planTotalsMax bounds appendPlanTotals' output plus a newline: six
+// keys (86 bytes), six floats of at most 25 bytes, `,"cached":false}`.
+const planTotalsMax = 256
+
+// appendPlanTotals frames the rest of r after its plan document: the
+// totals, the cached flag and the closing brace.
+func appendPlanTotals(b []byte, r PlanResponse) []byte {
 	b = append(b, `,"energy_cost":`...)
 	b = obs.AppendJSONFloat(b, r.EnergyCost)
 	b = append(b, `,"time_cost":`...)

@@ -1,16 +1,15 @@
 package server
 
 import (
-	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
 
 	"dvfsched/internal/core"
@@ -34,19 +33,13 @@ type planReply struct {
 	err  error
 }
 
-// planCacheEntry is one cached plan: the response struct (for the
-// compute path) plus the fully pre-encoded cache-hit HTTP body
-// ("cached":true, trailing newline included), so the hit path writes
-// stored bytes without touching an encoder.
-type planCacheEntry struct {
-	resp PlanResponse
-	hit  []byte
-}
-
 // planner is the stateless planning plane: a bounded queue feeding a
-// fixed worker pool, fronted by a striped LRU result cache. Queue
-// overflow is surfaced to callers as backpressure (HTTP 429), never as
-// unbounded memory growth.
+// fixed worker pool, fronted by a striped LRU result cache. A cache
+// entry is the plan's pre-encoded cache-hit HTTP body as a []byte
+// ("cached":true, trailing newline included), so the hit path writes
+// stored bytes without touching an encoder. Queue overflow is surfaced
+// to callers as backpressure (HTTP 429), never as unbounded memory
+// growth.
 type planner struct {
 	queue chan planJob
 	cache *stripedCache
@@ -132,21 +125,9 @@ func (p *planner) compute(job planJob) (PlanResponse, error) {
 		}
 		return PlanResponse{}, err
 	}
-	var buf bytes.Buffer
-	if err := plan.WriteJSON(&buf); err != nil {
-		return PlanResponse{}, err
-	}
-	// Store the plan document compact: it is embedded verbatim by the
-	// append framing, and re-indenting it per response would undo the
-	// zero-alloc path.
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, buf.Bytes()); err != nil {
-		return PlanResponse{}, err
-	}
 	eCost, tCost, total := plan.Cost()
 	joules, makespan, turnaround := plan.EnergyTime()
 	resp := PlanResponse{
-		Plan:           compact.Bytes(),
 		EnergyCost:     eCost,
 		TimeCost:       tCost,
 		TotalCost:      total,
@@ -154,13 +135,23 @@ func (p *planner) compute(job planJob) (PlanResponse, error) {
 		MakespanS:      makespan,
 		TurnaroundSumS: turnaround,
 	}
+	// Encode the plan document once, compact, into a pooled buffer and
+	// copy it into the cache-hit body, allocated once at its final size;
+	// the miss response reuses the document bytes inside that body.
+	bp := encBufPool.Get().(*[]byte)
+	doc := plan.AppendJSON((*bp)[:0])
+	n := len(planPrefix) + len(doc)
+	hit := make([]byte, n, n+planTotalsMax)
+	copy(hit, planPrefix)
+	copy(hit[len(planPrefix):], doc)
+	*bp = doc[:0]
+	encBufPool.Put(bp)
+	resp.Plan = hit[len(planPrefix):n:n]
+	cached := resp
+	cached.Cached = true
+	hit = append(appendPlanTotals(hit, cached), '\n')
 	p.plans.Inc()
-	hit := resp
-	hit.Cached = true
-	p.cache.put(job.key, &planCacheEntry{
-		resp: resp,
-		hit:  append(appendPlanResponse(nil, hit), '\n'),
-	})
+	p.cache.put(job.key, hit)
 	return resp, nil
 }
 
@@ -170,36 +161,42 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.writeAPIError(w, ErrDraining, http.StatusServiceUnavailable)
 		return
 	}
-	var req PlanRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	spec, params, plat, err := req.PlatformSpec.normalize()
+	spec, tasks, err := decodePlan(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	tasks, err := tasksFromRecords(req.Tasks)
+	spec, params, plat, err := spec.normalize()
 	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if err := checkTasks(tasks); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Canonicalize: WBG is invariant to input order (it sorts by
 	// cycles), so hash and plan a by-ID ordering and identical
-	// workloads in any order share a cache slot. tasksFromRecords built
-	// a fresh slice, so sorting in place clones nothing.
-	sort.SliceStable(tasks, func(i, j int) bool { return tasks[i].ID < tasks[j].ID })
+	// workloads in any order share a cache slot. The decoder built a
+	// fresh slice, so sorting in place clones nothing.
+	slices.SortStableFunc(tasks, func(a, b model.Task) int { return cmp.Compare(a.ID, b.ID) })
+	// The key covers only what the planner reads, so a workload the
+	// planner refuses must be refused before the lookup, not served the
+	// plan of its batchable twin.
+	if err := core.CheckBatchable(tasks); err != nil {
+		s.writeAPIError(w, err, http.StatusBadRequest)
+		return
+	}
 	key := planKey(spec, tasks)
 
 	if v, ok := s.planner.cache.get(key); ok {
 		s.planner.hits.Inc()
-		// The entry carries its pre-encoded body: a cache hit performs
-		// zero JSON work.
+		// The entry is the pre-encoded body: after the decode, a cache
+		// hit does no JSON work.
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
 		//dvfslint:allow errcheck-hot header already sent; nothing useful to do on error
-		_, _ = w.Write(v.(*planCacheEntry).hit)
+		_, _ = w.Write(v.([]byte))
 		return
 	}
 	s.planner.misses.Inc()

@@ -168,6 +168,34 @@ func TestPlanCacheHit(t *testing.T) {
 	}
 }
 
+// TestPlanCacheRefusesUnbatchable caches a batch workload, then posts
+// the same tasks with an arrival, a deadline, or the interactive flag.
+// The cache key covers only what the planner reads, so each variant
+// hashes to the cached entry; each must still get the planner's 400,
+// as it does on a cold cache.
+func TestPlanCacheRefusesUnbatchable(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	base := []trace.Record{{ID: 0, Cycles: 5}, {ID: 1, Cycles: 7}}
+	var first PlanResponse
+	if code := doJSON(t, "POST", ts.URL+"/v1/plan", PlanRequest{Tasks: base}, &first); code != http.StatusOK {
+		t.Fatalf("base workload: status %d", code)
+	}
+	deadline := 9.0
+	for name, edit := range map[string]func(*trace.Record){
+		"arrival":     func(r *trace.Record) { r.Arrival = 3 },
+		"deadline":    func(r *trace.Record) { r.Deadline = &deadline },
+		"interactive": func(r *trace.Record) { r.Interactive = true },
+	} {
+		tasks := append([]trace.Record(nil), base...)
+		edit(&tasks[1])
+		var eresp errorResponse
+		code := doJSON(t, "POST", ts.URL+"/v1/plan", PlanRequest{Tasks: tasks}, &eresp)
+		if code != http.StatusBadRequest || eresp.Error.Code != "invalid_workload" {
+			t.Errorf("%s: status %d, error %+v; want 400 invalid_workload", name, code, eresp.Error)
+		}
+	}
+}
+
 func TestPlanRejectsBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := []struct {

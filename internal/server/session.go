@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 
 	"dvfsched/internal/core"
@@ -174,7 +175,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec PlatformSpec
-	if err := decodeJSON(w, r, &spec); err != nil {
+	if err := decodeJSON(r.Body, &spec); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -258,17 +259,15 @@ func (s *Server) handleSessionSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req SubmitRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+	tasks, clamp, err := decodeSubmit(r)
+	if err == nil {
+		err = checkTasks(tasks)
 	}
-	tasks, err := tasksFromRecords(req.Tasks)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	resp, err := sh.submit(r.Context(), tasks, req.Clamp)
+	resp, err := sh.submit(r.Context(), tasks, clamp)
 	if err != nil {
 		s.writeAPIError(w, s.sessionErr(sh.id, err), http.StatusInternalServerError)
 		return
@@ -308,52 +307,59 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "unknown trace format %q (want jsonl or binary)", format)
 		return
 	}
-	events := sh.rec.Events()
-	w.Header().Set("X-Event-Count", fmt.Sprint(len(events)))
-	// Append-frame the whole trace through one pooled buffer: the same
-	// bytes the serializers produce, without a marshal allocation per
-	// event (a drained session replays thousands of them). Both
-	// encoders emit self-contained append-only bytes, so the buffer can
-	// flush to the wire at any point.
-	bp := encBufPool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	flush := func() bool {
-		if _, err := w.Write(buf); err != nil {
-			return false // client went away mid-stream
-		}
-		buf = buf[:0]
-		return true
-	}
+	writeEvents(w, sh.rec, format)
+}
+
+// eventReadChunk is how many events writeEvents copies out of the
+// recorder per read: one recorder chunk.
+const eventReadChunk = 1024
+
+// writeEvents streams rec's events in format ("jsonl" or "binary"). The
+// count is fixed once, up front, so X-Event-Count and the body agree
+// while the session keeps emitting; the events are then read in
+// bounded ranges into one reused scratch instead of copying the whole
+// trace. They go out through one pooled buffer, append-framed — the
+// same bytes the serializers produce, without a marshal allocation per
+// event. Both encoders emit self-contained append-only bytes, so the
+// buffer can flush to the wire at any point.
+func writeEvents(w http.ResponseWriter, rec *obs.Recorder, format string) {
+	n := rec.Len()
+	w.Header().Set("X-Event-Count", strconv.Itoa(n))
 	if format == "binary" {
 		w.Header().Set("Content-Type", "application/octet-stream")
-		var enc obs.BinaryEncoder
-		for _, ev := range events {
-			buf = enc.AppendEvent(buf, ev)
-			if len(buf) >= eventFlushBytes && !flush() {
-				*bp = buf[:0]
-				encBufPool.Put(bp)
-				return
-			}
-		}
-		buf = enc.Flush(buf)
 	} else {
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		for _, ev := range events {
-			buf = ev.AppendJSON(buf)
-			buf = append(buf, '\n')
-			if len(buf) >= eventFlushBytes && !flush() {
-				*bp = buf[:0]
-				encBufPool.Put(bp)
-				return
+	}
+	scratch := make([]obs.Event, 0, min(n, eventReadChunk))
+	var enc obs.BinaryEncoder
+	bp := encBufPool.Get().(*[]byte)
+	buf := (*bp)[:0]
+	for from := 0; from < n; from += eventReadChunk {
+		scratch = rec.AppendRange(scratch[:0], from, min(from+eventReadChunk, n))
+		for _, ev := range scratch {
+			if format == "binary" {
+				buf = enc.AppendEvent(buf, ev)
+			} else {
+				buf = append(ev.AppendJSON(buf), '\n')
+			}
+			if len(buf) >= eventFlushBytes {
+				if _, err := w.Write(buf); err != nil {
+					*bp = buf[:0]
+					encBufPool.Put(bp)
+					return // client went away mid-stream
+				}
+				buf = buf[:0]
 			}
 		}
+	}
+	if format == "binary" {
+		buf = enc.Flush(buf)
 	}
 	if len(buf) > 0 {
 		//dvfslint:allow errcheck-hot header already sent; nothing useful to do on error
 		_, _ = w.Write(buf)
-		buf = buf[:0]
 	}
-	*bp = buf
+	*bp = buf[:0]
 	encBufPool.Put(bp)
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"dvfsched/internal/core"
@@ -14,10 +13,6 @@ import (
 	"dvfsched/internal/sim"
 	"dvfsched/internal/trace"
 )
-
-// maxBodyBytes bounds request bodies; a 100k-task submission is a few
-// MB of JSONL, so 64 MiB is generous without being unbounded.
-const maxBodyBytes = 64 << 20
 
 // PlatformSpec is the platform slice of a request: a named rate table
 // replicated over identical cores. The zero value means "table2 on 4
@@ -180,17 +175,6 @@ type errorResponse struct {
 	Error apiError `json:"error"`
 }
 
-// decodeJSON parses a request body strictly (unknown fields rejected,
-// size-capped) into dst.
-func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
-	}
-	return nil
-}
-
 // writeJSON serializes v with the given status code.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -293,19 +277,4 @@ func (s *Server) writeAPIError(w http.ResponseWriter, err error, fallback int) {
 	default:
 		writeError(w, fallback, "%v", err)
 	}
-}
-
-// tasksFromRecords converts wire records into model tasks.
-func tasksFromRecords(recs []trace.Record) (model.TaskSet, error) {
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("empty task list")
-	}
-	tasks := make(model.TaskSet, len(recs))
-	for i, rec := range recs {
-		tasks[i] = rec.Task()
-	}
-	if err := tasks.Validate(); err != nil {
-		return nil, err
-	}
-	return tasks, nil
 }

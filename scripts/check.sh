@@ -27,6 +27,7 @@ echo "== fuzz smoke (5s each) =="
 go test -fuzz=FuzzInsertDelete -fuzztime=5s ./internal/rangetree
 go test -fuzz=FuzzDynamicCost -fuzztime=5s ./internal/dynsched
 go test -fuzz=FuzzBinaryRoundTrip -fuzztime=5s ./internal/obs
+go test -run='^$' -fuzz=FuzzDecodeRequest -fuzztime=5s ./internal/server
 echo "== cluster smoke (kill-failover, zero accepted-task loss) =="
 go run ./cmd/dvfsload -mode cluster -clients 6 -session-tasks 30 -batch 6
 echo "OK"
