@@ -30,19 +30,20 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # Short fuzz sessions for the dynamic structures, the binary trace
-# codec and the one-pass request decoder (against encoding/json);
-# cheap enough to run in every `make check`.
+# codec, the one-pass request decoder (against encoding/json) and the
+# cluster frame decoder; cheap enough to run in every `make check`.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzInsertDelete -fuzztime=5s ./internal/rangetree
 	$(GO) test -fuzz=FuzzDynamicCost -fuzztime=5s ./internal/dynsched
 	$(GO) test -fuzz=FuzzBinaryRoundTrip -fuzztime=5s ./internal/obs
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=5s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=5s ./internal/cluster
 
 # Benchmark the hot packages (median of 5 runs each) and write the
 # machine-readable baseline for this PR (diff against the previous
 # PR's with `make benchdiff`).
 bench:
-	scripts/bench.sh BENCH_PR13.json
+	scripts/bench.sh BENCH_PR15.json
 
 # Compare the two newest BENCH_PR<N>.json baselines (numeric order);
 # fails on >20% ns/op regressions in benchmarks both files share and
@@ -64,7 +65,7 @@ benchdiff-test:
 	scripts/benchdiff_test.sh
 
 # Race-enabled per-package coverage floors for the engine-critical
-# packages.
+# packages and the cluster.
 cover:
 	scripts/cover.sh
 

@@ -90,7 +90,7 @@ func run(args []string, w io.Writer, sigs <-chan os.Signal) error {
 		joinURL      = fs.String("join", "", "base URL of an existing member to join at startup (requires -node-id and -advertise)")
 		advertise    = fs.String("advertise", "", "base URL other nodes reach this daemon on (required with -join)")
 		probeEvery   = fs.Duration("probe-interval", 2*time.Second, "cluster peer health-probe interval")
-		shipWindow   = fs.Int("ship-window", 0, "in-flight replication frames per peer stream (0 = default 4, negative = synchronous per-mutation ships)")
+		shipWindow   = fs.Int("ship-window", 0, "in-flight replication frames per peer stream (0 = default 4)")
 		shipFlush    = fs.Duration("ship-flush-interval", 0, "how long a replication shipper lingers to coalesce mutations into one frame (0 = ship immediately)")
 		pprofAddr    = fs.String("pprof-addr", "", "expose net/http/pprof on this side listener (empty = off; keep it loopback-only)")
 	)
@@ -138,6 +138,9 @@ func run(args []string, w io.Writer, sigs <-chan os.Signal) error {
 	}
 	if *probeEvery <= 0 {
 		return fmt.Errorf("-probe-interval must be positive, got %v", *probeEvery)
+	}
+	if *shipWindow < 0 {
+		return fmt.Errorf("-ship-window must not be negative, got %d", *shipWindow)
 	}
 	if *shipFlush < 0 {
 		return fmt.Errorf("-ship-flush-interval must not be negative, got %v", *shipFlush)

@@ -78,6 +78,18 @@ func (tc *testCluster) leave(front, id string) MembershipChange {
 	return change
 }
 
+// holdsReplica reports whether node lists a replica of session id in
+// its /v1/cluster/info.
+func (tc *testCluster) holdsReplica(node, id string) bool {
+	tc.t.Helper()
+	for _, rid := range tc.nodeInfo(node).Replicas {
+		if rid == id {
+			return true
+		}
+	}
+	return false
+}
+
 // nodeInfo fetches /v1/cluster/info from one node directly.
 func (tc *testCluster) nodeInfo(id string) NodeInfo {
 	tc.t.Helper()
@@ -570,12 +582,11 @@ func TestClusterLeaveWhileOwner(t *testing.T) {
 }
 
 // TestClusterShipHealsDroppedReplica pins the replication cursor's
-// self-healing: if a session's replica is dropped out from under an
-// open ship cursor — which the old owner's post-migration cleanup can
-// do when it races the new owner's first ship after a handoff — the
-// next submit must re-open the replica and re-ship the full log within
-// the same request. Without the heal, every subsequent submit 502s
-// forever and the session quietly runs unreplicated.
+// self-healing: if a session's replica vanishes from under an open
+// ship cursor — as when the replica node restarted empty — the next
+// submit must re-open the replica and re-ship the full log within the
+// same request. Without the heal, every subsequent submit 502s forever
+// and the session quietly runs unreplicated.
 func TestClusterShipHealsDroppedReplica(t *testing.T) {
 	tc := startCluster(t, 3, nil)
 	info := tc.createSession("n1", `{"cores":2}`)
@@ -586,33 +597,34 @@ func TestClusterShipHealsDroppedReplica(t *testing.T) {
 	}
 
 	// Find the replica holder and drop the replica behind the owner's
-	// back, through the replica plane itself.
+	// cursor with a drop frame in the owner's name, through the replica
+	// plane itself.
 	holder := ""
 	for _, id := range tc.ids {
-		for _, rid := range tc.nodeInfo(id).Replicas {
-			if rid == info.ID {
-				holder = id
-			}
+		if tc.holdsReplica(id, info.ID) {
+			holder = id
 		}
 	}
 	if holder == "" {
 		t.Fatalf("no node holds a replica of %s after an acked submit", info.ID)
 	}
-	if code, b := tc.do(holder, http.MethodPost, "/v1/cluster/replica/"+info.ID+"/drop", nil); code != http.StatusNoContent {
+	owner := tc.byID["n1"].node.Route(info.ID)[0]
+	drop, err := appendFrame(nil, owner, []frameEntry{{ID: info.ID, Drop: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, b := tc.do(holder, http.MethodPost, "/v1/cluster/replica/frame", drop); code != http.StatusOK {
 		t.Fatalf("drop replica on %s: %d %s", holder, code, b)
+	}
+	if tc.holdsReplica(holder, info.ID) {
+		t.Fatalf("drop frame from owner %s left the replica of %s on %s", owner, info.ID, holder)
 	}
 
 	// The very next submit must ack — healed in-request, no retry.
 	if code, b := tc.do("n2", http.MethodPost, path+"/tasks", taskBatch([]int{4, 5}, true)); code != http.StatusOK {
 		t.Fatalf("submit after replica drop: %d %s", code, b)
 	}
-	rebuilt := false
-	for _, rid := range tc.nodeInfo(holder).Replicas {
-		if rid == info.ID {
-			rebuilt = true
-		}
-	}
-	if !rebuilt {
+	if !tc.holdsReplica(holder, info.ID) {
 		t.Fatalf("replica of %s on %s was not rebuilt by the healing ship", info.ID, holder)
 	}
 
@@ -622,4 +634,79 @@ func TestClusterShipHealsDroppedReplica(t *testing.T) {
 	}
 	events := tc.fetchEvents([]string{"n1"}, path)
 	auditTrace(t, info.PlatformSpec, events, map[int]bool{1: true, 2: true, 3: true, 4: true, 5: true})
+}
+
+// migrate moves a session through the given front and fails the test
+// unless the migration succeeds.
+func (tc *testCluster) migrate(front, id, target string) {
+	tc.t.Helper()
+	body := []byte(fmt.Sprintf(`{"target":%q}`, target))
+	if code, b := tc.do(front, http.MethodPost, "/v1/cluster/sessions/"+id+"/migrate", body); code != http.StatusOK {
+		tc.t.Fatalf("migrate %s to %s via %s: %d %s", id, target, front, code, b)
+	}
+}
+
+// TestClusterMigrationTourKeepsReplica moves one session along all six
+// ordered moves among its ring chain R, c1, c2 and requires, after
+// each, that the new owner's replica target holds the replica. The old
+// owner's cleanup must spare it in two cases: when the new owner
+// re-protected onto the old owner itself, and when neither owner is R,
+// so both ship to R and the old owner's purge drop lands on the new
+// owner's replica.
+func TestClusterMigrationTourKeepsReplica(t *testing.T) {
+	tc := startCluster(t, 3, nil)
+	info := tc.createSession("n1", `{"cores":2}`)
+	path := "/v1/sessions/" + info.ID
+	if code, b := tc.do("n1", http.MethodPost, path+"/tasks", taskBatch([]int{1, 2, 3}, true)); code != http.StatusOK {
+		t.Fatalf("seed submit: %d %s", code, b)
+	}
+	chain := tc.byID["n1"].node.Route(info.ID)
+	ring, c1, c2 := chain[0], chain[1], chain[2]
+
+	from := ring
+	for _, to := range []string{c1, c2, ring, c2, c1, ring} {
+		tc.migrate(from, info.ID, to)
+		if target := tc.byID[to].node.replicaTarget(info.ID); !tc.holdsReplica(target, info.ID) {
+			t.Errorf("move %s→%s: the new owner's replica target %s holds no replica", from, to, target)
+		}
+		from = to
+	}
+
+	dr := tc.drainRetry(tc.ids, path)
+	if dr.Tasks != 3 {
+		t.Errorf("drained %d tasks, want 3", dr.Tasks)
+	}
+	events := tc.fetchEvents(tc.ids, path)
+	auditTrace(t, info.PlatformSpec, events, map[int]bool{1: true, 2: true, 3: true})
+}
+
+// TestClusterKillAfterMigrateDrains kills a session's new owner right
+// after a migration, before any other mutation: the replica the new
+// owner built on its way in (here on the old owner) is the only copy
+// left, so the survivors must promote it and drain every acked task.
+func TestClusterKillAfterMigrateDrains(t *testing.T) {
+	tc := startCluster(t, 3, nil)
+	// The old owner learns the new one died only by probing it: nothing
+	// else it does contacts the new owner.
+	for _, id := range tc.ids {
+		t.Cleanup(tc.byID[id].node.StartProber(50 * time.Millisecond))
+	}
+	info := tc.createSession("n1", `{"cores":2}`)
+	path := "/v1/sessions/" + info.ID
+	if code, b := tc.do("n1", http.MethodPost, path+"/tasks", taskBatch([]int{1, 2, 3, 4}, true)); code != http.StatusOK {
+		t.Fatalf("seed submit: %d %s", code, b)
+	}
+	chain := tc.byID["n1"].node.Route(info.ID)
+	ring, c1, c2 := chain[0], chain[1], chain[2]
+
+	tc.migrate(ring, info.ID, c1)
+	tc.kill(c1)
+
+	survivors := []string{ring, c2}
+	dr := tc.drainRetry(survivors, path)
+	if dr.Tasks != 4 {
+		t.Errorf("drained %d tasks, acked 4", dr.Tasks)
+	}
+	events := tc.fetchEvents(survivors, path)
+	auditTrace(t, info.PlatformSpec, events, map[int]bool{1: true, 2: true, 3: true, 4: true})
 }

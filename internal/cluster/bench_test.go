@@ -56,31 +56,25 @@ const benchSessions = 1
 
 // BenchmarkReplicatedSubmit measures the cluster mutation hot path —
 // concurrent single-task submits across benchSessions owner-resident
-// sessions with "acked implies replicated" held — on both replication
-// planes: `perRequest` is the synchronous per-mutation ship
-// (ShipWindow -1, the pre-stream baseline), `stream` the pipelined
-// per-peer frame stream. Requests run in-process against the owner's
-// handler; replication crosses a real loopback socket either way, so
-// the gap between the two sub-benchmarks is the stream's
-// coalescing/multiplexing win.
+// sessions with "acked implies replicated" held. Requests run
+// in-process against the owner's handler; `stream` replicates them
+// over the per-peer frame stream across a real loopback socket, so
+// its gap to `solo` is the price of replication.
 func BenchmarkReplicatedSubmit(b *testing.B) {
 	for _, mode := range []struct {
-		name   string
-		nodes  int
-		window int
+		name  string
+		nodes int
 	}{
 		// solo is the no-replication floor: a 1-node view never ships,
-		// so this prices the cluster submit machinery both planes share.
-		{"solo", 1, 0},
-		{"perRequest", 2, -1},
-		{"stream", 2, 0},
+		// so this prices the cluster submit machinery alone.
+		{"solo", 1},
+		{"stream", 2},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			// Checkpoints snapshot the whole (growing) session, a cost
-			// identical on both planes that scales with b.N and would
-			// drown the ship-path signal being compared — park them.
+			// that scales with b.N and would drown the ship-path signal
+			// being measured — park them.
 			tc := startCluster(b, mode.nodes, func(c *Config) {
-				c.ShipWindow = mode.window
 				c.CheckpointEvery = 1 << 30
 			})
 			owner := "n1"
@@ -106,9 +100,8 @@ func BenchmarkReplicatedSubmit(b *testing.B) {
 			}
 
 			var seq atomic.Int64
-			// 16 concurrent clients per GOMAXPROCS: the planes are compared
-			// under contention, where the stream's group commit amortizes
-			// and the per-request plane's convoy does not.
+			// 16 concurrent clients per GOMAXPROCS: the stream is measured
+			// under contention, where its group commit amortizes.
 			b.SetParallelism(16)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -137,7 +130,7 @@ func BenchmarkReplicatedSubmit(b *testing.B) {
 			})
 			b.StopTimer()
 			// frames/op shows the coalescing factor the stream achieved
-			// (perRequest reports 0: its ships are not frames).
+			// (solo reports 0: it never ships).
 			frames := tc.byID[owner].srv.Registry().Counter(obs.ClusterShipFrames).Value() - framesBefore
 			b.ReportMetric(frames/float64(b.N), "frames/op")
 		})

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -24,26 +23,18 @@ import (
 // freeze happens on the shard goroutine at a group-commit boundary
 // (server opHandoff): the checkpoint observes whole batches only, and
 // every later mutation is fenced with 503 session_migrating. ship sends
-// the "DVSC" checkpoint plus the full "DVFB" event log to the target,
-// which adopts it exactly like the failover path — same replay code,
-// same byte-identical trace guarantee — but with zero replay suffix,
-// because the checkpoint was taken at the freeze point. flip installs
-// the placement record (locally, on the target at adopt, and broadcast
-// to the rest), retires the local shard behind a moved marker, and
-// drops the old replica. The fencing rule that makes admission
+// the "DVSC" checkpoint plus the full "DVFB" event log to the target as
+// a one-entry frame, which the target adopts exactly like the failover
+// path — same replay code, same byte-identical trace guarantee — but
+// with zero replay suffix, because the checkpoint was taken at the
+// freeze point. flip installs the placement record (locally, on the
+// target at adopt, and broadcast to the rest), retires the local shard
+// behind a moved marker, and drops the old replica chain with a
+// sender-fenced drop frame. The fencing rule that makes admission
 // exactly-once: a submit either lands before the freeze (it is then in
 // the shipped checkpoint), or it is fenced with a retryable 503 and its
 // retry routes to the new owner. No interleaving admits twice, because
 // the old engine never runs again after the snapshot.
-
-// migrateHeader is the first line of a handoff body: the metadata the
-// receiver needs before the binary sections.
-type migrateHeader struct {
-	Spec          server.PlatformSpec `json:"spec"`
-	Submitted     int                 `json:"submitted"`
-	CheckpointLen int                 `json:"checkpoint_len"`
-	Pinned        bool                `json:"pinned"`
-}
 
 // migrateRequest is the body of POST /v1/cluster/sessions/{id}/migrate.
 type migrateRequest struct {
@@ -188,18 +179,18 @@ func (n *Node) migrateSessionTo(ctx context.Context, id, target, addr string, pi
 	if err != nil {
 		return err
 	}
-	// Ship: checkpoint + full log in one request. The full log (not
-	// just the post-checkpoint suffix) rides along so the target's
-	// recorder holds the complete history — the byte-identical-trace
-	// guarantee covers the whole stream, not just the tail.
-	body := mustClusterJSON(migrateHeader{Spec: hs.Spec, Submitted: hs.Submitted, CheckpointLen: len(hs.Checkpoint), Pinned: pinned})
-	body = append(body, '\n')
-	body = append(body, hs.Checkpoint...)
-	body = obs.AppendBinary(body, hs.Events)
-	if err := n.doAddr(ctx, http.MethodPost, addr, "/v1/cluster/handoff/"+id, "application/octet-stream", body, n.adminTimeout()); err != nil {
-		if !isStatusError(err) {
+	// Ship: checkpoint + full log in one frame. The full log (not just
+	// the post-checkpoint suffix) rides along so the target's recorder
+	// holds the complete history — the byte-identical-trace guarantee
+	// covers the whole stream, not just the tail.
+	body, err := handoffFrame(n.cfg.ID, id, hs, pinned)
+	if err == nil {
+		err = n.doAddr(ctx, http.MethodPost, addr, "/v1/cluster/handoff/"+id, "application/octet-stream", body, n.adminTimeout())
+		if err != nil && !isStatusError(err) {
 			n.Observe(target, err)
 		}
+	}
+	if err != nil {
 		if aerr := n.srv.AbortHandoff(ctx, id); aerr != nil {
 			return fmt.Errorf("handoff to %s failed (%v) and unfreeze failed: %w", target, err, aerr)
 		}
@@ -214,23 +205,40 @@ func (n *Node) migrateSessionTo(ctx context.Context, id, target, addr string, pi
 	n.setPlacement(p)
 	n.srv.FinishHandoff(id, target)
 	n.broadcastPlacement(ctx, p, false)
-	// Retire the old replica and ship cursor: the target now replicates
-	// the session along its own chain, and a stale cold copy here (or on
-	// our old replica target) must never outlive us to promote ancient
-	// state.
-	// Purge-style cleanup is best effort; a leaked replica tombstone is
-	// dropped on ID reuse or restart.
+	// Retire the ship cursor and drop the replica on our old target: the
+	// target now replicates the session along its own chain, and a stale
+	// cold copy must never outlive us to promote ancient state. The drop
+	// is fenced by sender, so it spares a replica the new owner already
+	// opened there. A replica held here is the new owner's — it
+	// re-protected onto its first ring candidate before acking — so it
+	// stays. Best effort; a leaked replica tombstone is dropped on ID
+	// reuse or restart.
 	_ = n.Replicate(ctx, id, server.MutationPurge)
-	n.replicas.drop(id)
 	n.migrations.Inc()
 	return nil
 }
 
+// handoffFrame encodes a frozen session as a one-entry frame: the spec,
+// admitted-task count and pin flag in the header, the full DVFB log and
+// the DVSC checkpoint as its blobs.
+func handoffFrame(from, id string, hs *server.HandoffState, pinned bool) ([]byte, error) {
+	events := obs.AppendBinary(nil, hs.Events)
+	e := frameEntry{
+		ID:            id,
+		Spec:          &hs.Spec,
+		EventsLen:     len(events),
+		CheckpointLen: len(hs.Checkpoint),
+		Submitted:     hs.Submitted,
+		Pinned:        pinned,
+	}
+	return appendFrame(nil, from, []frameEntry{e}, events, hs.Checkpoint)
+}
+
 // handleHandoff is POST /v1/cluster/handoff/{id} (internal): the
-// receiving half of a migration. The body is a JSON header line, the
-// checkpoint bytes, then the full binary event log. Adoption reuses the
-// failover replay path, so the rebuilt trace is byte-identical to the
-// sender's by the same proof.
+// receiving half of a migration. The body is a frame whose one entry
+// names the session and carries its spec, full binary event log and
+// checkpoint. Adoption reuses the failover replay path, so the rebuilt
+// trace is byte-identical to the sender's by the same proof.
 func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	raw, err := io.ReadAll(io.LimitReader(r.Body, maxReplicaBody))
@@ -238,25 +246,20 @@ func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	nl := bytes.IndexByte(raw, '\n')
-	if nl < 0 {
-		httpError(w, http.StatusBadRequest, "handoff %s: missing header line", id)
+	hdr, blobs, err := decodeFrame(raw)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "handoff %s: %v", id, err)
 		return
 	}
-	var hdr migrateHeader
-	if err := json.Unmarshal(raw[:nl], &hdr); err != nil {
-		httpError(w, http.StatusBadRequest, "handoff %s: decode header: %v", id, err)
+	if len(hdr.Sessions) != 1 || hdr.Sessions[0].ID != id || hdr.Sessions[0].Spec == nil {
+		httpError(w, http.StatusBadRequest, "handoff %s: want one entry naming the session, with its spec", id)
 		return
 	}
-	rest := raw[nl+1:]
-	if hdr.CheckpointLen < 0 || hdr.CheckpointLen > len(rest) {
-		httpError(w, http.StatusBadRequest, "handoff %s: checkpoint length %d out of range", id, hdr.CheckpointLen)
-		return
-	}
-	checkpoint := rest[:hdr.CheckpointLen]
+	e := hdr.Sessions[0]
+	checkpoint := blobs[e.EventsLen:]
 	var events []obs.Event
-	if logBytes := rest[hdr.CheckpointLen:]; len(logBytes) > 0 {
-		events, err = obs.ReadBinary(bytes.NewReader(logBytes))
+	if e.EventsLen > 0 {
+		events, err = obs.ReadBinary(bytes.NewReader(blobs[:e.EventsLen]))
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "handoff %s: decode log: %v", id, err)
 			return
@@ -267,7 +270,7 @@ func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	// the handoff state; drop it before adopting so EnsureLocal cannot
 	// race a promotion against the adopt.
 	n.replicas.drop(id)
-	info, err := n.srv.AdoptSession(r.Context(), id, hdr.Spec, checkpoint, events)
+	info, err := n.srv.AdoptSession(r.Context(), id, *e.Spec, checkpoint, events)
 	if err != nil {
 		if errors.Is(err, server.ErrSessionExists) {
 			httpError(w, http.StatusConflict, "handoff %s: %v", id, err)
@@ -276,15 +279,15 @@ func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "handoff %s: adopt: %v", id, err)
 		return
 	}
-	if info.Submitted != hdr.Submitted {
+	if info.Submitted != e.Submitted {
 		// The rebuilt engine disagrees with the sender about how many
 		// tasks it holds: refuse the handoff and discard the partial
 		// adoption so the sender unfreezes and stays authoritative.
 		n.srv.DropSession(id)
-		httpError(w, http.StatusConflict, "handoff %s: rebuilt %d submitted tasks, sender had %d", id, info.Submitted, hdr.Submitted)
+		httpError(w, http.StatusConflict, "handoff %s: rebuilt %d submitted tasks, sender had %d", id, info.Submitted, e.Submitted)
 		return
 	}
-	n.setPlacement(Placement{Session: id, Owner: n.cfg.ID, Pinned: hdr.Pinned})
+	n.setPlacement(Placement{Session: id, Owner: n.cfg.ID, Pinned: e.Pinned})
 	// Re-protect immediately: ship the adopted session to this node's
 	// own replica target before acking, so a post-migration owner kill
 	// is survivable from the first moment. Best effort — with no other

@@ -41,9 +41,7 @@ type Config struct {
 	// ShipTimeout bounds each replication RPC (0 = 5s).
 	ShipTimeout time.Duration
 	// ShipWindow bounds in-flight replication frames per peer stream
-	// (0 = DefaultShipWindow). Negative selects the synchronous
-	// per-mutation ship path — the pre-stream baseline, kept for
-	// benchmarking and emergency rollback.
+	// (0 = DefaultShipWindow; negative is an error).
 	ShipWindow int
 	// ShipFlushInterval makes a woken shipper linger this long before
 	// building a frame, trading ack latency for larger coalesced
@@ -104,16 +102,14 @@ type Node struct {
 
 	// shipsMu guards the whole streaming plane: ships (per-owned-
 	// session replication cursors), the per-peer shippers with their
-	// queues and in-flight counts, and the closed flag. In the legacy
-	// synchronous mode (ShipWindow < 0) it only guards the serialShips
-	// map. Never held across I/O; channel sends to released waiters
-	// happen after unlock (collected as shipRelease values).
+	// queues and in-flight counts, and the closed flag. Never held
+	// across I/O; channel sends to released waiters happen after unlock
+	// (collected as shipRelease values).
 	shipsMu     sync.Mutex
 	ships       map[string]*shipCursor
 	shippers    map[string]*shipper
 	shipsClosed bool
 	shipWG      sync.WaitGroup
-	serialShips map[string]*shipState
 
 	seq atomic.Uint64
 
@@ -135,6 +131,9 @@ type Node struct {
 // exclusively through Node.Handler — bypassing the router would serve
 // sessions without placement or replication.
 func NewNode(cfg Config, srv *server.Server) (*Node, error) {
+	if cfg.ShipWindow < 0 {
+		return nil, fmt.Errorf("cluster: ship window must not be negative, got %d", cfg.ShipWindow)
+	}
 	cfg = cfg.withDefaults()
 	if len(cfg.Peers) == 0 {
 		return nil, fmt.Errorf("cluster: no peers configured")
@@ -167,7 +166,6 @@ func NewNode(cfg Config, srv *server.Server) (*Node, error) {
 		replicas:        replicaStore{m: map[string]*replica{}},
 		ships:           map[string]*shipCursor{},
 		shippers:        map[string]*shipper{},
-		serialShips:     map[string]*shipState{},
 		shipsTotal:      reg.Counter(obs.ClusterShips),
 		promotions:      reg.Counter(obs.ClusterPromotions),
 		peersDown:       reg.Gauge(obs.ClusterPeersDown),
@@ -188,10 +186,6 @@ func NewNode(cfg Config, srv *server.Server) (*Node, error) {
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/cluster/replica/frame", n.handleReplicaFrame)
-	mux.HandleFunc("POST /v1/cluster/replica/{id}/open", n.handleReplicaOpen)
-	mux.HandleFunc("POST /v1/cluster/replica/{id}/log", n.handleReplicaLog)
-	mux.HandleFunc("POST /v1/cluster/replica/{id}/checkpoint", n.handleReplicaCheckpoint)
-	mux.HandleFunc("POST /v1/cluster/replica/{id}/drop", n.handleReplicaDrop)
 	mux.HandleFunc("GET /v1/cluster/membership", n.handleMembershipGet)
 	mux.HandleFunc("POST /v1/cluster/membership", n.handleMembershipPost)
 	mux.HandleFunc("POST /v1/cluster/nodes/{id}", n.handleNodeJoin)
@@ -385,36 +379,6 @@ func (n *Node) EnsureLocal(ctx context.Context, id string) error {
 	return nil
 }
 
-// shipState is the replication cursor of one locally owned session on
-// the legacy synchronous path (ShipWindow < 0): one HTTP POST per
-// mutation, serialized per session by st.mu. It is kept as the
-// benchmark baseline the stream is measured against and as an
-// emergency rollback; the streaming cursors live in shipper.go.
-type shipState struct {
-	mu      sync.Mutex
-	target  string // replica node ID; "" when none is live
-	opened  bool   // replica acknowledged the open
-	shipped uint64 // last event Seq the replica's log covers
-	sinceCP int    // events shipped since the last checkpoint
-}
-
-func (n *Node) shipFor(id string) *shipState {
-	n.shipsMu.Lock()
-	defer n.shipsMu.Unlock()
-	st, ok := n.serialShips[id]
-	if !ok {
-		st = &shipState{}
-		n.serialShips[id] = st
-	}
-	return st
-}
-
-func (n *Node) dropShip(id string) {
-	n.shipsMu.Lock()
-	delete(n.serialShips, id)
-	n.shipsMu.Unlock()
-}
-
 // replicaTarget picks the session's replica: the first live candidate
 // on the ring that is not this node. "" means the cluster has no other
 // live node and the session runs unreplicated until one returns.
@@ -425,158 +389,6 @@ func (n *Node) replicaTarget(id string) string {
 		}
 	}
 	return ""
-}
-
-// Replicate implements server.Cluster: bring the session's replica up
-// to date with the local recorder before the mutation's response is
-// released — for submits the router fails the request if this fails,
-// which is what makes "acked implies replicated" (and therefore
-// kill-tolerance) hold. On the default streamed path the call blocks
-// on the per-peer stream's ack covering the session's current log
-// tail (shipper.go); with ShipWindow < 0 it ships synchronously, one
-// POST per mutation. Either way the completion guarantee is the same,
-// which is what rehomeReplicas and the handoff path rely on.
-func (n *Node) Replicate(ctx context.Context, id string, m server.Mutation) error {
-	if len(n.view().peers) == 1 {
-		return nil // solo "cluster": nothing to replicate to
-	}
-	if n.cfg.ShipWindow >= 0 {
-		return n.replicateStream(ctx, id, m)
-	}
-	return n.replicateSerial(ctx, id, m)
-}
-
-// replicateSerial is the per-request baseline: synchronously ship the
-// unshipped log tail within this call. If the current replica died,
-// the next live candidate is adopted and the full log re-shipped once.
-func (n *Node) replicateSerial(ctx context.Context, id string, m server.Mutation) error {
-	st := n.shipFor(id)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-
-	if m == server.MutationPurge {
-		target := st.target
-		st.target, st.opened, st.shipped, st.sinceCP = "", false, 0, 0
-		n.dropShip(id)
-		if target != "" {
-			// Best effort: a leaked tombstone on the replica is dropped
-			// the next time the session ID is reused or the node
-			// restarts.
-			_ = n.post(ctx, target, "/v1/cluster/replica/"+id+"/drop", "", nil)
-		}
-		return nil
-	}
-
-	target := n.replicaTarget(id)
-	if target == "" {
-		return nil // degrade: no live replica candidate
-	}
-	if target != st.target {
-		st.target, st.opened, st.shipped, st.sinceCP = target, false, 0, 0
-	}
-	err := n.shipLocked(ctx, id, st, m)
-	if err == nil {
-		n.shipsTotal.Inc()
-		return nil
-	}
-	if !isStatusError(err) {
-		// Transport failure: the replica is gone. Mark it down, adopt
-		// the next candidate and re-ship the full log, once.
-		n.Observe(st.target, err)
-		next := n.replicaTarget(id)
-		if next == "" {
-			return nil // degrade: last other node just died
-		}
-		if next != st.target {
-			st.target, st.opened, st.shipped, st.sinceCP = next, false, 0, 0
-			if retryErr := n.shipLocked(ctx, id, st, m); retryErr == nil {
-				n.shipsTotal.Inc()
-				return nil
-			}
-		}
-	}
-	return fmt.Errorf("cluster: replicate session %s to %s: %w", id, st.target, err)
-}
-
-// openReplica (re)announces the session to st.target's replica store
-// and marks the cursor open. Opens are idempotent: an existing replica
-// keeps its log and only refreshes the spec.
-func (n *Node) openReplica(ctx context.Context, id string, st *shipState) error {
-	spec, ok := n.srv.SessionSpec(id)
-	if !ok {
-		return fmt.Errorf("session %s vanished mid-ship", id)
-	}
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return err
-	}
-	if err := n.post(ctx, st.target, "/v1/cluster/replica/"+id+"/open", "application/json", body); err != nil {
-		return err
-	}
-	st.opened = true
-	return nil
-}
-
-// shipLocked pushes the unshipped log tail (and, when due, a fresh
-// checkpoint) to st.target. Caller holds st.mu. The order is
-// snapshot-then-events-then-checkpoint: the snapshot is taken first so
-// the events shipped alongside are guaranteed to cover its sequence
-// number — the replica rejects a checkpoint ahead of its log, which
-// would leave a trace gap at promotion.
-func (n *Node) shipLocked(ctx context.Context, id string, st *shipState, m server.Mutation) error {
-	var checkpoint []byte
-	if m == server.MutationSubmit && st.sinceCP >= n.cfg.CheckpointEvery {
-		blob, err := n.srv.SnapshotSession(ctx, id)
-		if err == nil {
-			checkpoint = blob
-		}
-		// A failed snapshot (busy shard, drained session) skips this
-		// round's checkpoint; the log alone still makes the replica
-		// complete, just slower to promote.
-	}
-	events, err := n.srv.SessionEventsSince(id, st.shipped)
-	if err != nil {
-		return err
-	}
-	if !st.opened {
-		if err := n.openReplica(ctx, id, st); err != nil {
-			return err
-		}
-	}
-	if len(events) > 0 {
-		err := n.post(ctx, st.target, "/v1/cluster/replica/"+id+"/log", "application/octet-stream", obs.AppendBinary(nil, events))
-		if isStatusError(err) {
-			// The replica lost state we thought it had: it found a log
-			// gap (409 — it restarted and kept nothing), or the replica
-			// itself is gone (404 — dropped out from under an open ship
-			// cursor, e.g. by an old owner's post-migration cleanup
-			// racing the new owner's first ship after a handoff). Both
-			// heal the same way: re-open — idempotent, an existing
-			// replica keeps its log — and re-ship the full log once;
-			// the replica skips duplicates below its tail.
-			st.opened, st.shipped = false, 0
-			full, ferr := n.srv.SessionEventsSince(id, 0)
-			if ferr != nil {
-				return ferr
-			}
-			if err = n.openReplica(ctx, id, st); err == nil {
-				err = n.post(ctx, st.target, "/v1/cluster/replica/"+id+"/log", "application/octet-stream", obs.AppendBinary(nil, full))
-				events = full
-			}
-		}
-		if err != nil {
-			return err
-		}
-		st.shipped = events[len(events)-1].Seq
-		st.sinceCP += len(events)
-	}
-	if len(checkpoint) > 0 {
-		if err := n.post(ctx, st.target, "/v1/cluster/replica/"+id+"/checkpoint", "application/octet-stream", checkpoint); err != nil {
-			return err
-		}
-		st.sinceCP = 0
-	}
-	return nil
 }
 
 // statusError is a non-2xx reply from a replication endpoint — the

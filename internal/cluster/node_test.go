@@ -512,4 +512,7 @@ func TestNodeConfigValidation(t *testing.T) {
 	if _, err := NewNode(Config{ID: "a", Peers: map[string]string{"a": ""}}, srv); err == nil {
 		t.Error("peer without address accepted")
 	}
+	if _, err := NewNode(Config{ID: "a", Peers: map[string]string{"a": "http://x"}, ShipWindow: -1}, srv); err == nil {
+		t.Error("negative ship window accepted")
+	}
 }

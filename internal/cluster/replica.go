@@ -1,17 +1,14 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
 
 	"dvfsched/internal/obs"
 	"dvfsched/internal/server"
-	"dvfsched/internal/sim"
 )
 
 // replica is the cold standby state of one session owned elsewhere:
@@ -19,6 +16,11 @@ import (
 // Nothing here is a live scheduler — promotion (Node.EnsureLocal)
 // turns it into one only when the owner dies.
 type replica struct {
+	// from is the node whose frame last opened this replica: the only
+	// sender whose drop may retire it. Guarded by replicaStore.mu, not
+	// mu, so a drop never nests the two locks.
+	from string
+
 	mu         sync.Mutex
 	spec       server.PlatformSpec
 	log        replicaLog
@@ -76,21 +78,23 @@ func (rs *replicaStore) get(id string) (*replica, bool) {
 	return rep, ok
 }
 
-// open returns the session's replica, creating it if absent. A
-// re-open (owner reconnecting, or re-shipping after a gap) keeps the
+// open returns the session's replica, creating it if absent, and
+// records from as its sender. A re-open (owner reconnecting, a new
+// owner after a migration, or re-shipping after a gap) keeps the
 // existing log and refreshes the spec.
 //
 // The store lock is released before the replica lock is taken: holding
 // both nests store->replica, the reverse of EnsureLocal's
 // replica->store (it drops the entry while holding rep.mu), and a
 // re-open racing a promotion of the same session would deadlock.
-func (rs *replicaStore) open(id string, spec server.PlatformSpec) *replica {
+func (rs *replicaStore) open(id string, spec server.PlatformSpec, from string) *replica {
 	rs.mu.Lock()
 	rep, ok := rs.m[id]
 	if !ok {
 		rep = &replica{}
 		rs.m[id] = rep
 	}
+	rep.from = from
 	rs.mu.Unlock()
 	rep.mu.Lock()
 	rep.spec = spec
@@ -101,6 +105,18 @@ func (rs *replicaStore) open(id string, spec server.PlatformSpec) *replica {
 func (rs *replicaStore) drop(id string) {
 	rs.mu.Lock()
 	delete(rs.m, id)
+	rs.mu.Unlock()
+}
+
+// dropFrom is a sender's drop: it retires the replica only if from
+// opened it last. After a migration the old and new owner may both
+// replicate to the same node, and the old owner's purge must not
+// delete the replica the new owner just built there.
+func (rs *replicaStore) dropFrom(id, from string) {
+	rs.mu.Lock()
+	if rep, ok := rs.m[id]; ok && rep.from == from {
+		delete(rs.m, id)
+	}
 	rs.mu.Unlock()
 }
 
@@ -153,80 +169,6 @@ func (rep *replica) setCheckpoint(blob []byte, evSeq uint64) error {
 	rep.checkpoint = blob
 	rep.cpSeq = evSeq
 	return nil
-}
-
-// --- internal HTTP endpoints (owner -> replica) ---
-
-func (n *Node) handleReplicaOpen(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	var spec server.PlatformSpec
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxReplicaBody))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	if err := json.Unmarshal(body, &spec); err != nil {
-		httpError(w, http.StatusBadRequest, "decode spec: %v", err)
-		return
-	}
-	n.replicas.open(id, spec)
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (n *Node) handleReplicaLog(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rep, ok := n.replicas.get(id)
-	if !ok {
-		httpError(w, http.StatusNotFound, "no replica for session %q", id)
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxReplicaBody))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	events, err := obs.ReadBinary(bytes.NewReader(body))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "decode log: %v", err)
-		return
-	}
-	if err := rep.appendLog(events); err != nil {
-		// 409 tells the owner to re-ship the full log.
-		httpError(w, http.StatusConflict, "%v", err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (n *Node) handleReplicaCheckpoint(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rep, ok := n.replicas.get(id)
-	if !ok {
-		httpError(w, http.StatusNotFound, "no replica for session %q", id)
-		return
-	}
-	blob, err := io.ReadAll(io.LimitReader(r.Body, maxReplicaBody))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	// Decode to learn the checkpoint's event sequence number — and to
-	// refuse storing bytes a promotion could not restore from.
-	cp, err := sim.UnmarshalCheckpoint(blob)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "decode checkpoint: %v", err)
-		return
-	}
-	if err := rep.setCheckpoint(blob, cp.EvSeq); err != nil {
-		httpError(w, http.StatusConflict, "%v", err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func (n *Node) handleReplicaDrop(w http.ResponseWriter, r *http.Request) {
-	n.replicas.drop(r.PathValue("id"))
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // --- introspection endpoints ---

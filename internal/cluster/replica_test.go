@@ -17,12 +17,12 @@ import (
 // itself to stay usable.
 func TestReplicaOpenDoesNotHoldStoreLock(t *testing.T) {
 	rs := &replicaStore{m: map[string]*replica{}}
-	rep := rs.open("s1", server.PlatformSpec{Cores: 1})
+	rep := rs.open("s1", server.PlatformSpec{Cores: 1}, "n1")
 
 	rep.mu.Lock() // the promotion side holds the replica lock...
 	reopened := make(chan struct{})
 	go func() {
-		rs.open("s1", server.PlatformSpec{Cores: 2}) // ...while the owner re-opens
+		rs.open("s1", server.PlatformSpec{Cores: 2}, "n1") // ...while the owner re-opens
 		close(reopened)
 	}()
 	// Give the re-open time to park on rep.mu. With the store lock

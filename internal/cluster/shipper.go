@@ -20,17 +20,18 @@ import (
 	"dvfsched/internal/sim"
 )
 
-// This file is the streamed replication plane: one long-lived shipper
-// goroutine per peer multiplexes every owned session's log tail into
-// coalesced frames (one request carries many sessions' event deltas,
-// opens and due checkpoints), pipelined up to a bounded in-flight
-// window. A mutation's response is released only when the frame ack
-// covering its event sequence number returns, so "acked implies
-// replicated" holds exactly as it did on the per-request path — the
-// ship cost just amortizes across every session that committed while
-// the previous frame was on the wire, the same group-commit idiom the
-// local intake ring applies to submits. DESIGN §14 documents the
-// protocol and the window/ack state machine.
+// This file is the replication plane: one long-lived shipper goroutine
+// per peer multiplexes every owned session's log tail into coalesced
+// frames (one request carries many sessions' event deltas, opens and
+// due checkpoints), pipelined up to a bounded in-flight window. A
+// mutation's response is released only when the frame ack covering
+// its event sequence number returns, so an acked mutation is in the
+// replica's log; the ship cost amortizes across every session that
+// committed while the previous frame was on the wire, the same
+// group-commit idiom the local intake ring applies to submits. The
+// frame is also the wire format of migration handoffs and replica
+// drops. DESIGN §14 documents the protocol and the window/ack state
+// machine.
 
 // DefaultShipWindow is the per-peer bound on in-flight replication
 // frames when Config.ShipWindow is zero.
@@ -403,35 +404,54 @@ func (s *shipper) build(buf *shipBuf, plans []*entryPlan) (sessions, events int)
 	if len(entries) == 0 {
 		return 0, 0
 	}
-	body := append(buf.body[:0], 0, 0, 0, 0)
-	hdrBody, ok := appendFrameHeader(body, entries)
-	if !ok {
-		// An entry carries a spec or an ID the fast encoder won't vouch
-		// for: let encoding/json handle the whole header.
-		hdrJSON, err := json.Marshal(frameHeader{Sessions: entries})
-		if err != nil {
-			// PlatformSpec and frameEntry marshal unconditionally; this is
-			// unreachable, but an empty frame degrades safely if it happens.
-			return 0, 0
-		}
-		hdrBody = append(body[:4], hdrJSON...)
+	body, err := appendFrame(buf.body[:0], n.cfg.ID, entries, blob)
+	if err != nil {
+		// A spec that does not marshal (no validated spec does): an empty
+		// frame degrades safely, the next mutation retries.
+		return 0, 0
 	}
-	body = hdrBody
-	binary.BigEndian.PutUint32(body[:4], uint32(len(body)-4))
-	body = append(body, blob...)
 	buf.body = body
 	return len(entries), events
 }
 
+// appendFrame appends one whole frame to dst: the 4-byte header
+// length, the JSON header naming the sender, then the blobs in order.
+// Every frame — stream, handoff, drop — is written here, and
+// decodeFrame is the only reader.
+func appendFrame(dst []byte, from string, entries []frameEntry, blobs ...[]byte) ([]byte, error) {
+	start := len(dst)
+	body, ok := appendFrameHeader(append(dst, 0, 0, 0, 0), from, entries)
+	if !ok {
+		// A spec, a handoff or drop field, or a string the fast encoder
+		// won't vouch for: let encoding/json write the whole header.
+		hdrJSON, err := json.Marshal(frameHeader{From: from, Sessions: entries})
+		if err != nil {
+			return dst, err
+		}
+		body = append(body, hdrJSON...)
+	}
+	binary.BigEndian.PutUint32(body[start:], uint32(len(body)-start-4))
+	for _, b := range blobs {
+		body = append(body, b...)
+	}
+	return body, nil
+}
+
 // appendFrameHeader writes the frame header JSON for the common case
-// — no specs, IDs that need no escaping — directly into b (which
-// already holds the 4-byte length prefix). It reports false, leaving
-// b's length untouched, when an entry needs the real encoder.
-func appendFrameHeader(b []byte, entries []frameEntry) ([]byte, bool) {
+// — log entries with no spec and no handoff or drop fields, and
+// strings that need no escaping — directly into b. It reports false,
+// leaving b's length untouched, when the header needs the real
+// encoder.
+func appendFrameHeader(b []byte, from string, entries []frameEntry) ([]byte, bool) {
 	start := len(b)
-	b = append(b, `{"sessions":[`...)
+	if !plainJSONString(from) {
+		return b, false
+	}
+	b = append(b, `{"from":"`...)
+	b = append(b, from...)
+	b = append(b, `","sessions":[`...)
 	for i, e := range entries {
-		if e.Spec != nil || !plainJSONString(e.ID) {
+		if e.Spec != nil || e.Drop || e.Submitted != 0 || e.Pinned || !plainJSONString(e.ID) {
 			return b[:start], false
 		}
 		if i > 0 {
@@ -452,9 +472,8 @@ func appendFrameHeader(b []byte, entries []frameEntry) ([]byte, bool) {
 }
 
 // plainJSONString reports whether s encodes as itself inside JSON
-// quotes: printable ASCII with no escapes. Session IDs are minted (or
-// header-validated) from [A-Za-z0-9._-], so this holds on every real
-// path.
+// quotes: printable ASCII with no escapes. Session and node IDs are
+// validated to [A-Za-z0-9._-], so this holds on every real path.
 func plainJSONString(s string) bool {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c == '"' || c == '\\' || c >= 0x7f {
@@ -554,7 +573,7 @@ func appendLimitedRead(dst []byte, r io.Reader, max int64) ([]byte, error) {
 // cursors and release covered waiters on success, reset for a full
 // re-ship on a reported gap, or fail the stream over to the next ring
 // candidate on a transport error — carrying unacked waiters to the new
-// target once, exactly the retry budget the per-request path had.
+// target once.
 func (s *shipper) finish(plans []*entryPlan, res frameResult, sendErr error) {
 	n := s.n
 	transportFail := sendErr != nil && !isStatusError(sendErr)
@@ -682,7 +701,7 @@ func (s *shipper) finish(plans []*entryPlan, res frameResult, sendErr error) {
 // peer is marked down (Observe above), so the ring yields the next
 // live candidate; the stream re-opens there from zero. Waiters are
 // carried across exactly one failover — a second transport failure
-// fails them, mirroring the per-request path's single retry. No
+// fails them, so a mutation pays at most two replica round trips. No
 // remaining candidate degrades to unreplicated, releasing the waiters
 // cleanly (the last other node just died; nothing to wait for).
 func (s *shipper) failover(plans []*entryPlan, sendErr error) []*shipper {
@@ -726,12 +745,20 @@ func (s *shipper) failover(plans []*entryPlan, sendErr error) []*shipper {
 	return kicks
 }
 
-// --- Replicate's stream front half -----------------------------------
+// --- Replicate: the stream's front half -------------------------------
 
-// replicateStream is Replicate on the streamed plane: register a
-// waiter for the session's current log tail with the target's shipper
-// and block until the covering ack (or a failure) releases it.
-func (n *Node) replicateStream(ctx context.Context, id string, m server.Mutation) error {
+// Replicate implements server.Cluster: bring the session's replica up
+// to date with the local recorder before the mutation's response is
+// released — for submits the router fails the request if this fails,
+// which is what makes "acked implies replicated" (and therefore
+// kill-tolerance) hold. It registers a waiter for the session's
+// current log tail with the target's shipper and blocks until the
+// covering ack (or a failure) releases it; rehomeReplicas and the
+// handoff path rely on that completion guarantee.
+func (n *Node) Replicate(ctx context.Context, id string, m server.Mutation) error {
+	if len(n.view().peers) == 1 {
+		return nil // solo "cluster": nothing to replicate to
+	}
 	if m == server.MutationPurge {
 		return n.purgeStream(ctx, id)
 	}
@@ -803,7 +830,8 @@ func (n *Node) enqueueWaiter(id, target string, seq uint64) (chan error, *shippe
 }
 
 // purgeStream retires a purged session's stream state and best-effort
-// drops the remote replica, like the per-request path did.
+// drops the remote replica with a one-entry drop frame, which the
+// replica applies only if this node opened it last (dropFrom).
 func (n *Node) purgeStream(ctx context.Context, id string) error {
 	n.shipsMu.Lock()
 	var rels []shipRelease
@@ -819,7 +847,9 @@ func (n *Node) purgeStream(ctx context.Context, id string) error {
 	if target != "" {
 		// Best effort: a leaked tombstone on the replica is dropped the
 		// next time the session ID is reused or the node restarts.
-		_ = n.post(ctx, target, "/v1/cluster/replica/"+id+"/drop", "", nil)
+		if body, err := appendFrame(nil, n.cfg.ID, []frameEntry{{ID: id, Drop: true}}); err == nil {
+			_ = n.post(ctx, target, "/v1/cluster/replica/frame", "application/json", body)
+		}
 	}
 	return nil
 }
@@ -857,20 +887,34 @@ func (n *Node) Close() {
 
 // A frame is `uint32 big-endian header length | JSON frameHeader |
 // concatenated blobs`: per session entry, in header order, the DVFB
-// event blob then the checkpoint blob, each of the length the header
-// declares. JSON keeps the header debuggable; the payloads stay in the
-// binary trace codec the per-request path already shipped.
+// event blob then the DVSC checkpoint blob, each of the length the
+// header declares. JSON keeps the header debuggable; the payloads stay
+// in the binary codecs. The same format carries the replica stream
+// (POST /v1/cluster/replica/frame), replica drops on that endpoint,
+// and migration handoffs (POST /v1/cluster/handoff/{id}, one entry).
 type frameHeader struct {
+	// From is the sending node's ID; a replica remembers the sender that
+	// opened it, and only that sender's drop retires it.
+	From     string       `json:"from"`
 	Sessions []frameEntry `json:"sessions"`
 }
 
 type frameEntry struct {
 	ID string `json:"id"`
 	// Spec present means "open": create the replica (idempotently) with
-	// this platform spec before applying the blobs.
+	// this platform spec before applying the blobs. A handoff entry
+	// always carries it.
 	Spec          *server.PlatformSpec `json:"spec,omitempty"`
 	EventsLen     int                  `json:"events_len"`
 	CheckpointLen int                  `json:"checkpoint_len,omitempty"`
+	// Drop retires the replica (a purge); a drop entry carries no spec
+	// and no blob bytes.
+	Drop bool `json:"drop,omitempty"`
+	// Submitted and Pinned ride only on a handoff: the sender's
+	// admitted-task count, which the adopted shard must reproduce, and
+	// whether the new placement is pinned.
+	Submitted int  `json:"submitted,omitempty"`
+	Pinned    bool `json:"pinned,omitempty"`
 }
 
 // frameResult is the 200 response: one outcome per session entry, so a
@@ -890,15 +934,17 @@ type frameEntryResult struct {
 
 const (
 	frameStatusOK = "ok"
-	// frameStatusGap: the log blob does not continue the replica's log;
-	// the owner heals with a full re-ship (the stream analogue of the
-	// per-request 409).
+	// frameStatusGap: the log blob does not continue the replica's log,
+	// or does not decode; the owner heals with a full re-ship.
 	frameStatusGap = "gap"
-	// frameStatusNoReplica: no replica and no spec in the entry (the
-	// stream analogue of the per-request 404); the owner re-opens.
+	// frameStatusNoReplica: no replica and no spec in the entry; the
+	// owner re-opens.
 	frameStatusNoReplica = "no_replica"
 )
 
+// decodeFrame splits a frame into its header and blob area. On success
+// the entries' declared lengths tile the blob area exactly, in order,
+// so callers may slice it without further checks.
 func decodeFrame(body []byte) (frameHeader, []byte, error) {
 	var hdr frameHeader
 	if len(body) < 4 {
@@ -911,16 +957,24 @@ func decodeFrame(body []byte) (frameHeader, []byte, error) {
 	if err := json.Unmarshal(body[4:4+hlen], &hdr); err != nil {
 		return hdr, nil, fmt.Errorf("decode frame header: %w", err)
 	}
-	blobs := body[4+hlen:]
-	need := 0
-	for _, e := range hdr.Sessions {
-		if e.EventsLen < 0 || e.CheckpointLen < 0 {
-			return hdr, nil, fmt.Errorf("session %s: negative blob length", e.ID)
-		}
-		need += e.EventsLen + e.CheckpointLen
+	if hdr.From == "" {
+		return hdr, nil, errors.New("frame header names no sender")
 	}
-	if need != len(blobs) {
-		return hdr, nil, fmt.Errorf("frame declares %d blob bytes, carries %d", need, len(blobs))
+	blobs := body[4+hlen:]
+	// Check each length against the bytes not yet claimed: a running
+	// sum could overflow and wrap back onto the true total.
+	rest := len(blobs)
+	for _, e := range hdr.Sessions {
+		if e.EventsLen < 0 || e.CheckpointLen < 0 || e.EventsLen > rest || e.CheckpointLen > rest-e.EventsLen {
+			return hdr, nil, fmt.Errorf("session %s: blob lengths %d+%d do not fit the %d unclaimed bytes", e.ID, e.EventsLen, e.CheckpointLen, rest)
+		}
+		if e.Drop && (e.Spec != nil || e.EventsLen+e.CheckpointLen > 0) {
+			return hdr, nil, fmt.Errorf("session %s: drop entry carries a spec or blobs", e.ID)
+		}
+		rest -= e.EventsLen + e.CheckpointLen
+	}
+	if rest != 0 {
+		return hdr, nil, fmt.Errorf("frame carries %d blob bytes past its entries", rest)
 	}
 	return hdr, blobs, nil
 }
@@ -974,7 +1028,7 @@ func (n *Node) handleReplicaFrame(w http.ResponseWriter, r *http.Request) {
 		evBlob := blobs[off : off+e.EventsLen]
 		cpBlob := blobs[off+e.EventsLen : off+e.EventsLen+e.CheckpointLen]
 		off += e.EventsLen + e.CheckpointLen
-		res.Sessions = append(res.Sessions, n.applyFrameEntry(e, evBlob, cpBlob))
+		res.Sessions = append(res.Sessions, n.applyFrameEntry(hdr.From, e, evBlob, cpBlob))
 	}
 	writeClusterJSON(w, res)
 }
@@ -1017,15 +1071,19 @@ func (d *frameDecode) decodeEvents(blob []byte) ([]obs.Event, error) {
 	}
 }
 
-// applyFrameEntry is the per-session half of a frame: open (when the
-// spec rides along), append the log blob, then apply the checkpoint —
-// the same order, with the same gap rules, as the per-request
-// endpoints.
-func (n *Node) applyFrameEntry(e frameEntry, evBlob, cpBlob []byte) frameEntryResult {
+// applyFrameEntry is the per-session half of a frame from sender
+// from: a drop, or open (when the spec rides along), append the log
+// blob, then apply the checkpoint — in that order, so the checkpoint
+// lands on a log that already covers it (setCheckpoint).
+func (n *Node) applyFrameEntry(from string, e frameEntry, evBlob, cpBlob []byte) frameEntryResult {
 	er := frameEntryResult{ID: e.ID, Status: frameStatusOK}
+	if e.Drop {
+		n.replicas.dropFrom(e.ID, from)
+		return er
+	}
 	var rep *replica
 	if e.Spec != nil {
-		rep = n.replicas.open(e.ID, *e.Spec)
+		rep = n.replicas.open(e.ID, *e.Spec, from)
 	} else {
 		var ok bool
 		if rep, ok = n.replicas.get(e.ID); !ok {

@@ -7,7 +7,7 @@
 # simulator's event loop, the online session facade, envelope
 # construction, the order-statistic tree, the dynamic single-core
 # scheduler, the LMC online policy, the trace codecs, the HTTP service,
-# and the cluster replication planes) and converts the results into a
+# and the cluster replication stream) and converts the results into a
 # JSON array so successive PRs can diff ns/op and allocs/op
 # mechanically.
 #
@@ -27,7 +27,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-OUT=${1:-BENCH_PR13.json}
+OUT=${1:-BENCH_PR15.json}
 BENCHTIME=${BENCHTIME:-1s}
 COUNT=${COUNT:-5}
 PKGS=${BENCH_PKGS:-./internal/sim ./internal/core ./internal/envelope ./internal/rangetree ./internal/dynsched ./internal/online ./internal/obs ./internal/server ./internal/cluster}

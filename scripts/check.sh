@@ -28,6 +28,7 @@ go test -fuzz=FuzzInsertDelete -fuzztime=5s ./internal/rangetree
 go test -fuzz=FuzzDynamicCost -fuzztime=5s ./internal/dynsched
 go test -fuzz=FuzzBinaryRoundTrip -fuzztime=5s ./internal/obs
 go test -run='^$' -fuzz=FuzzDecodeRequest -fuzztime=5s ./internal/server
+go test -run='^$' -fuzz=FuzzDecodeFrame -fuzztime=5s ./internal/cluster
 echo "== cluster smoke (kill-failover, zero accepted-task loss) =="
 go run ./cmd/dvfsload -mode cluster -clients 6 -session-tasks 30 -batch 6
 echo "OK"

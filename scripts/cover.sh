@@ -24,6 +24,7 @@ internal/sim 85
 internal/online 72
 internal/core 78
 internal/server 82
+internal/cluster 75
 '
 
 PKGS=$(printf '%s\n' "$FLOORS" | awk 'NF { printf("./%s ", $1) }')
