@@ -1,8 +1,15 @@
 GO ?= go
 
-.PHONY: check vet lint build test race bench-smoke fuzz-smoke bench benchdiff benchdiff-ab benchdiff-test cover serve-smoke cluster-smoke golden
+.PHONY: check fmt vet lint build test race bench-smoke fuzz-smoke bench benchdiff benchdiff-ab benchdiff-test cover serve-smoke cluster-smoke golden
 
-check: vet lint build race bench-smoke benchdiff benchdiff-test cover fuzz-smoke cluster-smoke
+check: fmt vet lint build race bench-smoke benchdiff benchdiff-test cover fuzz-smoke cluster-smoke
+
+# Formatting: fails when gofmt would rewrite any tracked Go file.
+# Listing tracked files keeps the benchmark's build cache
+# (.bench_build/) out.
+fmt:
+	@out=$$(git ls-files '*.go' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt would rewrite:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -43,11 +50,12 @@ fuzz-smoke:
 # machine-readable baseline for this PR (diff against the previous
 # PR's with `make benchdiff`).
 bench:
-	scripts/bench.sh BENCH_PR15.json
+	scripts/bench.sh BENCH_PR16.json
 
 # Compare the two newest BENCH_PR<N>.json baselines (numeric order);
-# fails on >20% ns/op regressions in benchmarks both files share and
-# reports benchmarks new in this PR.
+# fails on >20% ns/op, allocs/op or B/op regressions and on any ckpt_B
+# growth in benchmarks both files share, and reports benchmarks new in
+# this PR.
 benchdiff:
 	scripts/benchdiff.sh
 

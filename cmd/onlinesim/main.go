@@ -43,12 +43,12 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("onlinesim", flag.ContinueOnError)
 	var (
-		cores      = fs.Int("cores", 4, "number of cores")
-		seed       = fs.Int64("seed", 0, "trace seed (0 = default)")
-		traceFile  = fs.String("trace", "", "JSONL online trace (default: synthesized Judgegirl-like)")
-		re         = fs.Float64("re", 0.4, "Re, cents per joule")
-		rt         = fs.Float64("rt", 0.1, "Rt, cents per second")
-		scale      = fs.Float64("scale", 1, "synthesized-trace scale factor (0 < scale <= 1)")
+		cores       = fs.Int("cores", 4, "number of cores")
+		seed        = fs.Int64("seed", 0, "trace seed (0 = default)")
+		traceFile   = fs.String("trace", "", "JSONL online trace (default: synthesized Judgegirl-like)")
+		re          = fs.Float64("re", 0.4, "Re, cents per joule")
+		rt          = fs.Float64("rt", 0.1, "Rt, cents per second")
+		scale       = fs.Float64("scale", 1, "synthesized-trace scale factor (0 < scale <= 1)")
 		traceOut    = fs.String("trace-out", "", "write the LMC run's event stream")
 		traceFormat = fs.String("trace-format", "jsonl", "event stream encoding for -trace-out: jsonl or binary")
 		metricsOut  = fs.String("metrics-out", "", "write the LMC run's metrics snapshot as JSON")

@@ -67,7 +67,7 @@ func binaryCorpus() []Event {
 	evs = append(evs,
 		Event{Seq: 9, T: math.NaN(), Kind: KindDVFS, Core: 1, Task: -1, Rate: math.Inf(1), PrevRate: math.Inf(-1)},
 		Event{Seq: 10, T: math.Copysign(0, -1), Kind: KindCoreIdle, Core: 2, Task: -1},
-		Event{Seq: 10, T: 0, Kind: KindCoreIdle, Core: 2, Task: -1}, // zero Seq delta
+		Event{Seq: 10, T: 0, Kind: KindCoreIdle, Core: 2, Task: -1},   // zero Seq delta
 		Event{Seq: 5, T: -1, Kind: KindCoreActive, Core: 0, Task: -1}, // Seq going backwards (wrapping delta)
 		Event{Seq: 1 << 63, T: 1e308, Kind: Kind(strings.Repeat("k", 300)), Core: 1 << 30, Task: -(1 << 30)},
 		Event{Kind: ""},
@@ -365,7 +365,8 @@ func TestBinaryWriterFlushKeepsStreamAppendable(t *testing.T) {
 
 func TestBinaryWriterStickyError(t *testing.T) {
 	w := NewBinaryWriter(&failWriter{}) // fails after 16 bytes, see obs_test.go
-	for i := 0; i < 4000; i++ { // enough to overflow bufio and hit the writer
+	// Enough events to overflow bufio and hit the writer.
+	for i := 0; i < 4000; i++ {
 		w.Emit(Event{Seq: uint64(i + 1), T: float64(i), Kind: KindStart, Core: 0, Task: i})
 	}
 	if w.Err() == nil && w.Close() == nil {

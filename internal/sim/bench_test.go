@@ -9,9 +9,9 @@ import (
 )
 
 // BenchmarkSession16 drains 4000 FIFO-scheduled tasks through a
-// 16-core session kept saturated, so every start and completion
-// restamps all sixteen running cores' completions: the engine's event
-// loop without a policy's own cost.
+// 16-core session kept saturated, so every step that starts or
+// completes a task restamps all sixteen running cores' completions:
+// the engine's event loop without a policy's own cost.
 func BenchmarkSession16(b *testing.B) {
 	rng := rand.New(rand.NewSource(1)) // deterministic workload, not randomness
 	tasks := make(model.TaskSet, 4000)

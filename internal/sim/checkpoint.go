@@ -137,6 +137,7 @@ func (s *Session) Snapshot() (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: policy %q does not implement CheckpointablePolicy", ErrNotCheckpointable, e.cfg.Policy.Name())
 	}
 
+	e.restamp() // the checkpoint holds stamps and counters
 	cp := &Checkpoint{
 		PolicyName: e.cfg.Policy.Name(),
 		Clock:      e.clock,
@@ -198,11 +199,13 @@ func (s *Session) Snapshot() (*Checkpoint, error) {
 			cc.RunLastSettle = c.run.lastSettle
 			cc.RunSeq = c.run.seq
 		}
+		// Levels ascend by rate, so the entries come out sorted.
 		cc.Residency = make([]RateSeconds, 0, len(c.residency))
-		for rate, sec := range c.residency {
-			cc.Residency = append(cc.Residency, RateSeconds{Rate: rate, Seconds: sec})
+		for lvl, r := range c.residency {
+			if r.seen {
+				cc.Residency = append(cc.Residency, RateSeconds{Rate: c.rates.Level(lvl).Rate, Seconds: r.seconds})
+			}
 		}
-		sort.Slice(cc.Residency, func(a, b int) bool { return cc.Residency[a].Rate < cc.Residency[b].Rate })
 		cp.Cores[i] = cc
 	}
 
@@ -327,7 +330,14 @@ func RestoreSession(cfg Config, params model.CostParams, cp *Checkpoint) (*Sessi
 		c.lastFraction = cc.LastFraction
 		c.switches = cc.Switches
 		for _, rs := range cc.Residency {
-			c.residency[rs.Rate] = rs.Seconds
+			lvl := c.rates.IndexOf(rs.Rate)
+			if lvl < 0 {
+				return nil, fmt.Errorf("sim: core %d residency names rate %v, not in its rate table", i, rs.Rate)
+			}
+			if c.residency[lvl].seen {
+				return nil, fmt.Errorf("sim: core %d residency lists rate %v twice", i, rs.Rate)
+			}
+			c.residency[lvl] = levelSeconds{seconds: rs.Seconds, seen: true}
 		}
 		if cc.RunTask >= 0 {
 			if cc.RunTask >= len(e.tasks) {
@@ -339,6 +349,7 @@ func RestoreSession(cfg Config, params model.CostParams, cp *Checkpoint) (*Sessi
 			c.seg = runSeg{
 				ts:         e.tasks[cc.RunTask],
 				level:      c.rates.Level(cc.RunLevelIdx),
+				lvl:        cc.RunLevelIdx,
 				execStart:  cc.RunExecStart,
 				lastSettle: cc.RunLastSettle,
 				seq:        cc.RunSeq,
@@ -355,7 +366,7 @@ func RestoreSession(cfg Config, params model.CostParams, cp *Checkpoint) (*Sessi
 	}
 	e.findNextDone()
 	// Effective speeds are a pure function of (level, active count):
-	// the live engine recomputed them via rescheduleAll after every
+	// the live engine recomputed them in the restamp after every
 	// active-count change, so recomputing here reproduces the exact
 	// bits without touching seqCtr or the event queue.
 	for _, c := range e.cores {

@@ -382,6 +382,24 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	if _, err := RestoreSession(fresh(), paperParams, &bad); err == nil {
 		t.Error("active-count mismatch accepted")
 	}
+
+	res0 := cp.Cores[0].Residency
+	if len(res0) == 0 {
+		t.Fatal("mid-run checkpoint has no residency on core 0")
+	}
+	bad = *cp
+	bad.Cores = append([]CoreCheckpoint(nil), cp.Cores...)
+	bad.Cores[0].Residency = append(append([]RateSeconds(nil), res0...), RateSeconds{Rate: 123.456, Seconds: 7})
+	if _, err := RestoreSession(fresh(), paperParams, &bad); err == nil {
+		t.Error("residency at a rate outside the core's table accepted")
+	}
+
+	bad = *cp
+	bad.Cores = append([]CoreCheckpoint(nil), cp.Cores...)
+	bad.Cores[0].Residency = append(append([]RateSeconds(nil), res0...), res0[0])
+	if _, err := RestoreSession(fresh(), paperParams, &bad); err == nil {
+		t.Error("residency listing a rate twice accepted")
+	}
 }
 
 func TestUnmarshalCheckpointErrors(t *testing.T) {

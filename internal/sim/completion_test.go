@@ -222,3 +222,73 @@ func TestCompletionPrecedesArrivalAtSameInstant(t *testing.T) {
 		t.Fatalf("events at t=%v: %v, want the completion before the arrival", end, kinds)
 	}
 }
+
+// holdPolicy keeps every arrival and starts nothing, so a test can
+// drive the engine's mutations itself between steps.
+type holdPolicy struct{ held []*TaskState }
+
+func (p *holdPolicy) Name() string                          { return "hold" }
+func (p *holdPolicy) Init(*Engine)                          {}
+func (p *holdPolicy) OnArrival(_ *Engine, ts *TaskState)    { p.held = append(p.held, ts) }
+func (p *holdPolicy) OnCompletion(*Engine, int, *TaskState) {}
+func (p *holdPolicy) OnTick(*Engine)                        {}
+
+func (p *holdPolicy) SnapshotPolicy(func(*TaskState) int) ([]byte, error) { return nil, nil }
+func (p *holdPolicy) RestorePolicy([]byte, func(int) *TaskState) error    { return nil }
+
+// TestMutationsBetweenStepsRestampFirst drives Start and Preempt from
+// outside a step, where no end-of-step restamp follows them. Snapshot,
+// Inject and next must each apply the owed restamp before they read
+// stamps or counters, leaving the state one restamp per mutation would.
+func TestMutationsBetweenStepsRestampFirst(t *testing.T) {
+	ctx := context.Background()
+	pol := &holdPolicy{}
+	s, err := OpenSession(Config{Platform: platform.Homogeneous(2, table2(), platform.DefaultRealistic()), Policy: pol}, paperParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := s.e
+	if err := s.Inject(model.TaskSet{
+		{ID: 1, Cycles: 4, Deadline: model.NoDeadline},
+		{ID: 2, Cycles: 2, Deadline: model.NoDeadline},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AdvanceTo(ctx, 0); err != nil || len(pol.held) != 2 {
+		t.Fatalf("advance: %v, %d held", err, len(pol.held))
+	}
+	// Two arrivals took orders 1 and 2.
+	if err := e.Start(0, pol.held[0], table2().Max()); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.SeqCtr != 1 || cp.OrderCtr != 3 || len(cp.Events) != 1 || cp.Events[0].Seq != cp.Cores[0].RunSeq {
+		t.Fatalf("snapshot after Start: seq %d order %d events %+v", cp.SeqCtr, cp.OrderCtr, cp.Events)
+	}
+	checkLiveCompletions(t, e)
+
+	// Start owes two stamps (orders 4, 5) before the arrival's order 6.
+	if err := e.Start(1, pol.held[1], table2().Min()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Inject(model.TaskSet{{ID: 3, Cycles: 1, Arrival: 1, Deadline: model.NoDeadline}}); err != nil {
+		t.Fatal(err)
+	}
+	if e.seqCtr != 3 || len(e.events) != 1 || e.events[0].order != 6 {
+		t.Fatalf("inject after Start: seq %d, queued %+v", e.seqCtr, e.events)
+	}
+	checkLiveCompletions(t, e)
+
+	// Preempt leaves core 1 running alone; next must see its new stamp.
+	if _, err := e.Preempt(0); err != nil {
+		t.Fatal(err)
+	}
+	ev := e.next()
+	checkLiveCompletions(t, e)
+	if ev == nil || ev.kind != evArrival || e.nextDone != 1 || e.seqCtr != 4 || e.orderCtr != 7 {
+		t.Fatalf("next after Preempt: %+v, nextDone %d, seq %d, order %d", ev, e.nextDone, e.seqCtr, e.orderCtr)
+	}
+}

@@ -220,7 +220,8 @@ func (h eventHeap) down(i, n int) {
 type runSeg struct {
 	ts         *TaskState
 	level      model.RateLevel
-	tpc, epc   float64 // effective ns/cycle, nJ/cycle (set by reschedule)
+	lvl        int     // level's index in the core's rate table
+	tpc, epc   float64 // effective ns/cycle, nJ/cycle (set by restamp)
 	execStart  float64 // first instant cycles advance (after any switch stall)
 	lastSettle float64
 	seq        uint64
@@ -236,7 +237,7 @@ type coreState struct {
 	// engine may retain *runSeg across events.
 	run    *runSeg
 	seg    runSeg
-	done   event // run's one live completion, restamped by rescheduleAll
+	done   event // run's one live completion, set by restamp
 	isBusy bool
 	// busy accounting
 	busyMark     float64
@@ -244,7 +245,29 @@ type coreState struct {
 	busyTotal    float64
 	lastFraction float64
 	switches     int
-	residency    map[float64]float64 // busy seconds per rate (GHz)
+	// residency holds the busy seconds per rate level, indexed like
+	// rates; every core's counters share one slab.
+	residency []levelSeconds
+}
+
+// levelSeconds is one rate level's residency counter. A rate is
+// reported, in Result.Residency and checkpoints, once its core has
+// been settled at it.
+type levelSeconds struct {
+	seconds float64
+	seen    bool
+}
+
+// residencyByRate returns the busy seconds per rate (GHz) of every
+// level the core has been settled at.
+func (c *coreState) residencyByRate() map[float64]float64 {
+	m := map[float64]float64{}
+	for lvl, r := range c.residency {
+		if r.seen {
+			m[c.rates.Level(lvl).Rate] = r.seconds
+		}
+	}
+	return m
 }
 
 func (c *coreState) accountBusy(now float64) {
@@ -264,6 +287,11 @@ type Engine struct {
 	nextDone int       // core whose live completion comes first, -1 if none runs
 	orderCtr uint64
 	seqCtr   uint64
+	// stale marks the completion stamps and nextDone out of date;
+	// stamps sums the running-core counts of the mutations since the
+	// last restamp (see restamp).
+	stale    bool
+	stamps   uint64
 	cores    []*coreState
 	active   int
 	tasks    []*TaskState
@@ -347,7 +375,9 @@ func (e *Engine) settleAll() {
 				e.err = err
 			}
 		}
-		c.residency[seg.level.Rate] += elapsed
+		r := &c.residency[seg.lvl]
+		r.seconds += elapsed
+		r.seen = true
 		if e.cfg.RecordTimeline {
 			e.timeline = append(e.timeline, TimelineSegment{
 				Core:   c.id,
@@ -361,11 +391,38 @@ func (e *Engine) settleAll() {
 	}
 }
 
-// rescheduleAll recomputes effective speeds (which depend on the
-// active-core count) and restamps every running core's completion,
-// replacing the one it held. Must follow settleAll within the same
-// instant.
-func (e *Engine) rescheduleAll() {
+// invalidate marks the completion stamps stale after a mutation that
+// settled the instant and changed the running set, a level or a
+// segment's start. Each such mutation owes one stamp per running core.
+func (e *Engine) invalidate() {
+	e.stale = true
+	e.stamps += uint64(e.active)
+}
+
+// restamp recomputes effective speeds (which depend on the active-core
+// count) and restamps every running core's completion, replacing the
+// one it held. Start, Preempt, SetLevel and completions only
+// invalidate; step restamps once before it returns, and every reader
+// of stamps, nextDone or the counters (next, Inject, Snapshot, the
+// tick push) restamps first.
+//
+// One pass stands for all the passes the instant's mutations owe, bit
+// for bit. The clock does not move within a step, and the first
+// settleAll of an instant leaves every running segment with
+// lastSettle >= clock, so later settles charge nothing: the pass reads
+// the state the last owed pass would have read, including the final
+// active count. seqCtr and orderCtr first skip the stamps of the
+// earlier passes, then the pass stamps the running cores in core order,
+// so every counter, seq and order ends where a pass per mutation would
+// leave it and checkpoints do not change.
+func (e *Engine) restamp() {
+	if !e.stale {
+		return
+	}
+	skipped := e.stamps - uint64(e.active)
+	e.seqCtr += skipped
+	e.orderCtr += skipped
+	e.stale, e.stamps = false, 0
 	for _, c := range e.cores {
 		seg := c.run
 		if seg == nil {
@@ -399,6 +456,7 @@ func (e *Engine) findNextDone() {
 // next returns the earliest pending event — the lesser of the heap top
 // and the earliest live completion — or nil when none is pending.
 func (e *Engine) next() *event {
+	e.restamp()
 	var top *event
 	if len(e.events) > 0 {
 		top = &e.events[0]
@@ -422,7 +480,8 @@ func (e *Engine) Start(i int, ts *TaskState, level model.RateLevel) error {
 	if ts.Done {
 		return fmt.Errorf("sim: task %d already done", ts.Task.ID)
 	}
-	if c.rates.IndexOf(level.Rate) < 0 {
+	lvl := c.rates.IndexOf(level.Rate)
+	if lvl < 0 {
 		return fmt.Errorf("sim: core %d does not support rate %v", i, level.Rate)
 	}
 	e.settleAll()
@@ -441,6 +500,7 @@ func (e *Engine) Start(i int, ts *TaskState, level model.RateLevel) error {
 	c.seg = runSeg{
 		ts:         ts,
 		level:      level,
+		lvl:        lvl,
 		execStart:  e.clock + stall,
 		lastSettle: e.clock + stall,
 	}
@@ -452,7 +512,7 @@ func (e *Engine) Start(i int, ts *TaskState, level model.RateLevel) error {
 		Rate: level.Rate, Eff: e.clock + stall, Cycles: ts.Task.Cycles,
 		Remaining: ts.Remaining, Energy: ts.Energy, Interactive: ts.Task.Interactive})
 	e.emit(obs.Event{Kind: obs.KindCoreActive, Core: i, Task: ts.Task.ID})
-	e.rescheduleAll()
+	e.invalidate()
 	return nil
 }
 
@@ -474,7 +534,7 @@ func (e *Engine) Preempt(i int) (*TaskState, error) {
 	e.emit(obs.Event{Kind: obs.KindPreempt, Core: i, Task: ts.Task.ID,
 		Cycles: ts.Task.Cycles, Remaining: ts.Remaining, Energy: ts.Energy})
 	e.emit(obs.Event{Kind: obs.KindCoreIdle, Core: i, Task: -1})
-	e.rescheduleAll()
+	e.invalidate()
 	return ts, nil
 }
 
@@ -482,7 +542,8 @@ func (e *Engine) Preempt(i int) (*TaskState, error) {
 // new speed after the switch stall.
 func (e *Engine) SetLevel(i int, level model.RateLevel) error {
 	c := e.cores[i]
-	if c.rates.IndexOf(level.Rate) < 0 {
+	lvl := c.rates.IndexOf(level.Rate)
+	if lvl < 0 {
 		return fmt.Errorf("sim: core %d does not support rate %v", i, level.Rate)
 	}
 	if model.ApproxEq(c.level.Rate, level.Rate, model.DefaultEps) {
@@ -498,13 +559,14 @@ func (e *Engine) SetLevel(i int, level model.RateLevel) error {
 	}
 	e.settleAll()
 	c.run.level = level
+	c.run.lvl = lvl
 	c.run.execStart = e.clock + e.cfg.Platform.SwitchLatency
 	if c.run.lastSettle < c.run.execStart {
 		c.run.lastSettle = c.run.execStart
 	}
 	e.emit(obs.Event{Kind: obs.KindDVFS, Core: i, Task: c.run.ts.Task.ID,
 		PrevRate: prev, Rate: level.Rate, Eff: c.run.lastSettle})
-	e.rescheduleAll()
+	e.invalidate()
 	return nil
 }
 
@@ -576,7 +638,7 @@ func (e *Engine) finalize(params model.CostParams) (*Result, error) {
 		c.accountBusy(e.clock)
 		busyTotal += c.busyTotal
 		res.Switches += c.switches
-		res.Residency = append(res.Residency, c.residency)
+		res.Residency = append(res.Residency, c.residencyByRate())
 	}
 	for _, ts := range res.Tasks {
 		res.ActiveEnergy += ts.Energy

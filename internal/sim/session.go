@@ -77,8 +77,15 @@ func OpenSession(cfg Config, params model.CostParams) (*Session, error) {
 		e.sink = obs.Multi(e.sink, s.inv)
 	}
 	e.cores = make([]*coreState, cfg.Platform.NumCores())
+	levels := 0
+	for _, rt := range cfg.Platform.Cores {
+		levels += rt.Len()
+	}
+	counters := make([]levelSeconds, levels)
 	for i, rt := range cfg.Platform.Cores {
-		e.cores[i] = &coreState{id: i, rates: rt, level: rt.Min(), residency: map[float64]float64{}}
+		n := rt.Len()
+		e.cores[i] = &coreState{id: i, rates: rt, level: rt.Min(), residency: counters[:n:n]}
+		counters = counters[n:]
 	}
 	cfg.Policy.Init(e)
 	return s, nil
@@ -110,6 +117,7 @@ func (s *Session) Inject(tasks model.TaskSet) error {
 		}
 	}
 	e := s.e
+	e.restamp() // arrivals take orderCtr values after any owed stamps
 	sorted := tasks.Clone()
 	sorted.ByArrival()
 	// One TaskState slab per batch: e.tasks holds pointers into it, so
@@ -155,7 +163,7 @@ func (s *Session) step(ctx context.Context, limit float64) (bool, error) {
 	if len(e.events) > 0 && next == &e.events[0] {
 		e.events.pop()
 	} else {
-		e.nextDone = -1 // consumed; the completion's rescheduleAll picks the next
+		e.nextDone = -1 // consumed; the completion's restamp picks the next
 	}
 	if ev.time > s.maxTime {
 		return false, fmt.Errorf("sim: exceeded max time %v (policy %q stuck?)", s.maxTime, e.cfg.Policy.Name())
@@ -186,7 +194,7 @@ func (s *Session) step(ctx context.Context, limit float64) (bool, error) {
 		e.emit(obs.Event{Kind: obs.KindComplete, Core: ev.core, Task: ts.Task.ID,
 			Cycles: ts.Task.Cycles, Energy: ts.Energy})
 		e.emit(obs.Event{Kind: obs.KindCoreIdle, Core: ev.core, Task: -1})
-		e.rescheduleAll()
+		e.invalidate()
 		e.cfg.Policy.OnCompletion(e, ev.core, ts)
 	case evTick:
 		s.tickAt = math.NaN()
@@ -197,6 +205,7 @@ func (s *Session) step(ctx context.Context, limit float64) (bool, error) {
 		}
 		e.cfg.Policy.OnTick(e)
 		if e.undone > 0 {
+			e.restamp() // the next tick's order follows the owed stamps
 			s.tickAt = e.clock + e.cfg.TickInterval
 			e.orderCtr++
 			e.events.push(event{time: s.tickAt, kind: evTick, order: e.orderCtr, task: -1})
@@ -208,6 +217,7 @@ func (s *Session) step(ctx context.Context, limit float64) (bool, error) {
 			Interactive: ts.Task.Interactive})
 		e.cfg.Policy.OnArrival(e, ts)
 	}
+	e.restamp()
 	return true, e.err
 }
 

@@ -20,18 +20,21 @@
 # and silently diff against the wrong PR once numbers reach two digits.
 #
 # Benchmarks present in both files are compared by ns_per_op and, when
-# both sides carry it, allocs_per_op; any shared benchmark that slowed
-# — or grew its allocations — by more than THRESHOLD percent (default
-# 20) fails the script. A benchmark that was allocation-free in the old
-# baseline and allocates at all in the new one fails too: 0 -> N has no
-# finite percentage and is exactly the hot-path regression the gate
-# exists to catch. Benchmarks present only in the new file are
-# reported as "new benchmark" — not a regression, but visible, so a
-# rename that silently drops a benchmark from comparison is noticed.
-# Retired benchmarks carry no signal and are ignored. Both files must
-# exist and contain benchmarks: a missing or empty baseline means
-# `make bench` has not been run for that PR, which should fail loudly
-# rather than vacuously pass.
+# both sides carry them, allocs_per_op and bytes_per_op; any shared
+# benchmark that slowed — or grew its allocation count or bytes — by
+# more than THRESHOLD percent (default 20) fails the script. A
+# benchmark that was allocation-free in the old baseline and allocates
+# at all in the new one fails too: 0 -> N has no finite percentage and
+# is exactly the hot-path regression the gate exists to catch.
+# ckpt_B, the byte size of a deterministic checkpoint, must repeat
+# exactly, so any growth in it fails. Timing-dependent custom metrics
+# (frames_op, MB_s) are not gated. Benchmarks present only in the new
+# file are reported as "new benchmark" — not a regression, but
+# visible, so a rename that silently drops a benchmark from comparison
+# is noticed. Retired benchmarks carry no signal and are ignored. Both
+# files must exist and contain benchmarks: a missing or empty baseline
+# means `make bench` has not been run for that PR, which should fail
+# loudly rather than vacuously pass.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -89,31 +92,54 @@ for f in "$OLD" "$NEW"; do
 done
 
 awk -v threshold="$THRESHOLD" -v oldfile="$OLD" -v newfile="$NEW" '
-# parse extracts package/name/ns_per_op (and allocs_per_op when the
-# line carries one — benchmarks run without -benchmem do not) from one
-# bench.sh JSON line into K, NS, APO/HASA; bench.sh writes one object
-# per line, so a line-wise scan is exact for these files.
+# num sets V to the number stored under key in line and returns 1, or
+# returns 0 when the line has no such field.
+function num(line, key) {
+    if (match(line, "\"" key "\": [0-9.eE+-]+") == 0) return 0
+    V = substr(line, RSTART + length(key) + 4, RLENGTH - length(key) - 4) + 0
+    return 1
+}
+# parse extracts package/name/ns_per_op (and allocs_per_op,
+# bytes_per_op and ckpt_B when the line carries them — benchmarks run
+# without -benchmem do not) from one bench.sh JSON line into K, NS,
+# APO/HASA, BPO/HASB and CKB/HASC; bench.sh writes one object per line,
+# so a line-wise scan is exact for these files.
 function parse(line) {
     if (line !~ /"name": "Benchmark/) return 0
     match(line, /"package": "[^"]*"/)
     pkg = substr(line, RSTART + 12, RLENGTH - 13)
     match(line, /"name": "[^"]*"/)
     nm = substr(line, RSTART + 9, RLENGTH - 10)
-    if (match(line, /"ns_per_op": [0-9.eE+-]+/) == 0) return 0
-    NS = substr(line, RSTART + 13, RLENGTH - 13) + 0
-    HASA = 0
-    APO = 0
-    if (match(line, /"allocs_per_op": [0-9.eE+-]+/)) {
-        APO = substr(line, RSTART + 17, RLENGTH - 17) + 0
-        HASA = 1
-    }
+    if (!num(line, "ns_per_op")) return 0
+    NS = V
+    HASA = num(line, "allocs_per_op"); APO = HASA ? V : 0
+    HASB = num(line, "bytes_per_op"); BPO = HASB ? V : 0
+    HASC = num(line, "ckpt_B"); CKB = HASC ? V : 0
     K = pkg "/" nm
     return 1
+}
+# gate applies the allocation rule to one figure of K: growth beyond
+# the threshold fails, and so does any growth from zero.
+function gate(unit, old, new,    d) {
+    if (old == 0) {
+        if (new > 0) {
+            printf("REGRESSION: %s was allocation-free, now %d %s\n", K, new, unit)
+            bad++
+        }
+        return
+    }
+    d = (new - old) / old * 100
+    if (d > threshold) {
+        printf("REGRESSION: %s %s grew %.1f%% (%d -> %d, limit %d%%)\n", K, unit, d, old, new, threshold)
+        bad++
+    }
 }
 NR == FNR {
     if (parse($0)) {
         base[K] = NS
         if (HASA) { basea[K] = APO; baseha[K] = 1 }
+        if (HASB) { baseb[K] = BPO; basehb[K] = 1 }
+        if (HASC) { basec[K] = CKB; basehc[K] = 1 }
     }
     next
 }
@@ -128,27 +154,20 @@ NR == FNR {
     delta = (NS - base[K]) / base[K] * 100
     printf("%-66s %11.1f -> %11.1f ns/op  %+7.1f%%", K, base[K], NS, delta)
     if (baseha[K] && HASA) printf("  %6d -> %6d allocs/op", basea[K], APO)
+    if (basehc[K] && HASC) printf("  %d -> %d ckpt_B", basec[K], CKB)
     printf("\n")
     if (delta > threshold) {
         printf("REGRESSION: %s slowed %.1f%% (limit %d%%)\n", K, delta, threshold)
         bad++
     }
-    # The allocation gate only engages when both baselines measured
-    # allocs: a baseline recorded before -benchmem coverage carries no
+    # The allocation gates only engage when both baselines measured the
+    # figure: a baseline recorded before -benchmem coverage carries no
     # signal to regress against.
-    if (baseha[K] && HASA) {
-        if (basea[K] == 0) {
-            if (APO > 0) {
-                printf("REGRESSION: %s was allocation-free, now %d allocs/op\n", K, APO)
-                bad++
-            }
-        } else {
-            adelta = (APO - basea[K]) / basea[K] * 100
-            if (adelta > threshold) {
-                printf("REGRESSION: %s allocs/op grew %.1f%% (%d -> %d, limit %d%%)\n", K, adelta, basea[K], APO, threshold)
-                bad++
-            }
-        }
+    if (baseha[K] && HASA) gate("allocs/op", basea[K], APO)
+    if (basehb[K] && HASB) gate("B/op", baseb[K], BPO)
+    if (basehc[K] && HASC && CKB > basec[K]) {
+        printf("REGRESSION: %s ckpt_B grew %d -> %d (deterministic: must not grow)\n", K, basec[K], CKB)
+        bad++
     }
 }
 END {

@@ -20,6 +20,12 @@ linea() {
     printf '  {"package": "%s", "name": "%s", "iterations": 100, "ns_per_op": %s, "bytes_per_op": 64, "allocs_per_op": %s}' "$1" "$2" "$3" "$4"
 }
 
+# linex is linea with its bytes/op given and custom metric fields
+# (", \"ckpt_B\": 7", ...) appended.
+linex() {
+    printf '  {"package": "%s", "name": "%s", "iterations": 100, "ns_per_op": %s, "bytes_per_op": %s, "allocs_per_op": %s%s}' "$1" "$2" "$3" "$4" "$5" "$6"
+}
+
 fails=0
 fail() {
     echo "FAIL: $1" >&2
@@ -121,6 +127,34 @@ expect 1 "allocation-free" "zero-to-nonzero allocs gate" "$DIR/alloc_old.json" "
     echo ']'
 } > "$DIR/alloc_none.json"
 expect 0 "2 shared benchmarks" "old baseline without allocs is not gated" "$DIR/alloc_none.json" "$DIR/alloc_grew.json"
+
+# The byte gate follows the allocation rule: >20% bytes/op growth
+# fails, growth within the threshold passes, and a benchmark that
+# allocated no bytes and now does fails.
+printf '[\n%s,\n%s\n]\n' "$(linex pkg/a BenchmarkBytes 100.0 1000 5 '')" \
+    "$(linex pkg/a BenchmarkNoBytes 100.0 0 0 '')" > "$DIR/bytes_old.json"
+printf '[\n%s,\n%s\n]\n' "$(linex pkg/a BenchmarkBytes 100.0 1300 5 '')" \
+    "$(linex pkg/a BenchmarkNoBytes 100.0 0 0 '')" > "$DIR/bytes_grew.json"
+expect 1 "B/op grew" "bytes regression gate" "$DIR/bytes_old.json" "$DIR/bytes_grew.json"
+printf '[\n%s,\n%s\n]\n' "$(linex pkg/a BenchmarkBytes 100.0 1150 5 '')" \
+    "$(linex pkg/a BenchmarkNoBytes 100.0 0 0 '')" > "$DIR/bytes_ok.json"
+expect 0 "2 shared benchmarks" "bytes within threshold" "$DIR/bytes_old.json" "$DIR/bytes_ok.json"
+printf '[\n%s,\n%s\n]\n' "$(linex pkg/a BenchmarkBytes 100.0 1000 5 '')" \
+    "$(linex pkg/a BenchmarkNoBytes 100.0 48 0 '')" > "$DIR/bytes_zero_broken.json"
+expect 1 "now 48 B/op" "zero-to-nonzero bytes gate" "$DIR/bytes_old.json" "$DIR/bytes_zero_broken.json"
+
+# ckpt_B is deterministic: growing by a single byte fails, while an
+# equal or smaller checkpoint passes. Timing-dependent custom metrics
+# (frames_op, MB_s) stay ungated however far they move.
+printf '[\n%s\n]\n' "$(linex pkg/a BenchmarkCkpt 100.0 1000 5 ', "ckpt_B": 236007, "frames_op": 4, "MB_s": 100')" > "$DIR/ckpt_old.json"
+printf '[\n%s\n]\n' "$(linex pkg/a BenchmarkCkpt 100.0 1000 5 ', "ckpt_B": 236008, "frames_op": 4, "MB_s": 100')" > "$DIR/ckpt_grew.json"
+expect 1 "ckpt_B grew 236007 -> 236008" "ckpt_B growth gate" "$DIR/ckpt_old.json" "$DIR/ckpt_grew.json"
+printf '[\n%s\n]\n' "$(linex pkg/a BenchmarkCkpt 100.0 1000 5 ', "ckpt_B": 236007, "frames_op": 4, "MB_s": 100')" > "$DIR/ckpt_same.json"
+expect 0 "236007 -> 236007 ckpt_B" "unchanged ckpt_B" "$DIR/ckpt_old.json" "$DIR/ckpt_same.json"
+printf '[\n%s\n]\n' "$(linex pkg/a BenchmarkCkpt 100.0 1000 5 ', "ckpt_B": 200000, "frames_op": 4, "MB_s": 100')" > "$DIR/ckpt_shrank.json"
+expect 0 "1 shared benchmarks" "smaller ckpt_B" "$DIR/ckpt_old.json" "$DIR/ckpt_shrank.json"
+printf '[\n%s\n]\n' "$(linex pkg/a BenchmarkCkpt 100.0 1000 5 ', "ckpt_B": 236007, "frames_op": 40, "MB_s": 10')" > "$DIR/ckpt_timing.json"
+expect 0 "1 shared benchmarks" "frames_op and MB_s ungated" "$DIR/ckpt_old.json" "$DIR/ckpt_timing.json"
 
 # Missing baselines must fail loudly, not vacuously pass.
 expect 1 "missing" "missing old baseline" "$DIR/absent.json" "$DIR/new.json"

@@ -1,10 +1,18 @@
 #!/bin/sh
-# Full local gate: vet, dvfslint, build, race-enabled tests, benchmark
-# smoke.
+# Full local gate: gofmt, vet, dvfslint, build, race-enabled tests,
+# benchmark smoke.
 # Equivalent to `make check` for environments without make.
 set -eu
 cd "$(dirname "$0")/.."
 
+# Tracked files only, so the benchmark's build cache stays out.
+echo "== gofmt =="
+unformatted=$(git ls-files '*.go' | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+    echo "gofmt would rewrite:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 echo "== go vet =="
 go vet ./...
 # All eight analyzers; exit 1 covers findings and malformed/unused
