@@ -73,7 +73,7 @@ benchdiff-test:
 	scripts/benchdiff_test.sh
 
 # Race-enabled per-package coverage floors for the engine-critical
-# packages and the cluster.
+# packages, the cluster and the trace audit.
 cover:
 	scripts/cover.sh
 
@@ -82,14 +82,13 @@ cover:
 serve-smoke:
 	scripts/serve_smoke.sh
 
-# Membership-churn smoke: boot a 3-node in-process cluster and, while
-# client traffic is in flight, join a 4th node (asserting the rebalance
-# matches the ring diff), migrate a session to a pinned target, drain a
-# node out of the ring, then kill a member — verifying zero
-# accepted-task loss plus byte-identical oracle parity on every
-# surviving trace. Well under 30s.
+# Membership-churn smoke: a 3-node in-process cluster, while client
+# traffic is in flight, joins a 4th node (asserting the rebalance
+# matches the ring diff), migrates a session to a pinned target, drains
+# a node out of the ring, then kills a member; every surviving trace
+# must pass audit.CheckTrace. Well under 30s.
 cluster-smoke:
-	$(GO) run ./cmd/dvfsload -mode cluster -clients 6 -session-tasks 30 -batch 6
+	$(GO) test -race -count=1 -run '^TestClusterMembershipChurn$$' ./internal/cluster
 
 # Regenerate the report package's golden files.
 golden:

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"dvfsched/internal/audit"
 	"dvfsched/internal/obs"
 	"dvfsched/internal/server"
 )
@@ -76,8 +77,8 @@ func clusterDo(t *testing.T, fronts []string, method, path string, body []byte) 
 // dvfschedd processes form a cluster via -node-id/-peers, a session's
 // owner process is killed with SIGKILL mid-stream, and the survivors
 // must keep serving it — accepting the remaining submissions, draining
-// it, and returning a gapless trace containing every acknowledged
-// task. Skipped with -short (compiles the daemon binary).
+// it, and returning a trace that audit.CheckTrace accepts with every
+// acknowledged task. Skipped with -short (compiles the daemon binary).
 func TestClusterProcessKillFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster e2e skipped in short mode")
@@ -159,13 +160,14 @@ func TestClusterProcessKillFailover(t *testing.T) {
 	if code != http.StatusOK && code != http.StatusNoContent {
 		t.Fatalf("drain after kill: %d %s", code, body)
 	}
+	var drain *server.DrainResponse
 	if code == http.StatusOK {
-		var dr server.DrainResponse
-		if err := json.Unmarshal(body, &dr); err != nil {
+		drain = new(server.DrainResponse)
+		if err := json.Unmarshal(body, drain); err != nil {
 			t.Fatal(err)
 		}
-		if dr.Tasks != 20 {
-			t.Fatalf("drained %d tasks, accepted 20", dr.Tasks)
+		if drain.Tasks != 20 {
+			t.Fatalf("drained %d tasks, accepted 20", drain.Tasks)
 		}
 	}
 
@@ -173,26 +175,16 @@ func TestClusterProcessKillFailover(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("events after kill: %d %s", code, body)
 	}
-	arrivals := map[int]int{}
-	var lastSeq uint64
-	sc := bufio.NewScanner(bytes.NewReader(body))
-	for sc.Scan() {
-		var ev obs.Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatal(err)
-		}
-		if ev.Seq != lastSeq+1 {
-			t.Fatalf("trace gap: seq %d after %d", ev.Seq, lastSeq)
-		}
-		lastSeq = ev.Seq
-		if ev.Kind == obs.KindArrival {
-			arrivals[ev.Task]++
-		}
+	events, err := obs.ReadJSONL(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
+	acked := map[int]bool{}
 	for id := 1; id <= 20; id++ {
-		if arrivals[id] != 1 {
-			t.Errorf("accepted task %d: %d arrivals in the surviving trace, want 1", id, arrivals[id])
-		}
+		acked[id] = true
+	}
+	if err := audit.CheckTrace(info.PlatformSpec, events, acked, drain); err != nil {
+		t.Fatalf("surviving trace: %v", err)
 	}
 
 	// Survivors shut down clean.

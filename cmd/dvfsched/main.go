@@ -62,7 +62,7 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	rates, err := rateTable(*platName)
+	rates, err := platform.RateTableByName(*platName)
 	if err != nil {
 		return err
 	}
@@ -164,19 +164,6 @@ func simulatePlan(plan *batch.Plan, rates *model.RateTable, cores int, tasks mod
 		}
 	}
 	return nil
-}
-
-func rateTable(name string) (*model.RateTable, error) {
-	switch name {
-	case "table2":
-		return platform.TableII(), nil
-	case "i7":
-		return platform.IntelI7950(), nil
-	case "exynos":
-		return platform.ExynosT4412(), nil
-	default:
-		return nil, fmt.Errorf("unknown platform %q (want table2, i7, or exynos)", name)
-	}
 }
 
 func printPlan(w io.Writer, plan *batch.Plan) {

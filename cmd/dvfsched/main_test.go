@@ -80,15 +80,6 @@ func TestRunRejectsOnlineTrace(t *testing.T) {
 	}
 }
 
-func TestRateTable(t *testing.T) {
-	for _, name := range []string{"table2", "i7", "exynos"} {
-		rt, err := rateTable(name)
-		if err != nil || rt.Len() == 0 {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
-}
-
 func TestRunJSONOutput(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-json", "-cores", "2"}, &out); err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"strconv"
@@ -34,9 +35,12 @@ type loadReport struct {
 	// OfferedRate is the open-loop target in requests/second (0 in
 	// closed loop, where clients submit as fast as replies return).
 	OfferedRate float64 `json:"offered_rate,omitempty"`
-	// Shed counts open-loop arrivals dropped because the dispatch
-	// queue was full — offered load the harness could not even enqueue.
-	Shed       int64   `json:"shed,omitempty"`
+	// SentFrac is the share of the open loop's scheduled requests that
+	// were sent; below 1 the run fails.
+	SentFrac float64 `json:"sent_frac,omitempty"`
+	// LagP99Ms is the open loop's p99 send lag: how long after its due
+	// time a request left the generator.
+	LagP99Ms   float64 `json:"lag_p99_ms,omitempty"`
 	Requests   int64   `json:"requests"`
 	Rejected   int64   `json:"rejected"`
 	Errors     int64   `json:"errors"`
@@ -45,7 +49,8 @@ type loadReport struct {
 	P95Ms      float64 `json:"p95_ms"`
 	P99Ms      float64 `json:"p99_ms"`
 	// MeanBatch is the server-observed mean group-commit batch size
-	// over the run (server.sessions.batch_size mass / count).
+	// over the run: the server.sessions.batch_size histogram's growth
+	// in mass over its growth in count.
 	MeanBatch float64 `json:"mean_batch,omitempty"`
 }
 
@@ -53,16 +58,25 @@ type loadReport struct {
 // stalls; 48 exponential buckets keep the p99 interpolation tight.
 var latencyBuckets = obs.ExpBuckets(5e-5, 1.3, 48)
 
+// openGrace is how long after the open loop's window a late request
+// may still be sent; later ones count as not sent and fail the run.
+const openGrace = time.Second
+
 // runLoadHarness drives the session plane's submit path and reports
 // throughput and latency quantiles. Closed loop: each client keeps one
 // request in flight, so the measured rate is the service's saturation
-// throughput at that concurrency. Open loop: a dispatcher offers
-// requests at a fixed rate regardless of completions, so queueing
-// delay shows up in the quantiles instead of hiding in a slowed-down
-// generator (the coordinated-omission trap).
+// throughput at that concurrency. Open loop: request k is due at
+// start + k/rate regardless of completions; a client that falls behind
+// sends the next request at once, and latency counts from the due
+// time, so queueing delay shows up in the quantiles instead of hiding
+// in a slowed-down generator (the coordinated-omission trap).
 func runLoadHarness(opts options, lo loadOptions, w io.Writer) error {
 	if lo.sessions <= 0 {
 		lo.sessions = 1
+	}
+	scheduled := int64(math.Round(lo.rate * lo.duration.Seconds()))
+	if lo.mode == "open" && (lo.rate <= 0 || scheduled == 0) {
+		return fmt.Errorf("open loop needs -rate > 0 and at least one request in -duration, got %v/s for %v", lo.rate, lo.duration)
 	}
 	paths := make([]string, lo.sessions)
 	for i := range paths {
@@ -73,12 +87,19 @@ func runLoadHarness(opts options, lo loadOptions, w io.Writer) error {
 		paths[i] = opts.addr + "/v1/sessions/" + info.ID + "/tasks"
 	}
 
-	lat := obs.NewRegistry().Histogram("load.latency_s", latencyBuckets)
-	var requests, rejected, errs, shed atomic.Int64
+	var batch0 obs.HistogramSnapshot
+	if m, err := fetchMetrics(opts.addr); err == nil {
+		batch0 = m.Histograms[obs.ServerSessionBatchSize]
+	}
+
+	reg := obs.NewRegistry()
+	lat := reg.Histogram("load.latency_s", latencyBuckets)
+	lag := reg.Histogram("load.lag_s", latencyBuckets)
+	var requests, rejected, errs, sent atomic.Int64
 	var seq atomic.Int64
 
 	// submitOne posts a single clamped task and observes its latency
-	// from t0 (dispatch intent, not send time) to reply.
+	// from t0 (the due time in open loop, not the send time) to reply.
 	submitOne := func(buf []byte, target int, t0 time.Time) []byte {
 		n := seq.Add(1)
 		buf = append(buf[:0], `{"clamp":true,"tasks":[{"id":`...)
@@ -121,38 +142,36 @@ func runLoadHarness(opts options, lo loadOptions, w io.Writer) error {
 			}(c)
 		}
 	case "open":
-		if lo.rate <= 0 {
-			return fmt.Errorf("open loop needs -rate > 0, got %v", lo.rate)
-		}
-		tokens := make(chan time.Time, 4096)
+		cutoff := deadline.Add(openGrace)
+		var next atomic.Int64
 		for c := 0; c < opts.clients; c++ {
 			wg.Add(1)
 			go func(c int) {
 				defer wg.Done()
 				buf := make([]byte, 0, 128)
-				for t0 := range tokens {
-					buf = submitOne(buf, c%lo.sessions, t0)
+				for k := next.Add(1) - 1; k < scheduled; k = next.Add(1) - 1 {
+					due := start.Add(time.Duration(float64(k) / lo.rate * float64(time.Second)))
+					time.Sleep(time.Until(due))
+					now := time.Now()
+					if now.After(cutoff) {
+						return
+					}
+					sent.Add(1)
+					lag.Observe(now.Sub(due).Seconds())
+					buf = submitOne(buf, c%lo.sessions, due)
 				}
 			}(c)
 		}
-		tick := time.NewTicker(time.Duration(float64(time.Second) / lo.rate))
-		for now := range tick.C {
-			if now.After(deadline) {
-				break
-			}
-			select {
-			case tokens <- now:
-			default:
-				shed.Add(1)
-			}
-		}
-		tick.Stop()
-		close(tokens)
-	default:
-		return fmt.Errorf("unknown -mode %q (want oracle, closed, or open)", lo.mode)
 	}
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
+	var meanBatch float64
+	if m, err := fetchMetrics(opts.addr); err == nil {
+		bs := m.Histograms[obs.ServerSessionBatchSize]
+		if bs.Count > batch0.Count {
+			meanBatch = (bs.Sum - batch0.Sum) / float64(bs.Count-batch0.Count)
+		}
+	}
 
 	// Drain the sessions so the server ends the run clean; drains are
 	// bookkeeping, not measurement.
@@ -169,7 +188,6 @@ func runLoadHarness(opts options, lo loadOptions, w io.Writer) error {
 		Clients:    opts.clients,
 		Sessions:   lo.sessions,
 		DurationS:  elapsed,
-		Shed:       shed.Load(),
 		Requests:   requests.Load(),
 		Rejected:   rejected.Load(),
 		Errors:     errs.Load(),
@@ -177,29 +195,24 @@ func runLoadHarness(opts options, lo loadOptions, w io.Writer) error {
 		P50Ms:      snap.Quantile(0.50) * 1000,
 		P95Ms:      snap.Quantile(0.95) * 1000,
 		P99Ms:      snap.Quantile(0.99) * 1000,
+		MeanBatch:  meanBatch,
 	}
 	if lo.mode == "open" {
 		rep.OfferedRate = lo.rate
-	}
-	if m, err := fetchMetrics(opts.addr); err == nil {
-		if bs, ok := m.Histograms[obs.ServerSessionBatchSize]; ok && bs.Count > 0 {
-			rep.MeanBatch = bs.Sum / float64(bs.Count)
-		}
+		rep.SentFrac = float64(sent.Load()) / float64(scheduled)
+		rep.LagP99Ms = lag.Snapshot().Quantile(0.99) * 1000
 	}
 
 	fmt.Fprintf(w, "%s loop: %d clients over %d sessions for %.2fs\n", rep.Mode, rep.Clients, rep.Sessions, rep.DurationS)
-	fmt.Fprintf(w, "throughput %.0f req/s (%d ok, %d rejected, %d errors", rep.Throughput, rep.Requests, rep.Rejected, rep.Errors)
-	if rep.Shed > 0 {
-		fmt.Fprintf(w, ", %d shed", rep.Shed)
+	fmt.Fprintf(w, "throughput %.0f req/s (%d ok, %d rejected, %d errors)", rep.Throughput, rep.Requests, rep.Rejected, rep.Errors)
+	if lo.mode == "open" {
+		fmt.Fprintf(w, "  sent %d/%d (%.3f)  lag p99 %.3fms", sent.Load(), scheduled, rep.SentFrac, rep.LagP99Ms)
 	}
-	fmt.Fprintf(w, ")\nlatency p50 %.3fms  p95 %.3fms  p99 %.3fms", rep.P50Ms, rep.P95Ms, rep.P99Ms)
+	fmt.Fprintf(w, "\nlatency p50 %.3fms  p95 %.3fms  p99 %.3fms", rep.P50Ms, rep.P95Ms, rep.P99Ms)
 	if rep.MeanBatch > 0 {
 		fmt.Fprintf(w, "  mean batch %.2f", rep.MeanBatch)
 	}
 	fmt.Fprintln(w)
-	if rep.Errors > 0 {
-		return fmt.Errorf("%d requests failed", rep.Errors)
-	}
 	if lo.out != "" {
 		raw, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
@@ -209,6 +222,12 @@ func runLoadHarness(opts options, lo loadOptions, w io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(w, "wrote %s\n", lo.out)
+	}
+	if rep.Errors > 0 {
+		return fmt.Errorf("%d requests failed", rep.Errors)
+	}
+	if n := sent.Load(); lo.mode == "open" && n < scheduled {
+		return fmt.Errorf("open loop sent %d of %d scheduled requests", n, scheduled)
 	}
 	return nil
 }

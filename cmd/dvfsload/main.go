@@ -8,31 +8,27 @@
 //     same workload, then reposts it and requires a cache hit;
 //   - session plane: each client opens an online session, submits
 //     arrivals in batches, drains it with DELETE, fetches the event
-//     trace, replays it through report.TimelineFromEvents, and
-//     requires the replayed energy/turnaround cost to match the
-//     drain report.
+//     trace, and holds it to audit.CheckTrace: every task exactly once,
+//     a byte-identical serial rebuild, and a trace that prices to the
+//     drain cost.
 //
 // Beyond the default oracle mode, -mode closed and -mode open turn it
 // into a latency harness for the session submit path: closed keeps
 // -clients requests in flight back to back (saturation throughput);
-// open offers a fixed -rate regardless of completions, so queueing
-// delay appears in the reported quantiles instead of slowing the
-// generator (coordinated omission). Both report throughput and
-// p50/p95/p99 and can write the result as JSON with -out.
+// open schedules request k at start + k/-rate and measures latency
+// from that due time, so queueing delay appears in the quantiles
+// instead of slowing the generator (coordinated omission); it reports
+// the share of requests sent and its own send lag, and fails if it
+// sent fewer than scheduled. Both report throughput and p50/p95/p99
+// and can write the result as JSON with -out.
 //
 // Usage:
 //
 //	dvfsload -addr http://127.0.0.1:8080 [-clients 8] [-plan-tasks 24]
 //	         [-session-tasks 40] [-batch 10] [-seed 1]
 //	         [-cores 4] [-platform table2] [-re 0.1] [-rt 0.4]
-//	         [-mode oracle|closed|open|cluster] [-duration 10s] [-rate 200]
+//	         [-mode oracle|closed|open] [-duration 10s] [-rate 200]
 //	         [-sessions 1] [-out load.json]
-//
-// -mode cluster needs no daemon: it boots a 3-node cluster in process
-// (internal/cluster), drives concurrent sessions through it, kills one
-// session's owner node mid-run, and verifies the failover contract —
-// every acknowledged task survives in a gapless trace that a serial
-// oracle rebuild reproduces byte-identically.
 //
 // Exit status is non-zero if any check fails.
 package main
@@ -45,7 +41,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -54,11 +49,11 @@ import (
 	"sync"
 	"time"
 
+	"dvfsched/internal/audit"
 	"dvfsched/internal/core"
 	"dvfsched/internal/model"
 	"dvfsched/internal/obs"
 	"dvfsched/internal/platform"
-	"dvfsched/internal/report"
 	"dvfsched/internal/server"
 	"dvfsched/internal/trace"
 )
@@ -105,7 +100,7 @@ func run(args []string, w io.Writer) error {
 		platName     = fs.String("platform", "table2", "rate table: table2, i7, or exynos")
 		re           = fs.Float64("re", 0.1, "Re, cents per joule")
 		rt           = fs.Float64("rt", 0.4, "Rt, cents per second of waiting")
-		mode         = fs.String("mode", "oracle", "oracle (correctness cross-check), closed/open (latency harness), or cluster (in-process failover harness)")
+		mode         = fs.String("mode", "oracle", "oracle (correctness cross-check) or closed/open (latency harness)")
 		duration     = fs.Duration("duration", 10*time.Second, "measurement window for closed/open loop")
 		rate         = fs.Float64("rate", 200, "offered requests/second in open loop")
 		sessions     = fs.Int("sessions", 1, "session shards to spread closed/open-loop load over")
@@ -126,12 +121,9 @@ func run(args []string, w io.Writer) error {
 	if opts.clients <= 0 {
 		return fmt.Errorf("need at least one client")
 	}
-	if *mode == "cluster" {
-		// The cluster harness boots its own 3-node in-process cluster;
-		// -addr is ignored.
-		return runClusterHarness(opts, w)
-	}
-	if *mode != "oracle" {
+	switch *mode {
+	case "oracle":
+	case "closed", "open":
 		return runLoadHarness(opts, loadOptions{
 			mode:     *mode,
 			duration: *duration,
@@ -139,6 +131,8 @@ func run(args []string, w io.Writer) error {
 			sessions: *sessions,
 			out:      *out,
 		}, w)
+	default:
+		return fmt.Errorf("unknown -mode %q (want oracle, closed, or open)", *mode)
 	}
 
 	start := time.Now()
@@ -238,7 +232,7 @@ func checkPlanPlane(opts options, rng *rand.Rand, st *clientStats) error {
 // directPlanCost runs the same workload through the in-process
 // facade and formats the total cost for byte comparison.
 func directPlanCost(spec server.PlatformSpec, recs []trace.Record) (string, error) {
-	rates, err := rateTable(spec.Platform)
+	rates, err := platform.RateTableByName(spec.Platform)
 	if err != nil {
 		return "", err
 	}
@@ -259,7 +253,7 @@ func directPlanCost(spec server.PlatformSpec, recs []trace.Record) (string, erro
 	return strconv.FormatFloat(total, 'g', -1, 64), nil
 }
 
-// checkSessionPlane drives one full session life cycle and replays the
+// checkSessionPlane drives one full session life cycle and audits the
 // streamed trace against the drain report.
 func checkSessionPlane(opts options, rng *rand.Rand, st *clientStats) error {
 	var info server.SessionInfo
@@ -270,10 +264,12 @@ func checkSessionPlane(opts options, rng *rand.Rand, st *clientStats) error {
 
 	// Monotone arrivals, mixed sizes — an online stream in miniature.
 	recs := make([]trace.Record, opts.sessionTasks)
+	acked := make(map[int]bool, len(recs))
 	clock := 0.0
 	for i := range recs {
 		clock += rng.Float64() * 2
 		recs[i] = trace.Record{ID: i, Cycles: 0.5 + rng.Float64()*40, Arrival: clock}
+		acked[i] = true
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Arrival < recs[j].Arrival })
 	for startIdx := 0; startIdx < len(recs); startIdx += opts.batch {
@@ -305,32 +301,10 @@ func checkSessionPlane(opts options, rng *rand.Rand, st *clientStats) error {
 		return err
 	}
 	st.events += len(events)
-	if err := replayMatchesDrain(opts.spec, events, drain); err != nil {
+	if err := audit.CheckTrace(opts.spec, events, acked, &drain); err != nil {
 		return err
 	}
 	return doJSON("DELETE", base, nil, nil, http.StatusNoContent)
-}
-
-// replayMatchesDrain re-derives the session's cost from its streamed
-// event trace and compares it with the drain report.
-func replayMatchesDrain(spec server.PlatformSpec, events []obs.Event, drain server.DrainResponse) error {
-	if _, err := report.TimelineFromEvents(events); err != nil {
-		return fmt.Errorf("trace does not replay: %w", err)
-	}
-	reg := obs.NewRegistry()
-	sink := obs.NewMetricsSink(reg)
-	for _, ev := range events {
-		sink.Emit(ev)
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters["sim.tasks.completed"]; !model.ApproxEq(got, float64(drain.Tasks), model.DefaultEps) {
-		return fmt.Errorf("trace completes %v tasks, drain reports %d", got, drain.Tasks)
-	}
-	cost := spec.Re*snap.Counters["sim.energy_j"] + spec.Rt*snap.Histograms["sim.turnaround_s"].Sum
-	if math.Abs(cost-drain.TotalCost) > 1e-6*math.Max(1, math.Abs(drain.TotalCost)) {
-		return fmt.Errorf("replayed cost %v != drain cost %v", cost, drain.TotalCost)
-	}
-	return nil
 }
 
 // postJSON posts a body and decodes a 2xx JSON reply, retrying briefly
@@ -405,17 +379,4 @@ func fetchMetrics(addr string) (*obs.Snapshot, error) {
 		return nil, err
 	}
 	return &snap, nil
-}
-
-func rateTable(name string) (*model.RateTable, error) {
-	switch name {
-	case "table2":
-		return platform.TableII(), nil
-	case "i7":
-		return platform.IntelI7950(), nil
-	case "exynos":
-		return platform.ExynosT4412(), nil
-	default:
-		return nil, fmt.Errorf("unknown platform %q", name)
-	}
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -11,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dvfsched/internal/audit"
 	"dvfsched/internal/obs"
 	"dvfsched/internal/server"
 )
@@ -137,7 +137,11 @@ func (tc *testCluster) fetchEvents(fronts []string, path string) []obs.Event {
 		case err != nil, code >= 500:
 			time.Sleep(25 * time.Millisecond)
 		case code == http.StatusOK:
-			return parseJSONL(tc.t, b)
+			events, err := obs.ReadJSONL(bytes.NewReader(b))
+			if err != nil {
+				tc.t.Fatal(err)
+			}
+			return events
 		default:
 			tc.t.Fatalf("events %s: %d %s", path, code, b)
 		}
@@ -146,52 +150,13 @@ func (tc *testCluster) fetchEvents(fronts []string, path string) []obs.Event {
 	return nil
 }
 
-// auditTrace is the lossless-and-deterministic check shared by the
-// churn tests: the trace is gapless, every acknowledged task arrives
-// and completes exactly once, no task arrives twice (exactly-once
-// across ownership flips), and a serial rebuild of the session from
-// the trace alone regenerates it byte-identically.
-func auditTrace(t *testing.T, spec server.PlatformSpec, events []obs.Event, acked map[int]bool) {
+// auditTrace fails the test unless the trace meets the durability
+// contract audit.CheckTrace states, against the drain response when the
+// caller holds one.
+func auditTrace(t *testing.T, spec server.PlatformSpec, events []obs.Event, acked map[int]bool, drain *server.DrainResponse) {
 	t.Helper()
-	if len(events) == 0 {
-		t.Fatal("empty trace")
-	}
-	arrivals := map[int]int{}
-	completes := map[int]int{}
-	for i, ev := range events {
-		if ev.Seq != uint64(i+1) {
-			t.Fatalf("event %d: seq %d — trace has a gap or reorder", i, ev.Seq)
-		}
-		switch ev.Kind {
-		case obs.KindArrival:
-			arrivals[ev.Task]++
-		case obs.KindComplete:
-			completes[ev.Task]++
-		}
-	}
-	for id := range acked {
-		if arrivals[id] != 1 {
-			t.Errorf("acked task %d has %d arrivals, want 1", id, arrivals[id])
-		}
-		if completes[id] != 1 {
-			t.Errorf("acked task %d has %d completions, want 1", id, completes[id])
-		}
-	}
-	for id, c := range arrivals {
-		if c != 1 {
-			t.Errorf("task %d has %d arrivals", id, c)
-		}
-	}
-	rb, err := server.ReplaySession(context.Background(), spec, 0, nil, events)
-	if err != nil {
+	if err := audit.CheckTrace(spec, events, acked, drain); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := rb.Sess.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	got, want := obs.AppendBinary(nil, rb.Rec.Events()), obs.AppendBinary(nil, events)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("oracle rebuild diverges from trace: %d vs %d encoded bytes", len(got), len(want))
 	}
 }
 
@@ -316,7 +281,7 @@ func TestClusterJoinDuringTraffic(t *testing.T) {
 			t.Errorf("session %s drained %d tasks, acked %d", s.info.ID, dr.Tasks, want)
 		}
 		events := tc.fetchEvents(allFronts, s.path)
-		auditTrace(t, s.info.PlatformSpec, events, acked[si])
+		auditTrace(t, s.info.PlatformSpec, events, acked[si], dr)
 	}
 }
 
@@ -421,7 +386,7 @@ func TestClusterMigrateVsSubmit(t *testing.T) {
 		t.Errorf("drained %d tasks, acked %d", dr.Tasks, wantTasks)
 	}
 	events := tc.fetchEvents(fronts, path)
-	auditTrace(t, info.PlatformSpec, events, acked)
+	auditTrace(t, info.PlatformSpec, events, acked, dr)
 }
 
 // TestClusterMigrateVsDelete races a migration against the session's
@@ -478,7 +443,7 @@ func TestClusterMigrateVsDelete(t *testing.T) {
 		t.Errorf("drained %d tasks, want %d", dr.Tasks, len(acked))
 	}
 	events := tc.fetchEvents(fronts, path)
-	auditTrace(t, info.PlatformSpec, events, acked)
+	auditTrace(t, info.PlatformSpec, events, acked, dr)
 }
 
 // TestClusterLeaveWhileOwner drains a node that owns sessions out of
@@ -577,7 +542,7 @@ func TestClusterLeaveWhileOwner(t *testing.T) {
 			t.Errorf("session %s drained %d tasks, want %d", s.info.ID, dr.Tasks, len(acked))
 		}
 		events := tc.fetchEvents(survivors, s.path)
-		auditTrace(t, s.info.PlatformSpec, events, acked)
+		auditTrace(t, s.info.PlatformSpec, events, acked, dr)
 	}
 }
 
@@ -633,17 +598,23 @@ func TestClusterShipHealsDroppedReplica(t *testing.T) {
 		t.Errorf("drained %d tasks, want 5", dr.Tasks)
 	}
 	events := tc.fetchEvents([]string{"n1"}, path)
-	auditTrace(t, info.PlatformSpec, events, map[int]bool{1: true, 2: true, 3: true, 4: true, 5: true})
+	auditTrace(t, info.PlatformSpec, events, map[int]bool{1: true, 2: true, 3: true, 4: true, 5: true}, dr)
 }
 
-// migrate moves a session through the given front and fails the test
-// unless the migration succeeds.
-func (tc *testCluster) migrate(front, id, target string) {
+// migrate moves a session through the given front, fails the test
+// unless the migration succeeds, and returns the API's report.
+func (tc *testCluster) migrate(front, id, target string) MigrateInfo {
 	tc.t.Helper()
 	body := []byte(fmt.Sprintf(`{"target":%q}`, target))
-	if code, b := tc.do(front, http.MethodPost, "/v1/cluster/sessions/"+id+"/migrate", body); code != http.StatusOK {
+	code, b := tc.do(front, http.MethodPost, "/v1/cluster/sessions/"+id+"/migrate", body)
+	if code != http.StatusOK {
 		tc.t.Fatalf("migrate %s to %s via %s: %d %s", id, target, front, code, b)
 	}
+	var mi MigrateInfo
+	if err := json.Unmarshal(b, &mi); err != nil {
+		tc.t.Fatal(err)
+	}
+	return mi
 }
 
 // TestClusterMigrationTourKeepsReplica moves one session along all six
@@ -677,7 +648,7 @@ func TestClusterMigrationTourKeepsReplica(t *testing.T) {
 		t.Errorf("drained %d tasks, want 3", dr.Tasks)
 	}
 	events := tc.fetchEvents(tc.ids, path)
-	auditTrace(t, info.PlatformSpec, events, map[int]bool{1: true, 2: true, 3: true})
+	auditTrace(t, info.PlatformSpec, events, map[int]bool{1: true, 2: true, 3: true}, dr)
 }
 
 // TestClusterKillAfterMigrateDrains kills a session's new owner right
@@ -708,5 +679,142 @@ func TestClusterKillAfterMigrateDrains(t *testing.T) {
 		t.Errorf("drained %d tasks, acked 4", dr.Tasks)
 	}
 	events := tc.fetchEvents(survivors, path)
-	auditTrace(t, info.PlatformSpec, events, map[int]bool{1: true, 2: true, 3: true, 4: true})
+	auditTrace(t, info.PlatformSpec, events, map[int]bool{1: true, 2: true, 3: true, 4: true}, dr)
+}
+
+// TestClusterMembershipChurn walks the membership surface while
+// clients submit through n3: join n4 (moving exactly the sessions the
+// ring diff predicts), migrate a session to a pinned target, drain n3
+// out of the ring (it evacuates what it owns yet keeps forwarding),
+// then kill whichever of n1 and n2 owns more sessions. The steps wait
+// for 1/4, 1/2, 5/8 and 3/4 of the batches; traffic that outruns a
+// step only costs it concurrency. Every session then drains through n3
+// to a trace that audits clean.
+func TestClusterMembershipChurn(t *testing.T) {
+	tc := startCluster(t, 3, nil)
+	tc.addNode("n4", nil) // before traffic: the clients read tc.byID
+	all, fronts := []string{"n1", "n2", "n3", "n4"}, []string{"n3"}
+	const clients, batches, perBatch = 6, 5, 6
+	ids := make([]string, clients)
+	acked := make([]map[int]bool, clients)          // each written by its client alone, read after wg.Wait
+	reports := make(chan struct{}, clients*batches) // one per batch, acked or not: no send blocks
+	var wg sync.WaitGroup
+	defer wg.Wait() // a Fatal below must not leave goroutines failing a done test
+	for i := range ids {
+		ids[i], acked[i] = tc.createSession(tc.ids[i%3], `{"cores":2}`).ID, map[int]bool{}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				batch := make([]int, perBatch)
+				for j := range batch {
+					batch[j] = perBatch*b + j + 1
+				}
+				if tc.submitRetry(fronts, "/v1/sessions/"+ids[i], taskBatch(batch, true)) {
+					for _, id := range batch {
+						acked[i][id] = true
+					}
+				}
+				reports <- struct{}{}
+				time.Sleep(2 * time.Millisecond) // keep traffic in flight across the steps
+			}
+		}(i)
+	}
+	seen := 0
+	waitBatches := func(frac float64) {
+		for ; seen < int(frac*clients*batches); seen++ {
+			<-reports
+		}
+	}
+	holds := func(node string) (held []string) {
+		for _, id := range ids {
+			if tc.byID[node].srv.HasSession(id) {
+				held = append(held, id)
+			}
+		}
+		return held
+	}
+	ring := func(nodes ...string) *Ring {
+		r, err := NewRing(nodes, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	onOwners := func(step string, r *Ring, sessions []string) {
+		for _, id := range sessions {
+			if o := r.Owner(id); !tc.byID[o].srv.HasSession(id) {
+				t.Fatalf("after %s: session %s is not on its ring owner %s", step, id, o)
+			}
+		}
+	}
+
+	waitBatches(0.25)
+	oldRing, newRing := ring(all[:3]...), ring(all...)
+	wantMoved := 0
+	for _, id := range ids {
+		if oldRing.Owner(id) != newRing.Owner(id) {
+			wantMoved++
+		}
+	}
+	join := tc.join("n1", "n4")
+	if join.Failed != 0 || join.Epoch != 2 || len(join.Nodes) != 4 || join.Moved != wantMoved {
+		t.Fatalf("join n4: %+v (want epoch 2, 4 nodes, 0 failed, %d moved as the ring diff predicts)", join, wantMoved)
+	}
+	onOwners("join", newRing, ids)
+
+	waitBatches(0.5)
+	target := "n4"
+	if newRing.Owner(ids[0]) == "n4" {
+		target = "n1"
+	}
+	if mi := tc.migrate("n1", ids[0], target); mi.To != target || !mi.Pinned || !tc.byID[target].srv.HasSession(ids[0]) {
+		t.Fatalf("migrate %s: %+v (want a pinned move to %s, which holds a live shard)", ids[0], mi, target)
+	}
+
+	waitBatches(0.625)
+	evacuated := holds("n3")
+	if leave := tc.leave("n1", "n3"); leave.Failed != 0 || leave.Epoch != 3 || len(leave.Nodes) != 3 || leave.Moved != len(evacuated) {
+		t.Fatalf("leave n3: %+v (want epoch 3, 3 nodes, 0 failed, %d moved)", leave, len(evacuated))
+	}
+	if held := holds("n3"); len(held) > 0 {
+		t.Fatalf("after leave: departed n3 still holds %v", held)
+	}
+	onOwners("leave", ring("n1", "n2", "n4"), evacuated)
+
+	waitBatches(0.75)
+	victim := "n1" // never the pinned target
+	if target == "n1" || (target != "n2" && len(holds("n2")) > len(holds("n1"))) {
+		victim = "n2"
+	}
+	victimOwned := len(holds(victim))
+	tc.kill(victim)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	for _, id := range all {
+		if id == victim {
+			continue
+		}
+		// n3 left the ring; the rest hold the epoch-3 view.
+		if info, member := tc.nodeInfo(id), id != "n3"; info.Member != member || (member && (info.Epoch != 3 || len(info.Peers) != 3)) {
+			t.Errorf("node %s final view: %+v", id, info)
+		}
+	}
+	for i, id := range ids {
+		path := "/v1/sessions/" + id
+		dr := tc.drainRetry(fronts, path)
+		auditTrace(t, server.PlatformSpec{Cores: 2}, tc.fetchEvents(fronts, path), acked[i], dr)
+	}
+	promotions := 0.0
+	for _, id := range all {
+		promotions += tc.byID[id].srv.Registry().Counter(obs.ClusterPromotions).Value()
+	}
+	if victimOwned > 0 && promotions == 0 {
+		t.Errorf("killed %s owned %d sessions, but nothing promoted", victim, victimOwned)
+	}
+	t.Logf("join moved %d, migrate %s to %s, leave evacuated %d, killed %s owning %d, %v promotions",
+		join.Moved, ids[0], target, len(evacuated), victim, victimOwned, promotions)
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -156,24 +155,6 @@ func taskBatch(ids []int, clamp bool) []byte {
 	}
 	sb.WriteString(`]}`)
 	return []byte(sb.String())
-}
-
-func parseJSONL(t testing.TB, b []byte) []obs.Event {
-	t.Helper()
-	var events []obs.Event
-	sc := bufio.NewScanner(bytes.NewReader(b))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var ev obs.Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("event line %d: %v", len(events), err)
-		}
-		events = append(events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return events
 }
 
 // TestClusterRoutedLifecycle drives a session's whole life through
@@ -421,81 +402,14 @@ func TestClusterFailover(t *testing.T) {
 		t.FailNow()
 	}
 
-	// Drain through a survivor; a lost ack shows up as 204 on retry.
-	drained := false
-	for attempt := 0; attempt < 40 && !drained; attempt++ {
-		code, b, err := tc.try(fronts[attempt%len(fronts)], http.MethodDelete, path, nil)
-		switch {
-		case err != nil || code >= 500:
-			time.Sleep(25 * time.Millisecond)
-		case code == http.StatusOK, code == http.StatusNoContent:
-			drained = true
-		default:
-			t.Fatalf("drain: %d %s", code, b)
-		}
-	}
-	if !drained {
-		t.Fatal("drain retries exhausted")
-	}
-
+	dr := tc.drainRetry(fronts, path)
 	if !tc.byID[replicaID].srv.HasSession(info.ID) {
 		t.Errorf("replica %s never promoted session %s", replicaID, info.ID)
 	}
 	if v := tc.byID[replicaID].srv.Registry().Counter(obs.ClusterPromotions).Value(); v < 1 {
 		t.Errorf("replica %s promotions counter %v, want >= 1", replicaID, v)
 	}
-
-	code, b, err := tc.try(fronts[0], http.MethodGet, path+"/events", nil)
-	if err != nil || code != http.StatusOK {
-		t.Fatalf("events: %d %v %s", code, err, b)
-	}
-	events := parseJSONL(t, b)
-	if len(events) == 0 {
-		t.Fatal("empty trace after failover")
-	}
-	arrivals := map[int]int{}
-	completes := map[int]int{}
-	for i, ev := range events {
-		if ev.Seq != uint64(i+1) {
-			t.Fatalf("event %d: seq %d — trace has a gap or reorder", i, ev.Seq)
-		}
-		switch ev.Kind {
-		case obs.KindArrival:
-			arrivals[ev.Task]++
-		case obs.KindComplete:
-			completes[ev.Task]++
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for id := range acked {
-		if arrivals[id] != 1 {
-			t.Errorf("acked task %d has %d arrivals in the surviving trace, want 1", id, arrivals[id])
-		}
-		if completes[id] != 1 {
-			t.Errorf("acked task %d has %d completions, want 1", id, completes[id])
-		}
-	}
-	for id := range arrivals {
-		if arrivals[id] != 1 {
-			t.Errorf("task %d has %d arrivals", id, arrivals[id])
-		}
-	}
-
-	// Serial oracle: rebuild the whole session from the surviving trace
-	// alone and drain it — byte-identical regeneration proves the trace
-	// is internally consistent, not just complete.
-	rb, err := server.ReplaySession(context.Background(), info.PlatformSpec, 0, nil, events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rb.Sess.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	got, want := obs.AppendBinary(nil, rb.Rec.Events()), obs.AppendBinary(nil, events)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("oracle rebuild diverges from surviving trace: %d vs %d encoded bytes", len(got), len(want))
-	}
+	auditTrace(t, info.PlatformSpec, tc.fetchEvents(fronts, path), acked, dr)
 }
 
 // TestNodeConfigValidation pins the NewNode error paths the daemon's

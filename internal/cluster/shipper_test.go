@@ -93,7 +93,7 @@ func TestClusterStreamFailoverReplicaDeath(t *testing.T) {
 		t.Errorf("failover target %s promotions counter %v, want >= 1", third, v)
 	}
 	events := tc.fetchEvents([]string{third}, path)
-	auditTrace(t, info.PlatformSpec, events, acked)
+	auditTrace(t, info.PlatformSpec, events, acked, dr)
 }
 
 // TestClusterStreamHealsAckGap truncates the replica's log behind the
@@ -162,7 +162,7 @@ func TestClusterStreamHealsAckGap(t *testing.T) {
 		t.Errorf("drained %d tasks, want 5", dr.Tasks)
 	}
 	events := tc.fetchEvents([]string{owner}, path)
-	auditTrace(t, info.PlatformSpec, events, map[int]bool{1: true, 2: true, 3: true, 4: true, 5: true})
+	auditTrace(t, info.PlatformSpec, events, map[int]bool{1: true, 2: true, 3: true, 4: true, 5: true}, dr)
 }
 
 // TestClusterStreamMigrateRace races migrations and a drain against
@@ -259,7 +259,7 @@ func TestClusterStreamMigrateRace(t *testing.T) {
 		t.Errorf("drained %d tasks, acked %d", dr.Tasks, wantTasks)
 	}
 	events := tc.fetchEvents(fronts, path)
-	auditTrace(t, info.PlatformSpec, events, acked)
+	auditTrace(t, info.PlatformSpec, events, acked, dr)
 }
 
 // countingListener counts raw TCP accepts, which is how many
@@ -378,5 +378,5 @@ func TestClusterStreamCoalesces(t *testing.T) {
 		t.Errorf("drained %d tasks, acked %d", dr.Tasks, wantTasks)
 	}
 	events := tc.fetchEvents([]string{owner}, path)
-	auditTrace(t, info.PlatformSpec, events, acked)
+	auditTrace(t, info.PlatformSpec, events, acked, dr)
 }

@@ -59,6 +59,23 @@ func ExynosT4412() *model.RateTable {
 	return model.MustRateTable(levels)
 }
 
+// RateTableByName resolves the rate-table names the CLIs and the
+// service accept: table2 (TableII), i7 (IntelI7950) and exynos
+// (ExynosT4412). The service returns the error text verbatim in its
+// 400 bodies.
+func RateTableByName(name string) (*model.RateTable, error) {
+	switch name {
+	case "table2":
+		return TableII(), nil
+	case "i7":
+		return IntelI7950(), nil
+	case "exynos":
+		return ExynosT4412(), nil
+	default:
+		return nil, fmt.Errorf("unknown platform %q (want table2, i7, or exynos)", name)
+	}
+}
+
 // ExecutionModel maps a nominal rate level to the effective per-cycle
 // time and energy a task observes, given how many cores are busy.
 // The analytic cost model of the paper corresponds to Ideal; the

@@ -27,6 +27,19 @@ func TestTableIIMatchesPaper(t *testing.T) {
 	}
 }
 
+func TestRateTableByName(t *testing.T) {
+	for _, name := range []string{"table2", "i7", "exynos"} {
+		rt, err := RateTableByName(name)
+		if err != nil || rt.Len() == 0 {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	_, err := RateTableByName("arm")
+	if want := `unknown platform "arm" (want table2, i7, or exynos)`; err == nil || err.Error() != want {
+		t.Errorf("unknown name: error %v, want %q", err, want)
+	}
+}
+
 func TestIntelI7950(t *testing.T) {
 	rt := IntelI7950()
 	if rt.Len() != 12 {

@@ -46,16 +46,9 @@ func (p PlatformSpec) normalize() (PlatformSpec, model.CostParams, *platform.Pla
 	if p.Cores < 0 || p.Cores > 4096 {
 		return p, model.CostParams{}, nil, fmt.Errorf("cores must be in 1..4096, got %d", p.Cores)
 	}
-	var rates *model.RateTable
-	switch p.Platform {
-	case "table2":
-		rates = platform.TableII()
-	case "i7":
-		rates = platform.IntelI7950()
-	case "exynos":
-		rates = platform.ExynosT4412()
-	default:
-		return p, model.CostParams{}, nil, fmt.Errorf("unknown platform %q (want table2, i7, or exynos)", p.Platform)
+	rates, err := platform.RateTableByName(p.Platform)
+	if err != nil {
+		return p, model.CostParams{}, nil, err
 	}
 	params := model.CostParams{Re: p.Re, Rt: p.Rt}
 	if err := params.Validate(); err != nil {

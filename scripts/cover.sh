@@ -25,6 +25,7 @@ internal/online 72
 internal/core 78
 internal/server 82
 internal/cluster 75
+internal/audit 90
 '
 
 PKGS=$(printf '%s\n' "$FLOORS" | awk 'NF { printf("./%s ", $1) }')
