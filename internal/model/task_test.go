@@ -1,7 +1,10 @@
 package model
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -148,5 +151,75 @@ func TestTaskSetSplit(t *testing.T) {
 	}
 	if in[0].ID != 1 || in[1].ID != 3 || non[0].ID != 2 {
 		t.Error("Split did not preserve order")
+	}
+}
+
+// stableOracle sorts like the original TaskSet sorts: sort.SliceStable
+// with a (value, ID) comparator.
+func stableOracle(ts TaskSet, key func(Task) float64, desc bool) {
+	sort.SliceStable(ts, func(i, j int) bool {
+		a, b := key(ts[i]), key(ts[j])
+		//dvfslint:allow floatcmp the oracle repeats the original comparator
+		if a != b {
+			if desc {
+				return a > b
+			}
+			return a < b
+		}
+		return ts[i].ID < ts[j].ID
+	})
+}
+
+// TestTaskSetSortsMatchStableOracle checks the three TaskSet sorts
+// against sort.SliceStable with the original comparators on sets with
+// duplicate IDs, equal values, signed zeros and infinite arrivals: the
+// orders must agree element for element, so the position tie-break
+// reproduces stability exactly.
+func TestTaskSetSortsMatchStableOracle(t *testing.T) {
+	cycles := func(t Task) float64 { return t.Cycles }
+	arrival := func(t Task) float64 { return t.Arrival }
+	sorts := []struct {
+		name string
+		sort func(TaskSet)
+		key  func(Task) float64
+		desc bool
+	}{
+		{"SortByCyclesAsc", TaskSet.SortByCyclesAsc, cycles, false},
+		{"SortByCyclesDesc", TaskSet.SortByCyclesDesc, cycles, true},
+		{"ByArrival", TaskSet.ByArrival, arrival, false},
+	}
+	special := []float64{0, math.Copysign(0, -1), 1, 2, 3, 1e-300, 1e300, math.Inf(1)}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 400; trial++ {
+		n := rng.Intn(300)
+		if trial < 8 {
+			n = trial
+		}
+		ids := 1 + rng.Intn(n+1)
+		ts := make(TaskSet, n)
+		for i := range ts {
+			v := func() float64 {
+				switch rng.Intn(3) {
+				case 0:
+					return special[rng.Intn(len(special))]
+				case 1:
+					return float64(rng.Intn(4))
+				}
+				return rng.Float64() * 10
+			}
+			// Names record the original position, so equal tasks stay
+			// distinguishable.
+			ts[i] = Task{ID: rng.Intn(ids) - ids/2, Name: fmt.Sprint(i), Cycles: v(), Arrival: v()}
+		}
+		for _, s := range sorts {
+			got, want := ts.Clone(), ts.Clone()
+			s.sort(got)
+			stableOracle(want, s.key, s.desc)
+			for i := range got {
+				if got[i].Name != want[i].Name {
+					t.Fatalf("trial %d %s (n=%d): position %d holds task from %s, oracle %s", trial, s.name, n, i, got[i].Name, want[i].Name)
+				}
+			}
+		}
 	}
 }
