@@ -50,7 +50,7 @@ fuzz-smoke:
 # machine-readable baseline for this PR (diff against the previous
 # PR's with `make benchdiff`).
 bench:
-	scripts/bench.sh BENCH_PR16.json
+	scripts/bench.sh BENCH_PR19.json
 
 # Compare the two newest BENCH_PR<N>.json baselines (numeric order);
 # fails on >20% ns/op, allocs/op or B/op regressions and on any ckpt_B
@@ -73,7 +73,7 @@ benchdiff-test:
 	scripts/benchdiff_test.sh
 
 # Race-enabled per-package coverage floors for the engine-critical
-# packages, the cluster and the trace audit.
+# packages, the batch planners, the cluster and the trace audit.
 cover:
 	scripts/cover.sh
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"dvfsched/internal/model"
@@ -46,7 +47,13 @@ func (p *Plan) WriteJSON(w io.Writer) error {
 // AppendJSON appends the plan's compact self-contained document to
 // dst, byte-identical to json.Marshal of its planJSON form. It does not
 // validate the plan.
+//
+// A plan uses a handful of distinct rate levels, one per rate of its
+// cores' tables, so each level's `,"rate":…,"energy":…,"time":…}` tail
+// is formatted once per document and copied from its first occurrence
+// for every later task at that level.
 func (p *Plan) AppendJSON(dst []byte) []byte {
+	var tails levelTails
 	dst = append(dst, `{"re":`...)
 	dst = obs.AppendJSONFloat(dst, p.Params.Re)
 	dst = append(dst, `,"rt":`...)
@@ -57,7 +64,8 @@ func (p *Plan) AppendJSON(dst []byte) []byte {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, '[')
-		for j, a := range cp.Sequence {
+		for j := range cp.Sequence {
+			a := &cp.Sequence[j]
 			if j > 0 {
 				dst = append(dst, ',')
 			}
@@ -69,17 +77,47 @@ func (p *Plan) AppendJSON(dst []byte) []byte {
 			}
 			dst = append(dst, `,"cycles":`...)
 			dst = obs.AppendJSONFloat(dst, a.Task.Cycles)
-			dst = append(dst, `,"rate":`...)
-			dst = obs.AppendJSONFloat(dst, a.Level.Rate)
-			dst = append(dst, `,"energy":`...)
-			dst = obs.AppendJSONFloat(dst, a.Level.Energy)
-			dst = append(dst, `,"time":`...)
-			dst = obs.AppendJSONFloat(dst, a.Level.Time)
-			dst = append(dst, '}')
+			dst = tails.append(dst, a.Level)
 		}
 		dst = append(dst, ']')
 	}
 	return append(dst, "]}"...)
+}
+
+// levelTails remembers where in the document each rate level's
+// formatted tail first appeared, keyed by the bits of its three floats.
+// It holds 16 levels; a document with more formats the rest every time.
+type levelTails struct {
+	n    int
+	tail [16]struct {
+		rate, energy, time uint64
+		lo, hi             int
+	}
+}
+
+// append appends level's `,"rate":…,"energy":…,"time":…}` tail to dst,
+// copying it from an earlier occurrence in dst when there is one.
+func (lt *levelTails) append(dst []byte, level model.RateLevel) []byte {
+	rate, energy, time := math.Float64bits(level.Rate), math.Float64bits(level.Energy), math.Float64bits(level.Time)
+	for _, t := range lt.tail[:lt.n] {
+		if t.rate == rate && t.energy == energy && t.time == time {
+			return append(dst, dst[t.lo:t.hi]...)
+		}
+	}
+	lo := len(dst)
+	dst = append(dst, `,"rate":`...)
+	dst = obs.AppendJSONFloat(dst, level.Rate)
+	dst = append(dst, `,"energy":`...)
+	dst = obs.AppendJSONFloat(dst, level.Energy)
+	dst = append(dst, `,"time":`...)
+	dst = obs.AppendJSONFloat(dst, level.Time)
+	dst = append(dst, '}')
+	if lt.n < len(lt.tail) {
+		t := &lt.tail[lt.n]
+		t.rate, t.energy, t.time, t.lo, t.hi = rate, energy, time, lo, len(dst)
+		lt.n++
+	}
+	return dst
 }
 
 // ReadPlanJSON parses a plan written by WriteJSON and validates it.

@@ -1,7 +1,6 @@
 package batch
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -41,27 +40,48 @@ type slot struct {
 	k    int // backward position on that core
 }
 
+// before orders slots by cost, then core, then position: a total order,
+// since no two slots share a (core, k), so the heap's minimum is unique
+// however the heap is arranged.
+func (s slot) before(o slot) bool {
+	//dvfslint:allow floatcmp heap ordering needs a strict weak order; epsilon equality is intransitive
+	if s.cost != o.cost {
+		return s.cost < o.cost
+	}
+	if s.core != o.core {
+		return s.core < o.core // deterministic tie-break
+	}
+	return s.k < o.k
+}
+
+// slotHeap is a binary min-heap of slots, one per core.
 type slotHeap []slot
 
-func (h slotHeap) Len() int { return len(h) }
-func (h slotHeap) Less(i, j int) bool {
-	//dvfslint:allow floatcmp heap ordering needs a strict weak order; epsilon equality is intransitive
-	if h[i].cost != h[j].cost {
-		return h[i].cost < h[j].cost
+// init establishes the heap order over arbitrary contents.
+func (h slotHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
-	if h[i].core != h[j].core {
-		return h[i].core < h[j].core // deterministic tie-break
-	}
-	return h[i].k < h[j].k
 }
-func (h slotHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *slotHeap) Push(x interface{}) { *h = append(*h, x.(slot)) }
-func (h *slotHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// down sifts h[i] toward the leaves until neither child precedes it.
+func (h slotHeap) down(i int) {
+	s := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(s) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = s
 }
 
 // WBG implements Algorithm 3, Workload Based Greedy: the optimal batch
@@ -114,36 +134,63 @@ func WBGContext(ctx context.Context, params model.CostParams, cores []CoreSpec, 
 	sorted := tasks.Clone()
 	sorted.SortByCyclesDesc()
 
-	h := make(slotHeap, 0, len(cores))
+	h := make(slotHeap, len(cores))
 	for j := range cores {
-		h = append(h, slot{cost: envs[j].Cost(1), core: j, k: 1})
+		h[j] = slot{cost: envs[j].Cost(1), core: j, k: 1}
 	}
-	heap.Init(&h)
+	h.init()
 
-	// backward[j] collects core j's tasks in backward-position order
-	// (index 0 is backward position 1, i.e. the task that runs last).
-	backward := make([][]model.Assignment, len(cores))
-	for n, task := range sorted {
+	// The greedy loop only records where each task goes; the plan is
+	// laid out once the per-core counts are known.
+	placed := make([]placement, len(sorted))
+	counts := make([]int, len(cores))
+	for n := range sorted {
 		if n%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("batch: plan canceled: %w", err)
 			}
 		}
-		s := heap.Pop(&h).(slot)
-		level := envs[s.core].LevelFor(s.k)
-		backward[s.core] = append(backward[s.core], model.Assignment{Task: task, Level: level})
-		heap.Push(&h, slot{cost: envs[s.core].Cost(s.k + 1), core: s.core, k: s.k + 1})
+		// Placing a task takes the top slot and replaces it with the
+		// same core's next backward position.
+		s := &h[0]
+		env := envs[s.core]
+		placed[n] = placement{core: s.core, level: env.LevelFor(s.k)}
+		counts[s.core] = s.k
+		s.k++
+		s.cost = env.Cost(s.k)
+		h.down(0)
 	}
+	return layOut(params, sorted, counts, func(n int) placement { return placed[n] }), nil
+}
 
-	plan := &Plan{Params: params, Cores: make([]CorePlan, len(cores))}
-	for j, bw := range backward {
-		seq := make([]model.Assignment, len(bw))
-		for i, a := range bw {
-			seq[len(bw)-1-i] = a // reverse: backward pos 1 runs last
-		}
-		plan.Cores[j] = CorePlan{Core: j, Sequence: seq}
+// placement is where the greedy put one task: its core and rate level.
+type placement struct {
+	core  int
+	level model.RateLevel
+}
+
+// layOut builds a plan from tasks in non-increasing cycle order, where
+// task n goes to place(n) and counts[j] tasks go to core j. All
+// assignments share one exact-size slab, and core j's Sequence is a
+// capped sub-slice of it, filled from its end: the first task placed on
+// a core (backward position 1) runs last.
+func layOut(params model.CostParams, sorted model.TaskSet, counts []int, place func(n int) placement) *Plan {
+	slab := make([]model.Assignment, len(sorted))
+	plan := &Plan{Params: params, Cores: make([]CorePlan, len(counts))}
+	// next[j] is the slab index of core j's next placement.
+	next := make([]int, len(counts))
+	end := 0
+	for j, c := range counts {
+		end += c
+		plan.Cores[j] = CorePlan{Core: j, Sequence: slab[end-c : end : end]}
+		next[j] = end - 1
 	}
-	return plan, nil
+	for n := range sorted {
+		p := place(n)
+		slab[next[p.core]] = model.Assignment{Task: sorted[n], Level: p.level}
+		next[p.core]--
+	}
+	return plan
 }
 
 // resolveEnvelopes materializes each core's dominating-range envelope,
@@ -218,23 +265,18 @@ func Homogeneous(params model.CostParams, rates *model.RateTable, r int, tasks m
 	sorted := tasks.Clone()
 	sorted.SortByCyclesDesc()
 
-	backward := make([][]model.Assignment, r)
+	// The i-th longest task goes to core i mod r, so core j gets every
+	// r-th task from j on.
+	counts := make([]int, r)
+	for j := range counts {
+		counts[j] = (len(sorted) - j + r - 1) / r
+	}
 	ri := 0
-	for i, task := range sorted {
+	return layOut(params, sorted, counts, func(i int) placement {
 		k := i/r + 1
 		for !env.Range(ri).Contains(k) {
 			ri++
 		}
-		j := i % r
-		backward[j] = append(backward[j], model.Assignment{Task: task, Level: env.Range(ri).Level})
-	}
-	plan := &Plan{Params: params, Cores: make([]CorePlan, r)}
-	for j, bw := range backward {
-		seq := make([]model.Assignment, len(bw))
-		for i, a := range bw {
-			seq[len(bw)-1-i] = a
-		}
-		plan.Cores[j] = CorePlan{Core: j, Sequence: seq}
-	}
-	return plan, nil
+		return placement{core: i % r, level: env.Range(ri).Level}
+	}), nil
 }

@@ -1,7 +1,6 @@
 package batch
 
 import (
-	"dvfsched/internal/envelope"
 	"dvfsched/internal/model"
 )
 
@@ -14,36 +13,9 @@ import (
 // depends only on its position: the task at backward position k (k = 1
 // runs last) uses the rate whose dominating position range contains k.
 // Front tasks therefore run short-and-fast, tail tasks long-and-slow.
+// On one core the round robin of Theorem 4 is exactly this: the i-th
+// longest task takes backward position i+1, its rate found by walking
+// the envelope ranges in one pass (the loop structure of Algorithm 2).
 func SingleCore(params model.CostParams, rates *model.RateTable, tasks model.TaskSet) (*Plan, error) {
-	env, err := envelope.Compute(params, rates)
-	if err != nil {
-		return nil, err
-	}
-	if err := tasks.Validate(); err != nil {
-		return nil, err
-	}
-	seq := sequenceForCore(env, tasks)
-	plan := &Plan{Params: params, Cores: []CorePlan{{Core: 0, Sequence: seq}}}
-	return plan, nil
-}
-
-// sequenceForCore orders tasks shortest-first and assigns each its
-// dominating rate by backward position, walking the envelope ranges in
-// one pass (the loop structure of Algorithm 2).
-func sequenceForCore(env *envelope.Envelope, tasks model.TaskSet) []model.Assignment {
-	sorted := tasks.Clone()
-	// L^B_k non-increasing in k: backward position 1 (runs last) is
-	// the longest task.
-	sorted.SortByCyclesDesc()
-	n := len(sorted)
-	seq := make([]model.Assignment, n)
-	ri := 0
-	for k := 1; k <= n; k++ { // k is the backward position
-		for !env.Range(ri).Contains(k) {
-			ri++
-		}
-		// Backward position k is forward position n-k+1.
-		seq[n-k] = model.Assignment{Task: sorted[k-1], Level: env.Range(ri).Level}
-	}
-	return seq
+	return Homogeneous(params, rates, 1, tasks)
 }

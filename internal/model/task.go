@@ -1,10 +1,11 @@
 package model
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Task is a sequence of instructions to be executed by one core, as in
@@ -103,37 +104,90 @@ func (ts TaskSet) Clone() TaskSet {
 // optimal single-core execution order of Theorem 3), breaking ties by ID
 // for determinism.
 func (ts TaskSet) SortByCyclesAsc() {
-	sort.SliceStable(ts, func(i, j int) bool {
-		//dvfslint:allow floatcmp sort tie-break needs a strict weak order; epsilon equality is intransitive
-		if ts[i].Cycles != ts[j].Cycles {
-			return ts[i].Cycles < ts[j].Cycles
-		}
-		return ts[i].ID < ts[j].ID
-	})
+	ts.sortByKey(func(t *Task) float64 { return t.Cycles })
 }
 
 // SortByCyclesDesc sorts tasks in non-increasing order of cycles (the
 // assignment order used by Workload Based Greedy), breaking ties by ID.
 func (ts TaskSet) SortByCyclesDesc() {
-	sort.SliceStable(ts, func(i, j int) bool {
-		//dvfslint:allow floatcmp sort tie-break needs a strict weak order; epsilon equality is intransitive
-		if ts[i].Cycles != ts[j].Cycles {
-			return ts[i].Cycles > ts[j].Cycles
-		}
-		return ts[i].ID < ts[j].ID
-	})
+	// Negation is exact, so ascending -L is descending L.
+	ts.sortByKey(func(t *Task) float64 { return -t.Cycles })
 }
 
 // ByArrival sorts tasks by arrival time (stable, ties by ID), the order
 // an online scheduler observes them.
 func (ts TaskSet) ByArrival() {
-	sort.SliceStable(ts, func(i, j int) bool {
-		//dvfslint:allow floatcmp sort tie-break needs a strict weak order; epsilon equality is intransitive
-		if ts[i].Arrival != ts[j].Arrival {
-			return ts[i].Arrival < ts[j].Arrival
+	ts.sortByKey(func(t *Task) float64 { return t.Arrival })
+}
+
+// sortKey is one task's place in a sort: the compared value, the ID
+// tie-break and the task's position before the sort.
+type sortKey struct {
+	v   float64
+	id  int
+	pos int
+}
+
+// sortByKey orders tasks by (key, ID), keeping the input order among
+// tasks equal in both, as a stable sort would. It sorts a pointer-free
+// key slice, in which the original position breaks every remaining tie,
+// so the order is total and the unstable slices.SortFunc yields exactly
+// the stable order; it then moves each task once, following the
+// permutation's cycles in place. Keys compare with < and >, so signed
+// zeros tie; a NaN key (which Validate rejects) has no defined place.
+func (ts TaskSet) sortByKey(key func(*Task) float64) {
+	// A set already in order, such as a batch of arrivals submitted in
+	// time order, is one a stable sort would leave as it is.
+	if ts.inOrder(key) {
+		return
+	}
+	keys := make([]sortKey, len(ts))
+	for i := range ts {
+		keys[i] = sortKey{v: key(&ts[i]), id: ts[i].ID, pos: i}
+	}
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		switch {
+		case a.v < b.v:
+			return -1
+		case a.v > b.v:
+			return 1
 		}
-		return ts[i].ID < ts[j].ID
+		if c := cmp.Compare(a.id, b.id); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
 	})
+	// ts[i] takes the task that stood at keys[i].pos; a visited slot is
+	// marked by pointing its key at itself.
+	for i := range keys {
+		if keys[i].pos == i {
+			continue
+		}
+		held := ts[i]
+		j := i
+		for {
+			from := keys[j].pos
+			keys[j].pos = j
+			if from == i {
+				ts[j] = held
+				break
+			}
+			ts[j] = ts[from]
+			j = from
+		}
+	}
+}
+
+// inOrder reports whether every task comes at or after its predecessor
+// in (key, ID) order.
+func (ts TaskSet) inOrder(key func(*Task) float64) bool {
+	for i := 1; i < len(ts); i++ {
+		a, b := key(&ts[i-1]), key(&ts[i])
+		if b < a || (!(b > a) && ts[i].ID < ts[i-1].ID) {
+			return false
+		}
+	}
+	return true
 }
 
 // Split partitions the set into interactive and non-interactive subsets,

@@ -127,6 +127,13 @@ func (p *planner) compute(job planJob) (PlanResponse, error) {
 	}
 	eCost, tCost, total := plan.Cost()
 	joules, makespan, turnaround := plan.EnergyTime()
+	// JSON has no infinity: an overflowed total would be served, and
+	// cached, as null, which a float64 client decodes as 0.
+	for _, v := range [...]float64{eCost, tCost, total, joules, makespan, turnaround} {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return PlanResponse{}, fmt.Errorf("plan totals overflow float64 (total cost %v, %v J, makespan %v s, turnaround sum %v s)", total, joules, makespan, turnaround)
+		}
+	}
 	resp := PlanResponse{
 		EnergyCost:     eCost,
 		TimeCost:       tCost,

@@ -196,6 +196,34 @@ func TestPlanCacheRefusesUnbatchable(t *testing.T) {
 	}
 }
 
+// TestPlanRefusesOverflowingTotals posts a workload whose costs
+// overflow float64. JSON cannot carry the infinite totals, so the plan
+// must be refused with 400, on a repeat too, and never cached.
+func TestPlanRefusesOverflowingTotals(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	body := `{"tasks":[{"id":1,"cycles":1e308}]}`
+	for i := 0; i < 2; i++ {
+		resp, err := http.Post(ts.URL+"/v1/plan", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "overflow") {
+			t.Fatalf("request %d: status %d, body %s; want 400 naming the overflow", i+1, resp.StatusCode, raw)
+		}
+	}
+	if n := s.planner.cache.len(); n != 0 {
+		t.Fatalf("cache holds %d entries after refused plans", n)
+	}
+	if snap := s.Registry().Snapshot(); snap.Counters[obs.ServerPlans] != 0 || snap.Counters[obs.ServerPlanCacheHits] != 0 {
+		t.Fatalf("counters after refused plans: %+v", snap.Counters)
+	}
+}
+
 func TestPlanRejectsBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := []struct {
@@ -373,6 +401,35 @@ func TestSessionRejectsStaleArrivalsAndDrainedSubmits(t *testing.T) {
 		Tasks: []trace.Record{{ID: 2, Cycles: 5, Arrival: 1e6}},
 	}, &eresp); code != http.StatusConflict || eresp.Error.Code != "session_drained" {
 		t.Fatalf("submit after drain: status %d error %+v", code, eresp.Error)
+	}
+}
+
+// TestSessionRefusedFarFutureSubmitLeavesNoTrace submits a task whose
+// arrival is past the engine's max time. The 400 must leave nothing
+// behind: the same ID then submits at a reachable arrival, and the
+// drain succeeds with both accepted tasks.
+func TestSessionRefusedFarFutureSubmitLeavesNoTrace(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	var info SessionInfo
+	doJSON(t, "POST", ts.URL+"/v1/sessions", PlatformSpec{Cores: 1}, &info)
+	base := ts.URL + "/v1/sessions/" + info.ID
+
+	submit := func(id int, arrival float64, out any) int {
+		return doJSON(t, "POST", base+"/tasks", SubmitRequest{Tasks: []trace.Record{{ID: id, Cycles: 5, Arrival: arrival}}}, out)
+	}
+	if code := submit(1, 1, nil); code != http.StatusOK {
+		t.Fatalf("submit 1: status %d", code)
+	}
+	var eresp errorResponse
+	if code := submit(2, 2e9, &eresp); code != http.StatusBadRequest || !strings.Contains(eresp.Error.Message, "max time") {
+		t.Fatalf("far-future submit: status %d error %+v", code, eresp.Error)
+	}
+	if code := submit(2, 5, &eresp); code != http.StatusOK {
+		t.Fatalf("resubmit of the refused ID: status %d error %+v", code, eresp.Error)
+	}
+	var drain DrainResponse
+	if code := doJSON(t, "DELETE", base, nil, &drain); code != http.StatusOK || drain.Tasks != 2 {
+		t.Fatalf("drain: status %d, %d tasks; want 200 with 2", code, drain.Tasks)
 	}
 }
 

@@ -99,8 +99,10 @@ func (s *Session) Pending() int { return s.e.undone }
 
 // Inject adds tasks to the session. Every task must validate, carry an
 // ID never seen by this session, and arrive at or after the current
-// virtual clock (a session cannot rewrite the past). Tasks become
-// visible to the policy when virtual time reaches their arrival.
+// virtual clock (a session cannot rewrite the past) and no later than
+// the max time, past which virtual time cannot advance. Tasks become
+// visible to the policy when virtual time reaches their arrival. A
+// refused batch leaves the session unchanged.
 func (s *Session) Inject(tasks model.TaskSet) error {
 	if s.finished {
 		return ErrSessionFinished
@@ -114,6 +116,9 @@ func (s *Session) Inject(tasks model.TaskSet) error {
 		}
 		if t.Arrival < s.e.clock {
 			return fmt.Errorf("sim: task %d arrives at %v, before the session clock %v", t.ID, t.Arrival, s.e.clock)
+		}
+		if t.Arrival > s.maxTime {
+			return fmt.Errorf("sim: task %d arrives at %v, past the max time %v", t.ID, t.Arrival, s.maxTime)
 		}
 	}
 	e := s.e

@@ -140,6 +140,54 @@ func TestSessionRejectsPastArrivalsAndDuplicates(t *testing.T) {
 	}
 }
 
+// TestSessionRefusesArrivalPastMaxTime injects a batch with one task
+// arriving past the max time, which virtual time can never reach. Inject
+// must refuse the whole batch before changing anything: no event is
+// queued, no ID is taken, and the batch's IDs inject cleanly afterwards.
+func TestSessionRefusesArrivalPastMaxTime(t *testing.T) {
+	plat := platform.Homogeneous(1, platform.TableII(), platform.Ideal{})
+	s, err := OpenSession(Config{Platform: plat, Policy: &sessionFIFO{}}, sessionParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	task := func(id int, arrival float64) model.Task {
+		return model.Task{ID: id, Cycles: 5, Arrival: arrival, Deadline: model.NoDeadline}
+	}
+	if err := s.Inject(model.TaskSet{task(1, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AdvanceTo(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	type state struct {
+		clock                  uint64
+		pending, events, tasks int
+		ids                    int
+		orderCtr               uint64
+	}
+	snap := func() state {
+		return state{math.Float64bits(s.Clock()), s.Pending(), len(s.e.events), len(s.e.tasks), len(s.ids), s.e.orderCtr}
+	}
+	before := snap()
+	if err := s.Inject(model.TaskSet{task(2, 3), task(3, 2e9)}); err == nil || !strings.Contains(err.Error(), "past the max time") {
+		t.Fatalf("arrival past max time accepted: %v", err)
+	}
+	if after := snap(); after != before {
+		t.Fatalf("refused batch changed the session: %+v -> %+v", before, after)
+	}
+	if err := s.Inject(model.TaskSet{task(2, 3), task(3, 5)}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Finish(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Tasks) != 3 {
+		t.Fatalf("drained %d tasks, want 3", len(res.Tasks))
+	}
+}
+
 func TestSessionAdvanceLeavesFutureWorkPending(t *testing.T) {
 	plat := platform.Homogeneous(1, platform.TableII(), platform.Ideal{})
 	s, err := OpenSession(Config{Platform: plat, Policy: &sessionFIFO{}}, sessionParams)

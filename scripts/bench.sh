@@ -4,12 +4,12 @@
 # Usage: scripts/bench.sh [output.json]
 #
 # Runs `go test -bench` over the performance-sensitive packages (the
-# simulator's event loop, the online session facade, envelope
-# construction, the order-statistic tree, the dynamic single-core
-# scheduler, the LMC online policy, the trace codecs, the HTTP service,
-# and the cluster replication stream) and converts the results into a
-# JSON array so successive PRs can diff ns/op and allocs/op
-# mechanically.
+# simulator's event loop, the online session facade, the batch
+# planners, envelope construction, the order-statistic tree, the
+# dynamic single-core scheduler, the LMC online policy, the trace
+# codecs, the HTTP service, and the cluster replication stream) and
+# converts the results into a JSON array so successive PRs can diff
+# ns/op and allocs/op mechanically.
 #
 # Every benchmark runs COUNT times (default 5) for BENCHTIME each
 # (default 1s; shorter runs let a burst of load from elsewhere on the
@@ -27,10 +27,10 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-OUT=${1:-BENCH_PR16.json}
+OUT=${1:-BENCH_PR19.json}
 BENCHTIME=${BENCHTIME:-1s}
 COUNT=${COUNT:-5}
-PKGS=${BENCH_PKGS:-./internal/sim ./internal/core ./internal/envelope ./internal/rangetree ./internal/dynsched ./internal/online ./internal/obs ./internal/server ./internal/cluster}
+PKGS=${BENCH_PKGS:-./internal/sim ./internal/core ./internal/batch ./internal/envelope ./internal/rangetree ./internal/dynsched ./internal/online ./internal/obs ./internal/server ./internal/cluster}
 
 RAW=${BENCH_LOG:-}
 if [ -z "$RAW" ]; then

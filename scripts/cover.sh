@@ -16,6 +16,8 @@ cd "$(dirname "$0")/.."
 # "<package> <floor-percent>" pairs; package is module-relative.
 FLOORS='
 internal/model 88
+internal/envelope 90
+internal/batch 85
 internal/trace 90
 internal/obs 90
 internal/rangetree 90
