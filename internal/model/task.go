@@ -136,11 +136,6 @@ type sortKey struct {
 // permutation's cycles in place. Keys compare with < and >, so signed
 // zeros tie; a NaN key (which Validate rejects) has no defined place.
 func (ts TaskSet) sortByKey(key func(*Task) float64) {
-	// A set already in order, such as a batch of arrivals submitted in
-	// time order, is one a stable sort would leave as it is.
-	if ts.inOrder(key) {
-		return
-	}
 	keys := make([]sortKey, len(ts))
 	for i := range ts {
 		keys[i] = sortKey{v: key(&ts[i]), id: ts[i].ID, pos: i}
@@ -176,18 +171,6 @@ func (ts TaskSet) sortByKey(key func(*Task) float64) {
 			j = from
 		}
 	}
-}
-
-// inOrder reports whether every task comes at or after its predecessor
-// in (key, ID) order.
-func (ts TaskSet) inOrder(key func(*Task) float64) bool {
-	for i := 1; i < len(ts); i++ {
-		a, b := key(&ts[i-1]), key(&ts[i])
-		if b < a || (!(b > a) && ts[i].ID < ts[i-1].ID) {
-			return false
-		}
-	}
-	return true
 }
 
 // Split partitions the set into interactive and non-interactive subsets,
