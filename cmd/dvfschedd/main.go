@@ -11,7 +11,7 @@
 //	          [-trace-format jsonl|binary] [-pprof-addr 127.0.0.1:6060]
 //	          [-node-id ID -peers "id1=http://h1:p1,id2=http://h2:p2,..."]
 //	          [-node-id ID -advertise http://h:p -join http://seed:p]
-//	          [-ship-window N] [-ship-flush-interval D]
+//	          [-probe-interval 2s] [-ship-window N] [-ship-flush-interval D]
 //
 // With -node-id and -peers the daemon seeds a cluster
 // (internal/cluster): a consistent-hash ring places each session on an
@@ -81,7 +81,6 @@ func run(args []string, w io.Writer, sigs <-chan os.Signal) error {
 		queue        = fs.Int("queue", 0, "planning queue depth (0 = 4x workers)")
 		cache        = fs.Int("cache", 0, "plan LRU cache entries (0 = 256, negative disables)")
 		maxSessions  = fs.Int("max-sessions", 0, "concurrent session cap (0 = 1024)")
-		sessParallel = fs.Int("session-parallelism", 0, "per-session candidate-evaluation pool width (<2 = sequential)")
 		reqTimeout   = fs.Duration("request-timeout", 0, "per-request deadline (0 = 30s)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 		traceFormat  = fs.String("trace-format", "jsonl", "default session events encoding: jsonl or binary (?format= overrides)")
@@ -147,13 +146,12 @@ func run(args []string, w io.Writer, sigs <-chan os.Signal) error {
 	}
 
 	s := server.New(server.Config{
-		Workers:            *workers,
-		QueueDepth:         *queue,
-		CacheSize:          *cache,
-		MaxSessions:        *maxSessions,
-		SessionParallelism: *sessParallel,
-		RequestTimeout:     *reqTimeout,
-		TraceFormat:        *traceFormat,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		CacheSize:      *cache,
+		MaxSessions:    *maxSessions,
+		RequestTimeout: *reqTimeout,
+		TraceFormat:    *traceFormat,
 	})
 	defer s.Close()
 

@@ -46,9 +46,9 @@ func main() {
 		{ID: 8, Name: "report", Cycles: 60, Deadline: model.NoDeadline},
 	}
 
-	// A scheduler with the default options: shared envelope cache,
-	// sequential candidate evaluation. Add core.WithParallelism(4) to
-	// probe candidate cores concurrently — the schedule is identical.
+	// A scheduler with the default options: the shared envelope cache
+	// and no observability. Add core.WithSink or core.WithMetrics to
+	// record events or counters; the schedule is identical.
 	sched, err := core.New(params, plat)
 	if err != nil {
 		log.Fatal(err)

@@ -56,7 +56,7 @@ func realSession(t *testing.T) fixture {
 	call(http.MethodPost, path+"/tasks", `{"tasks":[`+strings.Join(recs, ",")+`]}`, http.StatusOK, nil)
 	call(http.MethodDelete, path, "", http.StatusOK, f.drain)
 	var err error
-	if f.events, err = srv.SessionEventsSince(info.ID, 0); err != nil {
+	if f.events, err = srv.AppendSessionEventsSince(info.ID, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	return f

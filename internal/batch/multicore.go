@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"dvfsched/internal/envelope"
 	"dvfsched/internal/model"
@@ -91,42 +90,25 @@ func (h slotHeap) down(i int) {
 // the least per-cycle cost C_j(k), taken from a min-heap seeded with
 // C_j(1) for every core. It runs in O(|J| (log |J| + log R) + R|P|).
 func WBG(params model.CostParams, cores []CoreSpec, tasks model.TaskSet) (*Plan, error) {
-	return WBGContext(context.Background(), params, cores, tasks, Opts{})
+	return WBGContext(context.Background(), params, cores, tasks, nil)
 }
-
-// Opts tunes WBGContext without changing its results.
-type Opts struct {
-	// Cache, if non-nil, resolves per-core envelopes through the
-	// memoized cache instead of recomputing them.
-	Cache *envelope.Cache
-	// Workers, when >= 2 and the core set has at least
-	// MinParallelCores cores, resolves per-core envelopes with that
-	// many concurrent workers.
-	Workers int
-}
-
-// MinParallelCores is the smallest core count for which parallel
-// per-core evaluation is worth the handoff overhead; below it the
-// sequential path is used regardless of configured workers.
-const MinParallelCores = 4
 
 // ctxCheckInterval is how many greedy placements WBGContext performs
 // between context polls.
 const ctxCheckInterval = 1024
 
-// WBGContext is WBG with cancellation and optional envelope caching
-// and parallel per-core envelope resolution. The schedule is identical
-// to WBG's for identical inputs: the cache returns the same envelopes
-// Compute would, and parallelism only covers the per-core resolution,
-// never the (order-sensitive) greedy loop.
-func WBGContext(ctx context.Context, params model.CostParams, cores []CoreSpec, tasks model.TaskSet, opts Opts) (*Plan, error) {
+// WBGContext is WBG with cancellation and, when cache is non-nil,
+// per-core envelopes resolved through the memoized cache instead of
+// recomputed. The schedule is identical to WBG's for identical inputs:
+// the cache returns the same envelopes Compute would.
+func WBGContext(ctx context.Context, params model.CostParams, cores []CoreSpec, tasks model.TaskSet, cache *envelope.Cache) (*Plan, error) {
 	if len(cores) == 0 {
 		return nil, ErrNoCores
 	}
 	if err := tasks.Validate(); err != nil {
 		return nil, err
 	}
-	envs, err := resolveEnvelopes(params, cores, opts)
+	envs, err := resolveEnvelopes(params, cores, cache)
 	if err != nil {
 		return nil, err
 	}
@@ -194,54 +176,18 @@ func layOut(params model.CostParams, sorted model.TaskSet, counts []int, place f
 }
 
 // resolveEnvelopes materializes each core's dominating-range envelope,
-// through the cache when one is configured and across workers when the
-// core set is wide enough to amortize the goroutine handoffs.
-func resolveEnvelopes(params model.CostParams, cores []CoreSpec, opts Opts) ([]*envelope.Envelope, error) {
+// through cache when it is non-nil.
+func resolveEnvelopes(params model.CostParams, cores []CoreSpec, cache *envelope.Cache) ([]*envelope.Envelope, error) {
 	envs := make([]*envelope.Envelope, len(cores))
-	one := func(i int) error {
-		var env *envelope.Envelope
+	for i, c := range cores {
 		var err error
-		if opts.Cache != nil {
-			env, err = opts.Cache.Get(params, cores[i].Rates)
+		if cache != nil {
+			envs[i], err = cache.Get(params, c.Rates)
 		} else {
-			env, err = envelope.Compute(params, cores[i].Rates)
+			envs[i], err = envelope.Compute(params, c.Rates)
 		}
 		if err != nil {
-			return fmt.Errorf("batch: core %d: %w", i, err)
-		}
-		envs[i] = env
-		return nil
-	}
-	workers := opts.Workers
-	if workers > len(cores) {
-		workers = len(cores)
-	}
-	if workers < 2 || len(cores) < MinParallelCores {
-		for i := range cores {
-			if err := one(i); err != nil {
-				return nil, err
-			}
-		}
-		return envs, nil
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(cores); i += workers {
-				if err := one(i); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("batch: core %d: %w", i, err)
 		}
 	}
 	return envs, nil

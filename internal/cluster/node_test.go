@@ -271,7 +271,7 @@ func TestClusterReplicationParity(t *testing.T) {
 		t.Fatalf("drain: %d tasks, want %d", dr.Tasks, next-1)
 	}
 
-	ownerEvents, err := tc.byID[owner].srv.SessionEventsSince(info.ID, 0)
+	ownerEvents, err := tc.byID[owner].srv.AppendSessionEventsSince(info.ID, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestClusterReplicationParity(t *testing.T) {
 	rep.mu.Lock()
 	spec := rep.spec
 	checkpoint := append([]byte(nil), rep.checkpoint...)
-	log := rep.log.snapshot()
+	log := rep.log.Events()
 	rep.mu.Unlock()
 
 	if len(checkpoint) == 0 {
@@ -292,7 +292,7 @@ func TestClusterReplicationParity(t *testing.T) {
 		t.Fatalf("replica log diverges from owner trace: %d vs %d events", len(log), len(ownerEvents))
 	}
 
-	rb, err := server.ReplaySession(context.Background(), spec, 0, checkpoint, log)
+	rb, err := server.ReplaySession(context.Background(), spec, checkpoint, log)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,48 +21,13 @@ type replica struct {
 	// mu, so a drop never nests the two locks.
 	from string
 
-	mu         sync.Mutex
-	spec       server.PlatformSpec
-	log        replicaLog
-	lastSeq    uint64 // Seq of the last appended event
+	mu   sync.Mutex
+	spec server.PlatformSpec
+	// log is the shipped event log. Its last event's Seq is the log
+	// tail every append and checkpoint is checked against.
+	log        obs.Recorder
 	checkpoint []byte
 	cpSeq      uint64 // EvSeq of the stored checkpoint
-}
-
-// replicaLogChunk is the event count per replica log chunk.
-const replicaLogChunk = 1024
-
-// replicaLog is the shipped event log, stored as fixed-size chunks.
-// One flat slice would re-copy — and the allocator re-zero — the
-// entire history on every doubling step, a pause that grows with
-// session length and briefly doubles the log's memory; appends land on
-// the replication ack path, so they must stay O(1) with no spikes.
-// Reads that want one contiguous slice (promotion, test oracles) are
-// rare and pay the copy instead.
-type replicaLog struct {
-	chunks [][]obs.Event
-	n      int
-}
-
-func (l *replicaLog) len() int { return l.n }
-
-func (l *replicaLog) append(ev obs.Event) {
-	if len(l.chunks) == 0 || len(l.chunks[len(l.chunks)-1]) == replicaLogChunk {
-		l.chunks = append(l.chunks, make([]obs.Event, 0, replicaLogChunk))
-	}
-	last := len(l.chunks) - 1
-	l.chunks[last] = append(l.chunks[last], ev)
-	l.n++
-}
-
-// snapshot materializes the log as one freshly allocated contiguous
-// slice, in append order.
-func (l *replicaLog) snapshot() []obs.Event {
-	out := make([]obs.Event, 0, l.n)
-	for _, c := range l.chunks {
-		out = append(out, c...)
-	}
-	return out
 }
 
 // replicaStore holds the node's replicas, keyed by session ID.
@@ -141,17 +106,18 @@ func (rs *replicaStore) ids() []string {
 func (rep *replica) appendLog(events []obs.Event) error {
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
+	lastSeq := rep.log.LastSeq()
 	for _, ev := range events {
-		if ev.Seq <= rep.lastSeq {
+		if ev.Seq <= lastSeq {
 			continue
 		}
-		if rep.lastSeq != 0 || rep.log.len() > 0 {
-			if ev.Seq != rep.lastSeq+1 {
-				return fmt.Errorf("log gap: have seq %d, got %d", rep.lastSeq, ev.Seq)
+		if lastSeq != 0 || rep.log.Len() > 0 {
+			if ev.Seq != lastSeq+1 {
+				return fmt.Errorf("log gap: have seq %d, got %d", lastSeq, ev.Seq)
 			}
 		}
-		rep.log.append(ev)
-		rep.lastSeq = ev.Seq
+		rep.log.Emit(ev)
+		lastSeq = ev.Seq
 	}
 	return nil
 }
@@ -163,8 +129,8 @@ func (rep *replica) appendLog(events []obs.Event) error {
 func (rep *replica) setCheckpoint(blob []byte, evSeq uint64) error {
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
-	if evSeq > rep.lastSeq {
-		return fmt.Errorf("checkpoint at seq %d ahead of log tail %d", evSeq, rep.lastSeq)
+	if lastSeq := rep.log.LastSeq(); evSeq > lastSeq {
+		return fmt.Errorf("checkpoint at seq %d ahead of log tail %d", evSeq, lastSeq)
 	}
 	rep.checkpoint = blob
 	rep.cpSeq = evSeq

@@ -125,16 +125,15 @@ func TestClusterStreamHealsAckGap(t *testing.T) {
 	// Truncate to a NONZERO tail: a replica emptied to zero would accept
 	// any re-ship as a fresh log, never reporting the gap this test is
 	// about. Keeping event 1 forces the next frame (which starts past
-	// the owner's ack cursor) to collide with lastSeq=1.
+	// the owner's ack cursor) to collide with a log tail at seq 1.
 	rep.mu.Lock()
-	if rep.log.len() < 2 {
+	if rep.log.Len() < 2 {
 		rep.mu.Unlock()
-		t.Fatalf("replica holds %d events, need >= 2 to truncate", rep.log.len())
+		t.Fatalf("replica holds %d events, need >= 2 to truncate", rep.log.Len())
 	}
-	first := rep.log.chunks[0][0]
-	rep.log = replicaLog{}
-	rep.log.append(first)
-	rep.lastSeq = first.Seq
+	first := rep.log.Events()[0]
+	rep.log = obs.Recorder{}
+	rep.log.Emit(first)
 	rep.mu.Unlock()
 
 	// One submit, one request: the gap must be detected and healed
@@ -146,12 +145,12 @@ func TestClusterStreamHealsAckGap(t *testing.T) {
 		t.Errorf("owner heal counter %v after a forced gap, want >= 1", v)
 	}
 
-	ownerEvents, err := tc.byID[owner].srv.SessionEventsSince(info.ID, 0)
+	ownerEvents, err := tc.byID[owner].srv.AppendSessionEventsSince(info.ID, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep.mu.Lock()
-	repLog := rep.log.snapshot()
+	repLog := rep.log.Events()
 	rep.mu.Unlock()
 	if !bytes.Equal(obs.AppendBinary(nil, repLog), obs.AppendBinary(nil, ownerEvents)) {
 		t.Fatalf("healed replica log diverges from owner trace: %d vs %d events", len(repLog), len(ownerEvents))

@@ -34,16 +34,13 @@ func (s *Scheduler) RestoreOnline(ctx context.Context, snapshot []byte) (*Online
 	if err != nil {
 		return nil, err
 	}
-	lmc, pool, err := s.newLMC()
+	lmc, err := s.newLMC()
 	if err != nil {
 		return nil, err
 	}
 	sess, err := sim.RestoreSession(sim.Config{Platform: s.plat, Policy: lmc, Sink: s.sink}, s.params, cp)
 	if err != nil {
-		if pool != nil {
-			pool.Close()
-		}
 		return nil, err
 	}
-	return &OnlineSession{sess: sess, lmc: lmc, pool: pool}, nil
+	return &OnlineSession{sess: sess, lmc: lmc}, nil
 }

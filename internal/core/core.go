@@ -8,7 +8,7 @@
 //
 //	sched, err := core.New(params, plat,
 //		core.WithMetrics(reg),
-//		core.WithParallelism(4))
+//		core.WithSink(rec))
 //
 // Every entry point takes a context.Context; canceling it aborts
 // planning and simulation work with an error matching ErrCanceled.
@@ -72,11 +72,10 @@ type Scheduler struct {
 	params model.CostParams
 	plat   *platform.Platform
 
-	sink     obs.Sink
-	metrics  *obs.Registry
-	cache    *envelope.Cache
-	parallel int
-	clock    func() time.Time
+	sink    obs.Sink
+	metrics *obs.Registry
+	cache   *envelope.Cache
+	clock   func() time.Time
 }
 
 // Option customizes a Scheduler at construction.
@@ -101,20 +100,6 @@ func WithMetrics(reg *obs.Registry) Option {
 // disables caching and recomputes envelopes on every use.
 func WithEnvelopeCache(c *envelope.Cache) Option {
 	return func(s *Scheduler) { s.cache = c }
-}
-
-// WithEnvelopeCacheSize gives the scheduler a private envelope cache
-// holding at most n entries (n <= 0 means envelope.DefaultCacheSize).
-func WithEnvelopeCacheSize(n int) Option {
-	return func(s *Scheduler) { s.cache = envelope.NewCache(n) }
-}
-
-// WithParallelism evaluates candidate cores with n-wide bounded worker
-// pools during planning and online placement whenever the platform has
-// at least 4 cores. n <= 1 (the default) keeps every evaluation on the
-// calling goroutine. Results are identical either way.
-func WithParallelism(n int) Option {
-	return func(s *Scheduler) { s.parallel = n }
 }
 
 // WithClock injects the wall clock used to time dynamic-structure
@@ -188,7 +173,7 @@ func (s *Scheduler) PlanBatch(ctx context.Context, tasks model.TaskSet) (*batch.
 	for i, rt := range s.plat.Cores {
 		cores[i] = batch.CoreSpec{Rates: rt}
 	}
-	plan, err := batch.WBGContext(ctx, s.params, cores, tasks, batch.Opts{Cache: s.cache, Workers: s.parallel})
+	plan, err := batch.WBGContext(ctx, s.params, cores, tasks, s.cache)
 	if err != nil {
 		return nil, wrapCanceled(err)
 	}
@@ -214,34 +199,25 @@ func (s *Scheduler) ExecuteBatch(ctx context.Context, tasks model.TaskSet) (*sim
 }
 
 // newLMC builds the Least Marginal Cost policy wired to the
-// scheduler's observability and performance knobs, plus the probe pool
-// to close after the run (nil when parallelism is off).
-func (s *Scheduler) newLMC() (*online.LMC, *online.ProbePool, error) {
+// scheduler's observability knobs and envelope cache.
+func (s *Scheduler) newLMC() (*online.LMC, error) {
 	lmc, err := online.NewLMC(s.params)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	lmc.Metrics = s.metrics
 	lmc.Clock = s.clock
 	lmc.Cache = s.cache
-	var pool *online.ProbePool
-	if s.parallel >= 2 {
-		pool = online.NewProbePool(s.parallel)
-		lmc.Pool = pool
-	}
-	return lmc, pool, nil
+	return lmc, nil
 }
 
 // RunOnline schedules an online trace (mixed interactive and
 // non-interactive tasks with arbitrary arrivals) with Least Marginal
 // Cost on the platform's simulator.
 func (s *Scheduler) RunOnline(ctx context.Context, tasks model.TaskSet) (*sim.Result, error) {
-	lmc, pool, err := s.newLMC()
+	lmc, err := s.newLMC()
 	if err != nil {
 		return nil, err
-	}
-	if pool != nil {
-		defer pool.Close()
 	}
 	res, err := sim.RunContext(ctx, sim.Config{Platform: s.plat, Policy: lmc, Sink: s.sink}, tasks, s.params)
 	if err != nil {

@@ -151,7 +151,6 @@ func TestFrozenCheckpointRestores(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess.Close()
 		if err := os.WriteFile(path, blob, 0o644); err != nil {
 			t.Fatal(err)
 		}

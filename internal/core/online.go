@@ -18,28 +18,24 @@ import (
 type OnlineSession struct {
 	sess *sim.Session
 	lmc  *online.LMC
-	pool *online.ProbePool
 }
 
 // OpenOnline starts an online session on the scheduler's platform with
-// its cost constants, wiring in the scheduler's sink, metrics,
-// envelope cache and candidate-evaluation pool.
+// its cost constants, wiring in the scheduler's sink, metrics and
+// envelope cache.
 func (s *Scheduler) OpenOnline(ctx context.Context) (*OnlineSession, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, wrapCanceled(err)
 	}
-	lmc, pool, err := s.newLMC()
+	lmc, err := s.newLMC()
 	if err != nil {
 		return nil, err
 	}
 	sess, err := sim.OpenSession(sim.Config{Platform: s.plat, Policy: lmc, Sink: s.sink}, s.params)
 	if err != nil {
-		if pool != nil {
-			pool.Close()
-		}
 		return nil, err
 	}
-	return &OnlineSession{sess: sess, lmc: lmc, pool: pool}, nil
+	return &OnlineSession{sess: sess, lmc: lmc}, nil
 }
 
 // Submit feeds a batch of arrivals into the session and advances
@@ -103,26 +99,21 @@ func (o *OnlineSession) Clock() float64 { return o.sess.Clock() }
 func (o *OnlineSession) Pending() int { return o.sess.Pending() }
 
 // Drain runs every submitted task to completion and returns the final
-// measured result, releasing the session's worker pool. The session
-// cannot be used after a successful drain; after a canceled one it
-// remains usable (and Drain may be retried).
+// measured result. The session cannot be used after a successful
+// drain; after a canceled one it remains usable (and Drain may be
+// retried).
 func (o *OnlineSession) Drain(ctx context.Context) (*sim.Result, error) {
 	res, err := o.sess.Finish(ctx)
 	if err != nil {
 		return nil, wrapCanceled(err)
 	}
-	o.Close()
 	return res, nil
 }
 
-// Close releases the session's candidate-evaluation pool without
-// draining it. Idempotent; useful when a session is abandoned rather
-// than drained. A closed session must not receive further Submits.
-func (o *OnlineSession) Close() {
-	if o.pool != nil {
-		o.pool.Close()
-	}
-}
+// Close ends the caller's use of an undrained session. A session owns
+// no goroutines or other resources beyond memory, so there is nothing
+// to release: Close is a no-op, kept for callers that defer it.
+func (o *OnlineSession) Close() {}
 
 // String identifies the session's policy, for logs.
 func (o *OnlineSession) String() string {

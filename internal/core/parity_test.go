@@ -56,37 +56,33 @@ func runOnlineTimeline(t *testing.T, tasks model.TaskSet, opts ...core.Option) (
 	return buf.Bytes(), res.TotalCost
 }
 
-// TestRunOnlineParityAcrossOptions is the PR's differential proof: the
-// envelope cache and the parallel candidate-evaluation pool are pure
-// performance knobs. Every configuration must replay to a
-// byte-identical schedule timeline and the exact same cost bits as
-// the sequential, uncached reference.
+// TestRunOnlineParityAcrossOptions is the differential proof that the
+// envelope cache is a pure performance knob. Every cache configuration
+// must replay to a byte-identical schedule timeline and the exact same
+// cost bits as the uncached reference.
 func TestRunOnlineParityAcrossOptions(t *testing.T) {
 	tasks := judgeTrace(t)
 	refCSV, refCost := runOnlineTimeline(t, tasks, core.WithEnvelopeCache(nil))
 
 	configs := map[string][]core.Option{
 		"cached":              {core.WithEnvelopeCache(envelope.NewCache(8))},
-		"parallel":            {core.WithEnvelopeCache(nil), core.WithParallelism(4)},
-		"cached+parallel":     {core.WithEnvelopeCache(envelope.NewCache(8)), core.WithParallelism(4)},
-		"wide-pool":           {core.WithParallelism(16)},
-		"private-small-cache": {core.WithEnvelopeCacheSize(1)},
+		"private-small-cache": {core.WithEnvelopeCache(envelope.NewCache(1))},
 	}
-	names := []string{"cached", "parallel", "cached+parallel", "wide-pool", "private-small-cache"}
+	names := []string{"cached", "private-small-cache"}
 	for _, name := range names {
 		csv, cost := runOnlineTimeline(t, tasks, configs[name]...)
 		if math.Float64bits(cost) != math.Float64bits(refCost) {
 			t.Errorf("%s: total cost %v differs from reference %v", name, cost, refCost)
 		}
 		if !bytes.Equal(csv, refCSV) {
-			t.Errorf("%s: replayed timeline differs from the sequential uncached reference", name)
+			t.Errorf("%s: replayed timeline differs from the uncached reference", name)
 		}
 	}
 }
 
 // TestPlanBatchParityAcrossOptions mirrors the differential proof for
-// the batch plane: Workload Based Greedy with cached envelopes and
-// parallel resolution must produce the same plan document.
+// the batch plane: Workload Based Greedy with cached envelopes must
+// produce the same plan document as with recomputed ones.
 func TestPlanBatchParityAcrossOptions(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tasks := make(model.TaskSet, 40)
@@ -118,10 +114,9 @@ func TestPlanBatchParityAcrossOptions(t *testing.T) {
 		opts []core.Option
 	}{
 		{"cached", []core.Option{core.WithEnvelopeCache(envelope.NewCache(8))}},
-		{"cached+parallel", []core.Option{core.WithEnvelopeCache(envelope.NewCache(8)), core.WithParallelism(4)}},
 	} {
 		if got := planJSON(tc.opts...); !bytes.Equal(got, ref) {
-			t.Errorf("%s: plan JSON differs from sequential uncached reference", tc.name)
+			t.Errorf("%s: plan JSON differs from the uncached reference", tc.name)
 		}
 	}
 }

@@ -229,7 +229,6 @@ func TestRestoreBeforeEveryArrival(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sess.Close()
 				if sess, err = sched.RestoreOnline(ctx, blob); err != nil {
 					t.Fatal(err)
 				}

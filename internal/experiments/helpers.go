@@ -19,5 +19,5 @@ func planWBG(params model.CostParams, tasks model.TaskSet) (*batch.Plan, error) 
 // process-wide envelope cache.
 func planWBGWith(params model.CostParams, rt *model.RateTable, tasks model.TaskSet) (*batch.Plan, error) {
 	return batch.WBGContext(context.Background(), params, batch.HomogeneousCores(4, rt), tasks,
-		batch.Opts{Cache: envelope.Shared()})
+		envelope.Shared())
 }

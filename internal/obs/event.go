@@ -341,27 +341,11 @@ func (r *Recorder) Events() []Event {
 	return r.appendSinceLocked(make([]Event, 0, r.n), 0)
 }
 
-// Since returns a copy of the recorded events with Seq > after, in
-// emission order; Since(0) is Events(). It is the replication fast
-// path: a log shipper tracking the last shipped sequence number pulls
-// only the unshipped tail.
-func (r *Recorder) Since(after uint64) []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ci, i := r.suffixLocked(after)
-	if ci == len(r.chunks) {
-		return []Event{}
-	}
-	// Every chunk but the last is full, so the suffix length is exact.
-	out := make([]Event, 0, r.n-(ci*recorderChunk+i))
-	return r.appendSinceLocked(out, after)
-}
-
 // AppendSince appends the recorded events with Seq > after to dst and
-// returns the extended slice. It is Since without the forced
-// allocation: the replication shipper passes a reused scratch slice,
-// so building a coalesced frame costs no per-ship event copy beyond
-// the append itself.
+// returns the extended slice. It is the replication fast path: a log
+// shipper tracking the last shipped sequence number pulls only the
+// unshipped tail into a reused scratch slice, so building a coalesced
+// frame costs no per-ship event copy beyond the append itself.
 func (r *Recorder) AppendSince(dst []Event, after uint64) []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()

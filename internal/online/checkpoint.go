@@ -13,7 +13,7 @@ import (
 // snapshotted and recovered (snapshot + trace-suffix replay instead of
 // replay from t=0). The policy's state is each core's dynamic cost
 // structure plus its waiting sets; everything else on LMC — envelopes,
-// metrics handles, probe scratch — is wiring that Init rebuilds.
+// metrics handles — is wiring that Init rebuilds.
 //
 // The blob is JSON: unlike the engine checkpoint, LMC state contains
 // no non-finite floats (lengths and cost aggregates are finite by

@@ -90,29 +90,9 @@ type LMC struct {
 	// the memoized cache instead of recomputing them in Init.
 	Cache *envelope.Cache
 
-	// Pool, if set before the run, evaluates candidate-core probes in
-	// parallel whenever the platform has at least minParallelCores
-	// cores. The pool is owned by the caller (internal/core closes the
-	// pools it opens); placements are identical with or without it.
-	Pool *ProbePool
-
 	marginalEvals *obs.Counter
 	preemptsCtr   *obs.Counter
 	queueDepth    []*obs.Gauge
-
-	// Per-arrival probe scratch, sized to the core count in Init and
-	// reused for every placement so the arrival path stays
-	// allocation-free. probeInt/probeNonInt are prebuilt closures (one
-	// allocation each, in Init) reading their per-arrival inputs from
-	// probeCycles/probeEst; when the pool is active, entry j is written
-	// only by the worker owning stripe j.
-	probeCosts  []float64
-	probeErrs   []error
-	probeEng    *sim.Engine
-	probeCycles float64
-	probeEst    float64
-	probeInt    func(j int)
-	probeNonInt func(j int)
 }
 
 // NewLMC returns an LMC policy for the given cost constants. Task
@@ -179,26 +159,6 @@ func (l *LMC) Init(e *sim.Engine) {
 		}
 		l.cores[i] = &lmcCore{env: env, sched: dynsched.NewFromEnvelope(env)}
 	}
-	l.probeEng = e
-	l.probeCosts = make([]float64, e.NumCores())
-	l.probeErrs = make([]error, e.NumCores())
-	l.probeInt = func(j int) {
-		r := l.probeEng.Running(j)
-		if r != nil && r.Task.Interactive {
-			l.probeCosts[j] = math.Inf(1)
-			return
-		}
-		if l.marginalEvals != nil {
-			l.marginalEvals.Inc()
-		}
-		l.probeCosts[j] = l.interactiveMarginalCost(l.probeEng, j, l.probeCycles)
-	}
-	l.probeNonInt = func(j int) {
-		if l.marginalEvals != nil {
-			l.marginalEvals.Inc()
-		}
-		l.probeCosts[j], l.probeErrs[j] = l.cores[j].sched.MarginalInsertCost(l.probeEst)
-	}
 	l.marginalEvals, l.preemptsCtr, l.queueDepth = nil, nil, nil
 	if l.Metrics != nil {
 		l.marginalEvals = l.Metrics.Counter("lmc.marginal_evals")
@@ -235,29 +195,19 @@ func (l *LMC) OnArrival(e *sim.Engine, t *sim.TaskState) {
 	l.placeNonInteractive(e, t)
 }
 
-// evalProbes fills l.probeCosts[0..n) through fn — on the pool when
-// one is attached and the platform is wide enough to amortize the
-// handoffs, inline otherwise. Both paths write the same values.
-func (l *LMC) evalProbes(n int, fn func(j int)) {
-	if l.Pool != nil && n >= minParallelCores {
-		l.Pool.Eval(n, fn)
-		return
-	}
-	for j := 0; j < n; j++ {
-		fn(j)
-	}
-}
-
 func (l *LMC) placeInteractive(e *sim.Engine, t *sim.TaskState) {
 	// Eligible cores are idle or running preemptible (non-interactive)
 	// work; among them pick the least marginal cost (Eq. 27).
-	// Ineligible cores probe to +Inf, which never wins the argmin.
-	l.probeCycles = t.Task.Cycles
-	l.evalProbes(e.NumCores(), l.probeInt)
 	best, bestCost := -1, math.Inf(1)
 	for j := 0; j < e.NumCores(); j++ {
-		if l.probeCosts[j] < bestCost {
-			best, bestCost = j, l.probeCosts[j]
+		if r := e.Running(j); r != nil && r.Task.Interactive {
+			continue
+		}
+		if l.marginalEvals != nil {
+			l.marginalEvals.Inc()
+		}
+		if cost := l.interactiveMarginalCost(e, j, t.Task.Cycles); cost < bestCost {
+			best, bestCost = j, cost
 		}
 	}
 	if best < 0 {
@@ -292,15 +242,17 @@ func (l *LMC) placeInteractive(e *sim.Engine, t *sim.TaskState) {
 
 func (l *LMC) placeNonInteractive(e *sim.Engine, t *sim.TaskState) {
 	est := l.estimateFor(t)
-	l.probeEst = est
-	l.evalProbes(e.NumCores(), l.probeNonInt)
 	best, bestCost := -1, math.Inf(1)
-	for j := 0; j < e.NumCores(); j++ {
-		if l.probeErrs[j] != nil {
-			panic(l.probeErrs[j])
+	for j, c := range l.cores {
+		if l.marginalEvals != nil {
+			l.marginalEvals.Inc()
 		}
-		if l.probeCosts[j] < bestCost {
-			best, bestCost = j, l.probeCosts[j]
+		cost, err := c.sched.MarginalInsertCost(est)
+		if err != nil {
+			panic(err)
+		}
+		if cost < bestCost {
+			best, bestCost = j, cost
 		}
 	}
 	c := l.cores[best]

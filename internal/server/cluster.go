@@ -71,21 +71,13 @@ type RebuiltSession struct {
 // cover every event up to the checkpoint's sequence number — the
 // replication protocol ships events before checkpoints to guarantee
 // it.
-//
-// parallel >= 2 wires in a candidate-evaluation pool of that width
-// (schedules are identical either way). The caller owns the returned
-// session and must Close or Drain it.
-func ReplaySession(ctx context.Context, spec PlatformSpec, parallel int, checkpoint []byte, log []obs.Event) (*RebuiltSession, error) {
+func ReplaySession(ctx context.Context, spec PlatformSpec, checkpoint []byte, log []obs.Event) (*RebuiltSession, error) {
 	spec, params, plat, err := spec.normalize()
 	if err != nil {
 		return nil, err
 	}
 	rec := &obs.Recorder{}
-	opts := []core.Option{core.WithSink(rec)}
-	if parallel >= 2 {
-		opts = append(opts, core.WithParallelism(parallel))
-	}
-	sched, err := core.New(params, plat, opts...)
+	sched, err := core.New(params, plat, core.WithSink(rec))
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +121,6 @@ func ReplaySession(ctx context.Context, spec PlatformSpec, parallel int, checkpo
 	}
 	n, err := sess.ReplayTrace(ctx, log, afterSeq, known)
 	if err != nil {
-		sess.Close()
 		return nil, err
 	}
 	return &RebuiltSession{Spec: spec, Rec: rec, Sess: sess, Submitted: submitted + n}, nil
@@ -150,22 +141,12 @@ func (s *Server) SessionSpec(id string) (PlatformSpec, bool) {
 	return sh.spec, true
 }
 
-// SessionEventsSince returns the session's recorded events with
-// Seq > after, in emission order. It reads the shard's recorder
+// AppendSessionEventsSince appends the session's recorded events with
+// Seq > after to dst, in emission order. It reads the shard's recorder
 // directly (internally locked), so it never blocks on the shard
-// goroutine — the replication shipper calls it on every mutation.
-func (s *Server) SessionEventsSince(id string, after uint64) ([]obs.Event, error) {
-	sh, ok := s.sessions.get(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrSessionGone, id)
-	}
-	return sh.rec.Since(after), nil
-}
-
-// AppendSessionEventsSince is SessionEventsSince appending into a
-// caller-owned slice instead of allocating: the stream shipper reuses
-// one scratch slice per frame build, so coalescing many sessions into
-// a frame costs no per-session event-slice allocation.
+// goroutine; the stream shipper reuses one scratch slice per frame
+// build, so coalescing many sessions into a frame costs no per-session
+// event-slice allocation.
 func (s *Server) AppendSessionEventsSince(id string, after uint64, dst []obs.Event) ([]obs.Event, error) {
 	sh, ok := s.sessions.get(id)
 	if !ok {
@@ -300,7 +281,7 @@ func (s *Server) AdoptSession(ctx context.Context, id string, spec PlatformSpec,
 	if !validSessionID(id) {
 		return SessionInfo{}, fmt.Errorf("invalid session ID %q", id)
 	}
-	rb, err := ReplaySession(ctx, spec, s.cfg.SessionParallelism, checkpoint, log)
+	rb, err := ReplaySession(ctx, spec, checkpoint, log)
 	if err != nil {
 		return SessionInfo{}, err
 	}
@@ -309,7 +290,6 @@ func (s *Server) AdoptSession(ctx context.Context, id string, spec PlatformSpec,
 	clock, pending := rb.Sess.Clock(), rb.Sess.Pending()
 	sh, err := s.sessions.adopt(id, rb)
 	if err != nil {
-		rb.Sess.Close()
 		return SessionInfo{}, err
 	}
 	return SessionInfo{

@@ -121,44 +121,3 @@ func TestDrainAllImpliesBeginDrain(t *testing.T) {
 		t.Fatal("DrainAll did not begin the drain")
 	}
 }
-
-// TestSessionParallelismParity is the service-level differential
-// check: a session served by a parallel candidate-evaluation pool must
-// report exactly the measurements of a sequential one.
-func TestSessionParallelismParity(t *testing.T) {
-	run := func(cfg Config) DrainResponse {
-		t.Helper()
-		_, ts := newTestServer(t, cfg)
-		var info SessionInfo
-		if code := doJSON(t, "POST", ts.URL+"/v1/sessions", PlatformSpec{Cores: 4}, &info); code != http.StatusCreated {
-			t.Fatalf("create status %d", code)
-		}
-		base := ts.URL + "/v1/sessions/" + info.ID
-		recs := make([]trace.Record, 60)
-		for i := range recs {
-			recs[i] = trace.Record{
-				ID:          i,
-				Cycles:      5 + float64((i*37)%200),
-				Arrival:     float64(i) * 0.4,
-				Interactive: i%5 == 0,
-			}
-		}
-		for off := 0; off < len(recs); off += 12 {
-			if code := doJSON(t, "POST", base+"/tasks", SubmitRequest{Tasks: recs[off : off+12]}, nil); code != http.StatusOK {
-				t.Fatalf("submit status %d", code)
-			}
-		}
-		var dr DrainResponse
-		if code := doJSON(t, "DELETE", base, nil, &dr); code != http.StatusOK {
-			t.Fatalf("drain status %d", code)
-		}
-		return dr
-	}
-
-	seq := run(Config{})
-	par := run(Config{SessionParallelism: 4})
-	seq.ID, par.ID = "", ""
-	if seq != par {
-		t.Fatalf("parallel session diverged from sequential:\n  seq %+v\n  par %+v", seq, par)
-	}
-}

@@ -20,7 +20,7 @@ func newTestShard(t *testing.T, queueDepth int) (*shard, *obs.Histogram) {
 		t.Fatal(err)
 	}
 	hist := obs.NewRegistry().Histogram(obs.ServerSessionBatchSize, batchSizeBuckets)
-	sh, err := newShard("s-test", spec, params, plat, queueDepth, 0, hist)
+	sh, err := newShard("s-test", spec, params, plat, queueDepth, hist)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,6 @@ func TestGroupCommitParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sess.Close()
 	for _, k := range order {
 		if err := sess.Admit(context.Background(), subs[k].orig); err != nil {
 			t.Fatalf("replay submission %d: %v", k, err)

@@ -127,15 +127,15 @@ func TestRouterLocalLifecycle(t *testing.T) {
 		t.Fatalf("submit: %d", code)
 	}
 
-	evs, err := s.SessionEventsSince(info.ID, 0)
+	evs, err := s.AppendSessionEventsSince(info.ID, 0, nil)
 	if err != nil || len(evs) == 0 {
-		t.Fatalf("SessionEventsSince: %d events, err %v", len(evs), err)
+		t.Fatalf("AppendSessionEventsSince: %d events, err %v", len(evs), err)
 	}
-	if tail, err := s.SessionEventsSince(info.ID, evs[0].Seq); err != nil || len(tail) != len(evs)-1 {
-		t.Fatalf("SessionEventsSince(after first) = %d events, err %v, want %d", len(tail), err, len(evs)-1)
+	if tail, err := s.AppendSessionEventsSince(info.ID, evs[0].Seq, nil); err != nil || len(tail) != len(evs)-1 {
+		t.Fatalf("AppendSessionEventsSince(after first) = %d events, err %v, want %d", len(tail), err, len(evs)-1)
 	}
-	if _, err := s.SessionEventsSince("nope", 0); !errors.Is(err, ErrSessionGone) {
-		t.Fatalf("SessionEventsSince unknown: %v, want ErrSessionGone", err)
+	if _, err := s.AppendSessionEventsSince("nope", 0, nil); !errors.Is(err, ErrSessionGone) {
+		t.Fatalf("AppendSessionEventsSince unknown: %v, want ErrSessionGone", err)
 	}
 
 	// Status and events are reads: no replication.
@@ -374,7 +374,7 @@ func TestAdoptSessionParity(t *testing.T) {
 	if !ok {
 		t.Fatal("owner lost the session spec")
 	}
-	log, err := owner.SessionEventsSince(id, 0)
+	log, err := owner.AppendSessionEventsSince(id, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,17 +419,15 @@ func TestAdoptSessionParity(t *testing.T) {
 func TestReplaySessionErrors(t *testing.T) {
 	ctx := context.Background()
 	spec := PlatformSpec{Cores: 2}
-	if _, err := ReplaySession(ctx, spec, 0, []byte("garbage"), nil); err == nil {
+	if _, err := ReplaySession(ctx, spec, []byte("garbage"), nil); err == nil {
 		t.Fatal("ReplaySession accepted a corrupt checkpoint")
 	}
-	if _, err := ReplaySession(ctx, PlatformSpec{Cores: -1}, 0, nil, nil); err == nil {
+	if _, err := ReplaySession(ctx, PlatformSpec{Cores: -1}, nil, nil); err == nil {
 		t.Fatal("ReplaySession accepted a bad spec")
 	}
-	rb, err := ReplaySession(ctx, spec, 2, nil, nil)
-	if err != nil {
+	if _, err := ReplaySession(ctx, spec, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	rb.Sess.Close()
 }
 
 // closeBody is a response body that records Close, so tests can pin

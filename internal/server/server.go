@@ -38,11 +38,6 @@ type Config struct {
 	MaxSessions int
 	// SessionQueueDepth bounds each shard's request queue; 0 means 64.
 	SessionQueueDepth int
-	// SessionParallelism, when >= 2, gives each online session a
-	// candidate-evaluation worker pool of that width
-	// (core.WithParallelism); 0 or 1 keeps placement sequential.
-	// Schedules are identical either way.
-	SessionParallelism int
 	// RequestTimeout bounds each request's handling time; 0 means 30s.
 	RequestTimeout time.Duration
 	// TraceFormat is the events endpoint's encoding when the request
@@ -114,7 +109,7 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		reg:      reg,
 		planner:  newPlanner(cfg.Workers, cfg.QueueDepth, cfg.CacheSize, reg),
-		sessions: newSessions(cfg.MaxSessions, cfg.SessionQueueDepth, cfg.SessionParallelism, reg),
+		sessions: newSessions(cfg.MaxSessions, cfg.SessionQueueDepth, reg),
 		started:  time.Now(),
 		requests: reg.Counter(obs.ServerRequests),
 		failures: reg.Counter(obs.ServerFailures),

@@ -433,6 +433,73 @@ func TestSessionRefusedFarFutureSubmitLeavesNoTrace(t *testing.T) {
 	}
 }
 
+// TestSessionFailedDrainKeepsAcceptedTrace drains a session holding a
+// task that cannot finish before the engine's 1e9 s guard. The DELETE
+// answers 409, but the session accepted tasks, so it stays as a
+// drained tombstone: status reports drained, the events of the
+// accepted tasks stay readable, a submit answers 409 session_drained,
+// and the next DELETE purges it. A session that accepted nothing is
+// purged by the failed drain itself.
+func TestSessionFailedDrainKeepsAcceptedTrace(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	var info SessionInfo
+	doJSON(t, "POST", ts.URL+"/v1/sessions", PlatformSpec{Cores: 1}, &info)
+	base := ts.URL + "/v1/sessions/" + info.ID
+
+	for _, rec := range []trace.Record{{ID: 1, Cycles: 1}, {ID: 2, Cycles: 1e10}} {
+		if code := doJSON(t, "POST", base+"/tasks", SubmitRequest{Tasks: []trace.Record{rec}}, nil); code != http.StatusOK {
+			t.Fatalf("submit task %d: status %d", rec.ID, code)
+		}
+	}
+	var eresp errorResponse
+	if code := doJSON(t, "DELETE", base, nil, &eresp); code != http.StatusConflict || !strings.Contains(eresp.Error.Message, "exceeded max time") {
+		t.Fatalf("drain: status %d error %+v; want 409 exceeded max time", code, eresp.Error)
+	}
+	var st SessionInfo
+	if code := doJSON(t, "GET", base, nil, &st); code != http.StatusOK || !st.Drained || st.Submitted != 2 {
+		t.Fatalf("status after failed drain: %d %+v; want 200, drained, 2 submitted", code, st)
+	}
+	resp, err := http.Get(base + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ReadEvents(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("events after failed drain: status %d err %v", resp.StatusCode, err)
+	}
+	completed := false
+	for _, ev := range events {
+		if ev.Kind == obs.KindComplete && ev.Task == 1 {
+			completed = true
+		}
+	}
+	if !completed {
+		t.Fatalf("trace of %d events lost task 1's completion", len(events))
+	}
+	if code := doJSON(t, "POST", base+"/tasks", SubmitRequest{
+		Tasks: []trace.Record{{ID: 3, Cycles: 1, Arrival: 1e6}},
+	}, &eresp); code != http.StatusConflict || eresp.Error.Code != "session_drained" {
+		t.Fatalf("submit after failed drain: status %d error %+v", code, eresp.Error)
+	}
+	if code := doJSON(t, "DELETE", base, nil, nil); code != http.StatusNoContent {
+		t.Fatalf("purge after failed drain: status %d, want 204", code)
+	}
+	if code := doJSON(t, "GET", base, nil, nil); code != http.StatusNotFound {
+		t.Fatalf("status after purge: %d, want 404", code)
+	}
+
+	// An empty session's drain fails too, and there is nothing to keep.
+	doJSON(t, "POST", ts.URL+"/v1/sessions", PlatformSpec{Cores: 1}, &info)
+	base = ts.URL + "/v1/sessions/" + info.ID
+	if code := doJSON(t, "DELETE", base, nil, nil); code != http.StatusConflict {
+		t.Fatalf("drain of an empty session: status %d, want 409", code)
+	}
+	if code := doJSON(t, "GET", base, nil, nil); code != http.StatusNotFound {
+		t.Fatalf("empty session after failed drain: status %d, want 404", code)
+	}
+}
+
 // TestConcurrentSessions hammers several sessions from several
 // goroutines; run under -race this is the shard-isolation proof.
 func TestConcurrentSessions(t *testing.T) {

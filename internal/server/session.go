@@ -28,7 +28,6 @@ type sessions struct {
 	seq        int
 	maxOpen    int
 	queueDepth int
-	parallel   int
 
 	open    *obs.Gauge
 	opened  *obs.Counter
@@ -41,13 +40,12 @@ type sessions struct {
 // (1) up to a full default intake ring (64).
 var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
 
-func newSessions(maxOpen, queueDepth, parallel int, reg *obs.Registry) *sessions {
+func newSessions(maxOpen, queueDepth int, reg *obs.Registry) *sessions {
 	return &sessions{
 		m:          map[string]*shard{},
 		moved:      map[string]string{},
 		maxOpen:    maxOpen,
 		queueDepth: queueDepth,
-		parallel:   parallel,
 		open:       reg.Gauge(obs.ServerSessionsOpen),
 		opened:     reg.Counter(obs.ServerSessionsOpened),
 		drained:    reg.Counter(obs.ServerSessionsDrained),
@@ -71,7 +69,7 @@ func (ss *sessions) create(id string, spec PlatformSpec, params model.CostParams
 	} else if _, ok := ss.m[id]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrSessionExists, id)
 	}
-	sh, err := newShard(id, spec, params, plat, ss.queueDepth, ss.parallel, ss.batch)
+	sh, err := newShard(id, spec, params, plat, ss.queueDepth, ss.batch)
 	if err != nil {
 		return nil, err
 	}
@@ -402,7 +400,9 @@ func (s *Server) handleSessionSnapshot(w http.ResponseWriter, r *http.Request) {
 // handleSessionDelete is DELETE /v1/sessions/{id}: the first call
 // drains the session (completing all pending work in virtual time) and
 // reports the final measurements, keeping the trace readable; the
-// second call purges the tombstone.
+// second call purges the tombstone. A drain that fails (a task that
+// cannot finish before the engine's time guard) answers 409 and also
+// leaves a tombstone, unless the session never accepted a task.
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	sh, ok := s.lookupShard(w, r)
 	if !ok {
@@ -437,9 +437,13 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 			s.writeAPIError(w, resp.err, http.StatusInternalServerError)
 			return
 		}
-		// Nothing was ever submitted (or the drain failed): purge and
-		// report.
-		s.sessions.remove(sh.id)
+		// The drain failed. A session that accepted nothing has nothing
+		// to keep and is purged at once; otherwise the tombstone keeps
+		// the trace of the accepted tasks readable until the next
+		// DELETE purges it.
+		if resp.submitted == 0 {
+			s.sessions.remove(sh.id)
+		}
 		writeError(w, http.StatusConflict, "drain %s: %v", sh.id, resp.err)
 		return
 	}

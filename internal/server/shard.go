@@ -130,18 +130,13 @@ type shardState struct {
 	frozen bool
 }
 
-// newShard builds the session's scheduler (sink and, when parallel >=
-// 2, a candidate-evaluation pool wired through options), opens the
-// session and starts its goroutine. queueDepth bounds both the intake
-// ring and the control channel; overflow is reported to the caller as
-// backpressure.
-func newShard(id string, spec PlatformSpec, params model.CostParams, plat *platform.Platform, queueDepth, parallel int, batchSize *obs.Histogram) (*shard, error) {
+// newShard builds the session's scheduler with its recorder as sink,
+// opens the session and starts its goroutine. queueDepth bounds both
+// the intake ring and the control channel; overflow is reported to the
+// caller as backpressure.
+func newShard(id string, spec PlatformSpec, params model.CostParams, plat *platform.Platform, queueDepth int, batchSize *obs.Histogram) (*shard, error) {
 	rec := &obs.Recorder{}
-	opts := []core.Option{core.WithSink(rec)}
-	if parallel >= 2 {
-		opts = append(opts, core.WithParallelism(parallel))
-	}
-	sched, err := core.New(params, plat, opts...)
+	sched, err := core.New(params, plat, core.WithSink(rec))
 	if err != nil {
 		return nil, err
 	}
@@ -177,16 +172,13 @@ func startShard(id string, spec PlatformSpec, rec *obs.Recorder, sess *core.Onli
 
 // loop is the shard goroutine: it serializes every touch of the
 // session and retains the drained result as a tombstone so the trace
-// and final report stay readable until the shard is purged. On exit it
-// releases the session's evaluation pool (idempotent after a drain),
-// so purging an undrained shard never leaks pool goroutines.
+// and final report stay readable until the shard is purged.
 //
 // Submissions queued in the intake are flushed before any control
 // operation is answered, so a drain observes every submission that
 // beat it into the shard and a status reply reflects them.
 func (sh *shard) loop(sess *core.OnlineSession, st shardState) {
 	defer close(sh.dead)
-	defer sess.Close()
 	for {
 		select {
 		case <-sh.kick:
@@ -197,8 +189,8 @@ func (sh *shard) loop(sess *core.OnlineSession, st shardState) {
 			switch req.op {
 			case opStatus:
 				resp.submitted = st.submitted
+				resp.drained = st.final != nil || st.finalErr != nil
 				if st.final != nil {
-					resp.drained = true
 					resp.clock, resp.pending = st.final.Makespan, 0
 				} else {
 					resp.clock, resp.pending = sess.Clock(), sess.Pending()

@@ -260,8 +260,6 @@ func TestSnapshotMidGroupCommit(t *testing.T) {
 			if _, err := sess.Drain(context.Background()); err != nil {
 				t.Fatalf("restored session failed to drain: %v", err)
 			}
-		} else {
-			sess.Close()
 		}
 		snapshots++
 	}

@@ -17,14 +17,14 @@ cd "$(dirname "$0")/.."
 FLOORS='
 internal/model 88
 internal/envelope 90
-internal/batch 85
+internal/batch 92
 internal/trace 90
 internal/obs 90
 internal/rangetree 90
 internal/dynsched 80
 internal/sim 85
 internal/online 72
-internal/core 78
+internal/core 83
 internal/server 82
 internal/cluster 75
 internal/audit 90
