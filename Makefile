@@ -37,20 +37,17 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # Short fuzz sessions for the dynamic structures, the binary trace
-# codec, the one-pass request decoder (against encoding/json) and the
-# cluster frame decoder; cheap enough to run in every `make check`.
+# codec, the one-pass request decoder and its number scan, and the
+# cluster frame decoder; the list lives in scripts/fuzz_smoke.sh, which
+# scripts/check.sh runs too.
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzInsertDelete -fuzztime=5s ./internal/rangetree
-	$(GO) test -fuzz=FuzzDynamicCost -fuzztime=5s ./internal/dynsched
-	$(GO) test -fuzz=FuzzBinaryRoundTrip -fuzztime=5s ./internal/obs
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=5s ./internal/server
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=5s ./internal/cluster
+	GO=$(GO) scripts/fuzz_smoke.sh
 
 # Benchmark the hot packages (median of 5 runs each) and write the
 # machine-readable baseline for this PR (diff against the previous
 # PR's with `make benchdiff`).
 bench:
-	scripts/bench.sh BENCH_PR20.json
+	scripts/bench.sh BENCH_PR21.json
 
 # Compare the two newest BENCH_PR<N>.json baselines (numeric order);
 # fails on >20% ns/op, allocs/op or B/op regressions and on any ckpt_B

@@ -66,15 +66,27 @@ func (t Task) String() string {
 // TaskSet is an ordered collection of tasks.
 type TaskSet []Task
 
-// Validate checks every task and that IDs are unique.
+// Validate checks every task and that IDs are unique, reporting the
+// first fault in input order. IDs that strictly increase are unique
+// without an index, so the set of IDs is built only at the first ID
+// that does not, from the IDs before it.
 func (ts TaskSet) Validate() error {
 	if len(ts) == 0 {
 		return errors.New("model: empty task set")
 	}
-	seen := make(map[int]bool, len(ts))
-	for _, t := range ts {
+	var seen map[int]bool
+	for i, t := range ts {
 		if err := t.Validate(); err != nil {
 			return err
+		}
+		if seen == nil {
+			if i == 0 || t.ID > ts[i-1].ID {
+				continue
+			}
+			seen = make(map[int]bool, len(ts))
+			for _, u := range ts[:i] {
+				seen[u.ID] = true
+			}
 		}
 		if seen[t.ID] {
 			return fmt.Errorf("model: duplicate task ID %d", t.ID)

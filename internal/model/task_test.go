@@ -78,6 +78,79 @@ func TestTaskSetValidate(t *testing.T) {
 	}
 }
 
+// mapValidate is TaskSet.Validate as it was before it skipped the ID
+// map for increasing IDs: the reference the current one must match.
+func mapValidate(ts TaskSet) error {
+	if len(ts) == 0 {
+		return fmt.Errorf("model: empty task set")
+	}
+	seen := make(map[int]bool, len(ts))
+	for _, t := range ts {
+		if err := t.Validate(); err != nil {
+			return err
+		}
+		if seen[t.ID] {
+			return fmt.Errorf("model: duplicate task ID %d", t.ID)
+		}
+		seen[t.ID] = true
+	}
+	return nil
+}
+
+// TestTaskSetValidateMatchesMap holds Validate to the map version on
+// seeded random sets: increasing runs broken by out-of-order IDs,
+// duplicates (before and after the break) and invalid tasks.
+func TestTaskSetValidateMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	errs := map[string]int{}
+	for i := 0; i < 20000; i++ {
+		ts := make(TaskSet, 1+rng.Intn(12))
+		id := rng.Intn(5) - 2
+		for k := range ts {
+			ts[k] = Task{ID: id, Cycles: 1, Deadline: NoDeadline}
+			switch r := rng.Intn(20); {
+			case r < 3:
+				id -= rng.Intn(4) // a repeat or a step back
+			case r == 3:
+				ts[k].Cycles = -1
+			case r == 4:
+				ts[k].Arrival, ts[k].Deadline = 2, 1
+			default:
+				id += 1 + rng.Intn(3)
+			}
+		}
+		got, want := ts.Validate(), mapValidate(ts)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%+v: Validate = %v, map version %v", ts, got, want)
+		}
+		if want == nil {
+			errs["ok"]++
+		} else {
+			errs[want.Error()[:12]]++
+		}
+	}
+	if errs["ok"] == 0 || errs["model: dupli"] == 0 || errs["model: task "] == 0 {
+		t.Fatalf("sets did not cover every outcome: %v", errs)
+	}
+}
+
+// TestTaskSetValidateIncreasingAllocs requires an ID-ordered set, the
+// shape every generator and the judge trace produce, to validate
+// without building an ID index.
+func TestTaskSetValidateIncreasingAllocs(t *testing.T) {
+	ts := make(TaskSet, 1000)
+	for i := range ts {
+		ts[i] = Task{ID: i, Cycles: 1 + float64(i%7), Deadline: NoDeadline}
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if err := ts.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("validating 1000 ID-ordered tasks: %v allocs/op, want 0", n)
+	}
+}
+
 func TestTaskSetTotalCycles(t *testing.T) {
 	ts := TaskSet{{Cycles: 1.5}, {Cycles: 2.5}, {Cycles: 3}}
 	if got := ts.TotalCycles(); got != 7 {

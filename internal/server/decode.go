@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -25,9 +26,11 @@ import (
 // Anything else — an escape, a key that only case-folds to a field,
 // null, a repeated key, an unknown field, a type mismatch, malformed
 // input — makes it decline, and the same bytes go to decodeJSON, the
-// strict encoding/json decoder that stays the reference. Numbers are
-// parsed with the strconv calls encoding/json makes, after the JSON
-// number grammar is checked, so a value is bit-identical either way.
+// strict encoding/json decoder that stays the reference. A number is
+// checked against the JSON number grammar in the same pass that
+// collects its digits, then converted exactly (number.go), with the
+// strconv call encoding/json makes as the fallback, so a value is
+// bit-identical either way.
 // The accept/reject decision, the decoded values and every error text
 // are therefore the reference decoder's; FuzzDecodeRequest holds the
 // two to that. Bytes after the top-level object are ignored, as
@@ -349,14 +352,11 @@ func (d *taskDecoder) object(member func(key []byte) bool) bool {
 
 // ws skips JSON whitespace.
 func (d *taskDecoder) ws() {
-	for d.i < len(d.buf) {
-		switch d.buf[d.i] {
-		case ' ', '\t', '\n', '\r':
-			d.i++
-		default:
-			return
-		}
+	buf, i := d.buf, d.i
+	for i < len(buf) && (buf[i] == ' ' || buf[i] == '\n' || buf[i] == '\t' || buf[i] == '\r') {
+		i++
 	}
+	d.i = i
 }
 
 // next skips whitespace and consumes c if it comes next.
@@ -378,6 +378,15 @@ func (d *taskDecoder) literal(s string) bool {
 	return false
 }
 
+// strPlain marks the bytes str passes over without a second look:
+// printable ASCII other than the quote and the backslash.
+var strPlain = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
 // str scans a string without escapes or control characters and returns
 // its bytes, which alias the body. Invalid UTF-8 declines too: the
 // reference decoder rewrites it to U+FFFD.
@@ -385,20 +394,26 @@ func (d *taskDecoder) str() ([]byte, bool) {
 	if !d.next('"') {
 		return nil, false
 	}
-	start, ascii := d.i, true
-	for ; d.i < len(d.buf); d.i++ {
-		switch c := d.buf[d.i]; {
-		case c == '"':
-			s := d.buf[start:d.i]
-			d.i++
-			return s, ascii || utf8.Valid(s)
-		case c == '\\', c < 0x20:
-			return nil, false
-		case c >= utf8.RuneSelf:
-			ascii = false
+	buf, i := d.buf, d.i
+	start, ascii := i, true
+	for {
+		for i < len(buf) && strPlain[buf[i]] {
+			i++
 		}
+		if i == len(buf) {
+			return nil, false
+		}
+		switch c := buf[i]; {
+		case c == '"':
+			d.i = i + 1
+			s := buf[start:i]
+			return s, ascii || utf8.Valid(s)
+		case c == '\\', c < ' ':
+			return nil, false
+		}
+		ascii = false // c >= utf8.RuneSelf
+		i++
 	}
-	return nil, false
 }
 
 // boolean scans true or false.
@@ -410,66 +425,175 @@ func (d *taskDecoder) boolean() (v, ok bool) {
 	return false, d.literal("false")
 }
 
-// digits consumes a run of decimal digits and returns its length.
-func (d *taskDecoder) digits() int {
-	start := d.i
-	for d.i < len(d.buf) && '0' <= d.buf[d.i] && d.buf[d.i] <= '9' {
-		d.i++
-	}
-	return d.i - start
-}
-
-// number scans a literal of the JSON number grammar,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and reports whether
-// it is integral (no fraction, no exponent).
-func (d *taskDecoder) number() (lit []byte, integral, ok bool) {
+// scanNumber scans a literal of the JSON number grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and collects its value
+// as it checks it. It returns the literal's start (it ends at d.i), its
+// value, and whether it is integral (no fraction, no exponent).
+func (d *taskDecoder) scanNumber() (lo int, n decimal, integral, ok bool) {
 	d.ws()
-	start := d.i
-	if d.i < len(d.buf) && d.buf[d.i] == '-' {
-		d.i++
+	buf, i := d.buf, d.i
+	lo = i
+	neg := i < len(buf) && buf[i] == '-'
+	if neg {
+		i++
 	}
-	if n := d.digits(); n == 0 || n > 1 && d.buf[d.i-n] == '0' {
-		return nil, false, false
+	if i == len(buf) || buf[i]-'0' > 9 {
+		return lo, n, false, false
+	}
+	// nd counts the significant digits in man. Past maxDigits, an
+	// integer digit only scales the value and a fraction digit is
+	// dropped; either way a non-zero one makes the decimal lossy.
+	var man uint64
+	nd, exp10, lossy := 0, 0, false
+	if buf[i] == '0' {
+		if i++; i < len(buf) && buf[i]-'0' <= 9 {
+			return lo, n, false, false // a leading zero
+		}
+	} else {
+		for ; nd <= maxDigits-8; nd, i = nd+8, i+8 {
+			v, ok := eightDigits(buf, i)
+			if !ok {
+				break
+			}
+			man = man*1e8 + v
+		}
+		for ; i < len(buf); i++ {
+			c := buf[i] - '0'
+			if c > 9 {
+				break
+			}
+			if nd < maxDigits {
+				man = man*10 + uint64(c)
+				nd++
+			} else {
+				exp10++
+				lossy = lossy || c != 0
+			}
+		}
 	}
 	integral = true
-	if d.i < len(d.buf) && d.buf[d.i] == '.' {
-		d.i++
-		if d.digits() == 0 {
-			return nil, false, false
+	if i < len(buf) && buf[i] == '.' {
+		i++
+		frac := i
+		if nd == 0 { // leading zeros only scale
+			for i < len(buf) && buf[i] == '0' {
+				i++
+			}
+			exp10 -= i - frac
+		}
+		for ; nd <= maxDigits-8; nd, i, exp10 = nd+8, i+8, exp10-8 {
+			v, ok := eightDigits(buf, i)
+			if !ok {
+				break
+			}
+			man = man*1e8 + v
+		}
+		for ; i < len(buf); i++ {
+			c := buf[i] - '0'
+			if c > 9 {
+				break
+			}
+			if nd < maxDigits {
+				man = man*10 + uint64(c)
+				nd++
+				exp10--
+			} else {
+				lossy = lossy || c != 0
+			}
+		}
+		if i == frac {
+			return lo, n, false, false
 		}
 		integral = false
 	}
-	if d.i < len(d.buf) && d.buf[d.i]|0x20 == 'e' {
-		d.i++
-		if d.i < len(d.buf) && (d.buf[d.i] == '+' || d.buf[d.i] == '-') {
-			d.i++
+	if i < len(buf) && buf[i]|0x20 == 'e' {
+		i++
+		eneg := false
+		if i < len(buf) && (buf[i] == '+' || buf[i] == '-') {
+			eneg = buf[i] == '-'
+			i++
 		}
-		if d.digits() == 0 {
-			return nil, false, false
+		exp, e := i, 0
+		for ; i < len(buf); i++ {
+			c := buf[i] - '0'
+			if c > 9 {
+				break
+			}
+			if e < maxExp10 {
+				e = e*10 + int(c)
+			} else {
+				lossy = true
+			}
 		}
+		if i == exp {
+			return lo, n, false, false
+		}
+		if eneg {
+			e = -e
+		}
+		exp10 += e
 		integral = false
 	}
-	return d.buf[start:d.i], integral, true
+	d.i = i
+	return lo, decimal{man: man, exp10: exp10, neg: neg, lossy: lossy}, integral, true
 }
 
-// float scans a number into a float64 with the call encoding/json
-// makes; out-of-range values decline.
+// eightDigits returns the value of buf[i:i+8] if those bytes are eight
+// decimal digits, tested and converted in one 64-bit word, as Lemire's
+// parser does.
+func eightDigits(buf []byte, i int) (uint64, bool) {
+	if len(buf)-i < 8 {
+		return 0, false
+	}
+	v := binary.LittleEndian.Uint64(buf[i:])
+	// Every byte is 0x30-0x39 iff its high nibble is 3, and is still 3
+	// after adding 6; no byte that passes the first test carries.
+	if v&0xF0F0F0F0F0F0F0F0|(v+0x0606060606060606)&0xF0F0F0F0F0F0F0F0>>4 != 0x3333333333333333 {
+		return 0, false
+	}
+	// Combine adjacent digits into pairs, then pairs into the value:
+	// the first byte read is the most significant digit.
+	v -= 0x3030303030303030
+	v = v*10 + v>>8
+	v = (v&0x000000FF000000FF*(100+1000000<<32) + v>>16&0x000000FF000000FF*(1+10000<<32)) >> 32
+	return v & 0xFFFFFFFF, true
+}
+
+// float scans a number into the float64 encoding/json decodes: the
+// correctly rounded value, converted exactly when the decimal allows
+// (number.go) and by strconv.ParseFloat, the call encoding/json makes,
+// when it does not. Out-of-range values decline.
 func (d *taskDecoder) float() (float64, bool) {
-	lit, _, ok := d.number()
+	lo, n, _, ok := d.scanNumber()
 	if !ok {
 		return 0, false
 	}
-	f, err := strconv.ParseFloat(string(lit), 64)
+	if f, ok := n.float64(); ok {
+		return f, true
+	}
+	f, err := strconv.ParseFloat(string(d.buf[lo:d.i]), 64)
 	return f, err == nil
 }
 
-// int scans an integral number into an int with the call encoding/json
-// makes; a fraction, an exponent or overflow declines.
+// maxIntLit is the longest integral literal, sign included, that int
+// takes from the scanned mantissa: 18 bytes where int has 64 bits
+// (10^18 < 2^63), 9 where it has 32.
+const maxIntLit = 9 * strconv.IntSize / 32
+
+// int scans an integral number into an int, as encoding/json decodes it
+// with ParseInt; a fraction, an exponent or overflow declines.
 func (d *taskDecoder) int() (int, bool) {
-	lit, integral, ok := d.number()
+	lo, n, integral, ok := d.scanNumber()
 	if !ok || !integral {
 		return 0, false
 	}
-	n, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
-	return int(n), err == nil
+	if d.i-lo <= maxIntLit {
+		v := int(n.man)
+		if n.neg {
+			v = -v
+		}
+		return v, true
+	}
+	v, err := strconv.ParseInt(string(d.buf[lo:d.i]), 10, strconv.IntSize)
+	return int(v), err == nil
 }

@@ -47,6 +47,22 @@ func judgeBody(t testing.TB) []byte {
 	return body
 }
 
+// planBody is a PlanRequest shaped like plan-mix's requests: 4 Table II
+// cores, IDs 0..n-1, cycles uniform in [1, 120) at full precision.
+func planBody(t testing.TB, n int) []byte {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	recs := make([]trace.Record, n)
+	for i := range recs {
+		recs[i] = trace.Record{ID: i, Cycles: 1 + 119*rng.Float64()}
+	}
+	body, err := json.Marshal(PlanRequest{PlatformSpec: PlatformSpec{Cores: 4, Platform: "table2"}, Tasks: recs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
 // referenceSubmit and referencePlan decode body with the reference
 // decoder alone.
 func referenceSubmit(body []byte) (model.TaskSet, bool, error) {
@@ -339,6 +355,43 @@ func TestDecodeSubmit64Allocs(t *testing.T) {
 	const maxAllocs = 4
 	if n > maxAllocs {
 		t.Errorf("decoding a 64-task judge body: %v allocs/op, want <= %d", n, maxAllocs)
+	}
+}
+
+// TestDecodePlan1000Allocs bounds decoding plan-mix's largest request
+// to the fresh TaskSet and the platform name (the tasks are unnamed).
+// The decoder is held, not pooled: one that missed the pool would
+// regrow its scratch to a 1000-task body, and the race detector drops
+// a quarter of the pool's Puts.
+func TestDecodePlan1000Allocs(t *testing.T) {
+	body := planBody(t, 1000)
+	rd := bytes.NewReader(body)
+	d := &taskDecoder{}
+	n := testing.AllocsPerRun(50, func() {
+		rd.Reset(body)
+		if _, tasks, err := d.plan(d.read(rd)); err != nil || len(tasks) != 1000 {
+			t.Fatalf("decode: %d tasks, %v", len(tasks), err)
+		}
+		d.poolable()
+	})
+	if n != 2 {
+		t.Errorf("decoding a 1000-task plan body: %v allocs/op, want 2", n)
+	}
+}
+
+// BenchmarkDecodePlan1000 decodes plan-mix's largest request, 1000
+// unnamed tasks with full-precision cycles, with the one-pass decoder.
+func BenchmarkDecodePlan1000(b *testing.B) {
+	body := planBody(b, 1000)
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/v1/plan", rd)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(body)
+		if _, tasks, err := decodePlan(req); err != nil || len(tasks) != 1000 {
+			b.Fatalf("decode: %d tasks, %v", len(tasks), err)
+		}
 	}
 }
 

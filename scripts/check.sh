@@ -1,6 +1,7 @@
 #!/bin/sh
 # Full local gate: gofmt, vet, dvfslint, build, race-enabled tests,
-# benchmark smoke.
+# benchmark smoke, benchdiff, coverage floors, fuzz smoke and the
+# cluster smoke.
 # Equivalent to `make check` for environments without make.
 set -eu
 cd "$(dirname "$0")/.."
@@ -32,11 +33,7 @@ scripts/benchdiff_test.sh
 echo "== coverage floors (race-enabled) =="
 scripts/cover.sh
 echo "== fuzz smoke (5s each) =="
-go test -fuzz=FuzzInsertDelete -fuzztime=5s ./internal/rangetree
-go test -fuzz=FuzzDynamicCost -fuzztime=5s ./internal/dynsched
-go test -fuzz=FuzzBinaryRoundTrip -fuzztime=5s ./internal/obs
-go test -run='^$' -fuzz=FuzzDecodeRequest -fuzztime=5s ./internal/server
-go test -run='^$' -fuzz=FuzzDecodeFrame -fuzztime=5s ./internal/cluster
+scripts/fuzz_smoke.sh
 echo "== cluster smoke (membership churn, zero accepted-task loss) =="
 go test -race -count=1 -run '^TestClusterMembershipChurn$' ./internal/cluster
 echo "OK"
