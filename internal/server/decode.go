@@ -359,8 +359,15 @@ func (d *taskDecoder) ws() {
 	d.i = i
 }
 
-// next skips whitespace and consumes c if it comes next.
+// next skips whitespace and consumes c if it comes next. c is never
+// whitespace, so it is looked for first, and whitespace skipped only
+// when it is not there.
 func (d *taskDecoder) next(c byte) bool {
+	buf, i := d.buf, d.i
+	if i < len(buf) && buf[i] == c {
+		d.i = i + 1
+		return true
+	}
 	d.ws()
 	if d.i < len(d.buf) && d.buf[d.i] == c {
 		d.i++

@@ -58,8 +58,9 @@ func (d decimal) float64() (float64, bool) {
 	}
 	// An integer printed in full, as json.Marshal prints any float below
 	// 1e21, ends in zeros that only scale; dropping them lets Clinger
-	// take a padded shortest form, 81648392712197800 say, that could
-	// otherwise be an exact halfway case Eisel–Lemire leaves undecided.
+	// take a padded shortest form such as 443607288902553600000, an
+	// exact halfway case Eisel–Lemire leaves undecided and too large
+	// for dyadic.
 	man, exp10 := d.man, d.exp10
 	for man >= 1<<53 && man%10 == 0 {
 		man /= 10

@@ -199,6 +199,7 @@ func fastPath(lit []byte) bool {
 // alone leaves undecided.
 func TestDecodeNumberShortestFastPath(t *testing.T) {
 	floats := []float64{1, 0.1, 1e23, 2e23, 4e23, 8e23, 1.6e24, 1e21, 1e22, 1e-7,
+		443607288902553600000, 81648392712197800, 292680880366430.25,
 		math.MaxFloat64, 0x1p-1022, math.Nextafter(0x1p-1022, 1), 0x1p53, 0x1p53 + 2, 0x1p63}
 	rng := rand.New(rand.NewSource(1))
 	for len(floats) < 200000 {
