@@ -51,7 +51,7 @@ type decimal struct {
 const maxExp10 = 1 << 20
 
 // float64 returns d correctly rounded, or false when d needs strconv:
-// it is lossy, or both exact methods decline.
+// it is lossy, or every exact method declines.
 func (d decimal) float64() (float64, bool) {
 	if d.lossy {
 		return 0, false
