@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"time"
 )
 
 // Placement is a routing override: the session lives on Owner, wherever
@@ -70,7 +69,7 @@ func (n *Node) broadcastPlacement(ctx context.Context, p Placement, del bool) {
 		if id == n.cfg.ID || (!del && id == p.Owner) {
 			continue
 		}
-		err := n.doAddr(ctx, method, v.peers[id], "/v1/cluster/placement/"+p.Session, "application/json", body, n.cfg.ShipTimeout)
+		err := n.doAddr(ctx, method, v.peers[id], "/v1/cluster/placement/"+p.Session, "application/json", body, shipTimeout)
 		if !isStatusError(err) {
 			n.Observe(id, err)
 		}
@@ -169,7 +168,7 @@ func (n *Node) handleNodeJoin(w http.ResponseWriter, r *http.Request) {
 	// The joiner must hold the new view before any session can migrate
 	// to it: an unreachable or misconfigured joiner aborts the join
 	// with the cluster unchanged.
-	if err := n.doAddr(ctx, http.MethodPost, req.Addr, "/v1/cluster/membership", "application/json", mustClusterJSON(proposed), n.adminTimeout()); err != nil {
+	if err := n.doAddr(ctx, http.MethodPost, req.Addr, "/v1/cluster/membership", "application/json", mustClusterJSON(proposed), adminTimeout); err != nil {
 		httpError(w, http.StatusBadGateway, "push membership to joiner %s: %v", req.Addr, err)
 		return
 	}
@@ -225,7 +224,7 @@ func (n *Node) handleNodeLeave(w http.ResponseWriter, r *http.Request) {
 		}
 	} else if n.alive(id) {
 		var rep MembershipChange
-		err := n.doAddrJSON(ctx, http.MethodPost, addr, "/v1/cluster/evacuate", mustClusterJSON(proposed), n.adminTimeout(), &rep)
+		err := n.doAddrJSON(ctx, http.MethodPost, addr, "/v1/cluster/evacuate", mustClusterJSON(proposed), adminTimeout, &rep)
 		switch {
 		case err == nil:
 			moved, failed = rep.Moved, rep.Failed
@@ -252,7 +251,7 @@ func (n *Node) handleNodeLeave(w http.ResponseWriter, r *http.Request) {
 	if id != n.cfg.ID {
 		// Best effort: a dead or partitioned node converges via
 		// anti-entropy if it returns.
-		_ = n.doAddr(ctx, http.MethodPost, addr, "/v1/cluster/membership", "application/json", mustClusterJSON(proposed), n.cfg.ShipTimeout)
+		_ = n.doAddr(ctx, http.MethodPost, addr, "/v1/cluster/membership", "application/json", mustClusterJSON(proposed), shipTimeout)
 	}
 	writeClusterJSON(w, MembershipChange{Epoch: proposed.Epoch, Nodes: n.view().nodeIDs(), Moved: moved, Failed: failed})
 }
@@ -274,7 +273,7 @@ func (n *Node) rebalanceAll(ctx context.Context, cur *membership, proposed Membe
 			continue
 		}
 		var rep MembershipChange
-		err := n.doAddrJSON(ctx, http.MethodPost, cur.peers[member], "/v1/cluster/rebalance", body, n.adminTimeout(), &rep)
+		err := n.doAddrJSON(ctx, http.MethodPost, cur.peers[member], "/v1/cluster/rebalance", body, adminTimeout, &rep)
 		if err != nil {
 			if !isStatusError(err) {
 				n.Observe(member, err)
@@ -306,7 +305,7 @@ func (n *Node) handleRebalance(w http.ResponseWriter, r *http.Request) {
 // migration leaves the session serving here under a self-placement, so
 // post-flip routing still finds it.
 func (n *Node) rebalanceLocal(ctx context.Context, proposed Membership) (moved, failed int) {
-	next, err := newMembership(proposed, n.cfg.VNodes)
+	next, err := newMembership(proposed)
 	if err != nil {
 		return 0, 0
 	}
@@ -356,7 +355,7 @@ func (n *Node) handleEvacuate(w http.ResponseWriter, r *http.Request) {
 // results stay readable on this node until it shuts down (documented
 // limitation — export traces before retiring a node).
 func (n *Node) evacuateLocal(ctx context.Context, proposed Membership) (moved, failed int) {
-	next, err := newMembership(proposed, n.cfg.VNodes)
+	next, err := newMembership(proposed)
 	if err != nil {
 		return 0, 0
 	}
@@ -378,7 +377,7 @@ func (n *Node) evacuateLocal(ctx context.Context, proposed Membership) (moved, f
 // adminTimeout bounds coordinator-side admin RPCs (rebalance, evacuate,
 // migrate proxy): they fan out into per-session migrations, so they get
 // several ship budgets.
-func (n *Node) adminTimeout() time.Duration { return 6 * n.cfg.ShipTimeout }
+const adminTimeout = 6 * shipTimeout
 
 // --- small JSON plumbing shared by the cluster planes ---
 

@@ -167,7 +167,7 @@ func auditTrace(t *testing.T, spec server.PlatformSpec, events []obs.Event, acke
 // the epoch-2 view, and lose nothing — each session drains to a
 // gapless exactly-once trace that rebuilds byte-identically.
 func TestClusterJoinDuringTraffic(t *testing.T) {
-	tc := startCluster(t, 3, func(c *Config) { c.CheckpointEvery = 4 })
+	tc := startCluster(t, 3, nil)
 	const nSessions = 12
 
 	type sess struct {
@@ -212,7 +212,7 @@ func TestClusterJoinDuringTraffic(t *testing.T) {
 	// Boot the joiner before traffic starts (concurrent goroutines read
 	// tc.byID, so the map must not grow mid-test); the join itself —
 	// the interesting part — happens mid-traffic below.
-	tc.addNode("n4", func(c *Config) { c.CheckpointEvery = 4 })
+	tc.addNode("n4", nil)
 
 	const batches, perBatch = 6, 2
 	var wg sync.WaitGroup
@@ -292,7 +292,7 @@ func TestClusterJoinDuringTraffic(t *testing.T) {
 // the freeze and rides the shipped checkpoint, or retries onto the new
 // owner — and the post-migration trace must rebuild byte-identically.
 func TestClusterMigrateVsSubmit(t *testing.T) {
-	tc := startCluster(t, 3, func(c *Config) { c.CheckpointEvery = 4 })
+	tc := startCluster(t, 3, nil)
 	info := tc.createSession("n1", `{"cores":2}`)
 	path := "/v1/sessions/" + info.ID
 	fronts := []string{"n1", "n2", "n3"}
@@ -395,7 +395,7 @@ func TestClusterMigrateVsSubmit(t *testing.T) {
 // fails cleanly — a drain hitting the freeze window retries through
 // the moved marker; a migrate hitting a drained session is refused.
 func TestClusterMigrateVsDelete(t *testing.T) {
-	tc := startCluster(t, 3, func(c *Config) { c.CheckpointEvery = 4 })
+	tc := startCluster(t, 3, nil)
 	info := tc.createSession("n1", `{"cores":2}`)
 	path := "/v1/sessions/" + info.ID
 	fronts := []string{"n1", "n2", "n3"}
@@ -452,7 +452,7 @@ func TestClusterMigrateVsDelete(t *testing.T) {
 // view, and keep the departed node usable as a forwarding front. All
 // sessions then drain losslessly through the survivors.
 func TestClusterLeaveWhileOwner(t *testing.T) {
-	tc := startCluster(t, 3, func(c *Config) { c.CheckpointEvery = 4 })
+	tc := startCluster(t, 3, nil)
 	const nSessions = 9
 
 	type sess struct {

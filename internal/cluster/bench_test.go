@@ -71,12 +71,7 @@ func BenchmarkReplicatedSubmit(b *testing.B) {
 		{"stream", 2},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			// Checkpoints snapshot the whole (growing) session, a cost
-			// that scales with b.N and would drown the ship-path signal
-			// being measured — park them.
-			tc := startCluster(b, mode.nodes, func(c *Config) {
-				c.CheckpointEvery = 1 << 30
-			})
+			tc := startCluster(b, mode.nodes, nil)
 			owner := "n1"
 			ids := sessionsOwnedBy(b, tc, owner, benchSessions)
 			h := tc.byID[owner].node.Handler()
@@ -133,6 +128,69 @@ func BenchmarkReplicatedSubmit(b *testing.B) {
 			// (solo reports 0: it never ships).
 			frames := tc.byID[owner].srv.Registry().Counter(obs.ClusterShipFrames).Value() - framesBefore
 			b.ReportMetric(frames/float64(b.N), "frames/op")
+		})
+	}
+}
+
+// BenchmarkReplicatedSubmitPrefilled times serial single-task submits
+// into a session that already holds size tasks, so per-op cost shows
+// whether replication work follows the change (one task's events) or
+// the session's history. One 4-core session is owned by n1 and
+// replicated to n2; it is pre-filled with clamped 500-task batches,
+// task i being 2 Gcycles arriving at i/2 s, as in dvfsbench's
+// replicated-submit, and each op submits the next task through the
+// owner's handler.
+func BenchmarkReplicatedSubmitPrefilled(b *testing.B) {
+	for _, size := range []int{1000, 16000} {
+		b.Run(strconv.Itoa(size), func(b *testing.B) {
+			tc := startCluster(b, 2, nil)
+			id := sessionsOwnedBy(b, tc, "n1", 1)[0]
+			h := tc.byID["n1"].node.Handler()
+			serve := func(path string, body []byte, want int) {
+				req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+				req.Header.Set("X-Dvfs-Session-Id", id)
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != want {
+					b.Fatalf("POST %s: %d %s", path, rec.Code, rec.Body)
+				}
+			}
+			serve("/v1/sessions", []byte(`{"cores":4}`), http.StatusCreated)
+			path := "/v1/sessions/" + id + "/tasks"
+			appendTask := func(buf []byte, i int) []byte {
+				buf = append(buf, `{"id":`...)
+				buf = strconv.AppendInt(buf, int64(i), 10)
+				buf = append(buf, `,"cycles":2,"arrival":`...)
+				buf = strconv.AppendFloat(buf, float64(i)/2, 'g', -1, 64)
+				return append(buf, '}')
+			}
+			var buf []byte
+			for lo := 0; lo < size; lo += 500 {
+				buf = append(buf[:0], `{"clamp":true,"tasks":[`...)
+				for i := lo; i < lo+500 && i < size; i++ {
+					if i > lo {
+						buf = append(buf, ',')
+					}
+					buf = appendTask(buf, i)
+				}
+				serve(path, append(buf, "]}"...), http.StatusOK)
+			}
+
+			w := &benchDiscardRW{}
+			rd := bytes.NewReader(nil)
+			req := httptest.NewRequest(http.MethodPost, path, rd)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = appendTask(append(buf[:0], `{"clamp":true,"tasks":[`...), size+i)
+				buf = append(buf, "]}"...)
+				rd.Reset(buf)
+				req.Body = io.NopCloser(rd)
+				h.ServeHTTP(w, req)
+				if w.status != http.StatusOK {
+					b.Fatalf("submit %d: status %d", size+i, w.status)
+				}
+			}
 		})
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"dvfsched/internal/obs"
 	"dvfsched/internal/server"
 )
 
@@ -30,9 +31,10 @@ var overflowFrame = rawFrame(`{"from":"n1","sessions":[`+
 	`{"id":"b","events_len":9223372036854775807,"checkpoint_len":4}]}`, "abcd")
 
 // frameSeeds returns one frame of each shape the nodes write — a
-// stream frame from shipper.build (spec, events and a checkpoint), a
-// handoff and a drop — plus the overflow frame, then truncations of
-// all four.
+// stream frame from shipper.build (spec and events), a handoff (spec,
+// events and a checkpoint) and a drop — plus the overflow frame and a
+// stream frame carrying a checkpoint, which the replica endpoint
+// refuses, then truncations of all five.
 func frameSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	srv := server.New(server.Config{})
@@ -61,9 +63,9 @@ func frameSeeds(tb testing.TB) [][]byte {
 
 	s := &shipper{n: n, peer: "n2"}
 	buf := &shipBuf{}
-	plans := []*entryPlan{{cur: &shipCursor{id: id}, id: id, open: true, wantCP: true}}
-	if sessions, events := s.build(buf, plans); sessions != 1 || events == 0 || !plans[0].cpSent {
-		tb.Fatalf("build: %d sessions, %d events, checkpoint sent %v", sessions, events, plans[0].cpSent)
+	plans := []*entryPlan{{cur: &shipCursor{id: id}, id: id, open: true}}
+	if sessions, events := s.build(buf, plans); sessions != 1 || events == 0 {
+		tb.Fatalf("build: %d sessions, %d events", sessions, events)
 	}
 	stream := append([]byte(nil), buf.body...)
 
@@ -79,8 +81,13 @@ func frameSeeds(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	seeds := [][]byte{stream, handoff, drop, overflowFrame}
-	for _, f := range seeds[:4] {
+	events := obs.AppendBinary(nil, hs.Events)
+	refused, err := appendFrame(nil, "n1", []frameEntry{{ID: id, Spec: &hs.Spec, EventsLen: len(events), CheckpointLen: len(hs.Checkpoint)}}, events, hs.Checkpoint)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	seeds := [][]byte{stream, handoff, drop, overflowFrame, refused}
+	for _, f := range seeds[:5] {
 		seeds = append(seeds, f[:3], f[:len(f)/2], f[:len(f)-1])
 	}
 	return seeds
@@ -229,6 +236,7 @@ func TestFrameEndpointsRejectMalformed(t *testing.T) {
 		{"replica: no sender", replica, rawFrame(`{"sessions":[{"id":"s-x",`+spec+`"events_len":0}]}`, "")},
 		{"replica: drop with spec", replica, rawFrame(`{"from":"n1","sessions":[{"id":"s-x","drop":true,`+spec+`"events_len":0}]}`, "")},
 		{"replica: drop with blobs", replica, rawFrame(`{"from":"n1","sessions":[{"id":"s-x","drop":true,"events_len":1,"checkpoint_len":1}]}`, "xy")},
+		{"replica: an entry with a checkpoint", replica, rawFrame(`{"from":"n1","sessions":[{"id":"s-x",`+spec+`"events_len":0},{"id":"s-y",`+spec+`"events_len":0,"checkpoint_len":1}]}`, "x")},
 		{"handoff: overflowing lengths", handoff, overflowFrame},
 		{"handoff: no entries", handoff, rawFrame(`{"from":"n1","sessions":[]}`, "")},
 		{"handoff: two entries", handoff, rawFrame(`{"from":"n1","sessions":[{"id":"s-x",`+spec+`"events_len":0},{"id":"s-y",`+spec+`"events_len":0}]}`, "")},

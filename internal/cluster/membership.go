@@ -32,7 +32,7 @@ type membership struct {
 }
 
 // newMembership validates and resolves a wire view.
-func newMembership(m Membership, vnodes int) (*membership, error) {
+func newMembership(m Membership) (*membership, error) {
 	if len(m.Peers) == 0 {
 		return nil, fmt.Errorf("cluster: membership epoch %d has no peers", m.Epoch)
 	}
@@ -46,7 +46,7 @@ func newMembership(m Membership, vnodes int) (*membership, error) {
 		}
 		ids = append(ids, id)
 	}
-	ring, err := NewRing(ids, vnodes)
+	ring, err := NewRing(ids, DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +107,7 @@ func (n *Node) Epoch() uint64 { return n.view().epoch }
 // benignly). Liveness state for departed peers is pruned so the
 // peers_down gauge doesn't count nodes that are no longer members.
 func (n *Node) applyMembership(m Membership) (bool, error) {
-	next, err := newMembership(m, n.cfg.VNodes)
+	next, err := newMembership(m)
 	if err != nil {
 		return false, err
 	}
@@ -148,7 +148,7 @@ func (n *Node) applyMembership(m Membership) (bool, error) {
 // are best-effort — a failed ship degrades to the pre-existing
 // next-mutation retry.
 func (n *Node) rehomeReplicas() {
-	ctx, cancel := context.WithTimeout(context.Background(), n.adminTimeout())
+	ctx, cancel := context.WithTimeout(context.Background(), adminTimeout)
 	defer cancel()
 	for _, id := range n.srv.LiveSessionIDs(ctx) {
 		_ = n.Replicate(ctx, id, server.MutationCreate)
@@ -191,7 +191,7 @@ func (n *Node) maybeSyncMembership(remoteEpoch uint64, senderAddr string) {
 	if !n.syncing.CompareAndSwap(false, true) {
 		return
 	}
-	//dvfslint:allow goroleak one-shot bounded pull: pullMembership runs under a ShipTimeout context deadline, so the goroutine exits within one timeout
+	//dvfslint:allow goroleak one-shot bounded pull: pullMembership runs under a shipTimeout context deadline, so the goroutine exits within one timeout
 	go func() {
 		defer n.syncing.Store(false)
 		n.pullMembership(senderAddr)
@@ -200,7 +200,7 @@ func (n *Node) maybeSyncMembership(remoteEpoch uint64, senderAddr string) {
 
 // pullMembership fetches a peer's view by address and applies it.
 func (n *Node) pullMembership(addr string) {
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.ShipTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), shipTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/v1/cluster/membership", nil)
 	if err != nil {
@@ -230,7 +230,7 @@ func (n *Node) broadcastMembership(ctx context.Context) {
 		if id == n.cfg.ID {
 			continue
 		}
-		err := n.doAddr(ctx, http.MethodPost, v.peers[id], "/v1/cluster/membership", "application/json", body, n.cfg.ShipTimeout)
+		err := n.doAddr(ctx, http.MethodPost, v.peers[id], "/v1/cluster/membership", "application/json", body, shipTimeout)
 		if !isStatusError(err) {
 			n.Observe(id, err)
 		}

@@ -24,13 +24,14 @@ import (
 // (server opHandoff): the checkpoint observes whole batches only, and
 // every later mutation is fenced with 503 session_migrating. ship sends
 // the "DVSC" checkpoint plus the full "DVFB" event log to the target as
-// a one-entry frame, which the target adopts exactly like the failover
-// path — same replay code, same byte-identical trace guarantee — but
-// with zero replay suffix, because the checkpoint was taken at the
-// freeze point. flip installs the placement record (locally, on the
-// target at adopt, and broadcast to the rest), retires the local shard
-// behind a moved marker, and drops the old replica chain with a
-// sender-fenced drop frame. The fencing rule that makes admission
+// a one-entry frame. The checkpoint was taken at the freeze, so it ends
+// the log: the target preloads the log, restores the checkpoint and
+// replays nothing (server.ReplaySession), which is cheaper than the
+// failover path's full replay while the session is frozen. flip
+// installs the placement record (locally, on the target at adopt, and
+// broadcast to the rest), retires the local shard behind a moved
+// marker, and drops the old replica chain with a sender-fenced drop
+// frame. The fencing rule that makes admission
 // exactly-once: a submit either lands before the freeze (it is then in
 // the shipped checkpoint), or it is fenced with a retryable 503 and its
 // retry routes to the new owner. No interleaving admits twice, because
@@ -136,7 +137,7 @@ func (n *Node) writeMigrateError(w http.ResponseWriter, id string, err error) {
 // and forwards the reply verbatim (same envelope either way).
 func (n *Node) proxyMigrate(w http.ResponseWriter, ctx context.Context, home, id string, req migrateRequest) {
 	v := n.view()
-	status, body, err := n.roundTrip(ctx, http.MethodPost, v.peers[home], "/v1/cluster/sessions/"+id+"/migrate", "application/json", mustClusterJSON(req), n.adminTimeout())
+	status, body, err := n.roundTrip(ctx, http.MethodPost, v.peers[home], "/v1/cluster/sessions/"+id+"/migrate", "application/json", mustClusterJSON(req), adminTimeout)
 	if err != nil {
 		n.Observe(home, err)
 		httpError(w, http.StatusBadGateway, "proxy migrate to %s: %v", home, err)
@@ -179,13 +180,12 @@ func (n *Node) migrateSessionTo(ctx context.Context, id, target, addr string, pi
 	if err != nil {
 		return err
 	}
-	// Ship: checkpoint + full log in one frame. The full log (not just
-	// the post-checkpoint suffix) rides along so the target's recorder
-	// holds the complete history — the byte-identical-trace guarantee
-	// covers the whole stream, not just the tail.
+	// Ship: checkpoint + full log in one frame. The full log rides
+	// along so the target's recorder holds the complete history — the
+	// byte-identical-trace guarantee covers the whole stream.
 	body, err := handoffFrame(n.cfg.ID, id, hs, pinned)
 	if err == nil {
-		err = n.doAddr(ctx, http.MethodPost, addr, "/v1/cluster/handoff/"+id, "application/octet-stream", body, n.adminTimeout())
+		err = n.doAddr(ctx, http.MethodPost, addr, "/v1/cluster/handoff/"+id, "application/octet-stream", body, adminTimeout)
 		if err != nil && !isStatusError(err) {
 			n.Observe(target, err)
 		}
@@ -237,8 +237,9 @@ func handoffFrame(from, id string, hs *server.HandoffState, pinned bool) ([]byte
 // handleHandoff is POST /v1/cluster/handoff/{id} (internal): the
 // receiving half of a migration. The body is a frame whose one entry
 // names the session and carries its spec, full binary event log and
-// checkpoint. Adoption reuses the failover replay path, so the rebuilt
-// trace is byte-identical to the sender's by the same proof.
+// the checkpoint that ends it. Adoption preloads the log and restores
+// the checkpoint (server.ReplaySession), so the adopted trace is the
+// sender's, byte for byte.
 func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	raw, err := io.ReadAll(io.LimitReader(r.Body, maxReplicaBody))

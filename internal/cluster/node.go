@@ -31,15 +31,6 @@ type Config struct {
 	// joins and leaves (POST/DELETE /v1/cluster/nodes/{id}) replace the
 	// membership at runtime.
 	Peers map[string]string
-	// VNodes is the ring's virtual-node count per peer (0 =
-	// DefaultVNodes).
-	VNodes int
-	// CheckpointEvery ships a fresh checkpoint to the replica once
-	// this many log events accumulated since the last one (0 = 256).
-	// Smaller means faster promotion replay, more snapshot traffic.
-	CheckpointEvery int
-	// ShipTimeout bounds each replication RPC (0 = 5s).
-	ShipTimeout time.Duration
 	// ShipWindow bounds in-flight replication frames per peer stream
 	// (0 = DefaultShipWindow; negative is an error).
 	ShipWindow int
@@ -50,18 +41,9 @@ type Config struct {
 	ShipFlushInterval time.Duration
 }
 
-func (c Config) withDefaults() Config {
-	if c.CheckpointEvery == 0 {
-		c.CheckpointEvery = 256
-	}
-	if c.ShipTimeout == 0 {
-		c.ShipTimeout = 5 * time.Second
-	}
-	if c.ShipWindow == 0 {
-		c.ShipWindow = DefaultShipWindow
-	}
-	return c
-}
+// shipTimeout bounds each replication RPC. Admin RPCs, ack waiters
+// and the shipper's stale-waiter sweep are paced in multiples of it.
+const shipTimeout = 5 * time.Second
 
 // Node is one cluster member: it fronts a server.Server through a
 // server.Router (any node serves any session), owns the sessions the
@@ -134,7 +116,9 @@ func NewNode(cfg Config, srv *server.Server) (*Node, error) {
 	if cfg.ShipWindow < 0 {
 		return nil, fmt.Errorf("cluster: ship window must not be negative, got %d", cfg.ShipWindow)
 	}
-	cfg = cfg.withDefaults()
+	if cfg.ShipWindow == 0 {
+		cfg.ShipWindow = DefaultShipWindow
+	}
 	if len(cfg.Peers) == 0 {
 		return nil, fmt.Errorf("cluster: no peers configured")
 	}
@@ -146,7 +130,7 @@ func NewNode(cfg Config, srv *server.Server) (*Node, error) {
 	if _, ok := cfg.Peers[cfg.ID]; !ok {
 		return nil, fmt.Errorf("cluster: node ID %q is not in the peer list %v", cfg.ID, ids)
 	}
-	seed, err := newMembership(Membership{Epoch: 1, Peers: cfg.Peers}, cfg.VNodes)
+	seed, err := newMembership(Membership{Epoch: 1, Peers: cfg.Peers})
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +140,7 @@ func NewNode(cfg Config, srv *server.Server) (*Node, error) {
 		cfg: cfg,
 		srv: srv,
 		// No client-level timeout: every call site bounds itself with a
-		// context deadline (ShipTimeout for replication, adminTimeout
+		// context deadline (shipTimeout for replication, adminTimeout
 		// for fan-out admin RPCs). The transport is the node-wide tuned
 		// keep-alive pool, shared with the router's forwards below.
 		client:          &http.Client{Transport: transport},
@@ -324,8 +308,8 @@ func (n *Node) probeOnce(timeout time.Duration) {
 
 // EnsureLocal implements server.Cluster: the promotion path. If this
 // node holds replica state for id but no live shard, the session is
-// rebuilt (checkpoint restore + log suffix replay) and adopted; the
-// next Replicate call re-ships the full log to a new replica.
+// rebuilt by replaying its whole log and adopted; the next Replicate
+// call re-ships the full log to a new replica.
 //
 // The migration fence lives here too: while a placement names another
 // live node as the session's owner, this node must neither serve nor
@@ -366,7 +350,7 @@ func (n *Node) EnsureLocal(ctx context.Context, id string) error {
 	if n.srv.HasSession(id) {
 		return nil // lost the promotion race; the winner's shard serves
 	}
-	if _, err := n.srv.AdoptSession(ctx, id, rep.spec, rep.checkpoint, rep.log.Events()); err != nil {
+	if _, err := n.srv.AdoptSession(ctx, id, rep.spec, nil, rep.log.Events()); err != nil {
 		return fmt.Errorf("cluster: promote session %s: %w", id, err)
 	}
 	n.promotions.Inc()
@@ -417,7 +401,7 @@ func (n *Node) post(ctx context.Context, node, path, contentType string, body []
 	if addr == "" {
 		return &statusError{code: http.StatusGone, body: fmt.Sprintf("node %s is not in the current view", node)}
 	}
-	err := n.doAddr(ctx, http.MethodPost, addr, path, contentType, body, n.cfg.ShipTimeout)
+	err := n.doAddr(ctx, http.MethodPost, addr, path, contentType, body, shipTimeout)
 	if err == nil || isStatusError(err) {
 		n.Observe(node, nil)
 	}

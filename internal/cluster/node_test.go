@@ -239,12 +239,11 @@ func TestClusterRoutedLifecycle(t *testing.T) {
 
 // TestClusterReplicationParity pins the tentpole guarantee down at the
 // byte level: after a session drains, the replica's shipped log equals
-// the owner's trace exactly, and a session rebuilt from the replica's
-// checkpoint + log (the promotion path) regenerates a byte-identical
-// trace and the same final cost. CheckpointEvery is small so the
-// restore-then-replay path is exercised, not just full replay.
+// the owner's trace exactly, and a session rebuilt from that log alone
+// (the promotion path) regenerates a byte-identical trace and the same
+// final cost.
 func TestClusterReplicationParity(t *testing.T) {
-	tc := startCluster(t, 3, func(c *Config) { c.CheckpointEvery = 4 })
+	tc := startCluster(t, 3, nil)
 	front := tc.ids[0]
 	info := tc.createSession(front, `{"cores":2}`)
 	path := "/v1/sessions/" + info.ID
@@ -281,18 +280,14 @@ func TestClusterReplicationParity(t *testing.T) {
 	}
 	rep.mu.Lock()
 	spec := rep.spec
-	checkpoint := append([]byte(nil), rep.checkpoint...)
 	log := rep.log.Events()
 	rep.mu.Unlock()
 
-	if len(checkpoint) == 0 {
-		t.Fatal("no checkpoint shipped over 8 batches with CheckpointEvery=4")
-	}
 	if !bytes.Equal(obs.AppendBinary(nil, log), obs.AppendBinary(nil, ownerEvents)) {
 		t.Fatalf("replica log diverges from owner trace: %d vs %d events", len(log), len(ownerEvents))
 	}
 
-	rb, err := server.ReplaySession(context.Background(), spec, checkpoint, log)
+	rb, err := server.ReplaySession(context.Background(), spec, nil, log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +343,7 @@ func (tc *testCluster) submitRetry(fronts []string, path string, body []byte) bo
 // serial rebuild of that trace must reproduce it byte-identically.
 // Meaningful under -race (the checker runs it so).
 func TestClusterFailover(t *testing.T) {
-	tc := startCluster(t, 3, func(c *Config) { c.CheckpointEvery = 6 })
+	tc := startCluster(t, 3, nil)
 	front := tc.ids[0]
 	info := tc.createSession(front, `{"cores":2}`)
 	path := "/v1/sessions/" + info.ID

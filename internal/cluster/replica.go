@@ -12,9 +12,11 @@ import (
 )
 
 // replica is the cold standby state of one session owned elsewhere:
-// the platform spec, the shipped event log, and the latest checkpoint.
-// Nothing here is a live scheduler — promotion (Node.EnsureLocal)
-// turns it into one only when the owner dies.
+// the platform spec and the shipped event log. LMC's schedule is a
+// deterministic function of the arrivals, so the log is the whole
+// state. Nothing here is a live scheduler — promotion
+// (Node.EnsureLocal) replays the log into one only when the owner
+// dies.
 type replica struct {
 	// from is the node whose frame last opened this replica: the only
 	// sender whose drop may retire it. Guarded by replicaStore.mu, not
@@ -24,10 +26,8 @@ type replica struct {
 	mu   sync.Mutex
 	spec server.PlatformSpec
 	// log is the shipped event log. Its last event's Seq is the log
-	// tail every append and checkpoint is checked against.
-	log        obs.Recorder
-	checkpoint []byte
-	cpSeq      uint64 // EvSeq of the stored checkpoint
+	// tail every append is checked against.
+	log obs.Recorder
 }
 
 // replicaStore holds the node's replicas, keyed by session ID.
@@ -119,21 +119,6 @@ func (rep *replica) appendLog(events []obs.Event) error {
 		rep.log.Emit(ev)
 		lastSeq = ev.Seq
 	}
-	return nil
-}
-
-// setCheckpoint installs a shipped checkpoint. The log must already
-// cover the checkpoint's sequence number: promotion replays the log
-// suffix after cp.EvSeq, so a checkpoint ahead of the log would drop
-// the events in between from the reconstructed trace.
-func (rep *replica) setCheckpoint(blob []byte, evSeq uint64) error {
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	if lastSeq := rep.log.LastSeq(); evSeq > lastSeq {
-		return fmt.Errorf("checkpoint at seq %d ahead of log tail %d", evSeq, lastSeq)
-	}
-	rep.checkpoint = blob
-	rep.cpSeq = evSeq
 	return nil
 }
 

@@ -2,12 +2,12 @@
 // consistent-hash ring places each session on an owner node (plus a
 // failover chain), any node fronts any session by forwarding to the
 // owner (internal/server.Router), and the owner replicates each
-// session by shipping its binary obs event log plus periodic
-// checkpoints to the next live node on the ring. When the owner dies,
-// the replica promotes lazily on the first routed operation: it
-// restores the last shipped checkpoint, replays the log's arrival
-// suffix, and resumes admission — no accepted task is lost, because a
-// submit is only acknowledged after its events reached the replica.
+// session by shipping its binary obs event log to the next live node
+// on the ring. When the owner dies, the replica promotes lazily on the
+// first routed operation: it replays the log's arrivals into a fresh
+// engine, which re-derives the same schedule, and resumes admission —
+// no accepted task is lost, because a submit is only acknowledged
+// after its events reached the replica.
 //
 // Membership is dynamic: the -peers flag only seeds epoch 1, and the
 // versioned admin API (POST/DELETE /v1/cluster/nodes/{id}) grows or

@@ -17,21 +17,19 @@ import (
 
 	"dvfsched/internal/obs"
 	"dvfsched/internal/server"
-	"dvfsched/internal/sim"
 )
 
 // This file is the replication plane: one long-lived shipper goroutine
 // per peer multiplexes every owned session's log tail into coalesced
-// frames (one request carries many sessions' event deltas, opens and
-// due checkpoints), pipelined up to a bounded in-flight window. A
-// mutation's response is released only when the frame ack covering
-// its event sequence number returns, so an acked mutation is in the
-// replica's log; the ship cost amortizes across every session that
-// committed while the previous frame was on the wire, the same
-// group-commit idiom the local intake ring applies to submits. The
-// frame is also the wire format of migration handoffs and replica
-// drops. DESIGN §14 documents the protocol and the window/ack state
-// machine.
+// frames (one request carries many sessions' event deltas and opens),
+// pipelined up to a bounded in-flight window. A mutation's response is
+// released only when the frame ack covering its event sequence number
+// returns, so an acked mutation is in the replica's log; the ship cost
+// amortizes across every session that committed while the previous
+// frame was on the wire, the same group-commit idiom the local intake
+// ring applies to submits. The frame is also the wire format of
+// migration handoffs and replica drops. DESIGN §14 documents the
+// protocol and the window/ack state machine.
 
 // DefaultShipWindow is the per-peer bound on in-flight replication
 // frames when Config.ShipWindow is zero.
@@ -50,9 +48,6 @@ type shipCursor struct {
 	target string // replica node ID; "" when degraded (no live candidate)
 	opened bool   // replica acked an open (has the spec)
 	acked  uint64 // last event Seq the replica's log is known to cover
-	// sinceCP counts acked events since the last applied checkpoint;
-	// at CheckpointEvery the next frame carries a fresh snapshot.
-	sinceCP int
 	// inflightOn names the peer whose in-flight frame carries this
 	// cursor ("" = none): a session is never in two frames to the same
 	// peer, which is what makes `from = acked` the only send cursor
@@ -181,7 +176,7 @@ func (s *shipper) kick() {
 // of one per mutation on the ack hot path.
 func (s *shipper) run() {
 	defer close(s.done)
-	sweep := time.NewTicker(s.n.cfg.ShipTimeout)
+	sweep := time.NewTicker(shipTimeout)
 	defer sweep.Stop()
 	for {
 		select {
@@ -234,18 +229,15 @@ func (s *shipper) sweepStale() {
 
 // entryPlan is one session's slot in a frame under construction.
 type entryPlan struct {
-	cur    *shipCursor
-	id     string
-	from   uint64 // ship events with Seq > from
-	open   bool   // include the spec (replica may not know the session)
-	wantCP bool   // a checkpoint is due
+	cur  *shipCursor
+	id   string
+	from uint64 // ship events with Seq > from
+	open bool   // include the spec (replica may not know the session)
 
 	// Filled by the frame build:
-	toSeq   uint64 // last event Seq the frame carries (== from if none)
-	nEvents int
-	cpSent  bool
-	gone    bool // session vanished locally; forget the cursor
-	skip    bool // nothing to ship; acked state already covers waiters
+	toSeq uint64 // last event Seq the frame carries (== from if none)
+	gone  bool   // session vanished locally; forget the cursor
+	skip  bool   // nothing to ship; acked state already covers waiters
 }
 
 // dispatchOne builds one frame from the queued cursors and hands it to
@@ -266,11 +258,10 @@ func (s *shipper) dispatchOne() bool {
 			continue
 		}
 		plans = append(plans, &entryPlan{
-			cur:    cur,
-			id:     cur.id,
-			from:   cur.acked,
-			open:   !cur.opened,
-			wantCP: cur.sinceCP >= n.cfg.CheckpointEvery,
+			cur:  cur,
+			id:   cur.id,
+			from: cur.acked,
+			open: !cur.opened,
 		})
 		cur.inflightOn = s.peer
 	}
@@ -309,9 +300,9 @@ var shipBufPool = sync.Pool{New: func() any { return &shipBuf{} }}
 func (s *shipper) send(plans []*entryPlan) {
 	defer s.n.shipWG.Done()
 	buf := shipBufPool.Get().(*shipBuf)
-	// Zero the whole reused result array, not just its length: CPOK and
-	// Error are omitempty, so a decode that omits them must not inherit
-	// a previous frame's values.
+	// Zero the whole reused result array, not just its length: Error is
+	// omitempty, so a decode that omits it must not inherit a previous
+	// frame's value.
 	buf.res.Sessions = buf.res.Sessions[:cap(buf.res.Sessions)]
 	clear(buf.res.Sessions)
 	buf.res.Sessions = buf.res.Sessions[:0]
@@ -333,23 +324,11 @@ func (s *shipper) send(plans []*entryPlan) {
 }
 
 // build assembles the wire frame into buf and returns how many session
-// entries and events it carries. Per entry the order is spec, then
-// snapshot, then the event tail read AFTER the snapshot — so the
-// events shipped alongside a checkpoint always cover its sequence
-// number, the invariant the replica's setCheckpoint enforces.
+// entries and events it carries: per entry the spec when opening, then
+// the event tail. The log is the replica's whole state, so a stream
+// frame never carries a checkpoint.
 func (s *shipper) build(buf *shipBuf, plans []*entryPlan) (sessions, events int) {
 	n := s.n
-	// The context (and its timer) only exists for snapshot calls, which
-	// most frames don't make.
-	var ctx context.Context
-	for _, p := range plans {
-		if p.wantCP {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(context.Background(), n.cfg.ShipTimeout)
-			defer cancel()
-			break
-		}
-	}
 	entries := buf.hdr[:0]
 	buf.evs = buf.evs[:0]
 	blob := buf.blob[:0]
@@ -363,15 +342,6 @@ func (s *shipper) build(buf *shipBuf, plans []*entryPlan) (sessions, events int)
 			}
 			e.Spec = &spec
 		}
-		var cp []byte
-		if p.wantCP {
-			// A failed snapshot (busy shard, drained session) skips this
-			// round's checkpoint; the log alone keeps the replica
-			// complete, just slower to promote.
-			if snap, err := n.srv.SnapshotSession(ctx, p.id); err == nil {
-				cp = snap
-			}
-		}
 		start := len(buf.evs)
 		evs, err := n.srv.AppendSessionEventsSince(p.id, p.from, buf.evs)
 		if err != nil {
@@ -381,23 +351,17 @@ func (s *shipper) build(buf *shipBuf, plans []*entryPlan) (sessions, events int)
 		buf.evs = evs
 		tail := evs[start:]
 		p.toSeq = p.from
-		p.nEvents = len(tail)
 		if len(tail) > 0 {
 			p.toSeq = tail[len(tail)-1].Seq
-		} else if !p.open && cp == nil {
+		} else if !p.open {
 			p.skip = true // nothing new: the ack is already covered
 			continue
 		}
 		before := len(blob)
 		blob = obs.AppendBinary(blob, tail)
 		e.EventsLen = len(blob) - before
-		if cp != nil {
-			blob = append(blob, cp...)
-			e.CheckpointLen = len(cp)
-			p.cpSent = true
-		}
 		entries = append(entries, e)
-		events += p.nEvents
+		events += len(tail)
 	}
 	buf.blob = blob
 	buf.hdr = entries
@@ -438,7 +402,7 @@ func appendFrame(dst []byte, from string, entries []frameEntry, blobs ...[]byte)
 }
 
 // appendFrameHeader writes the frame header JSON for the common case
-// — log entries with no spec and no handoff or drop fields, and
+// — log entries with no spec, checkpoint, handoff or drop fields, and
 // strings that need no escaping — directly into b. It reports false,
 // leaving b's length untouched, when the header needs the real
 // encoder.
@@ -451,7 +415,7 @@ func appendFrameHeader(b []byte, from string, entries []frameEntry) ([]byte, boo
 	b = append(b, from...)
 	b = append(b, `","sessions":[`...)
 	for i, e := range entries {
-		if e.Spec != nil || e.Drop || e.Submitted != 0 || e.Pinned || !plainJSONString(e.ID) {
+		if e.Spec != nil || e.CheckpointLen != 0 || e.Drop || e.Submitted != 0 || e.Pinned || !plainJSONString(e.ID) {
 			return b[:start], false
 		}
 		if i > 0 {
@@ -461,10 +425,6 @@ func appendFrameHeader(b []byte, from string, entries []frameEntry) ([]byte, boo
 		b = append(b, e.ID...)
 		b = append(b, `","events_len":`...)
 		b = strconv.AppendInt(b, int64(e.EventsLen), 10)
-		if e.CheckpointLen > 0 {
-			b = append(b, `,"checkpoint_len":`...)
-			b = strconv.AppendInt(b, int64(e.CheckpointLen), 10)
-		}
 		b = append(b, '}')
 	}
 	b = append(b, `]}`...)
@@ -503,7 +463,7 @@ func (s *shipper) postFrame(buf *shipBuf) error {
 	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.ShipTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), shipTimeout)
 	defer cancel()
 	body := buf.body
 	buf.rd.Reset(body)
@@ -643,7 +603,7 @@ func (s *shipper) finish(plans []*entryPlan, res frameResult, sendErr error) {
 			// Whole-frame refusal from a live peer (malformed frame, body
 			// cap): fail the waiters and reset the stream; the next
 			// mutation re-ships from zero.
-			cur.opened, cur.acked, cur.sinceCP = false, 0, 0
+			cur.opened, cur.acked = false, 0
 			n.shipHeals.Inc()
 			rels = append(rels, drainWaiters(cur, fmt.Errorf("replica %s refused frame: %w", s.peer, sendErr))...)
 		default:
@@ -654,10 +614,6 @@ func (s *shipper) finish(plans []*entryPlan, res frameResult, sendErr error) {
 				if p.toSeq > cur.acked {
 					cur.acked = p.toSeq
 				}
-				cur.sinceCP += p.nEvents
-				if p.cpSent && er.CPOK {
-					cur.sinceCP = 0
-				}
 				n.shipsTotal.Inc()
 				rels = ackWaitersLocked(cur, rels)
 			} else {
@@ -665,7 +621,7 @@ func (s *shipper) finish(plans []*entryPlan, res frameResult, sendErr error) {
 				// report: the replica lost state we thought it had. Heal
 				// by resetting to a full re-ship; waiters ride along,
 				// bounded by maxShipHeals.
-				cur.opened, cur.acked, cur.sinceCP = false, 0, 0
+				cur.opened, cur.acked = false, 0
 				cur.heals++
 				n.shipHeals.Inc()
 				if cur.heals > maxShipHeals {
@@ -720,11 +676,11 @@ func (s *shipper) failover(plans []*entryPlan, sendErr error) []*shipper {
 		}
 		next := nexts[i]
 		if next == "" {
-			cur.target, cur.opened, cur.acked, cur.sinceCP = "", false, 0, 0
+			cur.target, cur.opened, cur.acked = "", false, 0
 			rels = append(rels, drainWaiters(cur, nil)...)
 			continue
 		}
-		cur.target, cur.opened, cur.acked, cur.sinceCP = next, false, 0, 0
+		cur.target, cur.opened, cur.acked = next, false, 0
 		keep := cur.waiters[:0]
 		for _, w := range cur.waiters {
 			if w.retried {
@@ -809,7 +765,7 @@ func (n *Node) enqueueWaiter(id, target string, seq uint64) (chan error, *shippe
 		return nil, nil
 	}
 	if cur.target != target {
-		cur.target, cur.opened, cur.acked, cur.sinceCP = target, false, 0, 0
+		cur.target, cur.opened, cur.acked = target, false, 0
 	}
 	if seq > cur.wantSeq {
 		cur.wantSeq = seq
@@ -820,7 +776,7 @@ func (n *Node) enqueueWaiter(id, target string, seq uint64) (chan error, *shippe
 	// shipper's sweep fails the waiter.
 	cur.waiters = append(cur.waiters, &shipWaiter{
 		seq:      seq,
-		deadline: time.Now().Add(4 * n.cfg.ShipTimeout),
+		deadline: time.Now().Add(4 * shipTimeout),
 		ch:       ch,
 	})
 	sh := n.shipperForLocked(target)
@@ -892,6 +848,7 @@ func (n *Node) Close() {
 // in the binary codecs. The same format carries the replica stream
 // (POST /v1/cluster/replica/frame), replica drops on that endpoint,
 // and migration handoffs (POST /v1/cluster/handoff/{id}, one entry).
+// Only a handoff entry carries a checkpoint; the stream refuses one.
 type frameHeader struct {
 	// From is the sending node's ID; a replica remembers the sender that
 	// opened it, and only that sender's drop retires it.
@@ -926,10 +883,7 @@ type frameResult struct {
 type frameEntryResult struct {
 	ID     string `json:"id"`
 	Status string `json:"status"`
-	// CPOK acknowledges the entry's checkpoint was applied; false keeps
-	// the owner's checkpoint debt counting.
-	CPOK  bool   `json:"cp_ok,omitempty"`
-	Error string `json:"error,omitempty"`
+	Error  string `json:"error,omitempty"`
 }
 
 const (
@@ -980,9 +934,8 @@ func decodeFrame(body []byte) (frameHeader, []byte, error) {
 }
 
 // frameBodyBuf pools the replica-side raw frame buffer. Everything
-// the frame applies is copied out (appendLog copies events,
-// setCheckpoint copies the blob) before the handler returns, so the
-// buffer never outlives the request.
+// the frame applies is copied out (appendLog copies events) before the
+// handler returns, so the buffer never outlives the request.
 type frameBodyBuf struct{ b []byte }
 
 var frameBodyPool = sync.Pool{New: func() any { return new(frameBodyBuf) }}
@@ -1006,9 +959,11 @@ func readFrameBody(r *http.Request, fb *frameBodyBuf) ([]byte, error) {
 }
 
 // handleReplicaFrame is POST /v1/cluster/replica/frame: apply one
-// coalesced stream frame. Only a malformed frame is an HTTP error;
-// per-session failures travel in the result body so one gappy session
-// cannot veto its neighbors' acks.
+// coalesced stream frame. Only a malformed frame is an HTTP error —
+// and an entry with a checkpoint is malformed here, refused before any
+// entry applies, because the replica holds the log alone; per-session
+// failures travel in the result body so one gappy session cannot veto
+// its neighbors' acks.
 func (n *Node) handleReplicaFrame(w http.ResponseWriter, r *http.Request) {
 	fb := frameBodyPool.Get().(*frameBodyBuf)
 	defer frameBodyPool.Put(fb)
@@ -1022,13 +977,18 @@ func (n *Node) handleReplicaFrame(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	for _, e := range hdr.Sessions {
+		if e.CheckpointLen > 0 {
+			httpError(w, http.StatusBadRequest, "session %s: a stream entry carries no checkpoint", e.ID)
+			return
+		}
+	}
 	res := frameResult{Sessions: make([]frameEntryResult, 0, len(hdr.Sessions))}
 	off := 0
 	for _, e := range hdr.Sessions {
 		evBlob := blobs[off : off+e.EventsLen]
-		cpBlob := blobs[off+e.EventsLen : off+e.EventsLen+e.CheckpointLen]
-		off += e.EventsLen + e.CheckpointLen
-		res.Sessions = append(res.Sessions, n.applyFrameEntry(hdr.From, e, evBlob, cpBlob))
+		off += e.EventsLen
+		res.Sessions = append(res.Sessions, n.applyFrameEntry(hdr.From, e, evBlob))
 	}
 	writeClusterJSON(w, res)
 }
@@ -1072,10 +1032,9 @@ func (d *frameDecode) decodeEvents(blob []byte) ([]obs.Event, error) {
 }
 
 // applyFrameEntry is the per-session half of a frame from sender
-// from: a drop, or open (when the spec rides along), append the log
-// blob, then apply the checkpoint — in that order, so the checkpoint
-// lands on a log that already covers it (setCheckpoint).
-func (n *Node) applyFrameEntry(from string, e frameEntry, evBlob, cpBlob []byte) frameEntryResult {
+// from: a drop, or open (when the spec rides along), then append the
+// log blob.
+func (n *Node) applyFrameEntry(from string, e frameEntry, evBlob []byte) frameEntryResult {
 	er := frameEntryResult{ID: e.ID, Status: frameStatusOK}
 	if e.Drop {
 		n.replicas.dropFrom(e.ID, from)
@@ -1104,18 +1063,6 @@ func (n *Node) applyFrameEntry(from string, e frameEntry, evBlob, cpBlob []byte)
 		frameDecodePool.Put(d)
 		if gapMsg != "" {
 			er.Status, er.Error = frameStatusGap, gapMsg
-			return er
-		}
-	}
-	if len(cpBlob) > 0 {
-		// A checkpoint failure is not a stream failure: the log alone
-		// keeps the replica promotable, and CPOK=false keeps the owner's
-		// checkpoint debt counting so another one ships soon.
-		if cp, err := sim.UnmarshalCheckpoint(cpBlob); err == nil {
-			blob := append([]byte(nil), cpBlob...)
-			if rep.setCheckpoint(blob, cp.EvSeq) == nil {
-				er.CPOK = true
-			}
 		}
 	}
 	return er

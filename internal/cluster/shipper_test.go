@@ -23,7 +23,7 @@ import (
 // This is the pipelined analogue of TestClusterFailover: the failure
 // lands on the stream's far end instead of the submit's near end.
 func TestClusterStreamFailoverReplicaDeath(t *testing.T) {
-	tc := startCluster(t, 3, func(c *Config) { c.CheckpointEvery = 5 })
+	tc := startCluster(t, 3, nil)
 	front := tc.ids[0]
 	info := tc.createSession(front, `{"cores":2}`)
 	path := "/v1/sessions/" + info.ID
@@ -172,7 +172,6 @@ func TestClusterStreamHealsAckGap(t *testing.T) {
 // exactly once and the trace rebuilds byte-identically.
 func TestClusterStreamMigrateRace(t *testing.T) {
 	tc := startCluster(t, 3, func(c *Config) {
-		c.CheckpointEvery = 4
 		c.ShipFlushInterval = 2 * time.Millisecond
 	})
 	front := tc.ids[0]

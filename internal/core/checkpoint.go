@@ -9,9 +9,10 @@ import (
 // Snapshot serializes the session's complete state — virtual clock,
 // per-core run state, pending work, and the LMC policy's queues and
 // cost structures — into a self-describing binary checkpoint. Restore
-// it with Scheduler.RestoreOnline; recovery of a traced session is
-// "restore the snapshot, replay the trace suffix". The session remains
-// usable after a snapshot.
+// it with Scheduler.RestoreOnline; the restored session continues from
+// this point exactly. A traced session can also be rebuilt from its
+// trace alone with ReplayTrace. The session remains usable after a
+// snapshot.
 func (o *OnlineSession) Snapshot() ([]byte, error) {
 	cp, err := o.sess.Snapshot()
 	if err != nil {

@@ -9,29 +9,23 @@ import (
 )
 
 // ReplayTrace re-admits the arrival events of a recorded trace into
-// the session, skipping events with Seq <= afterSeq and tasks for
-// which known reports true (tasks already present in a restored
-// checkpoint). Arrivals are submitted one at a time, in sequence
+// the session. Arrivals are submitted one at a time, in sequence
 // order, at their recorded (possibly clamped) timestamps — arrival
 // events pop from the engine in nondecreasing time order, so the
 // strict Submit contract always holds and the engine re-derives the
 // same schedule it produced the first time. It returns the number of
 // tasks re-admitted.
 //
-// This is the recovery half of the "restore the snapshot, replay the
-// trace suffix" doctrine: internal/cluster promotes a replica by
-// restoring its last shipped checkpoint into a fresh session and
-// replaying the shipped log's arrival suffix through this method.
-// Names and deadlines are not recorded in arrival events and are
-// dropped on replay; the Least Marginal Cost policy consults neither,
-// so the rebuilt schedule is unchanged.
-func (o *OnlineSession) ReplayTrace(ctx context.Context, events []obs.Event, afterSeq uint64, known func(id int) bool) (int, error) {
+// This is how internal/cluster promotes a replica: LMC's schedule is a
+// deterministic function of the arrival sequence, so replaying a
+// session's whole shipped log into a fresh session rebuilds it. Names
+// and deadlines are not recorded in arrival events and are dropped on
+// replay; the Least Marginal Cost policy consults neither, so the
+// rebuilt schedule is unchanged.
+func (o *OnlineSession) ReplayTrace(ctx context.Context, events []obs.Event) (int, error) {
 	n := 0
 	for _, ev := range events {
-		if ev.Seq <= afterSeq || ev.Kind != obs.KindArrival {
-			continue
-		}
-		if known != nil && known(ev.Task) {
+		if ev.Kind != obs.KindArrival {
 			continue
 		}
 		task := model.Task{

@@ -58,14 +58,14 @@ const (
 	// surfaced as a 502).
 	ClusterForwardErrors = "cluster.forward_errors"
 	// ClusterReplicationErrors counts replication attempts (log ship,
-	// checkpoint ship, replica open) that failed after retry.
+	// replica open) that failed after retry.
 	ClusterReplicationErrors = "cluster.replication_errors"
 	// ClusterShips counts successful replication rounds: each one left
 	// the replica's log covering every event the owner had emitted.
 	ClusterShips = "cluster.ships"
-	// ClusterPromotions counts sessions this node rebuilt from a
-	// replicated checkpoint + log and adopted as owner after the
-	// previous owner died.
+	// ClusterPromotions counts sessions this node rebuilt by replaying
+	// a replicated log and adopted as owner after the previous owner
+	// died.
 	ClusterPromotions = "cluster.promotions"
 	// ClusterPeersDown gauges peers currently considered dead.
 	ClusterPeersDown = "cluster.peers_down"

@@ -2,10 +2,12 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -167,4 +169,56 @@ func benchTasks(n int) []trace.Record {
 		recs[i] = trace.Record{ID: i, Cycles: 5 + float64(i%17)}
 	}
 	return recs
+}
+
+// BenchmarkReplaySession prices a promotion: rebuilding a session from
+// its event log alone, as a replica does when the owner dies. The log
+// is a 4-core session's after clamped 500-task batches, task i being 2
+// Gcycles arriving at i/2 s.
+func BenchmarkReplaySession(b *testing.B) {
+	for _, size := range []int{1000, 16000} {
+		b.Run(strconv.Itoa(size), func(b *testing.B) {
+			s := New(Config{})
+			defer s.Close()
+			path := newBenchSession(b, s)
+			id := strings.TrimSuffix(strings.TrimPrefix(path, "/v1/sessions/"), "/tasks")
+			var body []byte
+			for lo := 0; lo < size; lo += 500 {
+				body = append(body[:0], `{"clamp":true,"tasks":[`...)
+				for i := lo; i < lo+500 && i < size; i++ {
+					if i > lo {
+						body = append(body, ',')
+					}
+					body = append(body, `{"id":`...)
+					body = strconv.AppendInt(body, int64(i), 10)
+					body = append(body, `,"cycles":2,"arrival":`...)
+					body = strconv.AppendFloat(body, float64(i)/2, 'g', -1, 64)
+					body = append(body, '}')
+				}
+				body = append(body, "]}"...)
+				w := httptest.NewRecorder()
+				s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+				if w.Code != http.StatusOK {
+					b.Fatalf("prefill at task %d: %d %s", lo, w.Code, w.Body)
+				}
+			}
+			spec, _ := s.SessionSpec(id)
+			log, err := s.AppendSessionEventsSince(id, 0, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rb, err := ReplaySession(ctx, spec, nil, log)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rb.Submitted != size {
+					b.Fatalf("rebuilt %d tasks, want %d", rb.Submitted, size)
+				}
+			}
+		})
+	}
 }

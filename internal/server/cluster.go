@@ -60,17 +60,16 @@ type RebuiltSession struct {
 	Submitted int
 }
 
-// ReplaySession rebuilds a live session from replicated state: an
-// optional checkpoint (core.OnlineSession.Snapshot bytes; nil means
-// start fresh) and the session's event log. The checkpoint restores
-// the engine exactly; the log supplies both the pre-checkpoint trace
-// prefix (pre-loaded into the recorder so the full history stays
-// readable) and the post-checkpoint arrival suffix, which is replayed
-// through core.OnlineSession.ReplayTrace so the engine re-derives the
-// post-checkpoint schedule it had already committed to. The log must
-// cover every event up to the checkpoint's sequence number — the
-// replication protocol ships events before checkpoints to guarantee
-// it.
+// ReplaySession rebuilds a live session from replicated state: the
+// session's event log and, from a migration handoff only, the
+// checkpoint (core.OnlineSession.Snapshot bytes) taken at the freeze.
+// Without a checkpoint the log's arrivals replay through
+// core.OnlineSession.ReplayTrace, and the engine re-derives the
+// schedule it had committed to — LMC's choices are a deterministic
+// function of the arrivals. A checkpoint must end the log (its EvSeq
+// is the log's last Seq): the log is preloaded into the recorder, so
+// the full history stays readable, the checkpoint restores the engine
+// exactly, and nothing is replayed.
 func ReplaySession(ctx context.Context, spec PlatformSpec, checkpoint []byte, log []obs.Event) (*RebuiltSession, error) {
 	spec, params, plat, err := spec.normalize()
 	if err != nil {
@@ -81,49 +80,38 @@ func ReplaySession(ctx context.Context, spec PlatformSpec, checkpoint []byte, lo
 	if err != nil {
 		return nil, err
 	}
-
-	var sess *core.OnlineSession
-	var afterSeq uint64
-	var known func(int) bool
-	submitted := 0
-	if len(checkpoint) > 0 {
-		cp, err := sim.UnmarshalCheckpoint(checkpoint)
-		if err != nil {
-			return nil, fmt.Errorf("decode checkpoint: %w", err)
-		}
-		// Events at or before the checkpoint were emitted by the run
-		// being restored; pre-load them so the restored engine's events
-		// (which continue at EvSeq+1) append seamlessly and the
-		// reconstructed trace is byte-identical to the owner's.
-		for _, ev := range log {
-			if ev.Seq <= cp.EvSeq {
-				rec.Emit(ev)
-			}
-		}
-		sess, err = sched.RestoreOnline(ctx, checkpoint)
+	if len(checkpoint) == 0 {
+		sess, err := sched.OpenOnline(ctx)
 		if err != nil {
 			return nil, err
 		}
-		afterSeq = cp.EvSeq
-		ids := make(map[int]bool, len(cp.IDs))
-		for _, id := range cp.IDs {
-			ids[id] = true
-		}
-		// Tasks injected before the checkpoint live in the restored
-		// state; only genuinely new post-checkpoint arrivals replay.
-		known = func(id int) bool { return ids[id] }
-		submitted = len(cp.Tasks)
-	} else {
-		sess, err = sched.OpenOnline(ctx)
+		n, err := sess.ReplayTrace(ctx, log)
 		if err != nil {
 			return nil, err
 		}
+		return &RebuiltSession{Spec: spec, Rec: rec, Sess: sess, Submitted: n}, nil
 	}
-	n, err := sess.ReplayTrace(ctx, log, afterSeq, known)
+	cp, err := sim.UnmarshalCheckpoint(checkpoint)
+	if err != nil {
+		return nil, fmt.Errorf("decode checkpoint: %w", err)
+	}
+	var lastSeq uint64
+	if len(log) > 0 {
+		lastSeq = log[len(log)-1].Seq
+	}
+	if cp.EvSeq != lastSeq {
+		return nil, fmt.Errorf("checkpoint at seq %d does not end the log at seq %d", cp.EvSeq, lastSeq)
+	}
+	// The restored engine's events continue at EvSeq+1, right after the
+	// preloaded log, so the trace stays byte-identical to the owner's.
+	for _, ev := range log {
+		rec.Emit(ev)
+	}
+	sess, err := sched.RestoreOnline(ctx, checkpoint)
 	if err != nil {
 		return nil, err
 	}
-	return &RebuiltSession{Spec: spec, Rec: rec, Sess: sess, Submitted: submitted + n}, nil
+	return &RebuiltSession{Spec: spec, Rec: rec, Sess: sess, Submitted: len(cp.Tasks)}, nil
 }
 
 // HasSession reports whether id is registered (live or tombstoned).
@@ -166,30 +154,11 @@ func (s *Server) SessionLastSeq(id string) (uint64, error) {
 	return sh.rec.LastSeq(), nil
 }
 
-// SnapshotSession takes a checkpoint of a live session on its shard
-// goroutine, after the group-commit intake is flushed — the same
-// batch-boundary guarantee the HTTP snapshot endpoint has. A drained
-// session returns ErrSessionDrained.
-func (s *Server) SnapshotSession(ctx context.Context, id string) ([]byte, error) {
-	sh, ok := s.sessions.get(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrSessionGone, id)
-	}
-	resp, err := sh.do(ctx, shardReq{op: opSnapshot})
-	if err != nil {
-		return nil, err
-	}
-	if resp.err != nil {
-		return nil, resp.err
-	}
-	return resp.snapshot, nil
-}
-
 // HandoffState is the payload of a planned migration: everything the
 // target node needs to adopt the session and everything the trace
-// guarantee needs — the full event log, not just the post-checkpoint
-// suffix, so the rebuilt recorder holds the complete byte-identical
-// history.
+// guarantee needs — the checkpoint taken at the freeze and the full
+// event log it ends, so the rebuilt recorder holds the complete
+// byte-identical history.
 type HandoffState struct {
 	Spec       PlatformSpec
 	Submitted  int

@@ -61,9 +61,9 @@ type Cluster interface {
 	// router stamps it (EpochHeader) on every forward so a peer with an
 	// older view pulls the newer membership.
 	Epoch() uint64
-	// Replicate ships the session's unshipped log suffix (and
-	// periodically a checkpoint) to its replica. Called after a
-	// mutation was served locally, before the response is released.
+	// Replicate ships the session's unshipped log suffix to its
+	// replica. Called after a mutation was served locally, before the
+	// response is released.
 	Replicate(ctx context.Context, id string, m Mutation) error
 }
 

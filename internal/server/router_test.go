@@ -348,10 +348,10 @@ func TestValidSessionID(t *testing.T) {
 	}
 }
 
-// TestAdoptSessionParity is the in-package failover drill: run a
-// session on one server, ship its checkpoint + log to a second, adopt
-// it there, and require the adopted session to serve and drain exactly
-// like the original would have.
+// TestAdoptSessionParity is the in-package handoff drill: run a
+// session on one server, take its checkpoint at the end and its log,
+// adopt both on a second server, and require the adopted session to
+// serve and drain exactly like the original would have.
 func TestAdoptSessionParity(t *testing.T) {
 	owner, ts := newTestServer(t, Config{})
 	id := createSession(t, ts.URL)
@@ -360,16 +360,13 @@ func TestAdoptSessionParity(t *testing.T) {
 		recs[i] = trace.Record{ID: i + 1, Cycles: 2 + float64(i), Arrival: float64(i) * 0.05}
 	}
 	submitOver(t, ts.URL, id, recs[:8], true)
+	submitOver(t, ts.URL, id, recs[8:], true)
 
 	ctx := context.Background()
-	checkpoint, err := owner.SnapshotSession(ctx, id)
-	if err != nil {
-		t.Fatal(err)
+	code, checkpoint, _ := getRaw(t, ts.URL+"/v1/sessions/"+id+"/snapshot")
+	if code != http.StatusOK {
+		t.Fatalf("snapshot: %d %s", code, checkpoint)
 	}
-	if _, err := owner.SnapshotSession(ctx, "nope"); !errors.Is(err, ErrSessionGone) {
-		t.Fatalf("snapshot unknown: %v, want ErrSessionGone", err)
-	}
-	submitOver(t, ts.URL, id, recs[8:], true)
 	spec, ok := owner.SessionSpec(id)
 	if !ok {
 		t.Fatal("owner lost the session spec")
@@ -395,7 +392,7 @@ func TestAdoptSessionParity(t *testing.T) {
 	}
 
 	// The owner and the adopted copy drain to the same trace, bit for
-	// bit — checkpoint restore plus suffix replay loses nothing.
+	// bit — checkpoint restore behind the preloaded log loses nothing.
 	var drOwner, drAdopted DrainResponse
 	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/sessions/"+id, nil, &drOwner); code != http.StatusOK {
 		t.Fatalf("owner drain: %d", code)
@@ -415,7 +412,9 @@ func TestAdoptSessionParity(t *testing.T) {
 }
 
 // TestReplaySessionErrors covers the rebuild failure modes: a corrupt
-// checkpoint, a bad spec, and a fresh (checkpoint-free) rebuild.
+// checkpoint, a bad spec, a checkpoint that does not end the log (taken
+// mid-session, or passed with an empty log), and a fresh
+// (checkpoint-free) rebuild.
 func TestReplaySessionErrors(t *testing.T) {
 	ctx := context.Background()
 	spec := PlatformSpec{Cores: 2}
@@ -427,6 +426,26 @@ func TestReplaySessionErrors(t *testing.T) {
 	}
 	if _, err := ReplaySession(ctx, spec, nil, nil); err != nil {
 		t.Fatal(err)
+	}
+
+	owner, ts := newTestServer(t, Config{})
+	id := createSession(t, ts.URL)
+	submitOver(t, ts.URL, id, []trace.Record{{ID: 1, Cycles: 2}, {ID: 2, Cycles: 3}}, true)
+	code, mid, _ := getRaw(t, ts.URL+"/v1/sessions/"+id+"/snapshot")
+	if code != http.StatusOK {
+		t.Fatalf("snapshot: %d %s", code, mid)
+	}
+	submitOver(t, ts.URL, id, []trace.Record{{ID: 3, Cycles: 4}}, true)
+	ownerSpec, _ := owner.SessionSpec(id)
+	log, err := owner.AppendSessionEventsSince(id, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReplaySession(ctx, ownerSpec, mid, log); err == nil || !strings.Contains(err.Error(), "does not end the log") {
+		t.Fatalf("ReplaySession of a mid-session checkpoint with the full log: %v, want a refusal", err)
+	}
+	if _, err := ReplaySession(ctx, ownerSpec, mid, nil); err == nil || !strings.Contains(err.Error(), "does not end the log") {
+		t.Fatalf("ReplaySession of a checkpoint with an empty log: %v, want a refusal", err)
 	}
 }
 

@@ -367,8 +367,9 @@ func writeEvents(w http.ResponseWriter, rec *obs.Recorder, format string) {
 // the group-commit intake, so it always lands on a batch boundary —
 // never between the submissions of one coalesced admission. Restore it
 // with core.Scheduler.RestoreOnline on a scheduler configured with the
-// same platform and cost constants; recovering a traced session is
-// "restore the snapshot, replay the events-endpoint suffix".
+// same platform and cost constants. A traced session needs no snapshot
+// to recover: its events-endpoint log alone rebuilds it by replay
+// (ReplaySession), and a snapshot passed along must end that log.
 func (s *Server) handleSessionSnapshot(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		// Shutdown is draining every shard to its final result; a
