@@ -11,7 +11,7 @@
 //	          [-trace-format jsonl|binary] [-pprof-addr 127.0.0.1:6060]
 //	          [-node-id ID -peers "id1=http://h1:p1,id2=http://h2:p2,..."]
 //	          [-node-id ID -advertise http://h:p -join http://seed:p]
-//	          [-probe-interval 2s] [-ship-window N] [-ship-flush-interval D]
+//	          [-probe-interval 2s] [-ship-window N]
 //
 // With -node-id and -peers the daemon seeds a cluster
 // (internal/cluster): a consistent-hash ring places each session on an
@@ -90,7 +90,6 @@ func run(args []string, w io.Writer, sigs <-chan os.Signal) error {
 		advertise    = fs.String("advertise", "", "base URL other nodes reach this daemon on (required with -join)")
 		probeEvery   = fs.Duration("probe-interval", 2*time.Second, "cluster peer health-probe interval")
 		shipWindow   = fs.Int("ship-window", 0, "in-flight replication frames per peer stream (0 = default 4)")
-		shipFlush    = fs.Duration("ship-flush-interval", 0, "how long a replication shipper lingers to coalesce mutations into one frame (0 = ship immediately)")
 		pprofAddr    = fs.String("pprof-addr", "", "expose net/http/pprof on this side listener (empty = off; keep it loopback-only)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -141,9 +140,6 @@ func run(args []string, w io.Writer, sigs <-chan os.Signal) error {
 	if *shipWindow < 0 {
 		return fmt.Errorf("-ship-window must not be negative, got %d", *shipWindow)
 	}
-	if *shipFlush < 0 {
-		return fmt.Errorf("-ship-flush-interval must not be negative, got %v", *shipFlush)
-	}
 
 	s := server.New(server.Config{
 		Workers:        *workers,
@@ -158,10 +154,9 @@ func run(args []string, w io.Writer, sigs <-chan os.Signal) error {
 	handler := http.Handler(s)
 	if peers != nil {
 		node, err := cluster.NewNode(cluster.Config{
-			ID:                *nodeID,
-			Peers:             peers,
-			ShipWindow:        *shipWindow,
-			ShipFlushInterval: *shipFlush,
+			ID:         *nodeID,
+			Peers:      peers,
+			ShipWindow: *shipWindow,
 		}, s)
 		if err != nil {
 			return err

@@ -48,10 +48,6 @@ type loadReport struct {
 	P50Ms      float64 `json:"p50_ms"`
 	P95Ms      float64 `json:"p95_ms"`
 	P99Ms      float64 `json:"p99_ms"`
-	// MeanBatch is the server-observed mean group-commit batch size
-	// over the run: the server.sessions.batch_size histogram's growth
-	// in mass over its growth in count.
-	MeanBatch float64 `json:"mean_batch,omitempty"`
 }
 
 // latencyBuckets spans ~50µs loopback submits through multi-second
@@ -85,11 +81,6 @@ func runLoadHarness(opts options, lo loadOptions, w io.Writer) error {
 			return fmt.Errorf("create session %d: %w", i, err)
 		}
 		paths[i] = opts.addr + "/v1/sessions/" + info.ID + "/tasks"
-	}
-
-	var batch0 obs.HistogramSnapshot
-	if m, err := fetchMetrics(opts.addr); err == nil {
-		batch0 = m.Histograms[obs.ServerSessionBatchSize]
 	}
 
 	reg := obs.NewRegistry()
@@ -165,13 +156,6 @@ func runLoadHarness(opts options, lo loadOptions, w io.Writer) error {
 	}
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
-	var meanBatch float64
-	if m, err := fetchMetrics(opts.addr); err == nil {
-		bs := m.Histograms[obs.ServerSessionBatchSize]
-		if bs.Count > batch0.Count {
-			meanBatch = (bs.Sum - batch0.Sum) / float64(bs.Count-batch0.Count)
-		}
-	}
 
 	// Drain the sessions so the server ends the run clean; drains are
 	// bookkeeping, not measurement.
@@ -195,7 +179,6 @@ func runLoadHarness(opts options, lo loadOptions, w io.Writer) error {
 		P50Ms:      snap.Quantile(0.50) * 1000,
 		P95Ms:      snap.Quantile(0.95) * 1000,
 		P99Ms:      snap.Quantile(0.99) * 1000,
-		MeanBatch:  meanBatch,
 	}
 	if lo.mode == "open" {
 		rep.OfferedRate = lo.rate
@@ -208,11 +191,7 @@ func runLoadHarness(opts options, lo loadOptions, w io.Writer) error {
 	if lo.mode == "open" {
 		fmt.Fprintf(w, "  sent %d/%d (%.3f)  lag p99 %.3fms", sent.Load(), scheduled, rep.SentFrac, rep.LagP99Ms)
 	}
-	fmt.Fprintf(w, "\nlatency p50 %.3fms  p95 %.3fms  p99 %.3fms", rep.P50Ms, rep.P95Ms, rep.P99Ms)
-	if rep.MeanBatch > 0 {
-		fmt.Fprintf(w, "  mean batch %.2f", rep.MeanBatch)
-	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "\nlatency p50 %.3fms  p95 %.3fms  p99 %.3fms\n", rep.P50Ms, rep.P95Ms, rep.P99Ms)
 	if lo.out != "" {
 		raw, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {

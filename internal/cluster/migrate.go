@@ -20,9 +20,9 @@ import (
 //	               \                 `--ship failed--> unfreeze --> serving
 //	                `--(drained/gone)--> error, nothing changed
 //
-// freeze happens on the shard goroutine at a group-commit boundary
-// (server opHandoff): the checkpoint observes whole batches only, and
-// every later mutation is fenced with 503 session_migrating. ship sends
+// freeze happens under the session's lock (server opHandoff): the
+// checkpoint lands between two submissions, and every later mutation
+// is fenced with 503 session_migrating. ship sends
 // the "DVSC" checkpoint plus the full "DVFB" event log to the target as
 // a one-entry frame. The checkpoint was taken at the freeze, so it ends
 // the log: the target preloads the log, restores the checkpoint and
@@ -175,7 +175,7 @@ func (n *Node) migrateSessionTo(ctx context.Context, id, target, addr string, pi
 	}
 	defer n.migrating.end(id)
 
-	// Freeze: group-commit-boundary snapshot + mutation fence.
+	// Freeze: snapshot between two submissions + mutation fence.
 	hs, err := n.srv.HandoffSession(ctx, id)
 	if err != nil {
 		return err

@@ -32,13 +32,10 @@ type Config struct {
 	// membership at runtime.
 	Peers map[string]string
 	// ShipWindow bounds in-flight replication frames per peer stream
-	// (0 = DefaultShipWindow; negative is an error).
+	// (0 = DefaultShipWindow; negative is an error). Pipelining
+	// coalesces whatever commits while the previous frame is on the
+	// wire into the next one.
 	ShipWindow int
-	// ShipFlushInterval makes a woken shipper linger this long before
-	// building a frame, trading ack latency for larger coalesced
-	// frames (0 = ship immediately; pipelining already coalesces
-	// whatever commits while the previous frame is on the wire).
-	ShipFlushInterval time.Duration
 }
 
 // shipTimeout bounds each replication RPC. Admin RPCs, ack waiters

@@ -25,9 +25,8 @@ import (
 // pipelined up to a bounded in-flight window. A mutation's response is
 // released only when the frame ack covering its event sequence number
 // returns, so an acked mutation is in the replica's log; the ship cost
-// amortizes across every session that committed while the previous
-// frame was on the wire, the same group-commit idiom the local intake
-// ring applies to submits. The frame is also the wire format of
+// amortizes across every mutation that committed while the previous
+// frame was on the wire. The frame is also the wire format of
 // migration handoffs and replica drops. DESIGN §14 documents the
 // protocol and the window/ack state machine.
 
@@ -169,11 +168,10 @@ func (s *shipper) kick() {
 	}
 }
 
-// run is the dispatcher loop: wait for work, optionally linger one
-// flush interval to let concurrent mutations pile into the same frame,
-// then dispatch frames until the queue drains or the window fills.
-// A coarse ticker sweeps expired waiters — one timer per peer instead
-// of one per mutation on the ack hot path.
+// run is the dispatcher loop: wait for work, then dispatch frames
+// until the queue drains or the window fills. A coarse ticker sweeps
+// expired waiters — one timer per peer instead of one per mutation on
+// the ack hot path.
 func (s *shipper) run() {
 	defer close(s.done)
 	sweep := time.NewTicker(shipTimeout)
@@ -186,15 +184,6 @@ func (s *shipper) run() {
 			s.sweepStale()
 			continue
 		case <-s.wake:
-		}
-		if d := s.n.cfg.ShipFlushInterval; d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-s.stop:
-				t.Stop()
-				return
-			case <-t.C:
-			}
 		}
 		for s.dispatchOne() {
 		}
@@ -236,6 +225,7 @@ type entryPlan struct {
 
 	// Filled by the frame build:
 	toSeq uint64 // last event Seq the frame carries (== from if none)
+	entry int    // index of the plan's entry in the frame header
 	gone  bool   // session vanished locally; forget the cursor
 	skip  bool   // nothing to ship; acked state already covers waiters
 }
@@ -360,6 +350,7 @@ func (s *shipper) build(buf *shipBuf, plans []*entryPlan) (sessions, events int)
 		before := len(blob)
 		blob = obs.AppendBinary(blob, tail)
 		e.EventsLen = len(blob) - before
+		p.entry = len(entries)
 		entries = append(entries, e)
 		events += len(tail)
 	}
@@ -540,28 +531,6 @@ func (s *shipper) finish(plans []*entryPlan, res frameResult, sendErr error) {
 	if transportFail {
 		n.Observe(s.peer, sendErr)
 	}
-	// Typical frames carry a handful of sessions: a linear scan beats
-	// allocating a lookup map per frame. Fall back to a map only for
-	// wide frames.
-	var byID map[string]frameEntryResult
-	if len(res.Sessions) > 16 {
-		byID = make(map[string]frameEntryResult, len(res.Sessions))
-		for _, er := range res.Sessions {
-			byID[er.ID] = er
-		}
-	}
-	resultFor := func(id string) (frameEntryResult, bool) {
-		if byID != nil {
-			er, ok := byID[id]
-			return er, ok
-		}
-		for _, er := range res.Sessions {
-			if er.ID == id {
-				return er, true
-			}
-		}
-		return frameEntryResult{}, false
-	}
 
 	var rels []shipRelease
 	var retarget []*entryPlan
@@ -607,8 +576,12 @@ func (s *shipper) finish(plans []*entryPlan, res frameResult, sendErr error) {
 			n.shipHeals.Inc()
 			rels = append(rels, drainWaiters(cur, fmt.Errorf("replica %s refused frame: %w", s.peer, sendErr))...)
 		default:
-			er, ok := resultFor(p.id)
-			if ok && er.Status == frameStatusOK {
+			// The replica answers one result per entry, in header order.
+			var er frameEntryResult
+			if p.entry < len(res.Sessions) && res.Sessions[p.entry].ID == p.id {
+				er = res.Sessions[p.entry]
+			}
+			if er.Status == frameStatusOK {
 				cur.opened = true
 				cur.heals = 0
 				if p.toSeq > cur.acked {
@@ -617,10 +590,10 @@ func (s *shipper) finish(plans []*entryPlan, res frameResult, sendErr error) {
 				n.shipsTotal.Inc()
 				rels = ackWaitersLocked(cur, rels)
 			} else {
-				// Gap, vanished replica, or a result the peer did not
-				// report: the replica lost state we thought it had. Heal
-				// by resetting to a full re-ship; waiters ride along,
-				// bounded by maxShipHeals.
+				// Gap, vanished replica, or no result for this session
+				// at its entry's position: the replica lost state we
+				// thought it had. Heal by resetting to a full re-ship;
+				// waiters ride along, bounded by maxShipHeals.
 				cur.opened, cur.acked = false, 0
 				cur.heals++
 				n.shipHeals.Inc()

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"dvfsched/internal/obs"
+	"dvfsched/internal/server"
 )
 
 // TestClusterStreamFailoverReplicaDeath kills a session's replica
@@ -165,14 +167,14 @@ func TestClusterStreamHealsAckGap(t *testing.T) {
 }
 
 // TestClusterStreamMigrateRace races migrations and a drain against
-// submits while the stream keeps a coalescing window open
-// (ShipFlushInterval > 0, so frames are reliably in flight when the
-// migration freezes the shard). Any individual migrate may win or
-// lose; what must hold is the usual oracle — every acked task drains
-// exactly once and the trace rebuilds byte-identically.
+// submits while every reply is held 2ms on the wire (slowListener, so
+// frames are reliably in flight when the migration freezes the
+// shard). Any individual migrate may win or lose; what must hold is
+// the usual oracle — every acked task drains exactly once and the
+// trace rebuilds byte-identically.
 func TestClusterStreamMigrateRace(t *testing.T) {
-	tc := startCluster(t, 3, func(c *Config) {
-		c.ShipFlushInterval = 2 * time.Millisecond
+	tc := startClusterWrapped(t, 3, nil, func(_ string, ln net.Listener) net.Listener {
+		return slowListener{Listener: ln, delay: 2 * time.Millisecond}
 	})
 	front := tc.ids[0]
 	info := tc.createSession(front, `{"cores":2}`)
@@ -323,13 +325,41 @@ func TestClusterStreamReusesConnections(t *testing.T) {
 	}
 }
 
-// TestClusterStreamCoalesces pins the group commit: with a flush
-// interval holding each window open briefly, a storm of concurrent
-// single-task submits to one session must collapse into far fewer
-// frames than submits — each frame's ack releasing every waiter it
-// covers — and still drain to a clean audited trace.
+// slowListener delays every write on the connections it accepts, so
+// each reply, a frame's ack included, spends delay on the wire.
+type slowListener struct {
+	net.Listener
+	delay time.Duration
+}
+
+func (l slowListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return c, err
+	}
+	return slowConn{Conn: c, delay: l.delay}, nil
+}
+
+type slowConn struct {
+	net.Conn
+	delay time.Duration
+}
+
+func (c slowConn) Write(p []byte) (int, error) {
+	time.Sleep(c.delay)
+	return c.Conn.Write(p)
+}
+
+// TestClusterStreamCoalesces pins the stream's coalescing: while one
+// frame is on the wire, the submits that commit meanwhile ride the
+// next one. With every reply held 2ms on the wire, a storm of
+// concurrent single-task submits to one session must collapse into
+// far fewer frames than submits — each frame's ack releasing every
+// waiter it covers — and still drain to a clean audited trace.
 func TestClusterStreamCoalesces(t *testing.T) {
-	tc := startCluster(t, 3, func(c *Config) { c.ShipFlushInterval = 2 * time.Millisecond })
+	tc := startClusterWrapped(t, 3, nil, func(_ string, ln net.Listener) net.Listener {
+		return slowListener{Listener: ln, delay: 2 * time.Millisecond}
+	})
 	front := tc.ids[0]
 	info := tc.createSession(front, `{"cores":2}`)
 	path := "/v1/sessions/" + info.ID
@@ -377,4 +407,108 @@ func TestClusterStreamCoalesces(t *testing.T) {
 	}
 	events := tc.fetchEvents([]string{owner}, path)
 	auditTrace(t, info.PlatformSpec, events, acked, dr)
+}
+
+// TestShipFinishReadsResultByEntry pins finish's one lookup: the
+// replica answers one result per entry in header order, so each plan
+// reads the result at the entry index build gave it — a plan whose
+// session vanished gets no entry and shifts the rest. A result there
+// that names another session counts as unreported: that entry is not
+// acked, its cursor heals to a full re-ship, and its waiter keeps
+// waiting.
+func TestShipFinishReadsResultByEntry(t *testing.T) {
+	srv := server.New(server.Config{})
+	defer srv.Close()
+	n, err := NewNode(Config{ID: "n1", Peers: map[string]string{"n1": "http://127.0.0.1:1", "n2": "http://127.0.0.1:2"}}, srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	serve := func(method, path string, body []byte, header string, want int) {
+		t.Helper()
+		req := httptest.NewRequest(method, path, bytes.NewReader(body))
+		if header != "" {
+			req.Header.Set(server.SessionIDHeader, header)
+		}
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, req)
+		if w.Code != want {
+			t.Fatalf("%s %s: %d %s, want %d", method, path, w.Code, w.Body, want)
+		}
+	}
+	for _, id := range []string{"a", "b"} {
+		serve(http.MethodPost, "/v1/sessions", []byte(`{"cores":2}`), id, http.StatusCreated)
+		serve(http.MethodPost, "/v1/sessions/"+id+"/tasks", taskBatch([]int{1}, true), "", http.StatusOK)
+	}
+	s := &shipper{n: n, peer: "n2", window: 2, wake: make(chan struct{}, 1)}
+	curs := map[string]*shipCursor{}
+	for _, id := range []string{"gone", "a", "b"} {
+		curs[id] = &shipCursor{id: id, target: "n2"}
+		n.ships[id] = curs[id]
+	}
+	// ship builds one frame from the cursors' plans and applies the
+	// results, which name the given sessions in order, all ok.
+	ship := func(ids []string, results ...string) []*entryPlan {
+		t.Helper()
+		plans := make([]*entryPlan, len(ids))
+		n.shipsMu.Lock()
+		for i, id := range ids {
+			cur := curs[id]
+			cur.inflightOn = "n2"
+			plans[i] = &entryPlan{cur: cur, id: id, from: cur.acked, open: !cur.opened}
+		}
+		s.inflight++
+		n.shipsMu.Unlock()
+		if entries, _ := s.build(&shipBuf{}, plans); entries != len(results) {
+			t.Fatalf("frame carries %d entries, want %d", entries, len(results))
+		}
+		var res frameResult
+		for _, id := range results {
+			res.Sessions = append(res.Sessions, frameEntryResult{ID: id, Status: frameStatusOK})
+		}
+		s.finish(plans, res, nil)
+		return plans
+	}
+	heals := srv.Registry().Counter(obs.ClusterShipHeals)
+
+	// The vanished session takes no entry: a and b are entries 0 and 1.
+	plans := ship([]string{"gone", "a", "b"}, "a", "b")
+	n.shipsMu.Lock()
+	for _, p := range plans[1:] {
+		if !p.cur.opened || p.cur.acked != p.toSeq || p.toSeq == 0 {
+			t.Errorf("%s: opened %v acked %d, want acked to %d", p.id, p.cur.opened, p.cur.acked, p.toSeq)
+		}
+	}
+	if _, ok := n.ships["gone"]; ok {
+		t.Error("the vanished session's cursor survived its frame")
+	}
+	n.shipsMu.Unlock()
+	if v := heals.Value(); v != 0 {
+		t.Fatalf("cluster.ship.heals = %v after a clean frame, want 0", v)
+	}
+
+	// Next frame: the result at b's position names a, so b's own
+	// result is missing.
+	for _, id := range []string{"a", "b"} {
+		serve(http.MethodPost, "/v1/sessions/"+id+"/tasks", taskBatch([]int{2}, true), "", http.StatusOK)
+	}
+	waitB := make(chan error, 1)
+	n.shipsMu.Lock()
+	curs["b"].waiters = []*shipWaiter{{seq: curs["b"].acked + 1, deadline: time.Now().Add(time.Minute), ch: waitB}}
+	n.shipsMu.Unlock()
+	plans = ship([]string{"a", "b"}, "a", "a")
+	n.shipsMu.Lock()
+	defer n.shipsMu.Unlock()
+	if a := plans[0]; a.cur.acked != a.toSeq {
+		t.Errorf("a: acked %d, want %d", a.cur.acked, a.toSeq)
+	}
+	if b := curs["b"]; b.opened || b.acked != 0 || b.heals != 1 {
+		t.Errorf("b: opened %v acked %d heals %d, want a reset to a full re-ship", b.opened, b.acked, b.heals)
+	}
+	if len(curs["b"].waiters) != 1 {
+		t.Errorf("b holds %d waiters, want its one waiter still blocked", len(curs["b"].waiters))
+	}
+	if v := heals.Value(); v != 1 {
+		t.Errorf("cluster.ship.heals = %v, want 1", v)
+	}
 }

@@ -13,8 +13,8 @@ import (
 // Least Marginal Cost policy attached to an incrementally-driven
 // virtual-time engine. Unlike RunOnline, which needs the whole trace
 // up front, a session accepts arrivals as they become known — the
-// shape a network-facing scheduler daemon needs. Methods must be
-// called from a single goroutine.
+// shape a network-facing scheduler daemon needs. Methods must not be
+// called concurrently.
 type OnlineSession struct {
 	sess *sim.Session
 	lmc  *online.LMC

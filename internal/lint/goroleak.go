@@ -8,7 +8,7 @@ import (
 )
 
 // GoroLeakAnalyzer flags goroutine lifecycle hazards in the long-lived
-// types (server shards, cluster prober, router, worker pools): a `go`
+// types (cluster prober and shippers, router, worker pools): a `go`
 // statement whose body observes no stop signal outlives its owner, and
 // an unstopped time.Ticker leaks its channel and timer goroutine.
 //
@@ -22,8 +22,8 @@ import (
 //     provably waits for it.
 //
 // Bodies with none of these are fire-and-forget; goroutines whose stop
-// signal is a protocol the analyzer cannot see (a control-op sentinel
-// on a request channel, a closing listener) carry a justified
+// signal is a protocol the analyzer cannot see (a closing listener, a
+// context deadline set inside the body) carry a justified
 // //dvfslint:allow goroleak directive naming it.
 var GoroLeakAnalyzer = &Analyzer{
 	Name: "goroleak",

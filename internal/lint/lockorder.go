@@ -8,8 +8,8 @@ import (
 )
 
 // LockOrderAnalyzer builds a lexical lock-acquisition graph over the
-// package's named mutexes and flags cycles — the shard-map vs
-// intake-ring style deadlock where goroutine 1 holds A and wants B
+// package's named mutexes and flags cycles — the session-registry vs
+// session-lock style deadlock where goroutine 1 holds A and wants B
 // while goroutine 2 holds B and wants A. Mutex identity is the
 // declaration: the struct field (`shard.mu`, `Node.shipsMu`) or the
 // package-level variable, so every instance of a type shares one node,

@@ -10,10 +10,10 @@ import (
 // channel sends and receives, selects without a default, time.Sleep,
 // WaitGroup.Wait, Cond.Wait — performed while a sync.Mutex or RWMutex
 // is held. In the serving planes (internal/server, internal/obs) a
-// blocked critical section stalls every request behind it and can
-// deadlock against the shard goroutines, so blocking work must move
-// outside the lock (the sessions registry's snapshot-then-purge
-// pattern).
+// blocked critical section stalls every request behind it (a session's
+// lock queues every caller of that session) and can deadlock, so
+// blocking work must move outside the lock (the sessions registry's
+// snapshot-then-purge pattern).
 //
 // The analysis is lexical, per function body: it tracks lock depth
 // through the statement list (a deferred Unlock keeps the lock held to

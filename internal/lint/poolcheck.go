@@ -18,15 +18,14 @@ import (
 //   - Put of an escaped value: the value was stored into a field or
 //     package variable, sent on a channel, or returned before the Put —
 //     another goroutine may still hold it, so only the receiver that
-//     got it back may Put (PR 5's receiver-only-Put rule, the
-//     submitReq intake contract);
+//     got it back may Put (the receiver-only-Put rule);
 //   - retained aliasing: a deferred Put combined with returning the
 //     value (or a slice/pointer derived from it) hands the caller
 //     memory the pool is about to recycle.
 //
-// Sites where a protocol guarantees safety (the group-commit intake's
-// hand-back) carry a //dvfslint:allow poolcheck directive naming that
-// protocol.
+// Sites where a protocol guarantees safety (a reply that hands the
+// value back to its sender) carry a //dvfslint:allow poolcheck
+// directive naming that protocol.
 var PoolCheckAnalyzer = &Analyzer{
 	Name: "poolcheck",
 	Doc:  "enforce sync.Pool ownership: no use-after-Put, double-Put, Put of escaped values, or returned aliases of deferred-Put values",

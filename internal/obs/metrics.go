@@ -64,7 +64,7 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // inclusive, like Prometheus). Safe for concurrent use: Observe is
 // lock-free (per-bucket atomic counters plus CAS-accumulated sum and
 // extremes), so it can sit on the serving hot path — every HTTP
-// request and every group-commit batch observes into one — without
+// request and every replication frame observes into one — without
 // serializing the observers. Snapshot reads each cell atomically;
 // cross-field consistency (count vs sum) is only guaranteed on a
 // quiescent histogram, which is when dumps and tests read it.

@@ -43,10 +43,10 @@ const (
 	ServerSessionsDrained = "server.sessions.drained"
 	// ServerSessionTasks counts tasks accepted across all sessions.
 	ServerSessionTasks = "server.sessions.tasks_accepted"
-	// ServerSessionBatchSize is the histogram of group-commit batch
-	// sizes: how many concurrent submits each shard-lock acquisition
-	// admitted. A mass at 1 means no coalescing (light traffic); mass
-	// in the higher buckets is the amortization working.
+	// ServerSessionBatchSize names a histogram nothing produces any
+	// more: sessions admit one submit per lock acquisition, so there is
+	// no batch to measure. The name stays for the benchmark harness,
+	// which still reads it.
 	ServerSessionBatchSize = "server.sessions.batch_size"
 
 	// ClusterForwards counts session operations this node proxied to
@@ -87,8 +87,7 @@ const (
 	ClusterShipFrames = "cluster.ship.frames"
 	// ClusterShipFrameSessions is the histogram of sessions coalesced
 	// into each frame. Mass at 1 means no coalescing (light traffic);
-	// mass in higher buckets is the stream amortization working —
-	// the replication-plane analogue of ServerSessionBatchSize.
+	// mass in higher buckets is the stream amortization working.
 	ClusterShipFrameSessions = "cluster.ship.frame_sessions"
 	// ClusterShipFrameEvents is the histogram of log events carried per
 	// frame across all its sessions.

@@ -101,11 +101,11 @@ func newBenchSession(b *testing.B, s *Server) string {
 
 // BenchmarkSessionSubmit measures the session plane's arrival path
 // under parallel load, in-process (ServeHTTP, no sockets): concurrent
-// single-task submissions racing into one shard exercise group-commit
-// admission and the pooled response encoding. Arrivals advance one
+// single-task submissions racing for one session's lock exercise the
+// lock wait and the pooled response encoding. Arrivals advance one
 // virtual second per submission so the engine completes work at the
 // rate it arrives, as a live session would; clamp admits the
-// submissions that lose the race into the shard.
+// submissions that lose the race for the lock.
 func BenchmarkSessionSubmit(b *testing.B) {
 	s := New(Config{})
 	defer s.Close()
@@ -136,9 +136,8 @@ func BenchmarkSessionSubmit(b *testing.B) {
 	})
 }
 
-// BenchmarkSessionSubmitSerial is the same path with one client: no
-// coalescing opportunity, so the gap between the two benchmarks is the
-// group-commit win.
+// BenchmarkSessionSubmitSerial is the same path with one client, so
+// the session's lock is never contended.
 func BenchmarkSessionSubmitSerial(b *testing.B) {
 	s := New(Config{})
 	defer s.Close()

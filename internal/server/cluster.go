@@ -131,8 +131,8 @@ func (s *Server) SessionSpec(id string) (PlatformSpec, bool) {
 
 // AppendSessionEventsSince appends the session's recorded events with
 // Seq > after to dst, in emission order. It reads the shard's recorder
-// directly (internally locked), so it never blocks on the shard
-// goroutine; the stream shipper reuses one scratch slice per frame
+// directly (internally locked), so it never waits for the session's
+// lock; the stream shipper reuses one scratch slice per frame
 // build, so coalescing many sessions into a frame costs no per-session
 // event-slice allocation.
 func (s *Server) AppendSessionEventsSince(id string, after uint64, dst []obs.Event) ([]obs.Event, error) {
@@ -167,10 +167,10 @@ type HandoffState struct {
 }
 
 // HandoffSession freezes a live session for migration and returns its
-// handoff state. The freeze happens on the shard goroutine after the
-// group-commit intake is flushed, so the checkpoint lands on a batch
-// boundary; from that moment every mutation against the shard is
-// fenced with ErrSessionMigrating until AbortHandoff or FinishHandoff.
+// handoff state. The freeze happens under the session's lock, so the
+// checkpoint lands between two submissions; from that moment every
+// mutation against the shard is fenced with ErrSessionMigrating until
+// AbortHandoff or FinishHandoff.
 // A drained session returns ErrSessionDrained (tombstones don't
 // migrate); a session already frozen returns ErrSessionMigrating.
 func (s *Server) HandoffSession(ctx context.Context, id string) (*HandoffState, error) {
@@ -178,7 +178,7 @@ func (s *Server) HandoffSession(ctx context.Context, id string) (*HandoffState, 
 	if !ok {
 		return nil, s.sessionErr(id, fmt.Errorf("%w: %s", ErrSessionGone, id))
 	}
-	resp, err := sh.do(ctx, shardReq{op: opHandoff})
+	resp, err := sh.do(ctx, opHandoff)
 	if err != nil {
 		return nil, s.sessionErr(id, err)
 	}
@@ -202,7 +202,7 @@ func (s *Server) AbortHandoff(ctx context.Context, id string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrSessionGone, id)
 	}
-	_, err := sh.do(ctx, shardReq{op: opUnfreeze})
+	_, err := sh.do(ctx, opUnfreeze)
 	return err
 }
 
@@ -233,7 +233,7 @@ func (s *Server) SessionMovedTo(id string) (string, bool) {
 func (s *Server) LiveSessionIDs(ctx context.Context) []string {
 	var out []string
 	for _, sh := range s.sessions.all() {
-		resp, err := sh.do(ctx, shardReq{op: opStatus})
+		resp, err := sh.do(ctx, opStatus)
 		if err == nil && resp.err == nil && !resp.drained {
 			out = append(out, sh.id)
 		}
@@ -254,8 +254,8 @@ func (s *Server) AdoptSession(ctx context.Context, id string, spec PlatformSpec,
 	if err != nil {
 		return SessionInfo{}, err
 	}
-	// Read the session before adopt hands ownership to the shard
-	// goroutine; afterwards only the shard may touch it.
+	// Read the session before adopt publishes it; afterwards it is
+	// touched only under the shard's lock.
 	clock, pending := rb.Sess.Clock(), rb.Sess.Pending()
 	sh, err := s.sessions.adopt(id, rb)
 	if err != nil {

@@ -6,12 +6,11 @@ import "errors"
 // writeAPIError (wire.go) maps them — together with the core facade's
 // sentinels — to HTTP statuses.
 var (
-	// ErrBusy reports a full bounded queue (plan queue or shard request
-	// queue): backpressure. 429 in steady state, 503 once a drain has
-	// begun.
+	// ErrBusy reports a full plan queue, or too many callers waiting
+	// for one session's lock: backpressure. 429 in steady state, 503
+	// once a drain has begun.
 	ErrBusy = errors.New("server: queue full; retry later")
-	// ErrSessionGone reports a purged session whose goroutine has
-	// exited: 404.
+	// ErrSessionGone reports a purged session: 404.
 	ErrSessionGone = errors.New("server: session is gone")
 	// ErrSessionDrained reports a submit against a session that has
 	// already been drained to its final result: 409.

@@ -3,29 +3,31 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
+	"net/http"
+	"runtime"
 	"sync"
 	"testing"
 
 	"dvfsched/internal/core"
 	"dvfsched/internal/model"
 	"dvfsched/internal/obs"
+	"dvfsched/internal/trace"
 )
 
-// newTestShard builds a shard on the default platform with a fresh
-// batch-size histogram, returning both.
-func newTestShard(t *testing.T, queueDepth int) (*shard, *obs.Histogram) {
+// newTestShard builds a shard on the default platform.
+func newTestShard(t *testing.T) *shard {
 	t.Helper()
 	spec, params, plat, err := PlatformSpec{}.normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist := obs.NewRegistry().Histogram(obs.ServerSessionBatchSize, batchSizeBuckets)
-	sh, err := newShard("s-test", spec, params, plat, queueDepth, hist)
+	sh, err := newShard("s-test", spec, params, plat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(sh.purge)
-	return sh, hist
+	return sh
 }
 
 // oneTask builds a single-task submission.
@@ -33,97 +35,113 @@ func oneTask(id int, cycles, arrival float64) model.TaskSet {
 	return model.TaskSet{{ID: id, Cycles: cycles, Arrival: arrival, Deadline: model.NoDeadline}}
 }
 
-// TestGroupCommitCoalesces stages five submissions in the intake ring
-// before delivering one wakeup, so the leader must admit all five in a
-// single flush: every submitter gets its reply, the results are
-// identical to five serial submissions, and the batch-size histogram
-// records one batch of five.
-func TestGroupCommitCoalesces(t *testing.T) {
-	sh, hist := newTestShard(t, 64)
-	const n = 5
-	reqs := make([]*submitReq, n)
-	sh.mu.Lock()
-	for i := 0; i < n; i++ {
-		req := submitReqPool.Get().(*submitReq)
-		req.ctx, req.tasks, req.clamp = context.Background(), oneTask(i+1, 1, float64(i)), false
-		reqs[i] = req
-		sh.intake = append(sh.intake, req)
+// TestSessionLockBackpressure puts a session's count of callers
+// waiting for its lock at the bound: the next submit and the next
+// status are both shed with 429 busy and never reach the engine, and
+// the session serves again once the waiters are gone.
+func TestSessionLockBackpressure(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	var info SessionInfo
+	if code := doJSON(t, "POST", ts.URL+"/v1/sessions", PlatformSpec{Cores: 2}, &info); code != http.StatusCreated {
+		t.Fatalf("create status %d", code)
 	}
-	sh.mu.Unlock()
-	sh.kick <- struct{}{}
-	for i, req := range reqs {
-		resp := <-req.reply
-		if resp.err != nil {
-			t.Fatalf("submission %d: %v", i, resp.err)
-		}
-		if resp.submitted != i+1 {
-			t.Fatalf("submission %d: submitted = %d, want %d", i, resp.submitted, i+1)
-		}
+	sh, ok := s.sessions.get(info.ID)
+	if !ok {
+		t.Fatalf("session %s not registered", info.ID)
 	}
-	snap := hist.Snapshot()
-	if snap.Count != 1 || snap.Sum != n {
-		t.Fatalf("batch histogram: count %d sum %v, want one batch of %d", snap.Count, snap.Sum, n)
+	base := ts.URL + "/v1/sessions/" + info.ID
+	submit := SubmitRequest{Tasks: []trace.Record{{ID: 1, Cycles: 5, Arrival: 1}}}
+
+	sh.waiting.Store(maxSessionWaiters)
+	var eresp errorResponse
+	if code := doJSON(t, "POST", base+"/tasks", submit, &eresp); code != http.StatusTooManyRequests || eresp.Error.Code != "busy" {
+		t.Fatalf("submit past the waiter bound: %d %+v, want 429 busy", code, eresp)
+	}
+	eresp = errorResponse{}
+	if code := doJSON(t, "GET", base, nil, &eresp); code != http.StatusTooManyRequests || eresp.Error.Code != "busy" {
+		t.Fatalf("status past the waiter bound: %d %+v, want 429 busy", code, eresp)
+	}
+	if got := s.Registry().Snapshot().Counters[obs.ServerRejected]; got != 2 {
+		t.Fatalf("rejected counter %v, want 2", got)
+	}
+
+	sh.waiting.Store(0)
+	if code := doJSON(t, "POST", base+"/tasks", submit, nil); code != http.StatusOK {
+		t.Fatalf("submit after the waiters left: status %d", code)
+	}
+	var status SessionInfo
+	if code := doJSON(t, "GET", base, nil, &status); code != http.StatusOK || status.Submitted != 1 {
+		t.Fatalf("status after the waiters left: %d %+v, want 200 with 1 submitted", code, status)
 	}
 }
 
-// TestGroupCommitFlushBeforeControl stages submissions without any
-// wakeup and then issues a status request: the leader must flush the
-// intake before answering, so the reply counts every staged task.
-func TestGroupCommitFlushBeforeControl(t *testing.T) {
-	sh, _ := newTestShard(t, 64)
-	const n = 3
-	reqs := make([]*submitReq, n)
-	sh.mu.Lock()
-	for i := 0; i < n; i++ {
-		req := submitReqPool.Get().(*submitReq)
-		req.ctx, req.tasks, req.clamp = context.Background(), oneTask(100+i, 1, 0), true
-		reqs[i] = req
-		sh.intake = append(sh.intake, req)
+// TestSubmitCanceledWhileWaiting holds a session's lock while a submit
+// queues for it, and cancels the submit's context before releasing
+// the lock. The submit must return the context error without touching
+// the engine: no task counted, no arrival recorded.
+func TestSubmitCanceledWhileWaiting(t *testing.T) {
+	sh := newTestShard(t)
+	if resp, err := sh.submit(context.Background(), oneTask(1, 1, 0), true); err != nil || resp.err != nil {
+		t.Fatalf("first submit: %v / %v", err, resp.err)
 	}
+	events := sh.rec.Len()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
+	sh.mu.Lock()
+	go func() {
+		_, err := sh.submit(ctx, oneTask(2, 1, 0), true)
+		errc <- err
+	}()
+	for sh.waiting.Load() == 0 {
+		runtime.Gosched()
+	}
+	cancel()
 	sh.mu.Unlock()
-	resp, err := sh.do(context.Background(), shardReq{op: opStatus})
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("submit canceled while waiting: err %v, want context.Canceled", err)
+	}
+
+	resp, err := sh.do(context.Background(), opStatus)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.submitted != n {
-		t.Fatalf("status after staged submissions: submitted = %d, want %d", resp.submitted, n)
+	if resp.submitted != 1 {
+		t.Fatalf("submitted = %d after the canceled submit, want 1", resp.submitted)
 	}
-	for i, req := range reqs {
-		if r := <-req.reply; r.err != nil {
-			t.Fatalf("submission %d: %v", i, r.err)
-		}
+	if n := sh.rec.Len(); n != events {
+		t.Fatalf("recorder grew from %d to %d events: the canceled submit reached the engine", events, n)
 	}
 }
 
-// TestGroupCommitIntakeOverflow fills the intake ring past capacity
-// and checks the overflow submission is shed as ErrBusy.
-func TestGroupCommitIntakeOverflow(t *testing.T) {
-	sh, _ := newTestShard(t, 2)
-	// Stage a fake full intake without waking the leader.
-	sh.mu.Lock()
-	for i := 0; i < 2; i++ {
-		req := submitReqPool.Get().(*submitReq)
-		req.ctx, req.tasks, req.clamp = context.Background(), oneTask(200+i, 1, 0), true
-		sh.intake = append(sh.intake, req)
+// TestPurgedShardRefusesCallers checks a caller that looked a shard up
+// before its purge: its submit and its status get ErrSessionGone, and
+// the discarded engine records nothing.
+func TestPurgedShardRefusesCallers(t *testing.T) {
+	sh := newTestShard(t)
+	sh.purge()
+	if _, err := sh.submit(context.Background(), oneTask(1, 1, 0), true); !errors.Is(err, ErrSessionGone) {
+		t.Fatalf("submit after purge: err %v, want ErrSessionGone", err)
 	}
-	sh.mu.Unlock()
-	_, err := sh.submit(context.Background(), oneTask(299, 1, 0), true)
-	if err == nil {
-		t.Fatal("overflow submission accepted, want ErrBusy")
+	if _, err := sh.do(context.Background(), opStatus); !errors.Is(err, ErrSessionGone) {
+		t.Fatalf("status after purge: err %v, want ErrSessionGone", err)
 	}
-	// Drain the staged requests so cleanup can purge promptly.
-	sh.kick <- struct{}{}
+	if n := sh.rec.Len(); n != 0 {
+		t.Fatalf("purged engine recorded %d events", n)
+	}
 }
 
-// TestGroupCommitParity is the determinism proof for batched
+// TestGroupCommitParity is the determinism proof for concurrent
 // admission: many goroutines race single-task submissions into one
 // shard, and the resulting event trace must be byte-identical to the
 // same submissions applied serially — one core session, one Admit per
-// submission — in the order the leader admitted them (recovered from
-// the arrival events, since every submission carries a distinct ID).
+// submission — in the order they took the session's lock (recovered
+// from the arrival events, since every submission carries a distinct
+// ID).
 func TestGroupCommitParity(t *testing.T) {
 	const goroutines, perG = 8, 25
-	sh, hist := newTestShard(t, goroutines*perG)
+	sh := newTestShard(t)
 
 	// Pre-build every submission and keep a pristine copy: Admit clamps
 	// arrivals in place, and the serial replay must start from the
@@ -165,7 +183,7 @@ func TestGroupCommitParity(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	if _, err := sh.do(context.Background(), shardReq{op: opDrain}); err != nil {
+	if _, err := sh.do(context.Background(), opDrain); err != nil {
 		t.Fatal(err)
 	}
 
@@ -218,12 +236,5 @@ func TestGroupCommitParity(t *testing.T) {
 		if !bytes.Equal(gb, wb) {
 			t.Fatalf("event %d diverges:\nbatched: %s\nserial:  %s", i, gb, wb)
 		}
-	}
-	snap := hist.Snapshot()
-	if snap.Sum != float64(len(subs)) {
-		t.Fatalf("batch histogram mass %v, want %d", snap.Sum, len(subs))
-	}
-	if snap.Count == 0 || snap.Count > uint64(len(subs)) {
-		t.Fatalf("batch histogram count %d out of range [1, %d]", snap.Count, len(subs))
 	}
 }

@@ -4,13 +4,13 @@
 // (Section III) behind a worker pool and an LRU result cache; the
 // stateful session plane hosts online-mode shards (Section IV) — one
 // Least Marginal Cost policy and virtual-time engine per session,
-// owned by a single goroutine — that accept task arrivals over HTTP
-// and stream their observability trace back as JSON Lines.
+// behind one mutex — that accept task arrivals over HTTP and stream
+// their observability trace back as JSON Lines.
 //
-// Production plumbing is part of the contract: bounded queues that
-// shed load with 429s, per-request timeouts, panic-to-500 recovery,
-// /healthz and /metrics (an obs.Registry snapshot), and graceful
-// drain of every live session on shutdown.
+// Production plumbing is part of the contract: bounded queues and
+// lock waits that shed load with 429s, per-request timeouts,
+// panic-to-500 recovery, /healthz and /metrics (an obs.Registry
+// snapshot), and graceful drain of every live session on shutdown.
 package server
 
 import (
@@ -36,8 +36,6 @@ type Config struct {
 	// MaxSessions bounds concurrently registered sessions (live plus
 	// drained-but-not-purged); 0 means 1024.
 	MaxSessions int
-	// SessionQueueDepth bounds each shard's request queue; 0 means 64.
-	SessionQueueDepth int
 	// RequestTimeout bounds each request's handling time; 0 means 30s.
 	RequestTimeout time.Duration
 	// TraceFormat is the events endpoint's encoding when the request
@@ -60,9 +58,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSessions == 0 {
 		c.MaxSessions = 1024
-	}
-	if c.SessionQueueDepth == 0 {
-		c.SessionQueueDepth = 64
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 30 * time.Second
@@ -109,7 +104,7 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		reg:      reg,
 		planner:  newPlanner(cfg.Workers, cfg.QueueDepth, cfg.CacheSize, reg),
-		sessions: newSessions(cfg.MaxSessions, cfg.SessionQueueDepth, reg),
+		sessions: newSessions(cfg.MaxSessions, reg),
 		started:  time.Now(),
 		requests: reg.Counter(obs.ServerRequests),
 		failures: reg.Counter(obs.ServerFailures),
@@ -155,8 +150,9 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 // Draining reports whether BeginDrain has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Close stops the planning workers. Call after the http.Server has
-// stopped serving and sessions are drained.
+// Close stops the planning workers, the server's only goroutines.
+// Call after the http.Server has stopped serving and sessions are
+// drained.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() { s.planner.close() })
 }

@@ -22,35 +22,27 @@ const maxMovedMarkers = 65536
 
 // sessions is the registry of live and drained (tombstoned) shards.
 type sessions struct {
-	mu         sync.Mutex
-	m          map[string]*shard
-	moved      map[string]string // migrated-away session -> target node
-	seq        int
-	maxOpen    int
-	queueDepth int
+	mu      sync.Mutex
+	m       map[string]*shard
+	moved   map[string]string // migrated-away session -> target node
+	seq     int
+	maxOpen int
 
 	open    *obs.Gauge
 	opened  *obs.Counter
 	drained *obs.Counter
 	tasks   *obs.Counter
-	batch   *obs.Histogram
 }
 
-// batchSizeBuckets covers group-commit coalescing from "no concurrency"
-// (1) up to a full default intake ring (64).
-var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
-
-func newSessions(maxOpen, queueDepth int, reg *obs.Registry) *sessions {
+func newSessions(maxOpen int, reg *obs.Registry) *sessions {
 	return &sessions{
-		m:          map[string]*shard{},
-		moved:      map[string]string{},
-		maxOpen:    maxOpen,
-		queueDepth: queueDepth,
-		open:       reg.Gauge(obs.ServerSessionsOpen),
-		opened:     reg.Counter(obs.ServerSessionsOpened),
-		drained:    reg.Counter(obs.ServerSessionsDrained),
-		tasks:      reg.Counter(obs.ServerSessionTasks),
-		batch:      reg.Histogram(obs.ServerSessionBatchSize, batchSizeBuckets),
+		m:       map[string]*shard{},
+		moved:   map[string]string{},
+		maxOpen: maxOpen,
+		open:    reg.Gauge(obs.ServerSessionsOpen),
+		opened:  reg.Counter(obs.ServerSessionsOpened),
+		drained: reg.Counter(obs.ServerSessionsDrained),
+		tasks:   reg.Counter(obs.ServerSessionTasks),
 	}
 }
 
@@ -69,7 +61,7 @@ func (ss *sessions) create(id string, spec PlatformSpec, params model.CostParams
 	} else if _, ok := ss.m[id]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrSessionExists, id)
 	}
-	sh, err := newShard(id, spec, params, plat, ss.queueDepth, ss.batch)
+	sh, err := newShard(id, spec, params, plat)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +84,7 @@ func (ss *sessions) adopt(id string, rb *RebuiltSession) (*shard, error) {
 	if len(ss.m) >= ss.maxOpen {
 		return nil, fmt.Errorf("%w (%d); drain and delete old sessions", ErrSessionTableFull, ss.maxOpen)
 	}
-	sh := startShard(id, rb.Spec, rb.Rec, rb.Sess, ss.queueDepth, ss.batch, rb.Submitted)
+	sh := &shard{id: id, spec: rb.Spec, rec: rb.Rec, sess: rb.Sess, submitted: rb.Submitted}
 	ss.m[id] = sh
 	delete(ss.moved, id) // adopted back: the marker no longer applies
 	ss.opened.Inc()
@@ -108,7 +100,7 @@ func (ss *sessions) get(id string) (*shard, bool) {
 	return sh, ok
 }
 
-// remove forgets a shard and stops its goroutine.
+// remove forgets a shard and purges it.
 func (ss *sessions) remove(id string) {
 	ss.mu.Lock()
 	sh, ok := ss.m[id]
@@ -214,9 +206,9 @@ func (s *Server) lookupShard(w http.ResponseWriter, r *http.Request) (*shard, bo
 	return sh, true
 }
 
-// sessionErr upgrades a raced shard-death error: if the shard vanished
-// because the session migrated away mid-request, the caller should see
-// the retryable moved sentinel, not a terminal "gone".
+// sessionErr upgrades a raced purge: if the shard vanished because the
+// session migrated away mid-request, the caller should see the
+// retryable moved sentinel, not a terminal "gone".
 func (s *Server) sessionErr(id string, err error) error {
 	if err != nil && errors.Is(err, ErrSessionGone) {
 		if target, ok := s.sessions.movedTo(id); ok {
@@ -232,7 +224,7 @@ func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp, err := sh.do(r.Context(), shardReq{op: opStatus})
+	resp, err := sh.do(r.Context(), opStatus)
 	if err != nil {
 		s.writeAPIError(w, s.sessionErr(sh.id, err), http.StatusInternalServerError)
 		return
@@ -363,9 +355,8 @@ func writeEvents(w http.ResponseWriter, rec *obs.Recorder, format string) {
 
 // handleSessionSnapshot is GET /v1/sessions/{id}/snapshot: a binary
 // checkpoint of the live session (sim checkpoint format, "DVSC"
-// magic). The snapshot is taken on the shard goroutine after flushing
-// the group-commit intake, so it always lands on a batch boundary —
-// never between the submissions of one coalesced admission. Restore it
+// magic). The snapshot is taken under the session's lock, so it lands
+// between two submissions, never inside one. Restore it
 // with core.Scheduler.RestoreOnline on a scheduler configured with the
 // same platform and cost constants. A traced session needs no snapshot
 // to recover: its events-endpoint log alone rebuilds it by replay
@@ -382,7 +373,7 @@ func (s *Server) handleSessionSnapshot(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp, err := sh.do(r.Context(), shardReq{op: opSnapshot})
+	resp, err := sh.do(r.Context(), opSnapshot)
 	if err != nil {
 		s.writeAPIError(w, s.sessionErr(sh.id, err), http.StatusInternalServerError)
 		return
@@ -409,7 +400,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp, err := sh.do(r.Context(), shardReq{op: opStatus})
+	resp, err := sh.do(r.Context(), opStatus)
 	if err != nil {
 		s.writeAPIError(w, s.sessionErr(sh.id, err), http.StatusInternalServerError)
 		return
@@ -419,7 +410,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	resp, err = sh.do(r.Context(), shardReq{op: opDrain})
+	resp, err = sh.do(r.Context(), opDrain)
 	if err != nil {
 		s.writeAPIError(w, s.sessionErr(sh.id, err), http.StatusInternalServerError)
 		return
@@ -468,11 +459,11 @@ func (s *Server) DrainAll(ctx context.Context) []DrainSummary {
 	s.BeginDrain()
 	var out []DrainSummary
 	for _, sh := range s.sessions.all() {
-		st, err := sh.do(ctx, shardReq{op: opStatus})
+		st, err := sh.do(ctx, opStatus)
 		if err == nil && st.drained {
 			continue
 		}
-		resp, err := sh.do(ctx, shardReq{op: opDrain})
+		resp, err := sh.do(ctx, opDrain)
 		if err != nil {
 			out = append(out, DrainSummary{ID: sh.id, Err: err})
 			continue

@@ -188,14 +188,13 @@ func TestSessionSnapshotEndpoint(t *testing.T) {
 }
 
 // TestSnapshotMidGroupCommit races concurrent submitters against
-// repeated snapshots on one shard. Because snapshots travel the
-// control channel and the leader flushes the whole intake first, every
-// snapshot lands on a group-commit boundary: each one must be
-// restorable, agree with its reported clock/pending, and drain cleanly
-// with exactly the tasks it had admitted.
+// repeated snapshots on one shard. A snapshot takes the session's lock
+// like a submit does, so every snapshot lands between two submissions:
+// each one must be restorable, agree with its reported clock/pending,
+// and drain cleanly with exactly the tasks it had admitted.
 func TestSnapshotMidGroupCommit(t *testing.T) {
 	const goroutines, perG = 6, 20
-	sh, _ := newTestShard(t, goroutines*perG)
+	sh := newTestShard(t)
 
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -230,7 +229,7 @@ func TestSnapshotMidGroupCommit(t *testing.T) {
 			stop = true
 		default:
 		}
-		resp, err := sh.do(context.Background(), shardReq{op: opSnapshot})
+		resp, err := sh.do(context.Background(), opSnapshot)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +273,7 @@ func TestSnapshotMidGroupCommit(t *testing.T) {
 	// Final consistency: the last snapshot (taken after every submitter
 	// finished) restores to a session that drains bit-identically to
 	// the shard itself.
-	resp, err := sh.do(context.Background(), shardReq{op: opSnapshot})
+	resp, err := sh.do(context.Background(), opSnapshot)
 	if err != nil || resp.err != nil {
 		t.Fatalf("final snapshot: %v / %v", err, resp.err)
 	}
@@ -294,7 +293,7 @@ func TestSnapshotMidGroupCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shResp, err := sh.do(context.Background(), shardReq{op: opDrain})
+	shResp, err := sh.do(context.Background(), opDrain)
 	if err != nil {
 		t.Fatal(err)
 	}
