@@ -196,14 +196,16 @@ func (s *Server) HandoffSession(ctx context.Context, id string) (*HandoffState, 
 }
 
 // AbortHandoff lifts a migration freeze after a failed ship: the shard
-// resumes serving here, still authoritative, nothing lost.
-func (s *Server) AbortHandoff(ctx context.Context, id string) error {
+// resumes serving here, still authoritative, nothing lost. The context
+// is ignored: a ship often fails because the migration's context ended,
+// and the unfreeze must land all the same.
+func (s *Server) AbortHandoff(_ context.Context, id string) error {
 	sh, ok := s.sessions.get(id)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrSessionGone, id)
 	}
-	_, err := sh.do(ctx, opUnfreeze)
-	return err
+	sh.unfreeze()
+	return nil
 }
 
 // FinishHandoff retires the local shard after a successful migration

@@ -132,6 +132,34 @@ func TestPurgedShardRefusesCallers(t *testing.T) {
 	}
 }
 
+// TestAbortHandoffIgnoresEndedContext freezes a session for a handoff
+// and aborts it with a context that has already ended, as a migration
+// whose ship failed on its own deadline does. The unfreeze must land
+// anyway, or the session would refuse every submit from then on.
+func TestAbortHandoffIgnoresEndedContext(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	var info SessionInfo
+	if code := doJSON(t, "POST", ts.URL+"/v1/sessions", PlatformSpec{Cores: 2}, &info); code != http.StatusCreated {
+		t.Fatalf("create status %d", code)
+	}
+	if _, err := s.HandoffSession(context.Background(), info.ID); err != nil {
+		t.Fatal(err)
+	}
+	tasks := ts.URL + "/v1/sessions/" + info.ID + "/tasks"
+	submit := SubmitRequest{Tasks: []trace.Record{{ID: 1, Cycles: 5, Arrival: 1}}}
+	if code := doJSON(t, "POST", tasks, submit, nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("submit to a frozen session: status %d, want 503", code)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := s.AbortHandoff(ctx, info.ID); err != nil {
+		t.Fatalf("abort with an ended context: %v", err)
+	}
+	if code := doJSON(t, "POST", tasks, submit, nil); code != http.StatusOK {
+		t.Fatalf("submit after the abort: status %d, want 200", code)
+	}
+}
+
 // TestGroupCommitParity is the determinism proof for concurrent
 // admission: many goroutines race single-task submissions into one
 // shard, and the resulting event trace must be byte-identical to the

@@ -29,11 +29,8 @@ const (
 	// opHandoff freezes the shard for a planned migration: it snapshots
 	// the session between two submissions and fences every subsequent
 	// mutation (submit, drain, snapshot) with ErrSessionMigrating until
-	// opUnfreeze or a purge.
+	// an unfreeze or a purge.
 	opHandoff
-	// opUnfreeze lifts a handoff freeze after a failed ship, resuming
-	// normal service on the still-authoritative owner.
-	opUnfreeze
 )
 
 // shardResp is one operation's answer.
@@ -80,7 +77,7 @@ type shard struct {
 	// frozen marks a handoff in progress: mutations are fenced with
 	// ErrSessionMigrating so a submit racing the migration cannot land
 	// on a state that has already been shipped (exactly-once across the
-	// ownership flip). Only opUnfreeze clears it; a purge retires the
+	// ownership flip). Only unfreeze clears it; a purge retires the
 	// shard without clearing.
 	frozen bool
 	// gone marks a purged shard: a caller that looked it up before the
@@ -221,11 +218,19 @@ func (sh *shard) do(ctx context.Context, op shardOp) (shardResp, error) {
 			sh.frozen = true
 		}
 		resp.clock, resp.pending, resp.submitted = sh.sess.Clock(), sh.sess.Pending(), sh.submitted
-	case opUnfreeze:
-		sh.frozen = false
-		resp.submitted = sh.submitted
 	}
 	return resp, nil
+}
+
+// unfreeze lifts a handoff freeze after a failed ship, resuming normal
+// service on the still-authoritative owner. Like purge it is cleanup:
+// it waits for the lock whatever the caller's context and however many
+// callers queue, because a frozen shard fences every mutation until it
+// runs.
+func (sh *shard) unfreeze() {
+	sh.mu.Lock()
+	sh.frozen = false
+	sh.mu.Unlock()
 }
 
 // purge retires the shard: callers still holding it get
