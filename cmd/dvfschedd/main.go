@@ -11,7 +11,7 @@
 //	          [-trace-format jsonl|binary] [-pprof-addr 127.0.0.1:6060]
 //	          [-node-id ID -peers "id1=http://h1:p1,id2=http://h2:p2,..."]
 //	          [-node-id ID -advertise http://h:p -join http://seed:p]
-//	          [-probe-interval 2s] [-ship-window N]
+//	          [-probe-interval 2s]
 //
 // With -node-id and -peers the daemon seeds a cluster
 // (internal/cluster): a consistent-hash ring places each session on an
@@ -89,7 +89,6 @@ func run(args []string, w io.Writer, sigs <-chan os.Signal) error {
 		joinURL      = fs.String("join", "", "base URL of an existing member to join at startup (requires -node-id and -advertise)")
 		advertise    = fs.String("advertise", "", "base URL other nodes reach this daemon on (required with -join)")
 		probeEvery   = fs.Duration("probe-interval", 2*time.Second, "cluster peer health-probe interval")
-		shipWindow   = fs.Int("ship-window", 0, "in-flight replication frames per peer stream (0 = default 4)")
 		pprofAddr    = fs.String("pprof-addr", "", "expose net/http/pprof on this side listener (empty = off; keep it loopback-only)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -137,9 +136,6 @@ func run(args []string, w io.Writer, sigs <-chan os.Signal) error {
 	if *probeEvery <= 0 {
 		return fmt.Errorf("-probe-interval must be positive, got %v", *probeEvery)
 	}
-	if *shipWindow < 0 {
-		return fmt.Errorf("-ship-window must not be negative, got %d", *shipWindow)
-	}
 
 	s := server.New(server.Config{
 		Workers:        *workers,
@@ -154,9 +150,8 @@ func run(args []string, w io.Writer, sigs <-chan os.Signal) error {
 	handler := http.Handler(s)
 	if peers != nil {
 		node, err := cluster.NewNode(cluster.Config{
-			ID:         *nodeID,
-			Peers:      peers,
-			ShipWindow: *shipWindow,
+			ID:    *nodeID,
+			Peers: peers,
 		}, s)
 		if err != nil {
 			return err
@@ -164,8 +159,8 @@ func run(args []string, w io.Writer, sigs <-chan os.Signal) error {
 		handler = node.Handler()
 		stopProber := node.StartProber(*probeEvery)
 		defer stopProber()
-		// Stop the replication streams only after the HTTP server below
-		// has stopped serving mutations (defers run LIFO).
+		// Close replication only after the HTTP server below has stopped
+		// serving mutations (defers run LIFO).
 		defer node.Close()
 	}
 

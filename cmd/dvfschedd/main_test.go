@@ -80,7 +80,6 @@ func TestRunRejectsBadClusterFlags(t *testing.T) {
 		{"relative address", []string{"-node-id", "a", "-peers", "a=h:1"}, "http(s) URL"},
 		{"empty peer list", []string{"-node-id", "a", "-peers", ","}, "no entries"},
 		{"bad probe interval", []string{"-probe-interval", "-1s"}, "-probe-interval"},
-		{"negative ship window", []string{"-ship-window", "-1"}, "-ship-window"},
 		{"join with peers", []string{"-node-id", "a", "-peers", "a=http://h:1", "-join", "http://h:2"}, "mutually exclusive"},
 		{"join without node-id", []string{"-join", "http://h:2", "-advertise", "http://h:1"}, "-join requires"},
 		{"join without advertise", []string{"-node-id", "a", "-join", "http://h:2"}, "-join requires"},

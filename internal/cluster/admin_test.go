@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -615,6 +617,43 @@ func (tc *testCluster) migrate(front, id, target string) MigrateInfo {
 		tc.t.Fatal(err)
 	}
 	return mi
+}
+
+// TestMigrateRefusedWhileFrozen: a session's handoff freeze serializes
+// its migrations. While the shard is frozen a migrate answers 409
+// already migrating and leaves the session where it is; once the
+// freeze is lifted the same migrate succeeds.
+func TestMigrateRefusedWhileFrozen(t *testing.T) {
+	tc := startCluster(t, 3, nil)
+	info := tc.createSession("n1", `{"cores":2}`)
+	path := "/v1/sessions/" + info.ID
+	if code, b := tc.do("n1", http.MethodPost, path+"/tasks", taskBatch([]int{1, 2}, true)); code != http.StatusOK {
+		t.Fatalf("seed submit: %d %s", code, b)
+	}
+	chain := tc.byID["n1"].node.Route(info.ID)
+	owner, target := chain[0], chain[1]
+	srv := tc.byID[owner].srv
+	if _, err := srv.HandoffSession(context.Background(), info.ID); err != nil {
+		t.Fatal(err)
+	}
+	body := []byte(fmt.Sprintf(`{"target":%q}`, target))
+	code, b := tc.do(owner, http.MethodPost, "/v1/cluster/sessions/"+info.ID+"/migrate", body)
+	if code != http.StatusConflict || !strings.Contains(string(b), "already migrating") {
+		t.Fatalf("migrate of a frozen session: %d %s, want 409 already migrating", code, b)
+	}
+	if !srv.HasSession(info.ID) {
+		t.Fatalf("the refused migrate moved %s off %s", info.ID, owner)
+	}
+	if err := srv.AbortHandoff(context.Background(), info.ID); err != nil {
+		t.Fatal(err)
+	}
+	if mi := tc.migrate(owner, info.ID, target); mi.To != target {
+		t.Fatalf("migrate after the unfreeze went to %s, want %s", mi.To, target)
+	}
+	dr := tc.drainRetry(tc.ids, path)
+	if dr.Tasks != 2 {
+		t.Errorf("drained %d tasks, want 2", dr.Tasks)
+	}
 }
 
 // TestClusterMigrationTourKeepsReplica moves one session along all six

@@ -31,7 +31,7 @@ var overflowFrame = rawFrame(`{"from":"n1","sessions":[`+
 	`{"id":"b","events_len":9223372036854775807,"checkpoint_len":4}]}`, "abcd")
 
 // frameSeeds returns one frame of each shape the nodes write — a
-// stream frame from shipper.build (spec and events), a handoff (spec,
+// stream frame from Node.build (spec and events), a handoff (spec,
 // events and a checkpoint) and a drop — plus the overflow frame and a
 // stream frame carrying a checkpoint, which the replica endpoint
 // refuses, then truncations of all five.
@@ -61,11 +61,9 @@ func frameSeeds(tb testing.TB) [][]byte {
 	serve("/v1/sessions", []byte(`{"cores":2}`), http.StatusCreated)
 	serve("/v1/sessions/"+id+"/tasks", taskBatch([]int{1, 2, 3, 4}, true), http.StatusOK)
 
-	s := &shipper{n: n, peer: "n2"}
 	buf := &shipBuf{}
-	plans := []*entryPlan{{cur: &shipCursor{id: id}, id: id, open: true}}
-	if sessions, events := s.build(buf, plans); sessions != 1 || events == 0 {
-		tb.Fatalf("build: %d sessions, %d events", sessions, events)
+	if _, events, err := n.build(buf, id, true, 0); err != nil || events == 0 {
+		tb.Fatalf("build: %d events, err %v", events, err)
 	}
 	stream := append([]byte(nil), buf.body...)
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 
 	"dvfsched/internal/obs"
 	"dvfsched/internal/server"
@@ -170,12 +169,9 @@ func (n *Node) migrateSessionTo(ctx context.Context, id, target, addr string, pi
 	if target == n.cfg.ID {
 		return fmt.Errorf("session %s already on %s", id, target)
 	}
-	if !n.migrating.begin(id) {
-		return fmt.Errorf("%w: %s", server.ErrSessionMigrating, id)
-	}
-	defer n.migrating.end(id)
-
-	// Freeze: snapshot between two submissions + mutation fence.
+	// Freeze: snapshot between two submissions + mutation fence. The
+	// freeze also serializes migrations: a second one finds the session
+	// frozen and gets ErrSessionMigrating.
 	hs, err := n.srv.HandoffSession(ctx, id)
 	if err != nil {
 		return err
@@ -298,26 +294,4 @@ func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	// before acking.
 	_ = n.Replicate(r.Context(), id, server.MutationCreate)
 	writeClusterJSON(w, info)
-}
-
-// sessionGuard serializes migrations per session ID.
-type sessionGuard struct {
-	mu sync.Mutex
-	m  map[string]bool
-}
-
-func (g *sessionGuard) begin(id string) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.m[id] {
-		return false
-	}
-	g.m[id] = true
-	return true
-}
-
-func (g *sessionGuard) end(id string) {
-	g.mu.Lock()
-	delete(g.m, id)
-	g.mu.Unlock()
 }

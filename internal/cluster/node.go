@@ -31,15 +31,10 @@ type Config struct {
 	// joins and leaves (POST/DELETE /v1/cluster/nodes/{id}) replace the
 	// membership at runtime.
 	Peers map[string]string
-	// ShipWindow bounds in-flight replication frames per peer stream
-	// (0 = DefaultShipWindow; negative is an error). Pipelining
-	// coalesces whatever commits while the previous frame is on the
-	// wire into the next one.
-	ShipWindow int
 }
 
-// shipTimeout bounds each replication RPC. Admin RPCs, ack waiters
-// and the shipper's stale-waiter sweep are paced in multiples of it.
+// shipTimeout bounds each replication RPC. Admin RPCs are paced in
+// multiples of it.
 const shipTimeout = 5 * time.Second
 
 // Node is one cluster member: it fronts a server.Server through a
@@ -64,9 +59,9 @@ type Node struct {
 	placeMu    sync.Mutex
 	placements map[string]Placement
 
-	// migrating serializes migrations per session; adminBusy serializes
-	// whole-membership operations (join/leave) on this coordinator.
-	migrating sessionGuard
+	// adminBusy serializes whole-membership operations (join/leave) on
+	// this coordinator. A session's migrations are serialized by its
+	// handoff freeze.
 	adminBusy atomic.Bool
 	// syncing single-flights the epoch-triggered anti-entropy pull.
 	syncing atomic.Bool
@@ -79,16 +74,13 @@ type Node struct {
 
 	replicas replicaStore
 
-	// shipsMu guards the whole streaming plane: ships (per-owned-
-	// session replication cursors), the per-peer shippers with their
-	// queues and in-flight counts, and the closed flag. Never held
-	// across I/O; channel sends to released waiters happen after unlock
-	// (collected as shipRelease values).
+	// shipsMu guards the streaming plane: ships (per-owned-session
+	// replication cursors, each with its one frame in flight) and the
+	// closed flag. Never held across I/O; a landing frame wakes its
+	// waiters after unlock.
 	shipsMu     sync.Mutex
 	ships       map[string]*shipCursor
-	shippers    map[string]*shipper
 	shipsClosed bool
-	shipWG      sync.WaitGroup
 
 	seq atomic.Uint64
 
@@ -101,7 +93,6 @@ type Node struct {
 	shipFrames      *obs.Counter
 	shipHeals       *obs.Counter
 	shipInflight    *obs.Gauge
-	frameSessions   *obs.Histogram
 	frameEvents     *obs.Histogram
 	shipAckWait     *obs.Histogram
 }
@@ -110,12 +101,6 @@ type Node struct {
 // exclusively through Node.Handler — bypassing the router would serve
 // sessions without placement or replication.
 func NewNode(cfg Config, srv *server.Server) (*Node, error) {
-	if cfg.ShipWindow < 0 {
-		return nil, fmt.Errorf("cluster: ship window must not be negative, got %d", cfg.ShipWindow)
-	}
-	if cfg.ShipWindow == 0 {
-		cfg.ShipWindow = DefaultShipWindow
-	}
 	if len(cfg.Peers) == 0 {
 		return nil, fmt.Errorf("cluster: no peers configured")
 	}
@@ -142,11 +127,9 @@ func NewNode(cfg Config, srv *server.Server) (*Node, error) {
 		// keep-alive pool, shared with the router's forwards below.
 		client:          &http.Client{Transport: transport},
 		placements:      map[string]Placement{},
-		migrating:       sessionGuard{m: map[string]bool{}},
 		down:            map[string]bool{},
 		replicas:        replicaStore{m: map[string]*replica{}},
 		ships:           map[string]*shipCursor{},
-		shippers:        map[string]*shipper{},
 		shipsTotal:      reg.Counter(obs.ClusterShips),
 		promotions:      reg.Counter(obs.ClusterPromotions),
 		peersDown:       reg.Gauge(obs.ClusterPeersDown),
@@ -156,7 +139,6 @@ func NewNode(cfg Config, srv *server.Server) (*Node, error) {
 		shipFrames:      reg.Counter(obs.ClusterShipFrames),
 		shipHeals:       reg.Counter(obs.ClusterShipHeals),
 		shipInflight:    reg.Gauge(obs.ClusterShipInflight),
-		frameSessions:   reg.Histogram(obs.ClusterShipFrameSessions, obs.ExpBuckets(1, 2, 10)),
 		frameEvents:     reg.Histogram(obs.ClusterShipFrameEvents, obs.ExpBuckets(1, 4, 10)),
 		shipAckWait:     reg.Histogram(obs.ClusterShipAckWait, obs.ExpBuckets(1e-4, 4, 10)),
 	}

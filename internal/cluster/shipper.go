@@ -19,260 +19,233 @@ import (
 	"dvfsched/internal/server"
 )
 
-// This file is the replication plane: one long-lived shipper goroutine
-// per peer multiplexes every owned session's log tail into coalesced
-// frames (one request carries many sessions' event deltas and opens),
-// pipelined up to a bounded in-flight window. A mutation's response is
+// This file is the replication plane. A mutation ships its session's
+// log tail to the replica on its own goroutine, and its response is
 // released only when the frame ack covering its event sequence number
-// returns, so an acked mutation is in the replica's log; the ship cost
-// amortizes across every mutation that committed while the previous
-// frame was on the wire. The frame is also the wire format of
-// migration handoffs and replica drops. DESIGN §14 documents the
-// protocol and the window/ack state machine.
-
-// DefaultShipWindow is the per-peer bound on in-flight replication
-// frames when Config.ShipWindow is zero.
-const DefaultShipWindow = 4
+// returns, so an acked mutation is in the replica's log. A session has
+// at most one frame on the wire: a caller that finds one in flight
+// waits for it, and the next frame carries every event committed
+// meanwhile, so concurrent mutations of one session share frames. The
+// frame is also the wire format of migration handoffs and replica
+// drops. DESIGN §14 documents the protocol and the ack state machine.
 
 // maxShipHeals bounds consecutive heal rounds (replica reported a gap
-// or vanished) before the waiting mutations are failed instead of
-// retried — a persistently gappy replica must not hold acks forever.
+// or vanished) before the callers a frame covered are failed instead
+// of retried — a persistently gappy replica must not hold acks forever.
 const maxShipHeals = 3
 
 // shipCursor is one owned session's position in its replica stream.
-// Every field is guarded by Node.shipsMu; the cursor migrates between
-// per-peer shippers when the session's replica target changes.
+// Every field is guarded by Node.shipsMu.
 type shipCursor struct {
 	id     string
-	target string // replica node ID; "" when degraded (no live candidate)
+	target string // replica node ID the position below refers to
 	opened bool   // replica acked an open (has the spec)
 	acked  uint64 // last event Seq the replica's log is known to cover
-	// inflightOn names the peer whose in-flight frame carries this
-	// cursor ("" = none): a session is never in two frames to the same
-	// peer, which is what makes `from = acked` the only send cursor
-	// needed.
-	inflightOn string
-	queued     bool // already in its shipper's queue
-	purged     bool // session purged; drop silently wherever it surfaces
-	heals      int  // consecutive heal rounds without a clean ack
-	// wantSeq is the highest event Seq any waiter asked to be covered;
-	// acked < wantSeq means the cursor still has unshipped tail.
-	wantSeq uint64
-	waiters []*shipWaiter
+	heals  int    // consecutive heal rounds without a clean ack
+	purged bool   // session purged; its frame's callers return nil
+	// flight is the session's one frame on the wire, nil when none: a
+	// session is never in two frames, which is what makes `from = acked`
+	// the only send cursor needed.
+	flight *shipFlight
 }
 
-// shipWaiter is one mutation blocked on the ack covering seq.
-type shipWaiter struct {
-	seq      uint64
-	retried  bool       // survived one target failover already
-	deadline time.Time  // past it, the sweep fails the waiter: stuck stream
-	ch       chan error // capacity 1; receives exactly one result
-}
+// shipFlight is one frame on the wire. The caller that posts it
+// records the outcome before closing done; every caller that waited on
+// it reads the outcome then and applies the same rules to itself.
+type shipFlight struct {
+	target string
+	done   chan struct{}
 
-// shipRelease is a resolved waiter, completed outside shipsMu.
-type shipRelease struct {
-	ch  chan error
+	toSeq uint64 // last event Seq the frame carries
+	// final: the session was purged or vanished, nothing is left to
+	// protect, and every caller returns nil.
+	final bool
+	// transport: the POST failed on the transport, and err is what a
+	// caller returns at its second such failure.
+	transport bool
+	// err fails the callers the frame covered (seq <= toSeq).
 	err error
 }
 
-func sendReleases(rels []shipRelease) {
-	for _, r := range rels {
-		r.ch <- r.err
+// Replicate implements server.Cluster: bring the session's replica up
+// to date with the local recorder before the mutation's response is
+// released — for submits the router fails the request if this fails,
+// which is what makes "acked implies replicated" (and therefore
+// kill-tolerance) hold. The ship runs on the caller's goroutine;
+// rehomeReplicas and the handoff path rely on it having completed when
+// Replicate returns.
+func (n *Node) Replicate(ctx context.Context, id string, m server.Mutation) error {
+	if len(n.view().peers) == 1 {
+		return nil // solo "cluster": nothing to replicate to
 	}
+	if m == server.MutationPurge {
+		return n.purgeStream(ctx, id)
+	}
+	seq, err := n.srv.SessionLastSeq(id)
+	if err != nil {
+		return nil // session vanished locally: nothing left to protect
+	}
+	start := time.Now()
+	waited, err := n.ship(id, seq)
+	if waited {
+		n.shipAckWait.Observe(time.Since(start).Seconds())
+	}
+	if err != nil {
+		return fmt.Errorf("cluster: replicate session %s: %w", id, err)
+	}
+	return nil
 }
 
-// drainWaiters detaches every waiter with one shared result. Caller
-// holds shipsMu; the sends happen later, unlocked.
-func drainWaiters(cur *shipCursor, err error) []shipRelease {
-	if len(cur.waiters) == 0 {
-		return nil
-	}
-	rels := make([]shipRelease, 0, len(cur.waiters))
-	for _, w := range cur.waiters {
-		rels = append(rels, shipRelease{ch: w.ch, err: err})
-	}
-	cur.waiters = nil
-	return rels
-}
-
-// ackWaitersLocked releases every waiter the current ack covers.
-// Caller holds shipsMu.
-func ackWaitersLocked(cur *shipCursor, rels []shipRelease) []shipRelease {
-	keep := cur.waiters[:0]
-	for _, w := range cur.waiters {
-		if w.seq <= cur.acked {
-			rels = append(rels, shipRelease{ch: w.ch})
-		} else {
-			keep = append(keep, w)
-		}
-	}
-	cur.waiters = keep
-	return rels
-}
-
-// shipper is one peer's replication stream: a dispatcher goroutine
-// draining a queue of dirty cursors into coalesced frames, at most
-// `window` frames in flight. queue and inflight are guarded by
-// Node.shipsMu like the cursors they reference.
-type shipper struct {
-	n      *Node
-	peer   string
-	window int
-	wake   chan struct{} // capacity 1: coalesces kicks
-	stop   chan struct{}
-	done   chan struct{}
-
-	queue    []*shipCursor
-	inflight int
-}
-
-// shipperForLocked returns the peer's shipper, starting one on first
-// use. Caller holds shipsMu. Returns nil after Close.
-func (n *Node) shipperForLocked(peer string) *shipper {
-	if n.shipsClosed {
-		return nil
-	}
-	s, ok := n.shippers[peer]
-	if !ok {
-		s = &shipper{
-			n:      n,
-			peer:   peer,
-			window: n.cfg.ShipWindow,
-			wake:   make(chan struct{}, 1),
-			stop:   make(chan struct{}),
-			done:   make(chan struct{}),
-		}
-		n.shippers[peer] = s
-		go s.run()
-	}
-	return s
-}
-
-// enqueueCursorLocked queues the cursor on its shipper unless it is
-// already queued or riding an in-flight frame (finish re-queues it
-// then). Caller holds shipsMu; reports whether a kick is warranted.
-func enqueueCursorLocked(s *shipper, cur *shipCursor) bool {
-	if s == nil || cur.queued || cur.inflightOn != "" {
-		return false
-	}
-	cur.queued = true
-	s.queue = append(s.queue, cur)
-	return true
-}
-
-// kick wakes the dispatcher; a pending wake already covers this one.
-func (s *shipper) kick() {
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-}
-
-// run is the dispatcher loop: wait for work, then dispatch frames
-// until the queue drains or the window fills. A coarse ticker sweeps
-// expired waiters — one timer per peer instead of one per mutation on
-// the ack hot path.
-func (s *shipper) run() {
-	defer close(s.done)
-	sweep := time.NewTicker(shipTimeout)
-	defer sweep.Stop()
+// ship brings the session's replica to cover seq. It returns at once
+// when the ack already covers seq; otherwise it posts the next frame
+// itself, or waits for the one in flight, and looks again. waited
+// reports that it did either.
+//
+// A caller finishes its ship even when its own context ends: a frame
+// may carry only part of a concurrent mutation's events (the log is
+// read without the session lock), and a client whose retry after a
+// failover meets a duplicate task ID takes its batch as accepted, so
+// the batch's tail must follow its head to the replica. Every wait is
+// bounded by the frames a caller can see, each by shipTimeout; a
+// caller fails at its second transport failure, so it pays at most two
+// replica round trips.
+func (n *Node) ship(id string, seq uint64) (waited bool, err error) {
+	transportFails := 0
 	for {
-		select {
-		case <-s.stop:
-			return
-		case <-sweep.C:
-			s.sweepStale()
-			continue
-		case <-s.wake:
+		target := n.replicaTarget(id)
+		if target == "" {
+			return waited, nil // degrade: no live replica candidate
 		}
-		for s.dispatchOne() {
+		n.shipsMu.Lock()
+		cur := n.ships[id]
+		if cur == nil {
+			cur = &shipCursor{id: id}
+			n.ships[id] = cur
 		}
-	}
-}
-
-// sweepStale fails waiters whose deadline passed on cursors this
-// shipper owns. The deadline is the stuck-stream backstop (the honest
-// paths — ack, heal failure, failover, degrade, close — all release
-// waiters directly), so tick-granularity firing is plenty.
-func (s *shipper) sweepStale() {
-	now := time.Now()
-	var rels []shipRelease
-	s.n.shipsMu.Lock()
-	for _, cur := range s.n.ships {
-		if cur.target != s.peer {
-			continue
-		}
-		kept := cur.waiters[:0]
-		for _, w := range cur.waiters {
-			if now.After(w.deadline) {
-				rels = append(rels, shipRelease{ch: w.ch, err: errors.New("replication ack timed out")})
-			} else {
-				kept = append(kept, w)
+		f := cur.flight
+		covered := cur.target == target && cur.opened && cur.acked >= seq
+		closed := n.shipsClosed
+		mine, open, from := false, false, uint64(0)
+		if f == nil && !covered && !closed {
+			if cur.target != target {
+				cur.target, cur.opened, cur.acked = target, false, 0
 			}
+			f = &shipFlight{target: target, done: make(chan struct{})}
+			cur.flight = f
+			mine, open, from = true, !cur.opened, cur.acked
 		}
-		cur.waiters = kept
+		n.shipsMu.Unlock()
+
+		switch {
+		case covered:
+			return waited, nil
+		case f == nil:
+			return waited, errors.New("cluster node closed")
+		case mine:
+			if !n.fly(cur, f, open, from) {
+				return true, nil // nothing past the cursor: the session was replaced
+			}
+		default:
+			<-f.done
+		}
+		waited = true
+
+		switch {
+		case f.final:
+			return true, nil
+		case f.transport:
+			// The peer is marked down, so the next pass's target is the
+			// next live ring candidate, re-opened from zero.
+			transportFails++
+			if transportFails > 1 {
+				return true, f.err
+			}
+		case f.err != nil && seq <= f.toSeq:
+			return true, f.err
+		}
 	}
-	s.n.shipsMu.Unlock()
-	sendReleases(rels)
 }
 
-// entryPlan is one session's slot in a frame under construction.
-type entryPlan struct {
-	cur  *shipCursor
-	id   string
-	from uint64 // ship events with Seq > from
-	open bool   // include the spec (replica may not know the session)
+// fly builds the session's next frame from the cursor position
+// (open, from), posts it to f.target, applies the outcome to the
+// cursor, and lands the flight: the cursor is free for the next frame
+// and every caller waiting on f wakes. It reports false, posting
+// nothing, when nothing lies past the cursor.
+func (n *Node) fly(cur *shipCursor, f *shipFlight, open bool, from uint64) bool {
+	buf := shipBufPool.Get().(*shipBuf)
+	toSeq, events, err := n.build(buf, cur.id, open, from)
+	posted := err == nil && (open || events > 0)
+	var er frameEntryResult
+	var postErr error
+	if posted {
+		n.shipFrames.Inc()
+		n.frameEvents.Observe(float64(events))
+		n.shipInflight.Add(1)
+		er, postErr = n.postFrame(buf, f.target, cur.id)
+		n.shipInflight.Add(-1)
+	}
+	shipBufPool.Put(buf)
+	transport := postErr != nil && !isStatusError(postErr)
+	if transport {
+		n.Observe(f.target, postErr)
+	}
 
-	// Filled by the frame build:
-	toSeq uint64 // last event Seq the frame carries (== from if none)
-	entry int    // index of the plan's entry in the frame header
-	gone  bool   // session vanished locally; forget the cursor
-	skip  bool   // nothing to ship; acked state already covers waiters
-}
-
-// dispatchOne builds one frame from the queued cursors and hands it to
-// a sender goroutine. Reports whether it dispatched (callers loop).
-func (s *shipper) dispatchOne() bool {
-	n := s.n
 	n.shipsMu.Lock()
-	if n.shipsClosed || s.inflight >= s.window || len(s.queue) == 0 {
-		n.shipsMu.Unlock()
-		return false
-	}
-	batch := s.queue
-	s.queue = nil
-	plans := make([]*entryPlan, 0, len(batch))
-	for _, cur := range batch {
-		cur.queued = false
-		if cur.purged || cur.target != s.peer || cur.inflightOn != "" {
-			continue
+	cur.flight = nil
+	f.toSeq = toSeq
+	switch {
+	case cur.purged:
+		f.final = true
+	case errors.Is(err, server.ErrSessionGone):
+		f.final = true
+		if n.ships[cur.id] == cur {
+			delete(n.ships, cur.id)
 		}
-		plans = append(plans, &entryPlan{
-			cur:  cur,
-			id:   cur.id,
-			from: cur.acked,
-			open: !cur.opened,
-		})
-		cur.inflightOn = s.peer
+	case err != nil:
+		// A spec that does not marshal (no validated spec does).
+		f.err = fmt.Errorf("build frame: %w", err)
+	case !posted:
+	case transport:
+		cur.opened, cur.acked = false, 0
+		f.transport = true
+		f.err = fmt.Errorf("ship to %s failed after failover: %w", f.target, postErr)
+	case postErr != nil:
+		// Whole-frame refusal from a live peer (malformed frame, body
+		// cap): fail the covered callers and reset the stream; the next
+		// mutation re-ships from zero.
+		cur.opened, cur.acked = false, 0
+		n.shipHeals.Inc()
+		f.err = fmt.Errorf("replica %s refused frame: %w", f.target, postErr)
+	case er.Status == frameStatusOK:
+		cur.opened = true
+		cur.heals = 0
+		if toSeq > cur.acked {
+			cur.acked = toSeq
+		}
+		n.shipsTotal.Inc()
+	default:
+		// Gap, vanished replica, or no result naming the session: the
+		// replica lost state we thought it had. Heal by resetting to a
+		// full re-ship, which the covered callers ride, bounded by
+		// maxShipHeals in a row.
+		cur.opened, cur.acked = false, 0
+		cur.heals++
+		n.shipHeals.Inc()
+		if cur.heals > maxShipHeals {
+			cur.heals = 0
+			f.err = fmt.Errorf("replica %s rejected %d consecutive re-ships (%s)", f.target, maxShipHeals, er.Status)
+		}
 	}
-	if len(plans) == 0 {
-		n.shipsMu.Unlock()
-		return false
-	}
-	s.inflight++
 	n.shipsMu.Unlock()
-	n.shipInflight.Add(1)
-	n.shipWG.Add(1)
-	go s.send(plans)
-	return true
+	close(f.done)
+	return posted || err != nil
 }
 
 // shipBuf is the reusable scratch of one frame round trip: the event
-// read buffer, the concatenated blob area, the final wire body, the
-// request body reader, the reply read buffer and the decoded result
-// (whose Sessions backing array json.Unmarshal reuses). Pooled; Get
-// and Put happen in the same sender frame, so no ownership leaves the
-// function — finish copies what it keeps before the Put.
+// read buffer, the blob area, the header entry, the final wire body,
+// the request body reader, the reply read buffer and the decoded
+// result (whose Sessions backing array json.Unmarshal reuses). Pooled;
+// Get and Put happen in fly, so no ownership leaves that frame.
 type shipBuf struct {
 	evs  []obs.Event
 	blob []byte
@@ -285,88 +258,34 @@ type shipBuf struct {
 
 var shipBufPool = sync.Pool{New: func() any { return &shipBuf{} }}
 
-// send builds, posts and resolves one frame. Runs in its own
-// goroutine, tracked by Node.shipWG.
-func (s *shipper) send(plans []*entryPlan) {
-	defer s.n.shipWG.Done()
-	buf := shipBufPool.Get().(*shipBuf)
-	// Zero the whole reused result array, not just its length: Error is
-	// omitempty, so a decode that omits it must not inherit a previous
-	// frame's value.
-	buf.res.Sessions = buf.res.Sessions[:cap(buf.res.Sessions)]
-	clear(buf.res.Sessions)
-	buf.res.Sessions = buf.res.Sessions[:0]
-	sessions, events := s.build(buf, plans)
-	var sendErr error
-	if sessions > 0 {
-		s.n.shipFrames.Inc()
-		s.n.frameSessions.Observe(float64(sessions))
-		s.n.frameEvents.Observe(float64(events))
-		sendErr = s.postFrame(buf)
-	}
-	s.finish(plans, buf.res, sendErr)
-	buf.evs = buf.evs[:0]
-	buf.blob = buf.blob[:0]
-	buf.body = buf.body[:0]
-	buf.resp = buf.resp[:0]
-	shipBufPool.Put(buf)
-	s.n.shipInflight.Add(-1)
-}
-
-// build assembles the wire frame into buf and returns how many session
-// entries and events it carries: per entry the spec when opening, then
-// the event tail. The log is the replica's whole state, so a stream
-// frame never carries a checkpoint.
-func (s *shipper) build(buf *shipBuf, plans []*entryPlan) (sessions, events int) {
-	n := s.n
-	entries := buf.hdr[:0]
-	buf.evs = buf.evs[:0]
-	blob := buf.blob[:0]
-	for _, p := range plans {
-		e := frameEntry{ID: p.id}
-		if p.open {
-			spec, ok := n.srv.SessionSpec(p.id)
-			if !ok {
-				p.gone = true
-				continue
-			}
-			e.Spec = &spec
+// build writes the session's next frame into buf.body and returns the
+// last event Seq it carries (from when none) and its event count: the
+// spec when opening, then the log tail past from. The log is the
+// replica's whole state, so a stream frame never carries a checkpoint.
+// A session that vanished locally returns server.ErrSessionGone.
+func (n *Node) build(buf *shipBuf, id string, open bool, from uint64) (toSeq uint64, events int, err error) {
+	e := frameEntry{ID: id}
+	if open {
+		spec, ok := n.srv.SessionSpec(id)
+		if !ok {
+			return from, 0, fmt.Errorf("%w: %s", server.ErrSessionGone, id)
 		}
-		start := len(buf.evs)
-		evs, err := n.srv.AppendSessionEventsSince(p.id, p.from, buf.evs)
-		if err != nil {
-			p.gone = true
-			continue
-		}
-		buf.evs = evs
-		tail := evs[start:]
-		p.toSeq = p.from
-		if len(tail) > 0 {
-			p.toSeq = tail[len(tail)-1].Seq
-		} else if !p.open {
-			p.skip = true // nothing new: the ack is already covered
-			continue
-		}
-		before := len(blob)
-		blob = obs.AppendBinary(blob, tail)
-		e.EventsLen = len(blob) - before
-		p.entry = len(entries)
-		entries = append(entries, e)
-		events += len(tail)
+		e.Spec = &spec
 	}
-	buf.blob = blob
-	buf.hdr = entries
-	if len(entries) == 0 {
-		return 0, 0
-	}
-	body, err := appendFrame(buf.body[:0], n.cfg.ID, entries, blob)
+	evs, err := n.srv.AppendSessionEventsSince(id, from, buf.evs[:0])
 	if err != nil {
-		// A spec that does not marshal (no validated spec does): an empty
-		// frame degrades safely, the next mutation retries.
-		return 0, 0
+		return from, 0, err
 	}
-	buf.body = body
-	return len(entries), events
+	buf.evs = evs
+	toSeq = from
+	if len(evs) > 0 {
+		toSeq = evs[len(evs)-1].Seq
+	}
+	buf.blob = obs.AppendBinary(buf.blob[:0], evs)
+	e.EventsLen = len(buf.blob)
+	buf.hdr = append(buf.hdr[:0], e)
+	buf.body, err = appendFrame(buf.body[:0], n.cfg.ID, buf.hdr, buf.blob)
+	return toSeq, len(evs), err
 }
 
 // appendFrame appends one whole frame to dst: the 4-byte header
@@ -439,21 +358,24 @@ func plainJSONString(s string) bool {
 // concurrent sends.
 var frameReqHeader = http.Header{"Content-Type": {"application/json"}}
 
-// postFrame posts the frame and decodes the per-session results into
-// buf.res. It is a hand-built, scratch-reusing variant of doAddrJSON:
-// frames are the replication hot path, so the request, its body
-// reader and the reply buffer all come from the pooled shipBuf
-// instead of being allocated per ship.
-func (s *shipper) postFrame(buf *shipBuf) error {
-	n := s.n
-	addr := n.Addr(s.peer)
+// postFrame posts the frame in buf to peer and returns the replica's
+// result for session id; a reply with no result naming id returns the
+// zero result, which is not ok. It is a hand-built, scratch-reusing
+// variant of doAddrJSON: frames are the replication hot path, so the
+// request, its body reader and the reply buffer all come from the
+// pooled shipBuf instead of being allocated per ship.
+func (n *Node) postFrame(buf *shipBuf, peer, id string) (frameEntryResult, error) {
+	addr := n.Addr(peer)
 	if addr == "" {
-		return &statusError{code: http.StatusGone, body: fmt.Sprintf("node %s is not in the current view", s.peer)}
+		return frameEntryResult{}, &statusError{code: http.StatusGone, body: fmt.Sprintf("node %s is not in the current view", peer)}
 	}
 	u, err := url.Parse(addr + "/v1/cluster/replica/frame")
 	if err != nil {
-		return err
+		return frameEntryResult{}, err
 	}
+	// The frame's own budget, not the caller's context: other callers
+	// may be waiting on this frame, and a client that went away must
+	// not abort it under them.
 	ctx, cancel := context.WithTimeout(context.Background(), shipTimeout)
 	defer cancel()
 	body := buf.body
@@ -473,26 +395,35 @@ func (s *shipper) postFrame(buf *shipBuf) error {
 	}).WithContext(ctx)
 	resp, err := n.client.Do(req)
 	if err != nil {
-		return err
+		return frameEntryResult{}, err
 	}
 	defer resp.Body.Close()
 	buf.resp, err = appendLimitedRead(buf.resp[:0], resp.Body, maxReplicaBody)
 	if err != nil {
-		return err
+		return frameEntryResult{}, err
 	}
 	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
 		msg := buf.resp
 		if len(msg) > 1024 {
 			msg = msg[:1024]
 		}
-		n.Observe(s.peer, nil)
-		return &statusError{code: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
+		n.Observe(peer, nil)
+		return frameEntryResult{}, &statusError{code: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
 	}
+	// Zero the whole reused result array, not just its length: Error is
+	// omitempty, so a decode that omits it must not inherit a previous
+	// frame's value.
+	buf.res.Sessions = buf.res.Sessions[:cap(buf.res.Sessions)]
+	clear(buf.res.Sessions)
+	buf.res.Sessions = buf.res.Sessions[:0]
 	if err := json.Unmarshal(buf.resp, &buf.res); err != nil {
-		return fmt.Errorf("decode reply from %s: %w", addr, err)
+		return frameEntryResult{}, fmt.Errorf("decode reply from %s: %w", addr, err)
 	}
-	n.Observe(s.peer, nil)
-	return nil
+	n.Observe(peer, nil)
+	if len(buf.res.Sessions) == 0 || buf.res.Sessions[0].ID != id {
+		return frameEntryResult{}, nil
+	}
+	return buf.res.Sessions[0], nil
 }
 
 // appendLimitedRead reads r to EOF into dst (reusing its capacity),
@@ -520,259 +451,18 @@ func appendLimitedRead(dst []byte, r io.Reader, max int64) ([]byte, error) {
 	}
 }
 
-// finish applies one frame's outcome to its cursors: advance ack
-// cursors and release covered waiters on success, reset for a full
-// re-ship on a reported gap, or fail the stream over to the next ring
-// candidate on a transport error — carrying unacked waiters to the new
-// target once.
-func (s *shipper) finish(plans []*entryPlan, res frameResult, sendErr error) {
-	n := s.n
-	transportFail := sendErr != nil && !isStatusError(sendErr)
-	if transportFail {
-		n.Observe(s.peer, sendErr)
-	}
-
-	var rels []shipRelease
-	var retarget []*entryPlan
-	var kicks []*shipper
-
-	n.shipsMu.Lock()
-	s.inflight--
-	for _, p := range plans {
-		cur := p.cur
-		if cur.inflightOn == s.peer {
-			cur.inflightOn = ""
-		}
-		if cur.purged {
-			rels = append(rels, drainWaiters(cur, nil)...)
-			continue
-		}
-		if cur.target != s.peer {
-			// Retargeted while this frame flew; the new stream owns the
-			// cursor — just make sure it is queued there.
-			if cur.target != "" {
-				sh := n.shipperForLocked(cur.target)
-				if enqueueCursorLocked(sh, cur) {
-					kicks = append(kicks, sh)
-				}
-			}
-			continue
-		}
-		switch {
-		case p.gone:
-			rels = append(rels, drainWaiters(cur, nil)...)
-			delete(n.ships, cur.id)
-			continue
-		case p.skip:
-			rels = ackWaitersLocked(cur, rels)
-		case transportFail:
-			retarget = append(retarget, p)
-			continue
-		case sendErr != nil:
-			// Whole-frame refusal from a live peer (malformed frame, body
-			// cap): fail the waiters and reset the stream; the next
-			// mutation re-ships from zero.
-			cur.opened, cur.acked = false, 0
-			n.shipHeals.Inc()
-			rels = append(rels, drainWaiters(cur, fmt.Errorf("replica %s refused frame: %w", s.peer, sendErr))...)
-		default:
-			// The replica answers one result per entry, in header order.
-			var er frameEntryResult
-			if p.entry < len(res.Sessions) && res.Sessions[p.entry].ID == p.id {
-				er = res.Sessions[p.entry]
-			}
-			if er.Status == frameStatusOK {
-				cur.opened = true
-				cur.heals = 0
-				if p.toSeq > cur.acked {
-					cur.acked = p.toSeq
-				}
-				n.shipsTotal.Inc()
-				rels = ackWaitersLocked(cur, rels)
-			} else {
-				// Gap, vanished replica, or no result for this session
-				// at its entry's position: the replica lost state we
-				// thought it had. Heal by resetting to a full re-ship;
-				// waiters ride along, bounded by maxShipHeals.
-				cur.opened, cur.acked = false, 0
-				cur.heals++
-				n.shipHeals.Inc()
-				if cur.heals > maxShipHeals {
-					cur.heals = 0
-					rels = append(rels, drainWaiters(cur, fmt.Errorf("replica %s rejected %d consecutive re-ships (%s)", s.peer, maxShipHeals, er.Status))...)
-				}
-			}
-		}
-		// Re-queue when unshipped tail or blocked waiters remain; a
-		// failed cursor with no waiters stays dormant until the next
-		// mutation retries it, so a broken replica cannot hot-loop.
-		if len(cur.waiters) > 0 || (cur.wantSeq > cur.acked && cur.heals == 0 && cur.opened) {
-			if enqueueCursorLocked(s, cur) {
-				kicks = append(kicks, s)
-			}
-		}
-	}
-	if len(s.queue) > 0 && s.inflight < s.window {
-		kicks = append(kicks, s)
-	}
-	n.shipsMu.Unlock()
-	sendReleases(rels)
-
-	if len(retarget) > 0 {
-		kicks = append(kicks, s.failover(retarget, sendErr)...)
-	}
-	for _, sh := range kicks {
-		sh.kick()
-	}
-}
-
-// failover reroutes cursors whose frame hit a transport error: the
-// peer is marked down (Observe above), so the ring yields the next
-// live candidate; the stream re-opens there from zero. Waiters are
-// carried across exactly one failover — a second transport failure
-// fails them, so a mutation pays at most two replica round trips. No
-// remaining candidate degrades to unreplicated, releasing the waiters
-// cleanly (the last other node just died; nothing to wait for).
-func (s *shipper) failover(plans []*entryPlan, sendErr error) []*shipper {
-	n := s.n
-	nexts := make([]string, len(plans))
-	for i, p := range plans {
-		nexts[i] = n.replicaTarget(p.id)
-	}
-	var rels []shipRelease
-	var kicks []*shipper
-	n.shipsMu.Lock()
-	for i, p := range plans {
-		cur := p.cur
-		if cur.purged || cur.target != s.peer || cur.inflightOn != "" {
-			continue
-		}
-		next := nexts[i]
-		if next == "" {
-			cur.target, cur.opened, cur.acked = "", false, 0
-			rels = append(rels, drainWaiters(cur, nil)...)
-			continue
-		}
-		cur.target, cur.opened, cur.acked = next, false, 0
-		keep := cur.waiters[:0]
-		for _, w := range cur.waiters {
-			if w.retried {
-				rels = append(rels, shipRelease{ch: w.ch, err: fmt.Errorf("ship to %s failed after failover: %w", s.peer, sendErr)})
-			} else {
-				w.retried = true
-				keep = append(keep, w)
-			}
-		}
-		cur.waiters = keep
-		sh := n.shipperForLocked(next)
-		if enqueueCursorLocked(sh, cur) {
-			kicks = append(kicks, sh)
-		}
-	}
-	n.shipsMu.Unlock()
-	sendReleases(rels)
-	return kicks
-}
-
-// --- Replicate: the stream's front half -------------------------------
-
-// Replicate implements server.Cluster: bring the session's replica up
-// to date with the local recorder before the mutation's response is
-// released — for submits the router fails the request if this fails,
-// which is what makes "acked implies replicated" (and therefore
-// kill-tolerance) hold. It registers a waiter for the session's
-// current log tail with the target's shipper and blocks until the
-// covering ack (or a failure) releases it; rehomeReplicas and the
-// handoff path rely on that completion guarantee.
-func (n *Node) Replicate(ctx context.Context, id string, m server.Mutation) error {
-	if len(n.view().peers) == 1 {
-		return nil // solo "cluster": nothing to replicate to
-	}
-	if m == server.MutationPurge {
-		return n.purgeStream(ctx, id)
-	}
-	seq, err := n.srv.SessionLastSeq(id)
-	if err != nil {
-		return nil // session vanished locally: nothing left to protect
-	}
-	target := n.replicaTarget(id)
-	if target == "" {
-		return nil // degrade: no live replica candidate
-	}
-	start := time.Now()
-	ch, sh := n.enqueueWaiter(id, target, seq)
-	if ch == nil {
-		return nil // ack already covers seq (or the node is closing)
-	}
-	if sh != nil {
-		sh.kick()
-	}
-	select {
-	case werr := <-ch:
-		n.shipAckWait.Observe(time.Since(start).Seconds())
-		if werr != nil {
-			return fmt.Errorf("cluster: replicate session %s: %w", id, werr)
-		}
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("cluster: replicate session %s: %w", id, ctx.Err())
-	}
-}
-
-// enqueueWaiter registers a waiter for seq on the session's stream,
-// retargeting the cursor if the ring moved its replica. A nil channel
-// means no wait is needed.
-func (n *Node) enqueueWaiter(id, target string, seq uint64) (chan error, *shipper) {
-	n.shipsMu.Lock()
-	if n.shipsClosed {
-		n.shipsMu.Unlock()
-		return nil, nil
-	}
-	cur, ok := n.ships[id]
-	if !ok {
-		cur = &shipCursor{id: id}
-		n.ships[id] = cur
-	}
-	if cur.target == target && cur.opened && cur.acked >= seq {
-		n.shipsMu.Unlock()
-		return nil, nil
-	}
-	if cur.target != target {
-		cur.target, cur.opened, cur.acked = target, false, 0
-	}
-	if seq > cur.wantSeq {
-		cur.wantSeq = seq
-	}
-	ch := make(chan error, 1)
-	// Four frame budgets bound the honest path (a waiter survives at
-	// most one failover re-ship); past that the stream is stuck and the
-	// shipper's sweep fails the waiter.
-	cur.waiters = append(cur.waiters, &shipWaiter{
-		seq:      seq,
-		deadline: time.Now().Add(4 * shipTimeout),
-		ch:       ch,
-	})
-	sh := n.shipperForLocked(target)
-	enqueueCursorLocked(sh, cur)
-	n.shipsMu.Unlock()
-	return ch, sh
-}
-
 // purgeStream retires a purged session's stream state and best-effort
 // drops the remote replica with a one-entry drop frame, which the
 // replica applies only if this node opened it last (dropFrom).
 func (n *Node) purgeStream(ctx context.Context, id string) error {
 	n.shipsMu.Lock()
-	var rels []shipRelease
 	var target string
 	if cur, ok := n.ships[id]; ok {
 		cur.purged = true
 		target = cur.target
-		rels = drainWaiters(cur, nil)
 		delete(n.ships, id)
 	}
 	n.shipsMu.Unlock()
-	sendReleases(rels)
 	if target != "" {
 		// Best effort: a leaked tombstone on the replica is dropped the
 		// next time the session ID is reused or the node restarts.
@@ -783,33 +473,23 @@ func (n *Node) purgeStream(ctx context.Context, id string) error {
 	return nil
 }
 
-// Close stops the replication streams: blocked acks are failed, every
-// shipper exits, and in-flight frame senders are awaited. Idempotent.
-// Call after the HTTP server stopped serving mutations.
+// Close stops replication: it marks the node closed, after which a
+// mutation that still needs a ship fails, and waits for the frames of
+// the sessions it tracks to land. Idempotent. Call after the HTTP
+// server stopped serving mutations.
 func (n *Node) Close() {
 	n.shipsMu.Lock()
-	if n.shipsClosed {
-		n.shipsMu.Unlock()
-		return
-	}
 	n.shipsClosed = true
-	shippers := make([]*shipper, 0, len(n.shippers))
-	for _, s := range n.shippers {
-		shippers = append(shippers, s)
-	}
-	var rels []shipRelease
+	var flights []*shipFlight
 	for _, cur := range n.ships {
-		rels = append(rels, drainWaiters(cur, errors.New("cluster node closed"))...)
+		if cur.flight != nil {
+			flights = append(flights, cur.flight)
+		}
 	}
 	n.shipsMu.Unlock()
-	sendReleases(rels)
-	for _, s := range shippers {
-		close(s.stop)
+	for _, f := range flights {
+		<-f.done
 	}
-	for _, s := range shippers {
-		<-s.done
-	}
-	n.shipWG.Wait()
 }
 
 // --- wire format ------------------------------------------------------

@@ -409,106 +409,180 @@ func TestClusterStreamCoalesces(t *testing.T) {
 	auditTrace(t, info.PlatformSpec, events, acked, dr)
 }
 
-// TestShipFinishReadsResultByEntry pins finish's one lookup: the
-// replica answers one result per entry in header order, so each plan
-// reads the result at the entry index build gave it — a plan whose
-// session vanished gets no entry and shifts the rest. A result there
-// that names another session counts as unreported: that entry is not
-// acked, its cursor heals to a full re-ship, and its waiter keeps
-// waiting.
-func TestShipFinishReadsResultByEntry(t *testing.T) {
+// standIn is a stand-in replica for peer n2: it counts the frames it
+// gets and those whose entry opens the session, and answers each as
+// its mode says — "ok", "other" (a 200 whose result names another
+// session) or "refuse" (a 400 refusal of the whole frame).
+type standIn struct {
+	mu     sync.Mutex
+	mode   string
+	frames int
+	opens  int
+}
+
+func (s *standIn) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "read body: %v", err)
+		return
+	}
+	hdr, _, err := decodeFrame(body)
+	if err != nil || len(hdr.Sessions) != 1 {
+		httpError(w, http.StatusBadRequest, "want a one-entry frame (err %v)", err)
+		return
+	}
+	e := hdr.Sessions[0]
+	s.mu.Lock()
+	s.frames++
+	if e.Spec != nil {
+		s.opens++
+	}
+	mode := s.mode
+	s.mu.Unlock()
+	switch mode {
+	case "refuse":
+		httpError(w, http.StatusBadRequest, "refused")
+		return
+	case "other":
+		e.ID = "someone-else"
+	}
+	writeClusterJSON(w, frameResult{Sessions: []frameEntryResult{{ID: e.ID, Status: frameStatusOK}}})
+}
+
+func (s *standIn) set(mode string) (frames, opens int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.mode = mode
+	return s.frames, s.opens
+}
+
+// standInNode is node n1 replicating to a standIn registered as peer
+// n2, with one session the ring places on n1, created and holding one
+// acked task. submit serves one more task through n1's handler and
+// returns the status and body.
+type standInNode struct {
+	t      *testing.T
+	node   *Node
+	rep    *standIn
+	id     string
+	nextID int
+}
+
+func startStandIn(t *testing.T) *standInNode {
+	t.Helper()
+	rep := &standIn{mode: "ok"}
+	ts := httptest.NewServer(rep)
+	t.Cleanup(ts.Close)
 	srv := server.New(server.Config{})
-	defer srv.Close()
-	n, err := NewNode(Config{ID: "n1", Peers: map[string]string{"n1": "http://127.0.0.1:1", "n2": "http://127.0.0.1:2"}}, srv)
+	t.Cleanup(srv.Close)
+	// n1's own address is never dialed: requests go to its handler.
+	n, err := NewNode(Config{ID: "n1", Peers: map[string]string{"n1": "http://127.0.0.1:1", "n2": ts.URL}}, srv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer n.Close()
-	serve := func(method, path string, body []byte, header string, want int) {
-		t.Helper()
-		req := httptest.NewRequest(method, path, bytes.NewReader(body))
-		if header != "" {
-			req.Header.Set(server.SessionIDHeader, header)
-		}
-		w := httptest.NewRecorder()
-		srv.ServeHTTP(w, req)
-		if w.Code != want {
-			t.Fatalf("%s %s: %d %s, want %d", method, path, w.Code, w.Body, want)
+	t.Cleanup(n.Close)
+	sn := &standInNode{t: t, node: n, rep: rep}
+	for i := 0; sn.id == ""; i++ {
+		if id := fmt.Sprintf("s-%d", i); n.Route(id)[0] == "n1" {
+			sn.id = id
 		}
 	}
-	for _, id := range []string{"a", "b"} {
-		serve(http.MethodPost, "/v1/sessions", []byte(`{"cores":2}`), id, http.StatusCreated)
-		serve(http.MethodPost, "/v1/sessions/"+id+"/tasks", taskBatch([]int{1}, true), "", http.StatusOK)
+	req := httptest.NewRequest(http.MethodPost, "/v1/sessions", strings.NewReader(`{"cores":2}`))
+	req.Header.Set(server.SessionIDHeader, sn.id)
+	w := httptest.NewRecorder()
+	n.Handler().ServeHTTP(w, req)
+	if w.Code != http.StatusCreated {
+		t.Fatalf("create %s: %d %s", sn.id, w.Code, w.Body)
 	}
-	s := &shipper{n: n, peer: "n2", window: 2, wake: make(chan struct{}, 1)}
-	curs := map[string]*shipCursor{}
-	for _, id := range []string{"gone", "a", "b"} {
-		curs[id] = &shipCursor{id: id, target: "n2"}
-		n.ships[id] = curs[id]
+	if code, body := sn.submit(); code != http.StatusOK {
+		t.Fatalf("first submit: %d %s", code, body)
 	}
-	// ship builds one frame from the cursors' plans and applies the
-	// results, which name the given sessions in order, all ok.
-	ship := func(ids []string, results ...string) []*entryPlan {
-		t.Helper()
-		plans := make([]*entryPlan, len(ids))
-		n.shipsMu.Lock()
-		for i, id := range ids {
-			cur := curs[id]
-			cur.inflightOn = "n2"
-			plans[i] = &entryPlan{cur: cur, id: id, from: cur.acked, open: !cur.opened}
-		}
-		s.inflight++
-		n.shipsMu.Unlock()
-		if entries, _ := s.build(&shipBuf{}, plans); entries != len(results) {
-			t.Fatalf("frame carries %d entries, want %d", entries, len(results))
-		}
-		var res frameResult
-		for _, id := range results {
-			res.Sessions = append(res.Sessions, frameEntryResult{ID: id, Status: frameStatusOK})
-		}
-		s.finish(plans, res, nil)
-		return plans
-	}
-	heals := srv.Registry().Counter(obs.ClusterShipHeals)
+	return sn
+}
 
-	// The vanished session takes no entry: a and b are entries 0 and 1.
-	plans := ship([]string{"gone", "a", "b"}, "a", "b")
-	n.shipsMu.Lock()
-	for _, p := range plans[1:] {
-		if !p.cur.opened || p.cur.acked != p.toSeq || p.toSeq == 0 {
-			t.Errorf("%s: opened %v acked %d, want acked to %d", p.id, p.cur.opened, p.cur.acked, p.toSeq)
-		}
-	}
-	if _, ok := n.ships["gone"]; ok {
-		t.Error("the vanished session's cursor survived its frame")
-	}
-	n.shipsMu.Unlock()
-	if v := heals.Value(); v != 0 {
-		t.Fatalf("cluster.ship.heals = %v after a clean frame, want 0", v)
-	}
+func (sn *standInNode) submit() (int, string) {
+	sn.nextID++
+	req := httptest.NewRequest(http.MethodPost, "/v1/sessions/"+sn.id+"/tasks", bytes.NewReader(taskBatch([]int{sn.nextID}, true)))
+	w := httptest.NewRecorder()
+	sn.node.Handler().ServeHTTP(w, req)
+	return w.Code, w.Body.String()
+}
 
-	// Next frame: the result at b's position names a, so b's own
-	// result is missing.
-	for _, id := range []string{"a", "b"} {
-		serve(http.MethodPost, "/v1/sessions/"+id+"/tasks", taskBatch([]int{2}, true), "", http.StatusOK)
+// cursor returns the session's stream position.
+func (sn *standInNode) cursor() (opened bool, acked uint64, heals int) {
+	sn.node.shipsMu.Lock()
+	defer sn.node.shipsMu.Unlock()
+	cur, ok := sn.node.ships[sn.id]
+	if !ok {
+		sn.t.Fatalf("no ship cursor for %s", sn.id)
 	}
-	waitB := make(chan error, 1)
-	n.shipsMu.Lock()
-	curs["b"].waiters = []*shipWaiter{{seq: curs["b"].acked + 1, deadline: time.Now().Add(time.Minute), ch: waitB}}
-	n.shipsMu.Unlock()
-	plans = ship([]string{"a", "b"}, "a", "a")
-	n.shipsMu.Lock()
-	defer n.shipsMu.Unlock()
-	if a := plans[0]; a.cur.acked != a.toSeq {
-		t.Errorf("a: acked %d, want %d", a.cur.acked, a.toSeq)
+	return cur.opened, cur.acked, cur.heals
+}
+
+// TestShipResultNamingAnotherSessionHeals: a 200 whose only result
+// names another session is not an ack. Each such frame heals the
+// cursor to a full re-ship, and the frame that would run the heals
+// past maxShipHeals in a row fails the submit.
+func TestShipResultNamingAnotherSessionHeals(t *testing.T) {
+	sn := startStandIn(t)
+	heals := sn.node.srv.Registry().Counter(obs.ClusterShipHeals)
+	healsBefore := heals.Value()
+	framesBefore, _ := sn.rep.set("other")
+	code, body := sn.submit()
+	if code != http.StatusBadGateway || !strings.Contains(body, "consecutive re-ships") {
+		t.Fatalf("submit against a replica naming another session: %d %s, want 502 after the heals", code, body)
 	}
-	if b := curs["b"]; b.opened || b.acked != 0 || b.heals != 1 {
-		t.Errorf("b: opened %v acked %d heals %d, want a reset to a full re-ship", b.opened, b.acked, b.heals)
+	framesAfter, _ := sn.rep.set("ok")
+	if got := framesAfter - framesBefore; got != maxShipHeals+1 {
+		t.Errorf("the failed submit sent %d frames, want %d", got, maxShipHeals+1)
 	}
-	if len(curs["b"].waiters) != 1 {
-		t.Errorf("b holds %d waiters, want its one waiter still blocked", len(curs["b"].waiters))
+	if got := heals.Value() - healsBefore; got != maxShipHeals+1 {
+		t.Errorf("cluster.ship.heals rose by %v, want %d", got, maxShipHeals+1)
 	}
-	if v := heals.Value(); v != 1 {
-		t.Errorf("cluster.ship.heals = %v, want 1", v)
+	if opened, acked, h := sn.cursor(); opened || acked != 0 || h != 0 {
+		t.Errorf("cursor opened %v acked %d heals %d after the failure, want a full re-ship with no heals", opened, acked, h)
+	}
+	if code, body := sn.submit(); code != http.StatusOK {
+		t.Fatalf("submit after the replica recovered: %d %s", code, body)
+	}
+}
+
+// TestShipRefusalResetsCursor: a whole-frame 400 from a live replica
+// fails the submit it covered and resets the cursor, so the next frame
+// re-opens the replica with the full log.
+func TestShipRefusalResetsCursor(t *testing.T) {
+	sn := startStandIn(t)
+	if opened, acked, _ := sn.cursor(); !opened || acked == 0 {
+		t.Fatalf("cursor opened %v acked %d after an acked submit", opened, acked)
+	}
+	sn.rep.set("refuse")
+	code, body := sn.submit()
+	if code != http.StatusBadGateway || !strings.Contains(body, "refused frame") {
+		t.Fatalf("submit against a refusing replica: %d %s, want 502", code, body)
+	}
+	if opened, acked, _ := sn.cursor(); opened || acked != 0 {
+		t.Errorf("cursor opened %v acked %d after a refusal, want reset", opened, acked)
+	}
+	_, opens := sn.rep.set("ok")
+	if code, body := sn.submit(); code != http.StatusOK {
+		t.Fatalf("submit after the refusal: %d %s", code, body)
+	}
+	if _, after := sn.rep.set("ok"); after != opens+1 {
+		t.Errorf("the submit after a refusal opened the replica %d times, want once", after-opens)
+	}
+}
+
+// TestShipAfterCloseFails: once Node.Close returned, a submit that
+// needs a ship is not acked — the node sends nothing more, so a 200
+// would promise a replica that never got the events.
+func TestShipAfterCloseFails(t *testing.T) {
+	sn := startStandIn(t)
+	sn.node.Close()
+	frames, _ := sn.rep.set("ok")
+	if code, body := sn.submit(); code != http.StatusBadGateway {
+		t.Fatalf("submit after Close: %d %s, want 502", code, body)
+	}
+	if after, _ := sn.rep.set("ok"); after != frames {
+		t.Errorf("a closed node sent %d frames", after-frames)
 	}
 }

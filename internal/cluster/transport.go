@@ -11,8 +11,9 @@ import (
 // pool per peer, so the steady state is a handful of long-lived
 // connections per peer instead of a dial per ship. The idle caps are
 // sized for a small cluster (every node talks to every peer): the
-// per-host cap must exceed the ship window plus concurrent forwards,
-// or the pool itself would close and re-dial connections under load.
+// per-host cap must exceed the frames usually in flight to one peer
+// (at most one per session) plus concurrent forwards, or the pool
+// itself would close and re-dial connections under load.
 func newClusterTransport() *http.Transport {
 	t := http.DefaultTransport.(*http.Transport).Clone()
 	t.MaxIdleConns = 256

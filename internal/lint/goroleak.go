@@ -8,7 +8,7 @@ import (
 )
 
 // GoroLeakAnalyzer flags goroutine lifecycle hazards in the long-lived
-// types (cluster prober and shippers, router, worker pools): a `go`
+// types (cluster prober, router, worker pools): a `go`
 // statement whose body observes no stop signal outlives its owner, and
 // an unstopped time.Ticker leaks its channel and timer goroutine.
 //

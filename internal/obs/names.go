@@ -81,19 +81,18 @@ const (
 	// from a peer (push broadcast or epoch-triggered anti-entropy pull).
 	ClusterMembershipSyncs = "cluster.membership_syncs"
 
-	// ClusterShipFrames counts coalesced replication frames sent by the
-	// per-peer shipper streams. ClusterShips counts acked per-session
-	// entries, so ships/frames is the average coalescing factor.
+	// ClusterShipFrames counts replication frames sent. A frame carries
+	// one session's log tail; ClusterShips counts the acked ones.
 	ClusterShipFrames = "cluster.ship.frames"
-	// ClusterShipFrameSessions is the histogram of sessions coalesced
-	// into each frame. Mass at 1 means no coalescing (light traffic);
-	// mass in higher buckets is the stream amortization working.
+	// ClusterShipFrameSessions named the histogram of sessions per frame.
+	// Nothing produces it since a frame carries one session; the name
+	// stays because the frozen benchmark (bench/dvfsbench) reads it.
 	ClusterShipFrameSessions = "cluster.ship.frame_sessions"
 	// ClusterShipFrameEvents is the histogram of log events carried per
-	// frame across all its sessions.
+	// frame.
 	ClusterShipFrameEvents = "cluster.ship.frame_events"
 	// ClusterShipInflight gauges replication frames currently in flight
-	// across all peer streams (bounded per peer by the ship window).
+	// (at most one per session).
 	ClusterShipInflight = "cluster.ship.inflight"
 	// ClusterShipAckWait is the histogram of replication-ack wait time
 	// in seconds: how long a mutation's response was held between its

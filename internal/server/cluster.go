@@ -132,9 +132,8 @@ func (s *Server) SessionSpec(id string) (PlatformSpec, bool) {
 // AppendSessionEventsSince appends the session's recorded events with
 // Seq > after to dst, in emission order. It reads the shard's recorder
 // directly (internally locked), so it never waits for the session's
-// lock; the stream shipper reuses one scratch slice per frame
-// build, so coalescing many sessions into a frame costs no per-session
-// event-slice allocation.
+// lock; the replication stream reuses one pooled scratch slice per
+// frame build, so a ship costs no event-slice allocation.
 func (s *Server) AppendSessionEventsSince(id string, after uint64, dst []obs.Event) ([]obs.Event, error) {
 	sh, ok := s.sessions.get(id)
 	if !ok {
