@@ -449,6 +449,8 @@ func (s *standIn) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	writeClusterJSON(w, frameResult{Sessions: []frameEntryResult{{ID: e.ID, Status: frameStatusOK}}})
 }
 
+// set switches the mode for the frames to come and returns the counts
+// so far.
 func (s *standIn) set(mode string) (frames, opens int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

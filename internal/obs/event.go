@@ -342,10 +342,10 @@ func (r *Recorder) Events() []Event {
 }
 
 // AppendSince appends the recorded events with Seq > after to dst and
-// returns the extended slice. It is the replication fast path: a log
-// shipper tracking the last shipped sequence number pulls only the
-// unshipped tail into a reused scratch slice, so building a coalesced
-// frame costs no per-ship event copy beyond the append itself.
+// returns the extended slice. It is the replication fast path: a
+// stream tracking the last shipped sequence number pulls only the
+// unshipped tail into a reused scratch slice, so building a frame
+// costs no per-ship event copy beyond the append itself.
 func (r *Recorder) AppendSince(dst []Event, after uint64) []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()

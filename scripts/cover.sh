@@ -26,7 +26,7 @@ internal/sim 85
 internal/online 72
 internal/core 83
 internal/server 82
-internal/cluster 75
+internal/cluster 77
 internal/audit 90
 '
 
