@@ -1,13 +1,13 @@
 // Command dvfschedd serves the scheduler over HTTP: a stateless
-// planning plane (POST /v1/plan, Workload Based Greedy behind a worker
-// pool and an LRU cache) and a stateful session plane (online-mode
-// Least Marginal Cost shards that accept task arrivals and stream
-// their event trace). See internal/server for the API contract.
+// planning plane (POST /v1/plan, Workload Based Greedy behind an LRU
+// cache, at most GOMAXPROCS plans at once) and a stateful session plane
+// (online-mode Least Marginal Cost shards that accept task arrivals and
+// stream their event trace). See internal/server for the API contract.
 //
 // Usage:
 //
-//	dvfschedd [-addr :8080] [-workers N] [-queue N] [-cache N]
-//	          [-max-sessions N] [-request-timeout 30s] [-drain-timeout 30s]
+//	dvfschedd [-addr :8080] [-cache N] [-max-sessions N]
+//	          [-request-timeout 30s] [-drain-timeout 30s]
 //	          [-trace-format jsonl|binary] [-pprof-addr 127.0.0.1:6060]
 //	          [-node-id ID -peers "id1=http://h1:p1,id2=http://h2:p2,..."]
 //	          [-node-id ID -advertise http://h:p -join http://seed:p]
@@ -77,8 +77,6 @@ func run(args []string, w io.Writer, sigs <-chan os.Signal) error {
 	fs := flag.NewFlagSet("dvfschedd", flag.ContinueOnError)
 	var (
 		addr         = fs.String("addr", ":8080", "listen address (host:0 picks an ephemeral port)")
-		workers      = fs.Int("workers", 0, "planning worker pool size (0 = GOMAXPROCS)")
-		queue        = fs.Int("queue", 0, "planning queue depth (0 = 4x workers)")
 		cache        = fs.Int("cache", 0, "plan LRU cache entries (0 = 256, negative disables)")
 		maxSessions  = fs.Int("max-sessions", 0, "concurrent session cap (0 = 1024)")
 		reqTimeout   = fs.Duration("request-timeout", 0, "per-request deadline (0 = 30s)")
@@ -138,14 +136,11 @@ func run(args []string, w io.Writer, sigs <-chan os.Signal) error {
 	}
 
 	s := server.New(server.Config{
-		Workers:        *workers,
-		QueueDepth:     *queue,
 		CacheSize:      *cache,
 		MaxSessions:    *maxSessions,
 		RequestTimeout: *reqTimeout,
 		TraceFormat:    *traceFormat,
 	})
-	defer s.Close()
 
 	handler := http.Handler(s)
 	if peers != nil {

@@ -122,7 +122,7 @@ func TestDaemonBinaryTraceDefault(t *testing.T) {
 	sigs := make(chan os.Signal, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-workers", "1", "-trace-format", "binary"}, lw, sigs)
+		done <- run([]string{"-addr", "127.0.0.1:0", "-trace-format", "binary"}, lw, sigs)
 	}()
 	var base string
 	select {
@@ -201,7 +201,7 @@ func TestDaemonPprofSideListener(t *testing.T) {
 	sigs := make(chan os.Signal, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-workers", "1", "-pprof-addr", "127.0.0.1:0"}, lw, sigs)
+		done <- run([]string{"-addr", "127.0.0.1:0", "-pprof-addr", "127.0.0.1:0"}, lw, sigs)
 	}()
 	var base, pprofURL string
 	for base == "" || pprofURL == "" {

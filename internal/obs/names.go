@@ -29,7 +29,8 @@ const (
 	// cancellation or deadline (the context reached the planner and
 	// stopped it mid-computation).
 	ServerPlansAborted = "server.plans_aborted"
-	// ServerPlanQueueDepth gauges the planning plane's queued jobs.
+	// ServerPlanQueueDepth gauges the callers waiting for a planning
+	// slot.
 	ServerPlanQueueDepth = "server.plan.queue_depth"
 	// ServerPlanCacheHits / Misses count result-cache lookups; their
 	// ratio is the cache hit rate.

@@ -58,7 +58,7 @@ func BenchmarkPlanCacheHit(b *testing.B) {
 }
 
 // BenchmarkPlanCompute measures the planning plane with caching
-// disabled: queue, worker pool, WBG, and response shaping per request.
+// disabled: slot, WBG, and response shaping per request.
 func BenchmarkPlanCompute(b *testing.B) { benchPlanCompute(b, 32) }
 
 // BenchmarkPlanCompute1000 is BenchmarkPlanCompute at the largest

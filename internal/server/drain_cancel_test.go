@@ -13,12 +13,11 @@ import (
 )
 
 // TestPlanCancellationAbortsInFlightPlan is the PR's cancellation
-// proof: a request context canceled while its plan is on a worker
-// observably aborts the in-flight planning work (the plans_aborted
-// counter fires and no plan completes) rather than burning the worker
-// to the end.
+// proof: a request context canceled while its plan is in flight
+// observably aborts the planning work (the plans_aborted counter fires
+// and no plan completes) rather than holding its slot to the end.
 func TestPlanCancellationAbortsInFlightPlan(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, CacheSize: -1})
+	s, ts := newTestServer(t, Config{CacheSize: -1})
 	started := make(chan struct{})
 	s.planner.onComputeStart = func(ctx context.Context) {
 		close(started)

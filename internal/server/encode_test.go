@@ -106,7 +106,7 @@ func TestAppendersZeroAlloc(t *testing.T) {
 // TestPlanCacheHitResponseParity checks the pre-encoded cache-hit body
 // carries exactly the computed response with cached flipped to true.
 func TestPlanCacheHitResponseParity(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := New(Config{})
 	defer s.Close()
 	body, err := json.Marshal(PlanRequest{Tasks: benchTasks(8)})
 	if err != nil {
@@ -151,7 +151,7 @@ func TestPlanCacheHitResponseParity(t *testing.T) {
 // to a fixed allocation budget so regressions that reintroduce
 // per-request reflection or marshaling fail loudly.
 func TestPlanCacheHitAllocs(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := New(Config{})
 	defer s.Close()
 	body, err := json.Marshal(PlanRequest{Tasks: benchTasks(8)})
 	if err != nil {

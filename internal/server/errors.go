@@ -6,8 +6,8 @@ import "errors"
 // writeAPIError (wire.go) maps them — together with the core facade's
 // sentinels — to HTTP statuses.
 var (
-	// ErrBusy reports a full plan queue, or too many callers waiting
-	// for one session's lock: backpressure. 429 in steady state, 503
+	// ErrBusy reports too many callers waiting for a plan slot, or for
+	// one session's lock: backpressure. 429 in steady state, 503
 	// once a drain has begun.
 	ErrBusy = errors.New("server: queue full; retry later")
 	// ErrSessionGone reports a purged session: 404.

@@ -66,60 +66,3 @@ func (c *lruCache) len() int {
 	defer c.mu.Unlock()
 	return len(c.items)
 }
-
-// cacheStripes is the stripe count of stripedCache: enough that
-// concurrent cache-hit traffic rarely collides on one stripe lock,
-// small enough that per-stripe LRU capacity stays meaningful.
-const cacheStripes = 8
-
-// stripedCache shards an LRU cache over independently locked stripes,
-// selected by an FNV-1a hash of the key. Under concurrent cache-hit
-// load a single-lock LRU serializes every request on one mutex (each
-// hit mutates recency order, so even reads take the exclusive lock);
-// striping divides that contention by the stripe count. Recency is
-// per-stripe — an eviction takes the oldest entry of the *stripe*, not
-// the global oldest — which is the standard trade for lock-free-ish
-// LRU reads and harmless at plan-cache scale.
-type stripedCache struct {
-	stripes [cacheStripes]*lruCache
-}
-
-// newStripedCache splits capacity evenly (rounded up) across stripes;
-// capacity <= 0 disables caching, matching newLRUCache.
-func newStripedCache(capacity int) *stripedCache {
-	per := 0
-	if capacity > 0 {
-		per = (capacity + cacheStripes - 1) / cacheStripes
-	}
-	sc := &stripedCache{}
-	for i := range sc.stripes {
-		sc.stripes[i] = newLRUCache(per)
-	}
-	return sc
-}
-
-// stripe picks the lruCache owning key (inline FNV-1a, no allocation).
-func (c *stripedCache) stripe(key string) *lruCache {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return c.stripes[h%cacheStripes]
-}
-
-// get returns the cached value and refreshes its stripe-local recency.
-func (c *stripedCache) get(key string) (any, bool) { return c.stripe(key).get(key) }
-
-// put inserts or refreshes a value in the key's stripe.
-func (c *stripedCache) put(key string, val any) { c.stripe(key).put(key, val) }
-
-// len sums entries across stripes.
-func (c *stripedCache) len() int {
-	n := 0
-	for _, s := range c.stripes {
-		n += s.len()
-	}
-	return n
-}

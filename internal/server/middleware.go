@@ -26,8 +26,8 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 
 // instrument wraps the mux with the serving plumbing, outermost first:
 // request metrics, a per-request deadline, and panic-to-500 recovery.
-// Handlers observe the deadline through the request context (queue
-// waits and shard round-trips select on it).
+// Handlers observe the deadline through the request context (the
+// waits for a plan slot and for a session's lock end with it).
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()

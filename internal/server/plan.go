@@ -9,8 +9,10 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"dvfsched/internal/core"
 	"dvfsched/internal/model"
@@ -18,35 +20,20 @@ import (
 	"dvfsched/internal/platform"
 )
 
-// planJob is one queued planning request.
-type planJob struct {
-	ctx    context.Context
-	key    string
-	params model.CostParams
-	plat   *platform.Platform
-	tasks  model.TaskSet
-	reply  chan planReply
-}
-
-type planReply struct {
-	resp PlanResponse
-	err  error
-}
-
-// planner is the stateless planning plane: a bounded queue feeding a
-// fixed worker pool, fronted by a striped LRU result cache. A cache
-// entry is the plan's pre-encoded cache-hit HTTP body as a []byte
-// ("cached":true, trailing newline included), so the hit path writes
-// stored bytes without touching an encoder. Queue overflow is surfaced
-// to callers as backpressure (HTTP 429), never as unbounded memory
-// growth.
+// planner is the stateless planning plane. A miss runs WBG on the
+// request's own goroutine while it holds one of a fixed number of
+// slots; a hit is served from an LRU result cache. A cache entry is the
+// plan's pre-encoded cache-hit HTTP body as a []byte ("cached":true,
+// trailing newline included), so the hit path writes stored bytes
+// without touching an encoder.
 type planner struct {
-	queue chan planJob
-	cache *stripedCache
+	cache *lruCache
 
-	closeOnce sync.Once
-	closed    chan struct{}
-	wg        sync.WaitGroup
+	// slots is a semaphore: a plan computes only while it holds one.
+	slots chan struct{}
+	// waiting counts the callers waiting for a slot.
+	waiting    atomic.Int32
+	maxWaiting int32
 
 	plans      *obs.Counter
 	aborts     *obs.Counter
@@ -54,71 +41,65 @@ type planner struct {
 	misses     *obs.Counter
 	queueDepth *obs.Gauge
 
-	// onComputeStart, when set by a test, runs on the worker goroutine
-	// just before planning begins, receiving the job's context — the
+	// onComputeStart, when set by a test, runs just before planning
+	// begins, under the caller's slot and receiving its context — the
 	// hook cancellation tests use to hold a plan verifiably in flight
 	// until the request is canceled.
 	onComputeStart func(ctx context.Context)
 }
 
-// newPlanner starts workers goroutines over a queue of the given
-// depth. A negative worker count starts none — jobs then queue until
-// they are shed, which tests use to exercise backpressure.
-func newPlanner(workers, queueDepth, cacheSize int, reg *obs.Registry) *planner {
-	if workers < 0 {
-		workers = 0
-	}
-	p := &planner{
-		queue:      make(chan planJob, queueDepth),
-		cache:      newStripedCache(cacheSize),
-		closed:     make(chan struct{}),
+// newPlanner sizes the slots at GOMAXPROCS, the parallelism planning
+// can use, and the waiting room at four times that.
+func newPlanner(cacheSize int, reg *obs.Registry) *planner {
+	procs := runtime.GOMAXPROCS(0)
+	return &planner{
+		cache:      newLRUCache(cacheSize),
+		slots:      make(chan struct{}, procs),
+		maxWaiting: int32(4 * procs),
 		plans:      reg.Counter(obs.ServerPlans),
 		aborts:     reg.Counter(obs.ServerPlansAborted),
 		hits:       reg.Counter(obs.ServerPlanCacheHits),
 		misses:     reg.Counter(obs.ServerPlanCacheMisses),
 		queueDepth: reg.Gauge(obs.ServerPlanQueueDepth),
 	}
-	p.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-	return p
 }
 
-// close stops accepting work and waits for in-flight plans to finish.
-func (p *planner) close() {
-	p.closeOnce.Do(func() { close(p.closed) })
-	p.wg.Wait()
-}
-
-func (p *planner) worker() {
-	defer p.wg.Done()
-	for {
-		select {
-		case <-p.closed:
-			return
-		case job := <-p.queue:
-			p.queueDepth.Set(float64(len(p.queue)))
-			resp, err := p.compute(job)
-			select {
-			case job.reply <- planReply{resp: resp, err: err}:
-			case <-job.ctx.Done():
-			}
-		}
+// plan computes a cache miss under one of the planner's slots. A
+// caller that finds maxWaiting callers waiting already gets ErrBusy
+// (HTTP 429), never an unbounded wait; a caller whose context ends
+// while it waits gets the context error and never plans.
+func (p *planner) plan(ctx context.Context, key string, params model.CostParams, plat *platform.Platform, tasks model.TaskSet) (PlanResponse, error) {
+	if p.waiting.Add(1) > p.maxWaiting {
+		p.waiting.Add(-1)
+		return PlanResponse{}, fmt.Errorf("%w: plan queue full (%d queued)", ErrBusy, p.maxWaiting)
 	}
+	p.queueDepth.Add(1)
+	select {
+	case p.slots <- struct{}{}:
+		defer func() { <-p.slots }()
+	case <-ctx.Done():
+	}
+	p.waiting.Add(-1)
+	p.queueDepth.Add(-1)
+	// Checked after the select, which picks either case when a slot
+	// frees as the context ends.
+	if err := ctx.Err(); err != nil {
+		return PlanResponse{}, err
+	}
+	return p.compute(ctx, key, params, plat, tasks)
 }
 
 // compute runs the batch planner through the core facade and shapes
 // the wire response.
-func (p *planner) compute(job planJob) (PlanResponse, error) {
+func (p *planner) compute(ctx context.Context, key string, params model.CostParams, plat *platform.Platform, tasks model.TaskSet) (PlanResponse, error) {
 	if p.onComputeStart != nil {
-		p.onComputeStart(job.ctx)
+		p.onComputeStart(ctx)
 	}
-	sched, err := core.New(job.params, job.plat)
+	sched, err := core.New(params, plat)
 	if err != nil {
 		return PlanResponse{}, err
 	}
-	plan, err := sched.PlanBatch(job.ctx, job.tasks)
+	plan, err := sched.PlanBatch(ctx, tasks)
 	if err != nil {
 		if errors.Is(err, core.ErrCanceled) {
 			p.aborts.Inc()
@@ -158,7 +139,7 @@ func (p *planner) compute(job planJob) (PlanResponse, error) {
 	cached.Cached = true
 	hit = append(appendPlanTotals(hit, cached), '\n')
 	p.plans.Inc()
-	p.cache.put(job.key, hit)
+	p.cache.put(key, hit)
 	return resp, nil
 }
 
@@ -207,37 +188,12 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.planner.misses.Inc()
-
-	job := planJob{
-		ctx:    r.Context(),
-		key:    key,
-		params: params,
-		plat:   plat,
-		tasks:  tasks,
-		reply:  make(chan planReply, 1),
-	}
-	select {
-	case s.planner.queue <- job:
-		s.planner.queueDepth.Set(float64(len(s.planner.queue)))
-	case <-s.planner.closed:
-		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
-		return
-	default:
-		s.writeAPIError(w, fmt.Errorf("%w: plan queue full (%d queued)", ErrBusy, cap(s.planner.queue)), http.StatusTooManyRequests)
+	resp, err := s.planner.plan(r.Context(), key, params, plat, tasks)
+	if err != nil {
+		s.writeAPIError(w, err, http.StatusBadRequest)
 		return
 	}
-	select {
-	case rep := <-job.reply:
-		if rep.err != nil {
-			s.writeAPIError(w, rep.err, http.StatusBadRequest)
-			return
-		}
-		writePlanResponse(w, rep.resp)
-	case <-s.planner.closed:
-		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
-	case <-r.Context().Done():
-		writeError(w, http.StatusServiceUnavailable, "request cancelled or timed out")
-	}
+	writePlanResponse(w, resp)
 }
 
 // keyBufPool recycles the canonical-workload buffers planKey hashes.

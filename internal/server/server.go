@@ -1,22 +1,22 @@
 // Package server turns the scheduler into a long-running service: a
 // stdlib-only net/http JSON API with two planes. The stateless
 // planning plane runs the Workload Based Greedy batch planner
-// (Section III) behind a worker pool and an LRU result cache; the
-// stateful session plane hosts online-mode shards (Section IV) — one
-// Least Marginal Cost policy and virtual-time engine per session,
-// behind one mutex — that accept task arrivals over HTTP and stream
-// their observability trace back as JSON Lines.
+// (Section III) behind an LRU result cache, on the request's own
+// goroutine under one of GOMAXPROCS slots; the stateful session plane
+// hosts online-mode shards (Section IV) — one Least Marginal Cost
+// policy and virtual-time engine per session, behind one mutex — that
+// accept task arrivals over HTTP and stream their observability trace
+// back as JSON Lines. The package starts no goroutine of its own.
 //
-// Production plumbing is part of the contract: bounded queues and
-// lock waits that shed load with 429s, per-request timeouts,
-// panic-to-500 recovery, /healthz and /metrics (an obs.Registry
-// snapshot), and graceful drain of every live session on shutdown.
+// Production plumbing is part of the contract: bounded waits for plan
+// slots and session locks that shed load with 429s, per-request
+// timeouts, panic-to-500 recovery, /healthz and /metrics (an
+// obs.Registry snapshot), and graceful drain of every live session on
+// shutdown.
 package server
 
 import (
 	"net/http"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -25,11 +25,6 @@ import (
 
 // Config tunes the daemon. The zero value is production-safe.
 type Config struct {
-	// Workers sizes the planning worker pool; 0 means GOMAXPROCS,
-	// negative starts no workers (tests only).
-	Workers int
-	// QueueDepth bounds the planning queue; 0 means 4×Workers.
-	QueueDepth int
 	// CacheSize bounds the plan LRU cache entries; 0 means 256,
 	// negative disables caching.
 	CacheSize int
@@ -47,12 +42,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 4 * c.Workers
-	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 256
 	}
@@ -81,8 +70,7 @@ type Server struct {
 	handler  http.Handler
 	started  time.Time
 
-	closeOnce sync.Once
-	draining  atomic.Bool
+	draining atomic.Bool
 
 	requests *obs.Counter
 	failures *obs.Counter
@@ -96,14 +84,14 @@ type Server struct {
 // planning runs, in seconds.
 var latencyBuckets = []float64{1e-4, 5e-4, 1e-3, 5e-3, 0.01, 0.05, 0.1, 0.5, 1, 5, 10}
 
-// New builds a server and starts its planning workers.
+// New builds a server.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	reg := cfg.Registry
 	s := &Server{
 		cfg:      cfg,
 		reg:      reg,
-		planner:  newPlanner(cfg.Workers, cfg.QueueDepth, cfg.CacheSize, reg),
+		planner:  newPlanner(cfg.CacheSize, reg),
 		sessions: newSessions(cfg.MaxSessions, reg),
 		started:  time.Now(),
 		requests: reg.Counter(obs.ServerRequests),
@@ -142,7 +130,7 @@ func (s *Server) Sessions() int { return s.sessions.count() }
 
 // BeginDrain flips the server into drain mode: both planes refuse new
 // work with 503 (ErrDraining) so load balancers fail over, while
-// in-flight requests, already-queued plans and DrainAll itself
+// in-flight requests, plans waiting for a slot and DrainAll itself
 // proceed. Idempotent. cmd/dvfschedd calls it on SIGTERM before
 // shutting the listener down.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
@@ -150,12 +138,9 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 // Draining reports whether BeginDrain has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Close stops the planning workers, the server's only goroutines.
-// Call after the http.Server has stopped serving and sessions are
-// drained.
-func (s *Server) Close() {
-	s.closeOnce.Do(func() { s.planner.close() })
-}
+// Close is BeginDrain: the server runs no goroutine of its own, so
+// refusing new work is all there is to stop.
+func (s *Server) Close() { s.BeginDrain() }
 
 // healthzResponse is the GET /healthz body.
 type healthzResponse struct {

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -245,32 +246,125 @@ func TestPlanRejectsBadRequests(t *testing.T) {
 	}
 }
 
-// TestPlanBackpressure fills the (worker-less) queue and checks the
-// overflow request is shed with 429.
-func TestPlanBackpressure(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: -1, QueueDepth: 1, RequestTimeout: 300 * time.Millisecond})
+// withPlanSlots gives s's planner the given slot and waiting-place
+// counts; call it before the first plan request.
+func withPlanSlots(s *Server, slots, waiting int) {
+	s.planner.slots = make(chan struct{}, slots)
+	s.planner.maxWaiting = int32(waiting)
+}
 
-	done := make(chan int, 1)
-	go func() {
-		done <- doJSON(t, "POST", ts.URL+"/v1/plan", PlanRequest{Tasks: batchRecords(2, 4)}, nil)
-	}()
-	// Wait until the first request occupies the only queue slot, then a
-	// second distinct workload must bounce with 429.
+// TestPlanBackpressure holds the only plan slot and fills the only
+// waiting place: the next miss is shed with 429, the waiter answers
+// 503 at its deadline without planning, and the held plan aborts on its
+// own expired deadline once released.
+func TestPlanBackpressure(t *testing.T) {
+	s, ts := newTestServer(t, Config{RequestTimeout: 300 * time.Millisecond})
+	withPlanSlots(s, 1, 1)
+	started := make(chan struct{}, 3)
+	release := make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(release) })
+	// Runs before the server's cleanup, which would wait forever for a
+	// plan a failed check left held.
+	t.Cleanup(unblock)
+	s.planner.onComputeStart = func(ctx context.Context) {
+		started <- struct{}{}
+		<-release
+		// The held plan's deadline passed before the release, but the
+		// timer that ends its context can lag on a loaded machine.
+		<-ctx.Done()
+	}
+	type answer struct {
+		status int
+		code   string
+	}
+	post := func(seed int64) <-chan answer {
+		done := make(chan answer, 1)
+		go func() {
+			var eresp errorResponse
+			code := doJSON(t, "POST", ts.URL+"/v1/plan", PlanRequest{Tasks: batchRecords(2, seed)}, &eresp)
+			done <- answer{code, eresp.Error.Code}
+		}()
+		return done
+	}
+
+	held := post(4)
+	<-started
+	waiter := post(5)
 	deadline := time.Now().Add(2 * time.Second)
-	for len(s.planner.queue) == 0 {
+	for s.planner.waiting.Load() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("first request never reached the queue")
+			t.Fatal("second request never waited for the slot")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if got := doJSON(t, "POST", ts.URL+"/v1/plan", PlanRequest{Tasks: batchRecords(3, 5)}, nil); got != http.StatusTooManyRequests {
-		t.Fatalf("overflow request got %d, want 429", got)
+	if got := <-post(6); got.status != http.StatusTooManyRequests || got.code != "busy" {
+		t.Fatalf("overflow request got %+v, want 429 busy", got)
 	}
-	if first := <-done; first != http.StatusServiceUnavailable {
-		t.Fatalf("queued request finished with %d, want 503 timeout", first)
+	select {
+	case <-started:
+		t.Fatal("a second plan started while the slot was held")
+	case got := <-waiter:
+		if got.status != http.StatusServiceUnavailable || got.code != "canceled" {
+			t.Fatalf("waiting request got %+v, want 503 canceled at its deadline", got)
+		}
 	}
-	if s.Registry().Snapshot().Counters[obs.ServerRejected] < 1 {
+	// Release only now: released at the held request's own deadline, the
+	// waiter could have taken the slot first.
+	unblock()
+	if got := <-held; got.status != http.StatusServiceUnavailable || got.code != "canceled" {
+		t.Fatalf("held request got %+v, want 503 canceled", got)
+	}
+	snap := s.Registry().Snapshot()
+	if snap.Counters[obs.ServerRejected] < 1 {
 		t.Fatal("rejected counter did not move")
+	}
+	if got := snap.Counters[obs.ServerPlansAborted]; got != 1 {
+		t.Fatalf("plans_aborted = %v, want 1 (only the held plan ran)", got)
+	}
+	if got := snap.Gauges[obs.ServerPlanQueueDepth]; got != 0 {
+		t.Fatalf("queue depth %v after every request answered, want 0", got)
+	}
+}
+
+// TestPlanSlotsBoundConcurrency sends four distinct misses at once to a
+// planner with one slot: all are served, and no two plans are ever
+// inside the planner together.
+func TestPlanSlotsBoundConcurrency(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	withPlanSlots(s, 1, 4)
+	const n = 4
+	var inside, entered atomic.Int32
+	s.planner.onComputeStart = func(context.Context) {
+		if inside.Add(1) > 1 {
+			t.Error("two plans inside the planner at once")
+		}
+		if entered.Add(1) == 1 {
+			// Hold the first plan until every other request waits for
+			// its slot, so the four are provably concurrent.
+			deadline := time.Now().Add(2 * time.Second)
+			for s.planner.waiting.Load() < n-1 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if got := s.planner.waiting.Load(); got != n-1 {
+				t.Errorf("%d requests waiting behind the first plan, want %d", got, n-1)
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+		inside.Add(-1)
+	}
+	codes := make(chan int, n)
+	for i := 0; i < n; i++ {
+		go func(seed int64) {
+			codes <- doJSON(t, "POST", ts.URL+"/v1/plan", PlanRequest{Tasks: batchRecords(3, seed)}, nil)
+		}(int64(10 + i))
+	}
+	for i := 0; i < n; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Fatalf("concurrent miss answered %d, want 200", code)
+		}
+	}
+	if got := s.Registry().Snapshot().Counters[obs.ServerPlans]; got != n {
+		t.Fatalf("plans = %v, want %d", got, n)
 	}
 }
 
