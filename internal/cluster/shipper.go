@@ -101,11 +101,10 @@ func (n *Node) Replicate(ctx context.Context, id string, m server.Mutation) erro
 // itself, or waits for the one in flight, and looks again. waited
 // reports that it did either.
 //
-// A caller finishes its ship even when its own context ends: a frame
-// may carry only part of a concurrent mutation's events (the log is
-// read without the session lock), and a client whose retry after a
-// failover meets a duplicate task ID takes its batch as accepted, so
-// the batch's tail must follow its head to the replica. Every wait is
+// A caller finishes its ship even when its own context ends: its
+// mutation is already committed here, readable and built on by later
+// mutations, and shipping it keeps the window in which a failover
+// could lose it to one frame round trip. Every wait is
 // bounded by the frames a caller can see, each by shipTimeout; a
 // caller fails at its second transport failure, so it pays at most two
 // replica round trips.

@@ -129,28 +129,37 @@ func (s *Server) SessionSpec(id string) (PlatformSpec, bool) {
 	return sh.spec, true
 }
 
-// AppendSessionEventsSince appends the session's recorded events with
-// Seq > after to dst, in emission order. It reads the shard's recorder
-// directly (internally locked), so it never waits for the session's
-// lock; the replication stream reuses one pooled scratch slice per
-// frame build, so a ship costs no event-slice allocation.
+// AppendSessionEventsSince appends the session's committed events with
+// Seq > after to dst, in emission order: the events of whole
+// operations only, never the head of one still running. It reads the
+// shard's recorder directly (internally locked), so it never waits for
+// the session's lock; the replication stream reuses one pooled scratch
+// slice per frame build, so a ship costs no event-slice allocation.
 func (s *Server) AppendSessionEventsSince(id string, after uint64, dst []obs.Event) ([]obs.Event, error) {
 	sh, ok := s.sessions.get(id)
 	if !ok {
 		return dst, fmt.Errorf("%w: %s", ErrSessionGone, id)
 	}
-	return sh.rec.AppendSince(dst, after), nil
+	// Load the commit point before reading: every event up to it is
+	// already recorded.
+	committed, n := sh.committed.Load(), len(dst)
+	dst = sh.rec.AppendSince(dst, after)
+	for len(dst) > n && dst[len(dst)-1].Seq > committed {
+		dst = dst[:len(dst)-1]
+	}
+	return dst, nil
 }
 
-// SessionLastSeq returns the sequence number of the session's last
-// recorded event (0 when none). A mutation that just committed reads
-// it to learn which replication ack covers its own events.
+// SessionLastSeq returns the sequence number of the last event of the
+// session's last finished operation (0 when none). A mutation that
+// just committed reads it to learn which replication ack covers its
+// own events.
 func (s *Server) SessionLastSeq(id string) (uint64, error) {
 	sh, ok := s.sessions.get(id)
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrSessionGone, id)
 	}
-	return sh.rec.LastSeq(), nil
+	return sh.committed.Load(), nil
 }
 
 // HandoffState is the payload of a planned migration: everything the

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -8,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"dvfsched/internal/model"
 	"dvfsched/internal/obs"
 	"dvfsched/internal/trace"
 )
@@ -85,6 +87,76 @@ func TestSessionEventHooks(t *testing.T) {
 	}
 	if _, err := s.SessionLastSeq("nope"); !errors.Is(err, ErrSessionGone) {
 		t.Fatalf("SessionLastSeq(unknown): %v", err)
+	}
+}
+
+// TestEventsSinceWholeMutations reads the log tail the way the
+// replication stream builds a frame while a submitter races it: every
+// read must end on a whole batch, so the arrivals read so far are
+// always a multiple of the batch size. A read that took the head of a
+// running batch without its tail would ship a partial batch, which a
+// client's retry after failover would take as accepted.
+func TestEventsSinceWholeMutations(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	spec, params, plat, err := PlatformSpec{Cores: 4}.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := s.sessions.create("", spec, params, plat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batches, size = 400, 32
+	done := make(chan error, 1)
+	go func() {
+		for b := 0; b < batches; b++ {
+			tasks := make(model.TaskSet, size)
+			for i := range tasks {
+				tasks[i] = model.Task{ID: b*size + i, Cycles: 1, Arrival: float64(b), Deadline: model.NoDeadline}
+			}
+			resp, err := sh.submit(context.Background(), tasks, true)
+			if err == nil {
+				err = resp.err
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+
+	var after uint64
+	var buf []obs.Event
+	arrivals := 0
+	for finished := false; !finished; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			finished = true // one last read sees everything
+		default:
+		}
+		buf, err = s.AppendSessionEventsSince(sh.id, after, buf[:0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range buf {
+			if ev.Kind == obs.KindArrival {
+				arrivals++
+			}
+		}
+		if len(buf) > 0 {
+			after = buf[len(buf)-1].Seq
+		}
+		if arrivals%size != 0 {
+			t.Fatalf("read up to seq %d holds %d arrivals: part of a %d-task batch", after, arrivals, size)
+		}
+	}
+	if arrivals != batches*size {
+		t.Fatalf("read %d arrivals in all, want %d", arrivals, batches*size)
 	}
 }
 

@@ -85,6 +85,7 @@ func (ss *sessions) adopt(id string, rb *RebuiltSession) (*shard, error) {
 		return nil, fmt.Errorf("%w (%d); drain and delete old sessions", ErrSessionTableFull, ss.maxOpen)
 	}
 	sh := &shard{id: id, spec: rb.Spec, rec: rb.Rec, sess: rb.Sess, submitted: rb.Submitted}
+	sh.committed.Store(rb.Rec.LastSeq())
 	ss.m[id] = sh
 	delete(ss.moved, id) // adopted back: the marker no longer applies
 	ss.opened.Inc()

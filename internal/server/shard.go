@@ -66,6 +66,10 @@ type shard struct {
 	// maxSessionWaiters a caller is shed with ErrBusy: backpressure at
 	// the HTTP layer.
 	waiting atomic.Int32
+	// committed is the Seq of the last event of the last operation that
+	// finished under mu. Events past it belong to an operation still
+	// running, so the replication stream reads the log only up to it.
+	committed atomic.Uint64
 
 	mu        sync.Mutex
 	sess      *core.OnlineSession
@@ -126,6 +130,13 @@ func (sh *shard) acquired(ctx context.Context) error {
 	return nil
 }
 
+// release publishes the log position the finished operation reached
+// as committed and unlocks mu.
+func (sh *shard) release() {
+	sh.committed.Store(sh.rec.LastSeq())
+	sh.mu.Unlock()
+}
+
 // submit applies one submission to the session. clamp selects Admit
 // (stale arrivals clamped to the clock) over Submit (stale arrivals
 // rejected). Session-level refusals come back in the reply's err.
@@ -134,7 +145,7 @@ func (sh *shard) submit(ctx context.Context, tasks model.TaskSet, clamp bool) (s
 		return shardResp{}, err
 	}
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	defer sh.release()
 	if err := sh.acquired(ctx); err != nil {
 		return shardResp{}, err
 	}
@@ -165,7 +176,7 @@ func (sh *shard) do(ctx context.Context, op shardOp) (shardResp, error) {
 		return shardResp{}, err
 	}
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	defer sh.release()
 	if err := sh.acquired(ctx); err != nil {
 		return shardResp{}, err
 	}
