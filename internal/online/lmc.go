@@ -64,13 +64,6 @@ type LMC struct {
 	compSum  float64
 	compN    int
 
-	// AgingThreshold, when positive, bounds starvation: a queued
-	// submission that has waited longer than this many seconds is
-	// dispatched ahead of shorter work. Zero (the default, and the
-	// paper's behavior) never reorders — under sustained load the
-	// longest submissions can wait indefinitely behind shorter ones.
-	AgingThreshold float64
-
 	// Metrics, if set before the run, collects scheduler-side
 	// observability: "lmc.marginal_evals" counts Eq. 26/27 marginal-
 	// cost evaluations, "lmc.preempts_issued" counts interactive
@@ -317,22 +310,8 @@ func (l *LMC) dispatch(e *sim.Engine, j int) {
 			panic(err)
 		}
 	case len(c.queue) > 0:
-		idx := 0
-		if l.AgingThreshold > 0 {
-			// Promote the longest-waiting overdue submission, if any.
-			overdue, oldest := -1, math.Inf(1)
-			for i, entry := range c.queue {
-				wait := e.Clock() - entry.ts.Task.Arrival
-				if wait > l.AgingThreshold && entry.ts.Task.Arrival < oldest {
-					overdue, oldest = i, entry.ts.Task.Arrival
-				}
-			}
-			if overdue >= 0 {
-				idx = overdue
-			}
-		}
-		entry := c.queue[idx]
-		c.queue = append(c.queue[:idx], c.queue[idx+1:]...)
+		entry := c.queue[0]
+		c.queue = append(c.queue[:0], c.queue[1:]...)
 		// Backward position counts itself plus everything still
 		// waiting behind it.
 		level := c.env.LevelFor(1 + c.waiting())
