@@ -43,11 +43,17 @@ func (s *Scheduler) OpenOnline(ctx context.Context) (*OnlineSession, error) {
 // is the newest arrival it has heard about, so earlier work may still
 // be queued or running when the next batch lands. Task IDs must be
 // unique across the session's lifetime and arrivals must not precede
-// the session clock. Canceling ctx aborts the advance with an error
-// matching ErrCanceled.
+// the session clock. A batch applies whole or not at all: ctx is
+// checked once, before the batch goes in, and a canceled ctx returns
+// an error matching ErrCanceled with the session unchanged, so the
+// same batch can be retried. Once the batch is in, the advance runs to
+// the end whatever ctx does.
 func (o *OnlineSession) Submit(ctx context.Context, tasks model.TaskSet) error {
 	if len(tasks) == 0 {
 		return ErrEmptySubmission
+	}
+	if err := ctx.Err(); err != nil {
+		return wrapCanceled(err)
 	}
 	if err := o.sess.Inject(tasks); err != nil {
 		return err
@@ -58,7 +64,7 @@ func (o *OnlineSession) Submit(ctx context.Context, tasks model.TaskSet) error {
 			latest = t.Arrival
 		}
 	}
-	return wrapCanceled(o.sess.AdvanceTo(ctx, latest))
+	return o.finishAdvance(latest)
 }
 
 // Admit feeds a batch of arrivals like Submit, but tolerates stale
@@ -71,10 +77,13 @@ func (o *OnlineSession) Submit(ctx context.Context, tasks model.TaskSet) error {
 // on — an error the client can do nothing useful with. Clamped tasks
 // are modified in place (the caller yields ownership of the slice, as
 // with Inject), and the batch is then applied exactly like Submit:
-// inject, then advance to the latest arrival.
+// ctx checked, inject, then advance to the latest arrival.
 func (o *OnlineSession) Admit(ctx context.Context, tasks model.TaskSet) error {
 	if len(tasks) == 0 {
 		return ErrEmptySubmission
+	}
+	if err := ctx.Err(); err != nil {
+		return wrapCanceled(err)
 	}
 	now := o.sess.Clock()
 	latest := now
@@ -89,7 +98,15 @@ func (o *OnlineSession) Admit(ctx context.Context, tasks model.TaskSet) error {
 	if err := o.sess.Inject(tasks); err != nil {
 		return err
 	}
-	return wrapCanceled(o.sess.AdvanceTo(ctx, latest))
+	return o.finishAdvance(latest)
+}
+
+// finishAdvance advances an injected batch to its latest arrival
+// without polling a context: a batch cut off mid-advance would hold
+// tasks with no arrival in the trace, and its retry would be refused
+// as a duplicate.
+func (o *OnlineSession) finishAdvance(latest float64) error {
+	return o.sess.AdvanceTo(context.Background(), latest)
 }
 
 // Clock returns the session's virtual time in seconds.

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -160,5 +161,79 @@ func TestOpenOnlineRejectsBadSubmissions(t *testing.T) {
 	}
 	if _, err := sess.Drain(context.Background()); err == nil {
 		t.Fatal("double drain accepted")
+	}
+}
+
+// flipCtx reports no error on its first Err call and context.Canceled
+// on every later one: a context canceled just after a call checked it.
+type flipCtx struct {
+	context.Context
+	calls int
+}
+
+func (c *flipCtx) Err() error {
+	c.calls++
+	if c.calls == 1 {
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestSubmitAppliesWholeOrNothing: Submit and Admit either apply a
+// batch whole or leave the session untouched. A context canceled
+// before the call changes nothing and the retry is accepted; a context
+// canceled once the batch is in cannot cut the advance short, which
+// would leave tasks with no arrival in the trace and make the retry a
+// duplicate.
+func TestSubmitAppliesWholeOrNothing(t *testing.T) {
+	for _, admit := range []bool{false, true} {
+		rec := &obs.Recorder{}
+		sched, err := core.New(model.CostParams{Re: 0.1, Rt: 0.4},
+			platform.Homogeneous(2, platform.TableII(), platform.Ideal{}), core.WithSink(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := sched.OpenOnline(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		apply := sess.Submit
+		if admit {
+			apply = sess.Admit
+		}
+		// Enough short tasks that the advance runs past the engine's
+		// context poll interval.
+		batch := make(model.TaskSet, 300)
+		for i := range batch {
+			batch[i] = model.Task{ID: i + 1, Cycles: 0.5, Arrival: float64(i) * 0.2, Deadline: model.NoDeadline}
+		}
+
+		canceled, cancel := context.WithCancel(context.Background())
+		cancel()
+		if err := apply(canceled, batch.Clone()); !errors.Is(err, core.ErrCanceled) {
+			t.Fatalf("admit=%v: canceled submit = %v, want ErrCanceled", admit, err)
+		}
+		if sess.Pending() != 0 || rec.Len() != 0 {
+			t.Fatalf("admit=%v: canceled submit left %d pending and %d events", admit, sess.Pending(), rec.Len())
+		}
+		if err := apply(&flipCtx{Context: context.Background()}, batch.Clone()); err != nil {
+			t.Fatalf("admit=%v: submit whose context ends mid-advance = %v, want it applied", admit, err)
+		}
+		arrivals := 0
+		for _, ev := range rec.Events() {
+			if ev.Kind == obs.KindArrival {
+				arrivals++
+			}
+		}
+		if last := batch[len(batch)-1].Arrival; arrivals != len(batch) || sess.Clock() != last {
+			t.Fatalf("admit=%v: %d of %d arrivals traced, clock %v; want all and clock %v", admit, arrivals, len(batch), sess.Clock(), last)
+		}
+		res, err := sess.Drain(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Tasks) != len(batch) {
+			t.Fatalf("admit=%v: drained %d tasks, %d were submitted", admit, len(res.Tasks), len(batch))
+		}
 	}
 }
