@@ -3,9 +3,12 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
+	"dvfsched/internal/core"
+	"dvfsched/internal/model"
 	"dvfsched/internal/obs"
 )
 
@@ -74,5 +77,110 @@ func TestReplayTraceReportsFailedArrival(t *testing.T) {
 	n, err := sess.ReplayTrace(ctx, []obs.Event{arrival, dup})
 	if n != 1 || err == nil || !strings.Contains(err.Error(), "replay arrival seq 2") {
 		t.Fatalf("ReplayTrace of a duplicated arrival = %d, %v; want 1 and an error naming seq 2", n, err)
+	}
+}
+
+// TestReplayTraceResumesCanceledDrain rebuilds a session whose trace
+// ends inside a drain canceled at an event boundary, a state the
+// session keeps serving from. The rebuild must land on the source's
+// clock, pending count and last Seq, and then drain to the same trace
+// and cost.
+func TestReplayTraceResumesCanceledDrain(t *testing.T) {
+	ctx := context.Background()
+	recA := &obs.Recorder{}
+	sessA, err := judgeScheduler(t, recA).OpenOnline(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 2 560 tasks arriving within 0.4 s on 16 cores: most are still
+	// pending when the drain starts.
+	for b := 0; b < 40; b++ {
+		batch := make(model.TaskSet, 64)
+		for i := range batch {
+			id := b*64 + i
+			batch[i] = model.Task{ID: id, Cycles: 1 + float64(id%13), Arrival: float64(id) / 6400, Deadline: model.NoDeadline}
+		}
+		if err := sessA.Submit(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	afterSubmits := recA.LastSeq()
+	// The context ends at the drain's second poll, a few hundred events in.
+	if _, err := sessA.Drain(&flipCtx{Context: ctx}); !errors.Is(err, core.ErrCanceled) {
+		t.Fatalf("drain under a canceled context: %v, want ErrCanceled", err)
+	}
+	if recA.LastSeq() == afterSubmits || sessA.Pending() == 0 {
+		t.Fatalf("the canceled drain ran no event or every event (seq %d -> %d, %d pending): pick another cut", afterSubmits, recA.LastSeq(), sessA.Pending())
+	}
+	events := recA.Events()
+
+	recB := &obs.Recorder{}
+	sessB, err := judgeScheduler(t, recB).OpenOnline(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sessB.ReplayTrace(ctx, events); err != nil {
+		t.Fatal(err)
+	}
+	if !bitEq(sessB.Clock(), sessA.Clock()) || sessB.Pending() != sessA.Pending() || recB.LastSeq() != recA.LastSeq() {
+		t.Fatalf("rebuilt clock %v, pending %d, last seq %d; source %v, %d, %d",
+			sessB.Clock(), sessB.Pending(), recB.LastSeq(), sessA.Clock(), sessA.Pending(), recA.LastSeq())
+	}
+	resA, err := sessA.Drain(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resB, err := sessB.Drain(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := obs.AppendBinary(nil, recB.Events()), obs.AppendBinary(nil, recA.Events()); !bytes.Equal(got, want) {
+		t.Errorf("rebuilt session drained to a different trace (%d vs %d bytes)", len(got), len(want))
+	}
+	if !bitEq(resB.TotalCost, resA.TotalCost) {
+		t.Errorf("rebuilt drain cost %v, source %v", resB.TotalCost, resA.TotalCost)
+	}
+}
+
+// TestReplayTraceRefusesInexactEnd: a trace cut inside one engine step,
+// or one that names an event past the last the engine can emit, does
+// not describe a state the engine can stop in, and ReplayTrace fails
+// instead of rebuilding a session that disagrees with it.
+func TestReplayTraceRefusesInexactEnd(t *testing.T) {
+	ctx := context.Background()
+	rec := &obs.Recorder{}
+	sess, err := judgeScheduler(t, rec).OpenOnline(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitAll(t, sess, goldenBatches(t)[:2])
+	if _, err := sess.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	events := rec.Events()
+	// A completion is always followed, in the same step, by its core's
+	// idle event.
+	cut := -1
+	for i, ev := range events {
+		if ev.Kind == obs.KindComplete {
+			cut = i + 1
+		}
+	}
+	if cut < 0 || events[cut].Kind != obs.KindCoreIdle {
+		t.Fatal("trace has no completion followed by its idle event")
+	}
+	extra := events[len(events)-1]
+	extra.Seq++
+	for name, log := range map[string][]obs.Event{
+		"cut inside a step":      events[:cut],
+		"past the engine's last": append(events[:len(events):len(events)], extra),
+	} {
+		fresh, err := judgeScheduler(t, &obs.Recorder{}).OpenOnline(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fresh.ReplayTrace(ctx, log); err == nil || !strings.Contains(err.Error(), "last seq") {
+			t.Errorf("%s: ReplayTrace = %v, want a refusal naming the last seq", name, err)
+		}
 	}
 }

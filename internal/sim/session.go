@@ -256,6 +256,31 @@ func (s *Session) AdvanceTo(ctx context.Context, t float64) error {
 	return nil
 }
 
+// StepTo processes events, with no time limit, until the engine has
+// emitted event seq, and fails unless it stops exactly there: the
+// engine runs dry short of seq, or one step carries it past. A replay
+// calls it after re-admitting a log's arrivals, to re-derive the
+// events the source processed after its last advance, such as those
+// of a canceled drain.
+func (s *Session) StepTo(ctx context.Context, seq uint64) error {
+	if s.finished {
+		return ErrSessionFinished
+	}
+	for s.e.evSeq < seq {
+		ok, err := s.step(ctx, math.Inf(1))
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return fmt.Errorf("sim: engine stopped at seq %d, short of %d", s.e.evSeq, seq)
+		}
+	}
+	if s.e.evSeq != seq {
+		return fmt.Errorf("sim: engine reached seq %d, past %d", s.e.evSeq, seq)
+	}
+	return nil
+}
+
 // Drain runs the session until every injected task has completed or
 // the context is canceled.
 func (s *Session) Drain(ctx context.Context) error {
