@@ -8,7 +8,7 @@
 //
 //	dvfschedd [-addr :8080] [-cache N] [-max-sessions N]
 //	          [-request-timeout 30s] [-drain-timeout 30s]
-//	          [-trace-format jsonl|binary] [-pprof-addr 127.0.0.1:6060]
+//	          [-pprof-addr 127.0.0.1:6060]
 //	          [-node-id ID -peers "id1=http://h1:p1,id2=http://h2:p2,..."]
 //	          [-node-id ID -advertise http://h:p -join http://seed:p]
 //	          [-probe-interval 2s]
@@ -81,7 +81,6 @@ func run(args []string, w io.Writer, sigs <-chan os.Signal) error {
 		maxSessions  = fs.Int("max-sessions", 0, "concurrent session cap (0 = 1024)")
 		reqTimeout   = fs.Duration("request-timeout", 0, "per-request deadline (0 = 30s)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
-		traceFormat  = fs.String("trace-format", "jsonl", "default session events encoding: jsonl or binary (?format= overrides)")
 		nodeID       = fs.String("node-id", "", "this node's cluster ID (requires -peers or -join)")
 		peersFlag    = fs.String("peers", "", `seed cluster membership as "id=http://host:port,..." including this node`)
 		joinURL      = fs.String("join", "", "base URL of an existing member to join at startup (requires -node-id and -advertise)")
@@ -92,12 +91,9 @@ func run(args []string, w io.Writer, sigs <-chan os.Signal) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// Enum and cluster flags are validated before any socket binds: a
+	// Cluster flags are validated before any socket binds: a
 	// misconfigured daemon must die at startup with a usage error, not
 	// serve with a silently wrong setting.
-	if *traceFormat != "jsonl" && *traceFormat != "binary" {
-		return fmt.Errorf("unknown -trace-format %q (want jsonl or binary)", *traceFormat)
-	}
 	peers, err := parsePeers(*peersFlag)
 	if err != nil {
 		return err
@@ -139,7 +135,6 @@ func run(args []string, w io.Writer, sigs <-chan os.Signal) error {
 		CacheSize:      *cache,
 		MaxSessions:    *maxSessions,
 		RequestTimeout: *reqTimeout,
-		TraceFormat:    *traceFormat,
 	})
 
 	handler := http.Handler(s)

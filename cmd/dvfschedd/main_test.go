@@ -54,13 +54,6 @@ func (lw *lineWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func TestRunBadTraceFormat(t *testing.T) {
-	sigs := make(chan os.Signal)
-	if err := run([]string{"-trace-format", "gob"}, io.Discard, sigs); err == nil {
-		t.Fatal("-trace-format gob accepted")
-	}
-}
-
 // TestRunRejectsBadClusterFlags: every malformed cluster flag combo
 // must fail at startup with a usage error naming the flag — a daemon
 // that binds its socket first would look healthy to an operator while
@@ -114,15 +107,15 @@ func TestParsePeers(t *testing.T) {
 	}
 }
 
-// TestDaemonBinaryTraceDefault boots the daemon with
-// -trace-format=binary and checks the events endpoint defaults to the
-// binary encoding while ?format=jsonl still overrides.
+// TestDaemonBinaryTraceDefault boots the daemon with no trace option
+// and checks the events endpoint: JSON Lines by default, the binary
+// encoding with ?format=binary.
 func TestDaemonBinaryTraceDefault(t *testing.T) {
 	lw := &lineWriter{ready: make(chan string, 1)}
 	sigs := make(chan os.Signal, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-trace-format", "binary"}, lw, sigs)
+		done <- run([]string{"-addr", "127.0.0.1:0"}, lw, sigs)
 	}()
 	var base string
 	select {
@@ -173,12 +166,12 @@ func TestDaemonBinaryTraceDefault(t *testing.T) {
 		return b
 	}
 	plain := get(base + "/v1/sessions/" + info.ID + "/events")
-	if !obs.DetectBinary(plain) {
-		t.Error("default events encoding is not binary despite -trace-format=binary")
+	if obs.DetectBinary(plain) || len(plain) == 0 || plain[0] != '{' {
+		t.Errorf("default events encoding is not JSON Lines: %.40q", plain)
 	}
-	jsonl := get(base + "/v1/sessions/" + info.ID + "/events?format=jsonl")
-	if obs.DetectBinary(jsonl) || (len(jsonl) > 0 && jsonl[0] != '{') {
-		t.Errorf("?format=jsonl did not override the daemon default: %.40q", jsonl)
+	bin := get(base + "/v1/sessions/" + info.ID + "/events?format=binary")
+	if !obs.DetectBinary(bin) {
+		t.Errorf("?format=binary did not serve the binary encoding: %.40q", bin)
 	}
 
 	sigs <- syscall.SIGTERM

@@ -33,10 +33,6 @@ type Config struct {
 	MaxSessions int
 	// RequestTimeout bounds each request's handling time; 0 means 30s.
 	RequestTimeout time.Duration
-	// TraceFormat is the events endpoint's encoding when the request
-	// has no ?format= query: "jsonl" (default) or "binary". A request's
-	// explicit ?format= always wins.
-	TraceFormat string
 	// Registry receives the server's metrics; nil means a fresh one.
 	Registry *obs.Registry
 }
@@ -50,9 +46,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 30 * time.Second
-	}
-	if c.TraceFormat == "" {
-		c.TraceFormat = "jsonl"
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()

@@ -278,21 +278,20 @@ func (s *Server) handleSessionSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSessionEvents is GET /v1/sessions/{id}/events: the shard's obs
-// event trace so far. The default (format=jsonl) is JSON Lines; with
-// ?format=binary the same events stream in the compact framed binary
-// trace encoding (decode with obs.BinaryReader or cmd/traceinfo, which
-// auto-detects the magic). After a drain it is the complete trace of
-// the session and replays through report.TimelineFromEvents.
+// event trace so far. The default is JSON Lines; with ?format=binary
+// the same events stream in the compact framed binary trace encoding
+// (decode with obs.BinaryReader or cmd/traceinfo, which auto-detects
+// the magic). After a drain it is the complete trace of the session
+// and replays through report.TimelineFromEvents.
 func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	sh, ok := s.lookupShard(w, r)
 	if !ok {
 		return
 	}
 	format := r.URL.Query().Get("format")
-	if format == "" {
-		format = s.cfg.TraceFormat
-	}
 	switch format {
+	case "":
+		format = "jsonl"
 	case "jsonl", "binary":
 	default:
 		writeError(w, http.StatusBadRequest, "unknown trace format %q (want jsonl or binary)", format)
