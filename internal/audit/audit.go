@@ -72,7 +72,7 @@ func CheckTrace(spec server.PlatformSpec, events []obs.Event, acked map[int]bool
 		return fmt.Errorf("trace does not replay as a timeline: %w", err)
 	}
 
-	rb, err := server.ReplaySession(context.Background(), spec, nil, events)
+	rb, err := server.ReplaySession(context.Background(), spec, events)
 	if err != nil {
 		return fmt.Errorf("serial rebuild: %w", err)
 	}

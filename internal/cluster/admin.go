@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"sort"
+
+	"dvfsched/internal/server"
 )
 
 // Placement is a routing override: the session lives on Owner, wherever
@@ -135,7 +137,7 @@ func (n *Node) handleNodeJoin(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "decode join: %v", err)
 		return
 	}
-	if !validNodeID(id) {
+	if !server.ValidID(id) {
 		httpError(w, http.StatusBadRequest, "invalid node ID %q: want 1-64 chars of [A-Za-z0-9._-]", id)
 		return
 	}

@@ -576,7 +576,7 @@ func TestClusterShipHealsDroppedReplica(t *testing.T) {
 		t.Fatalf("no node holds a replica of %s after an acked submit", info.ID)
 	}
 	owner := tc.byID["n1"].node.Route(info.ID)[0]
-	drop, err := appendFrame(nil, owner, []frameEntry{{ID: info.ID, Drop: true}})
+	drop, err := appendFrame(nil, frameHeader{From: owner, ID: info.ID, Drop: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

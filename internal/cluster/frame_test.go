@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"dvfsched/internal/obs"
 	"dvfsched/internal/server"
 )
 
@@ -24,17 +23,15 @@ func rawFrame(hdr, blobs string) []byte {
 	return append(b, blobs...)
 }
 
-// overflowFrame declares two entries whose lengths sum past MaxInt and
-// wrap back onto the 4 blob bytes it carries.
-var overflowFrame = rawFrame(`{"from":"n1","sessions":[`+
-	`{"id":"a","events_len":9223372036854775807,"checkpoint_len":2},`+
-	`{"id":"b","events_len":9223372036854775807,"checkpoint_len":4}]}`, "abcd")
+// overlongFrame declares an event blob far longer than the 4 bytes it
+// carries.
+var overlongFrame = rawFrame(`{"from":"n1","id":"a","events_len":9223372036854775807}`, "abcd")
 
 // frameSeeds returns one frame of each shape the nodes write — a
-// stream frame from Node.build (spec and events), a handoff (spec,
-// events and a checkpoint) and a drop — plus the overflow frame and a
-// stream frame carrying a checkpoint, which the replica endpoint
-// refuses, then truncations of all five.
+// stream frame from Node.build (spec and events), a handoff (the same
+// plus the handoff fields) and a drop — plus frames whose sender and
+// session ID break the ID rule, which decodeFrame refuses, then
+// truncations of all five.
 func frameSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	srv := server.New(server.Config{})
@@ -62,29 +59,26 @@ func frameSeeds(tb testing.TB) [][]byte {
 	serve("/v1/sessions/"+id+"/tasks", taskBatch([]int{1, 2, 3, 4}, true), http.StatusOK)
 
 	buf := &shipBuf{}
-	if _, events, err := n.build(buf, id, true, 0); err != nil || events == 0 {
+	if _, events, err := n.build(buf, frameHeader{ID: id}, true, 0); err != nil || events == 0 {
 		tb.Fatalf("build: %d events, err %v", events, err)
 	}
 	stream := append([]byte(nil), buf.body...)
 
-	hs, err := srv.HandoffSession(context.Background(), id)
+	submitted, err := srv.HandoffSession(context.Background(), id)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	handoff, err := handoffFrame("n1", id, hs, true)
+	if _, _, err := n.build(buf, frameHeader{ID: id, Submitted: submitted, Pinned: true}, true, 0); err != nil {
+		tb.Fatal(err)
+	}
+	handoff := append([]byte(nil), buf.body...)
+	drop, err := appendFrame(nil, frameHeader{From: "n1", ID: id, Drop: true}, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	drop, err := appendFrame(nil, "n1", []frameEntry{{ID: id, Drop: true}})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	events := obs.AppendBinary(nil, hs.Events)
-	refused, err := appendFrame(nil, "n1", []frameEntry{{ID: id, Spec: &hs.Spec, EventsLen: len(events), CheckpointLen: len(hs.Checkpoint)}}, events, hs.Checkpoint)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	seeds := [][]byte{stream, handoff, drop, overflowFrame, refused}
+	badSender := rawFrame(`{"from":"bad sender!","id":"s-x","events_len":0}`, "")
+	badID := rawFrame(`{"from":"n1","id":"../x y","spec":{"cores":2},"events_len":0}`, "")
+	seeds := [][]byte{stream, handoff, drop, badSender, badID}
 	for _, f := range seeds[:5] {
 		seeds = append(seeds, f[:3], f[:len(f)/2], f[:len(f)-1])
 	}
@@ -92,29 +86,22 @@ func frameSeeds(tb testing.TB) [][]byte {
 }
 
 // checkDecodeFrame is the decoder's contract on any input: no panic,
-// and on success a named sender and entry lengths that tile the blob
-// area exactly, in order — what the handlers rely on to slice it.
+// and on success a sender and session ID that pass the ID rule, a blob
+// of exactly the declared length, and a drop with no spec or log —
+// what the handlers rely on.
 func checkDecodeFrame(t *testing.T, body []byte) {
-	hdr, blobs, err := decodeFrame(body)
+	hdr, blob, err := decodeFrame(body)
 	if err != nil {
 		return
 	}
-	if hdr.From == "" {
-		t.Fatalf("accepted a frame with no sender: %q", body)
+	if !server.ValidID(hdr.From) || !server.ValidID(hdr.ID) {
+		t.Fatalf("accepted sender %q, session %q: %q", hdr.From, hdr.ID, body)
 	}
-	rest := blobs
-	for _, e := range hdr.Sessions {
-		if e.EventsLen < 0 || e.EventsLen > len(rest) {
-			t.Fatalf("entry %q: events_len %d with %d bytes left", e.ID, e.EventsLen, len(rest))
-		}
-		rest = rest[e.EventsLen:]
-		if e.CheckpointLen < 0 || e.CheckpointLen > len(rest) {
-			t.Fatalf("entry %q: checkpoint_len %d with %d bytes left", e.ID, e.CheckpointLen, len(rest))
-		}
-		rest = rest[e.CheckpointLen:]
+	if hdr.EventsLen != len(blob) {
+		t.Fatalf("session %q: events_len %d with %d blob bytes", hdr.ID, hdr.EventsLen, len(blob))
 	}
-	if len(rest) != 0 {
-		t.Fatalf("entries leave %d of %d blob bytes unclaimed", len(rest), len(blobs))
+	if hdr.Drop && (hdr.Spec != nil || len(blob) > 0) {
+		t.Fatalf("accepted a drop carrying a spec or a log: %q", body)
 	}
 }
 
@@ -140,7 +127,7 @@ func TestDecodeFrameMutations(t *testing.T) {
 	extremes := []string{"0", "1", "-1", "4294967295", "4294967296", "9223372036854775807", "-9223372036854775808", "18446744073709551615"}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 5000; i++ {
-		f := seeds[rng.Intn(4)]
+		f := seeds[rng.Intn(5)]
 		hl := int(binary.BigEndian.Uint32(f))
 		hdr := append([]byte(nil), f[4:4+hl]...)
 		blobs := append([]byte(nil), f[4+hl:]...)
@@ -178,27 +165,25 @@ func TestDecodeFrameMutations(t *testing.T) {
 }
 
 // TestFrameRoundTrip pins appendFrame against decodeFrame on both
-// header encoders: plain log entries take the hand-written fast path,
-// a spec, handoff fields or a drop take encoding/json.
+// header encoders: a plain log frame takes the hand-written fast path,
+// a spec, handoff fields or a drop take encoding/json. An ID that needs
+// escaping takes encoding/json too, and the ID rule refuses it.
 func TestFrameRoundTrip(t *testing.T) {
 	spec := &server.PlatformSpec{Cores: 2}
 	for _, tc := range []struct {
 		name    string
-		entries []frameEntry
-		blobs   []string
+		hdr     frameHeader
+		blob    string
+		refused bool
 	}{
-		{"log entries", []frameEntry{{ID: "a", EventsLen: 3}, {ID: "b", EventsLen: 1, CheckpointLen: 2}}, []string{"xyz", "pqr"}},
-		{"open", []frameEntry{{ID: "a", Spec: spec, EventsLen: 2}}, []string{"xy"}},
-		{"handoff", []frameEntry{{ID: "a", Spec: spec, EventsLen: 2, CheckpointLen: 1, Submitted: 7, Pinned: true}}, []string{"xy", "z"}},
-		{"drop", []frameEntry{{ID: "a", Drop: true}}, nil},
-		{"escaped ID", []frameEntry{{ID: "a\"b", EventsLen: 1}}, []string{"x"}},
+		{"log entries", frameHeader{From: "n1", ID: "a", EventsLen: 3}, "xyz", false},
+		{"open", frameHeader{From: "n1", ID: "a", Spec: spec, EventsLen: 2}, "xy", false},
+		{"handoff", frameHeader{From: "n1", ID: "a", Spec: spec, EventsLen: 2, Submitted: 7, Pinned: true}, "xy", false},
+		{"drop", frameHeader{From: "n1", ID: "a", Drop: true}, "", false},
+		{"escaped ID", frameHeader{From: "n1", ID: "a\"b", EventsLen: 1}, "x", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			blobs := make([][]byte, len(tc.blobs))
-			for i, b := range tc.blobs {
-				blobs[i] = []byte(b)
-			}
-			body, err := appendFrame([]byte("prefix"), "n1", tc.entries, blobs...)
+			body, err := appendFrame([]byte("prefix"), tc.hdr, []byte(tc.blob))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,14 +191,20 @@ func TestFrameRoundTrip(t *testing.T) {
 				t.Fatalf("appendFrame clobbered dst: %q", body)
 			}
 			hdr, got, err := decodeFrame(body[len("prefix"):])
+			if tc.refused {
+				if err == nil || !strings.Contains(err.Error(), "invalid session ID") {
+					t.Fatalf("decodeFrame = %v, want the ID rule's refusal", err)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			if hdr.From != "n1" || !reflect.DeepEqual(hdr.Sessions, tc.entries) {
-				t.Fatalf("decoded %+v, want from n1 and %+v", hdr, tc.entries)
+			if !reflect.DeepEqual(hdr, tc.hdr) {
+				t.Fatalf("decoded %+v, want %+v", hdr, tc.hdr)
 			}
-			if want := strings.Join(tc.blobs, ""); string(got) != want {
-				t.Fatalf("blobs %q, want %q", got, want)
+			if string(got) != tc.blob {
+				t.Fatalf("blob %q, want %q", got, tc.blob)
 			}
 		})
 	}
@@ -221,7 +212,8 @@ func TestFrameRoundTrip(t *testing.T) {
 
 // TestFrameEndpointsRejectMalformed: both frame endpoints answer 400,
 // not a panic or a partial apply, for frames the decoder or the
-// endpoint's shape rules refuse.
+// endpoint's shape rules refuse, among them every sender and session
+// ID outside the one ID rule.
 func TestFrameEndpointsRejectMalformed(t *testing.T) {
 	tc := startCluster(t, 1, nil)
 	const replica, handoff = "/v1/cluster/replica/frame", "/v1/cluster/handoff/s-x"
@@ -230,17 +222,19 @@ func TestFrameEndpointsRejectMalformed(t *testing.T) {
 		name, path string
 		body       []byte
 	}{
-		{"replica: overflowing lengths", replica, overflowFrame},
-		{"replica: no sender", replica, rawFrame(`{"sessions":[{"id":"s-x",`+spec+`"events_len":0}]}`, "")},
-		{"replica: drop with spec", replica, rawFrame(`{"from":"n1","sessions":[{"id":"s-x","drop":true,`+spec+`"events_len":0}]}`, "")},
-		{"replica: drop with blobs", replica, rawFrame(`{"from":"n1","sessions":[{"id":"s-x","drop":true,"events_len":1,"checkpoint_len":1}]}`, "xy")},
-		{"replica: an entry with a checkpoint", replica, rawFrame(`{"from":"n1","sessions":[{"id":"s-x",`+spec+`"events_len":0},{"id":"s-y",`+spec+`"events_len":0,"checkpoint_len":1}]}`, "x")},
-		{"handoff: overflowing lengths", handoff, overflowFrame},
-		{"handoff: no entries", handoff, rawFrame(`{"from":"n1","sessions":[]}`, "")},
-		{"handoff: two entries", handoff, rawFrame(`{"from":"n1","sessions":[{"id":"s-x",`+spec+`"events_len":0},{"id":"s-y",`+spec+`"events_len":0}]}`, "")},
-		{"handoff: entry for another session", handoff, rawFrame(`{"from":"n1","sessions":[{"id":"s-y",`+spec+`"events_len":0}]}`, "")},
-		{"handoff: no spec", handoff, rawFrame(`{"from":"n1","sessions":[{"id":"s-x","events_len":0}]}`, "")},
-		{"handoff: drop entry", handoff, rawFrame(`{"from":"n1","sessions":[{"id":"s-x","drop":true}]}`, "")},
+		{"replica: overlong log", replica, overlongFrame},
+		{"replica: no sender", replica, rawFrame(`{"id":"s-x",`+spec+`"events_len":0}`, "")},
+		{"replica: sender outside the ID rule", replica, rawFrame(`{"from":"bad sender!","id":"s-x",`+spec+`"events_len":0}`, "")},
+		{"replica: empty session ID", replica, rawFrame(`{"from":"n1","id":"",`+spec+`"events_len":0}`, "")},
+		{"replica: session ID outside the ID rule", replica, rawFrame(`{"from":"n1","id":"../x y",`+spec+`"events_len":0}`, "")},
+		{"replica: drop with spec", replica, rawFrame(`{"from":"n1","id":"s-x","drop":true,`+spec+`"events_len":0}`, "")},
+		{"replica: drop with a log", replica, rawFrame(`{"from":"n1","id":"s-x","drop":true,"events_len":2}`, "xy")},
+		{"replica: blob past the declared log", replica, rawFrame(`{"from":"n1","id":"s-x",`+spec+`"events_len":1}`, "xy")},
+		{"handoff: overlong log", handoff, overlongFrame},
+		{"handoff: frame for another session", handoff, rawFrame(`{"from":"n1","id":"s-y",`+spec+`"events_len":0}`, "")},
+		{"handoff: no spec", handoff, rawFrame(`{"from":"n1","id":"s-x","events_len":0}`, "")},
+		{"handoff: drop", handoff, rawFrame(`{"from":"n1","id":"s-x","drop":true,"events_len":0}`, "")},
+		{"handoff: sender outside the ID rule", handoff, rawFrame(`{"from":"bad sender!","id":"s-x",`+spec+`"events_len":0}`, "")},
 	} {
 		code, b, err := tc.try("n1", http.MethodPost, c.path, c.body)
 		if err != nil {
@@ -252,7 +246,7 @@ func TestFrameEndpointsRejectMalformed(t *testing.T) {
 		}
 	}
 	if info := tc.nodeInfo("n1"); len(info.Replicas) != 0 {
-		t.Errorf("rejected frames left replicas %v", info.Replicas)
+		t.Errorf("rejected frames left replicas %q", info.Replicas)
 	}
 	if tc.byID["n1"].srv.HasSession("s-x") {
 		t.Error("a rejected handoff adopted s-x")

@@ -38,7 +38,7 @@ func newMembership(m Membership) (*membership, error) {
 	}
 	ids := make([]string, 0, len(m.Peers))
 	for id, addr := range m.Peers {
-		if !validNodeID(id) {
+		if !server.ValidID(id) {
 			return nil, fmt.Errorf("cluster: invalid node ID %q: want 1-64 chars of [A-Za-z0-9._-]", id)
 		}
 		if addr == "" {
@@ -74,24 +74,6 @@ func (m *membership) nodeIDs() []string {
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-// validNodeID mirrors the session-ID alphabet: node IDs are embedded
-// in minted session IDs and URL paths, so they share its constraints.
-func validNodeID(id string) bool {
-	if len(id) == 0 || len(id) > 64 {
-		return false
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '.', c == '_', c == '-':
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 // view returns the node's current membership snapshot.

@@ -19,22 +19,23 @@ import (
 //	               \                 `--ship failed--> unfreeze --> serving
 //	                `--(drained/gone)--> error, nothing changed
 //
-// freeze happens under the session's lock (server opHandoff): the
-// checkpoint lands between two submissions, and every later mutation
-// is fenced with 503 session_migrating. ship sends
-// the "DVSC" checkpoint plus the full "DVFB" event log to the target as
-// a one-entry frame. The checkpoint was taken at the freeze, so it ends
-// the log: the target preloads the log, restores the checkpoint and
-// replays nothing (server.ReplaySession), which is cheaper than the
-// failover path's full replay while the session is frozen. flip
-// installs the placement record (locally, on the target at adopt, and
-// broadcast to the rest), retires the local shard behind a moved
-// marker, and drops the old replica chain with a sender-fenced drop
-// frame. The fencing rule that makes admission
-// exactly-once: a submit either lands before the freeze (it is then in
-// the shipped checkpoint), or it is fenced with a retryable 503 and its
-// retry routes to the new owner. No interleaving admits twice, because
-// the old engine never runs again after the snapshot.
+// freeze happens under the session's lock (server opHandoff): the log
+// ends between two submissions, and every later mutation is fenced
+// with 503 session_migrating. ship sends what the replica stream
+// sends: the spec and the full "DVFB" event log in one frame, the
+// stream's open frame from seq 0 (Node.build), plus the admitted-task
+// count and the pin. The target rebuilds the session by replaying the
+// log exactly, the way a promotion does (server.ReplaySession), and
+// refuses the handoff unless the rebuild holds the sender's task
+// count; no checkpoint crosses nodes. flip installs the placement
+// record (locally, on the target at adopt, and broadcast to the rest),
+// retires the local shard behind a moved marker, and drops the old
+// replica chain with a sender-fenced drop frame. The fencing rule that
+// makes admission exactly-once: a submit either lands before the
+// freeze (it is then in the shipped log), or it is fenced with a
+// retryable 503 and its retry routes to the new owner. No interleaving
+// admits twice, because the old engine never runs again after the
+// freeze.
 
 // migrateRequest is the body of POST /v1/cluster/sessions/{id}/migrate.
 type migrateRequest struct {
@@ -169,19 +170,21 @@ func (n *Node) migrateSessionTo(ctx context.Context, id, target, addr string, pi
 	if target == n.cfg.ID {
 		return fmt.Errorf("session %s already on %s", id, target)
 	}
-	// Freeze: snapshot between two submissions + mutation fence. The
-	// freeze also serializes migrations: a second one finds the session
-	// frozen and gets ErrSessionMigrating.
-	hs, err := n.srv.HandoffSession(ctx, id)
+	// Freeze: the log ends between two submissions, and a mutation
+	// fence goes up. The freeze also serializes migrations: a second
+	// one finds the session frozen and gets ErrSessionMigrating.
+	submitted, err := n.srv.HandoffSession(ctx, id)
 	if err != nil {
 		return err
 	}
-	// Ship: checkpoint + full log in one frame. The full log rides
-	// along so the target's recorder holds the complete history — the
-	// byte-identical-trace guarantee covers the whole stream.
-	body, err := handoffFrame(n.cfg.ID, id, hs, pinned)
+	// Ship: the stream's open frame from seq 0 — spec and whole log —
+	// plus the handoff fields. The target's replay re-derives the
+	// complete history, so the byte-identical-trace guarantee covers
+	// the whole stream.
+	var buf shipBuf
+	_, _, err = n.build(&buf, frameHeader{ID: id, Submitted: submitted, Pinned: pinned}, true, 0)
 	if err == nil {
-		err = n.doAddr(ctx, http.MethodPost, addr, "/v1/cluster/handoff/"+id, "application/octet-stream", body, adminTimeout)
+		err = n.doAddr(ctx, http.MethodPost, addr, "/v1/cluster/handoff/"+id, "application/octet-stream", buf.body, adminTimeout)
 		if err != nil && !isStatusError(err) {
 			n.Observe(target, err)
 		}
@@ -214,28 +217,11 @@ func (n *Node) migrateSessionTo(ctx context.Context, id, target, addr string, pi
 	return nil
 }
 
-// handoffFrame encodes a frozen session as a one-entry frame: the spec,
-// admitted-task count and pin flag in the header, the full DVFB log and
-// the DVSC checkpoint as its blobs.
-func handoffFrame(from, id string, hs *server.HandoffState, pinned bool) ([]byte, error) {
-	events := obs.AppendBinary(nil, hs.Events)
-	e := frameEntry{
-		ID:            id,
-		Spec:          &hs.Spec,
-		EventsLen:     len(events),
-		CheckpointLen: len(hs.Checkpoint),
-		Submitted:     hs.Submitted,
-		Pinned:        pinned,
-	}
-	return appendFrame(nil, from, []frameEntry{e}, events, hs.Checkpoint)
-}
-
 // handleHandoff is POST /v1/cluster/handoff/{id} (internal): the
-// receiving half of a migration. The body is a frame whose one entry
-// names the session and carries its spec, full binary event log and
-// the checkpoint that ends it. Adoption preloads the log and restores
-// the checkpoint (server.ReplaySession), so the adopted trace is the
-// sender's, byte for byte.
+// receiving half of a migration. The body is a frame that names the
+// session and carries its spec and full binary event log. Adoption
+// replays the log exactly (server.ReplaySession), so the adopted trace
+// is the sender's, byte for byte.
 func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	raw, err := io.ReadAll(io.LimitReader(r.Body, maxReplicaBody))
@@ -243,20 +229,18 @@ func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	hdr, blobs, err := decodeFrame(raw)
+	hdr, blob, err := decodeFrame(raw)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "handoff %s: %v", id, err)
 		return
 	}
-	if len(hdr.Sessions) != 1 || hdr.Sessions[0].ID != id || hdr.Sessions[0].Spec == nil {
-		httpError(w, http.StatusBadRequest, "handoff %s: want one entry naming the session, with its spec", id)
+	if hdr.ID != id || hdr.Spec == nil {
+		httpError(w, http.StatusBadRequest, "handoff %s: want a frame naming the session, with its spec", id)
 		return
 	}
-	e := hdr.Sessions[0]
-	checkpoint := blobs[e.EventsLen:]
 	var events []obs.Event
-	if e.EventsLen > 0 {
-		events, err = obs.ReadBinary(bytes.NewReader(blobs[:e.EventsLen]))
+	if len(blob) > 0 {
+		events, err = obs.ReadBinary(bytes.NewReader(blob))
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "handoff %s: decode log: %v", id, err)
 			return
@@ -267,7 +251,7 @@ func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	// the handoff state; drop it before adopting so EnsureLocal cannot
 	// race a promotion against the adopt.
 	n.replicas.drop(id)
-	info, err := n.srv.AdoptSession(r.Context(), id, *e.Spec, checkpoint, events)
+	info, err := n.srv.AdoptSession(r.Context(), id, *hdr.Spec, events)
 	if err != nil {
 		if errors.Is(err, server.ErrSessionExists) {
 			httpError(w, http.StatusConflict, "handoff %s: %v", id, err)
@@ -276,15 +260,15 @@ func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "handoff %s: adopt: %v", id, err)
 		return
 	}
-	if info.Submitted != e.Submitted {
+	if info.Submitted != hdr.Submitted {
 		// The rebuilt engine disagrees with the sender about how many
 		// tasks it holds: refuse the handoff and discard the partial
 		// adoption so the sender unfreezes and stays authoritative.
 		n.srv.DropSession(id)
-		httpError(w, http.StatusConflict, "handoff %s: rebuilt %d submitted tasks, sender had %d", id, info.Submitted, e.Submitted)
+		httpError(w, http.StatusConflict, "handoff %s: rebuilt %d submitted tasks, sender had %d", id, info.Submitted, hdr.Submitted)
 		return
 	}
-	n.setPlacement(Placement{Session: id, Owner: n.cfg.ID, Pinned: e.Pinned})
+	n.setPlacement(Placement{Session: id, Owner: n.cfg.ID, Pinned: hdr.Pinned})
 	// Re-protect immediately: ship the adopted session to this node's
 	// own replica target before acking, so a post-migration owner kill
 	// is survivable from the first moment. Best effort — with no other

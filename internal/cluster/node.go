@@ -329,7 +329,7 @@ func (n *Node) EnsureLocal(ctx context.Context, id string) error {
 	if n.srv.HasSession(id) {
 		return nil // lost the promotion race; the winner's shard serves
 	}
-	if _, err := n.srv.AdoptSession(ctx, id, rep.spec, nil, rep.log.Events()); err != nil {
+	if _, err := n.srv.AdoptSession(ctx, id, rep.spec, rep.log.Events()); err != nil {
 		return fmt.Errorf("cluster: promote session %s: %w", id, err)
 	}
 	n.promotions.Inc()

@@ -287,7 +287,7 @@ func TestClusterReplicationParity(t *testing.T) {
 		t.Fatalf("replica log diverges from owner trace: %d vs %d events", len(log), len(ownerEvents))
 	}
 
-	rb, err := server.ReplaySession(context.Background(), spec, nil, log)
+	rb, err := server.ReplaySession(context.Background(), spec, log)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,15 +172,15 @@ func (n *Node) ship(id string, seq uint64) (waited bool, err error) {
 // nothing, when nothing lies past the cursor.
 func (n *Node) fly(cur *shipCursor, f *shipFlight, open bool, from uint64) bool {
 	buf := shipBufPool.Get().(*shipBuf)
-	toSeq, events, err := n.build(buf, cur.id, open, from)
+	toSeq, events, err := n.build(buf, frameHeader{ID: cur.id}, open, from)
 	posted := err == nil && (open || events > 0)
-	var er frameEntryResult
+	var status string
 	var postErr error
 	if posted {
 		n.shipFrames.Inc()
 		n.frameEvents.Observe(float64(events))
 		n.shipInflight.Add(1)
-		er, postErr = n.postFrame(buf, f.target, cur.id)
+		status, postErr = n.postFrame(buf, f.target)
 		n.shipInflight.Add(-1)
 	}
 	shipBufPool.Put(buf)
@@ -215,7 +215,7 @@ func (n *Node) fly(cur *shipCursor, f *shipFlight, open bool, from uint64) bool 
 		cur.opened, cur.acked = false, 0
 		n.shipHeals.Inc()
 		f.err = fmt.Errorf("replica %s refused frame: %w", f.target, postErr)
-	case er.Status == frameStatusOK:
+	case status == frameStatusOK:
 		cur.opened = true
 		cur.heals = 0
 		if toSeq > cur.acked {
@@ -223,16 +223,15 @@ func (n *Node) fly(cur *shipCursor, f *shipFlight, open bool, from uint64) bool 
 		}
 		n.shipsTotal.Inc()
 	default:
-		// Gap, vanished replica, or no result naming the session: the
-		// replica lost state we thought it had. Heal by resetting to a
-		// full re-ship, which the covered callers ride, bounded by
-		// maxShipHeals in a row.
+		// Gap or vanished replica: the replica lost state we thought
+		// it had. Heal by resetting to a full re-ship, which the
+		// covered callers ride, bounded by maxShipHeals in a row.
 		cur.opened, cur.acked = false, 0
 		cur.heals++
 		n.shipHeals.Inc()
 		if cur.heals > maxShipHeals {
 			cur.heals = 0
-			f.err = fmt.Errorf("replica %s rejected %d consecutive re-ships (%s)", f.target, maxShipHeals, er.Status)
+			f.err = fmt.Errorf("replica %s rejected %d consecutive re-ships (%s)", f.target, maxShipHeals, status)
 		}
 	}
 	n.shipsMu.Unlock()
@@ -241,15 +240,13 @@ func (n *Node) fly(cur *shipCursor, f *shipFlight, open bool, from uint64) bool 
 }
 
 // shipBuf is the reusable scratch of one frame round trip: the event
-// read buffer, the blob area, the header entry, the final wire body,
-// the request body reader, the reply read buffer and the decoded
-// result (whose Sessions backing array json.Unmarshal reuses). Pooled;
-// Get and Put happen in fly, so no ownership leaves that frame.
+// read buffer, the blob area, the final wire body, the request body
+// reader, the reply read buffer and the decoded reply. Pooled; Get and
+// Put happen in fly, so no ownership leaves that frame.
 type shipBuf struct {
 	evs  []obs.Event
 	blob []byte
 	body []byte
-	hdr  []frameEntry
 	rd   bytes.Reader
 	resp []byte
 	res  frameResult
@@ -257,21 +254,22 @@ type shipBuf struct {
 
 var shipBufPool = sync.Pool{New: func() any { return &shipBuf{} }}
 
-// build writes the session's next frame into buf.body and returns the
-// last event Seq it carries (from when none) and its event count: the
-// spec when opening, then the log tail past from. The log is the
-// replica's whole state, so a stream frame never carries a checkpoint.
-// A session that vanished locally returns server.ErrSessionGone.
-func (n *Node) build(buf *shipBuf, id string, open bool, from uint64) (toSeq uint64, events int, err error) {
-	e := frameEntry{ID: id}
+// build writes a frame for the session h names into buf.body and
+// returns the last event Seq it carries (from when none) and its event
+// count: the spec when opening, then the log tail past from. Any
+// handoff fields set in h ride along. The log is the replica's whole
+// state, so no frame carries a checkpoint. A session that vanished
+// locally returns server.ErrSessionGone.
+func (n *Node) build(buf *shipBuf, h frameHeader, open bool, from uint64) (toSeq uint64, events int, err error) {
+	h.From = n.cfg.ID
 	if open {
-		spec, ok := n.srv.SessionSpec(id)
+		spec, ok := n.srv.SessionSpec(h.ID)
 		if !ok {
-			return from, 0, fmt.Errorf("%w: %s", server.ErrSessionGone, id)
+			return from, 0, fmt.Errorf("%w: %s", server.ErrSessionGone, h.ID)
 		}
-		e.Spec = &spec
+		h.Spec = &spec
 	}
-	evs, err := n.srv.AppendSessionEventsSince(id, from, buf.evs[:0])
+	evs, err := n.srv.AppendSessionEventsSince(h.ID, from, buf.evs[:0])
 	if err != nil {
 		return from, 0, err
 	}
@@ -281,75 +279,45 @@ func (n *Node) build(buf *shipBuf, id string, open bool, from uint64) (toSeq uin
 		toSeq = evs[len(evs)-1].Seq
 	}
 	buf.blob = obs.AppendBinary(buf.blob[:0], evs)
-	e.EventsLen = len(buf.blob)
-	buf.hdr = append(buf.hdr[:0], e)
-	buf.body, err = appendFrame(buf.body[:0], n.cfg.ID, buf.hdr, buf.blob)
+	h.EventsLen = len(buf.blob)
+	buf.body, err = appendFrame(buf.body[:0], h, buf.blob)
 	return toSeq, len(evs), err
 }
 
 // appendFrame appends one whole frame to dst: the 4-byte header
-// length, the JSON header naming the sender, then the blobs in order.
-// Every frame — stream, handoff, drop — is written here, and
-// decodeFrame is the only reader.
-func appendFrame(dst []byte, from string, entries []frameEntry, blobs ...[]byte) ([]byte, error) {
+// length, the JSON header, then the event blob. Every frame — stream,
+// handoff, drop — is written here, and decodeFrame is the only reader.
+func appendFrame(dst []byte, h frameHeader, events []byte) ([]byte, error) {
 	start := len(dst)
-	body, ok := appendFrameHeader(append(dst, 0, 0, 0, 0), from, entries)
+	body, ok := appendFrameHeader(append(dst, 0, 0, 0, 0), h)
 	if !ok {
-		// A spec, a handoff or drop field, or a string the fast encoder
-		// won't vouch for: let encoding/json write the whole header.
-		hdrJSON, err := json.Marshal(frameHeader{From: from, Sessions: entries})
+		// A spec, a handoff or drop field, or an ID outside the one
+		// rule: let encoding/json write the header.
+		hdrJSON, err := json.Marshal(h)
 		if err != nil {
 			return dst, err
 		}
 		body = append(body, hdrJSON...)
 	}
 	binary.BigEndian.PutUint32(body[start:], uint32(len(body)-start-4))
-	for _, b := range blobs {
-		body = append(body, b...)
-	}
-	return body, nil
+	return append(body, events...), nil
 }
 
-// appendFrameHeader writes the frame header JSON for the common case
-// — log entries with no spec, checkpoint, handoff or drop fields, and
-// strings that need no escaping — directly into b. It reports false,
-// leaving b's length untouched, when the header needs the real
-// encoder.
-func appendFrameHeader(b []byte, from string, entries []frameEntry) ([]byte, bool) {
-	start := len(b)
-	if !plainJSONString(from) {
+// appendFrameHeader writes the header JSON of a plain log frame — no
+// spec, handoff or drop fields, and IDs that pass server.ValidID, so
+// nothing needs escaping — directly into b. It reports false, leaving
+// b untouched, when the header needs the real encoder.
+func appendFrameHeader(b []byte, h frameHeader) ([]byte, bool) {
+	if h.Spec != nil || h.Drop || h.Submitted != 0 || h.Pinned || !server.ValidID(h.From) || !server.ValidID(h.ID) {
 		return b, false
 	}
 	b = append(b, `{"from":"`...)
-	b = append(b, from...)
-	b = append(b, `","sessions":[`...)
-	for i, e := range entries {
-		if e.Spec != nil || e.CheckpointLen != 0 || e.Drop || e.Submitted != 0 || e.Pinned || !plainJSONString(e.ID) {
-			return b[:start], false
-		}
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, `{"id":"`...)
-		b = append(b, e.ID...)
-		b = append(b, `","events_len":`...)
-		b = strconv.AppendInt(b, int64(e.EventsLen), 10)
-		b = append(b, '}')
-	}
-	b = append(b, `]}`...)
-	return b, true
-}
-
-// plainJSONString reports whether s encodes as itself inside JSON
-// quotes: printable ASCII with no escapes. Session and node IDs are
-// validated to [A-Za-z0-9._-], so this holds on every real path.
-func plainJSONString(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c == '"' || c == '\\' || c >= 0x7f {
-			return false
-		}
-	}
-	return true
+	b = append(b, h.From...)
+	b = append(b, `","id":"`...)
+	b = append(b, h.ID...)
+	b = append(b, `","events_len":`...)
+	b = strconv.AppendInt(b, int64(h.EventsLen), 10)
+	return append(b, '}'), true
 }
 
 // frameReqHeader is the fixed header set of every frame POST. The
@@ -357,20 +325,19 @@ func plainJSONString(s string) bool {
 // concurrent sends.
 var frameReqHeader = http.Header{"Content-Type": {"application/json"}}
 
-// postFrame posts the frame in buf to peer and returns the replica's
-// result for session id; a reply with no result naming id returns the
-// zero result, which is not ok. It is a hand-built, scratch-reusing
-// variant of doAddrJSON: frames are the replication hot path, so the
-// request, its body reader and the reply buffer all come from the
-// pooled shipBuf instead of being allocated per ship.
-func (n *Node) postFrame(buf *shipBuf, peer, id string) (frameEntryResult, error) {
+// postFrame posts the frame in buf to peer and returns the status of
+// the replica's reply. It is a hand-built, scratch-reusing variant of
+// doAddrJSON: frames are the replication hot path, so the request, its
+// body reader and the reply buffer all come from the pooled shipBuf
+// instead of being allocated per ship.
+func (n *Node) postFrame(buf *shipBuf, peer string) (string, error) {
 	addr := n.Addr(peer)
 	if addr == "" {
-		return frameEntryResult{}, &statusError{code: http.StatusGone, body: fmt.Sprintf("node %s is not in the current view", peer)}
+		return "", &statusError{code: http.StatusGone, body: fmt.Sprintf("node %s is not in the current view", peer)}
 	}
 	u, err := url.Parse(addr + "/v1/cluster/replica/frame")
 	if err != nil {
-		return frameEntryResult{}, err
+		return "", err
 	}
 	// The frame's own budget, not the caller's context: other callers
 	// may be waiting on this frame, and a client that went away must
@@ -394,12 +361,12 @@ func (n *Node) postFrame(buf *shipBuf, peer, id string) (frameEntryResult, error
 	}).WithContext(ctx)
 	resp, err := n.client.Do(req)
 	if err != nil {
-		return frameEntryResult{}, err
+		return "", err
 	}
 	defer resp.Body.Close()
 	buf.resp, err = appendLimitedRead(buf.resp[:0], resp.Body, maxReplicaBody)
 	if err != nil {
-		return frameEntryResult{}, err
+		return "", err
 	}
 	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
 		msg := buf.resp
@@ -407,22 +374,16 @@ func (n *Node) postFrame(buf *shipBuf, peer, id string) (frameEntryResult, error
 			msg = msg[:1024]
 		}
 		n.Observe(peer, nil)
-		return frameEntryResult{}, &statusError{code: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
+		return "", &statusError{code: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
 	}
-	// Zero the whole reused result array, not just its length: Error is
-	// omitempty, so a decode that omits it must not inherit a previous
-	// frame's value.
-	buf.res.Sessions = buf.res.Sessions[:cap(buf.res.Sessions)]
-	clear(buf.res.Sessions)
-	buf.res.Sessions = buf.res.Sessions[:0]
+	// Reset the reused reply first: Error is omitempty, so a decode
+	// that omits it must not inherit a previous frame's value.
+	buf.res = frameResult{}
 	if err := json.Unmarshal(buf.resp, &buf.res); err != nil {
-		return frameEntryResult{}, fmt.Errorf("decode reply from %s: %w", addr, err)
+		return "", fmt.Errorf("decode reply from %s: %w", addr, err)
 	}
 	n.Observe(peer, nil)
-	if len(buf.res.Sessions) == 0 || buf.res.Sessions[0].ID != id {
-		return frameEntryResult{}, nil
-	}
-	return buf.res.Sessions[0], nil
+	return buf.res.Status, nil
 }
 
 // appendLimitedRead reads r to EOF into dst (reusing its capacity),
@@ -451,8 +412,8 @@ func appendLimitedRead(dst []byte, r io.Reader, max int64) ([]byte, error) {
 }
 
 // purgeStream retires a purged session's stream state and best-effort
-// drops the remote replica with a one-entry drop frame, which the
-// replica applies only if this node opened it last (dropFrom).
+// drops the remote replica with a drop frame, which the replica
+// applies only if this node opened it last (dropFrom).
 func (n *Node) purgeStream(ctx context.Context, id string) error {
 	n.shipsMu.Lock()
 	var target string
@@ -465,7 +426,7 @@ func (n *Node) purgeStream(ctx context.Context, id string) error {
 	if target != "" {
 		// Best effort: a leaked tombstone on the replica is dropped the
 		// next time the session ID is reused or the node restarts.
-		if body, err := appendFrame(nil, n.cfg.ID, []frameEntry{{ID: id, Drop: true}}); err == nil {
+		if body, err := appendFrame(nil, frameHeader{From: n.cfg.ID, ID: id, Drop: true}, nil); err == nil {
 			_ = n.post(ctx, target, "/v1/cluster/replica/frame", "application/json", body)
 		}
 	}
@@ -494,30 +455,24 @@ func (n *Node) Close() {
 // --- wire format ------------------------------------------------------
 
 // A frame is `uint32 big-endian header length | JSON frameHeader |
-// concatenated blobs`: per session entry, in header order, the DVFB
-// event blob then the DVSC checkpoint blob, each of the length the
-// header declares. JSON keeps the header debuggable; the payloads stay
-// in the binary codecs. The same format carries the replica stream
-// (POST /v1/cluster/replica/frame), replica drops on that endpoint,
-// and migration handoffs (POST /v1/cluster/handoff/{id}, one entry).
-// Only a handoff entry carries a checkpoint; the stream refuses one.
+// DVFB event blob`, about one session. JSON keeps the header
+// debuggable; the log stays in the binary codec. The same format
+// carries the replica stream and replica drops (POST
+// /v1/cluster/replica/frame) and migration handoffs (POST
+// /v1/cluster/handoff/{id}): a handoff is the stream's open frame from
+// seq 0 with the two handoff fields set.
 type frameHeader struct {
 	// From is the sending node's ID; a replica remembers the sender that
 	// opened it, and only that sender's drop retires it.
-	From     string       `json:"from"`
-	Sessions []frameEntry `json:"sessions"`
-}
-
-type frameEntry struct {
-	ID string `json:"id"`
+	From string `json:"from"`
+	ID   string `json:"id"`
 	// Spec present means "open": create the replica (idempotently) with
-	// this platform spec before applying the blobs. A handoff entry
-	// always carries it.
-	Spec          *server.PlatformSpec `json:"spec,omitempty"`
-	EventsLen     int                  `json:"events_len"`
-	CheckpointLen int                  `json:"checkpoint_len,omitempty"`
-	// Drop retires the replica (a purge); a drop entry carries no spec
-	// and no blob bytes.
+	// this platform spec before applying the log. A handoff always
+	// carries it.
+	Spec      *server.PlatformSpec `json:"spec,omitempty"`
+	EventsLen int                  `json:"events_len"`
+	// Drop retires the replica (a purge); a drop carries no spec and
+	// no log.
 	Drop bool `json:"drop,omitempty"`
 	// Submitted and Pinned ride only on a handoff: the sender's
 	// admitted-task count, which the adopted shard must reproduce, and
@@ -526,14 +481,9 @@ type frameEntry struct {
 	Pinned    bool `json:"pinned,omitempty"`
 }
 
-// frameResult is the 200 response: one outcome per session entry, so a
-// gap in one session never fails the whole frame.
+// frameResult is the replica endpoint's 200 reply: the frame's
+// outcome. A malformed frame is refused with a 400 instead.
 type frameResult struct {
-	Sessions []frameEntryResult `json:"sessions"`
-}
-
-type frameEntryResult struct {
-	ID     string `json:"id"`
 	Status string `json:"status"`
 	Error  string `json:"error,omitempty"`
 }
@@ -543,14 +493,14 @@ const (
 	// frameStatusGap: the log blob does not continue the replica's log,
 	// or does not decode; the owner heals with a full re-ship.
 	frameStatusGap = "gap"
-	// frameStatusNoReplica: no replica and no spec in the entry; the
+	// frameStatusNoReplica: no replica and no spec in the frame; the
 	// owner re-opens.
 	frameStatusNoReplica = "no_replica"
 )
 
-// decodeFrame splits a frame into its header and blob area. On success
-// the entries' declared lengths tile the blob area exactly, in order,
-// so callers may slice it without further checks.
+// decodeFrame splits a frame into its header and event blob. On
+// success the sender and session IDs pass server.ValidID and the blob
+// is exactly the length the header declares.
 func decodeFrame(body []byte) (frameHeader, []byte, error) {
 	var hdr frameHeader
 	if len(body) < 4 {
@@ -563,26 +513,20 @@ func decodeFrame(body []byte) (frameHeader, []byte, error) {
 	if err := json.Unmarshal(body[4:4+hlen], &hdr); err != nil {
 		return hdr, nil, fmt.Errorf("decode frame header: %w", err)
 	}
-	if hdr.From == "" {
-		return hdr, nil, errors.New("frame header names no sender")
+	if !server.ValidID(hdr.From) {
+		return hdr, nil, fmt.Errorf("invalid sender %q: want 1-64 chars of [A-Za-z0-9._-]", hdr.From)
 	}
-	blobs := body[4+hlen:]
-	// Check each length against the bytes not yet claimed: a running
-	// sum could overflow and wrap back onto the true total.
-	rest := len(blobs)
-	for _, e := range hdr.Sessions {
-		if e.EventsLen < 0 || e.CheckpointLen < 0 || e.EventsLen > rest || e.CheckpointLen > rest-e.EventsLen {
-			return hdr, nil, fmt.Errorf("session %s: blob lengths %d+%d do not fit the %d unclaimed bytes", e.ID, e.EventsLen, e.CheckpointLen, rest)
-		}
-		if e.Drop && (e.Spec != nil || e.EventsLen+e.CheckpointLen > 0) {
-			return hdr, nil, fmt.Errorf("session %s: drop entry carries a spec or blobs", e.ID)
-		}
-		rest -= e.EventsLen + e.CheckpointLen
+	if !server.ValidID(hdr.ID) {
+		return hdr, nil, fmt.Errorf("invalid session ID %q: want 1-64 chars of [A-Za-z0-9._-]", hdr.ID)
 	}
-	if rest != 0 {
-		return hdr, nil, fmt.Errorf("frame carries %d blob bytes past its entries", rest)
+	blob := body[4+hlen:]
+	if hdr.EventsLen != len(blob) {
+		return hdr, nil, fmt.Errorf("session %s: events_len %d, but the frame carries %d blob bytes", hdr.ID, hdr.EventsLen, len(blob))
 	}
-	return hdr, blobs, nil
+	if hdr.Drop && (hdr.Spec != nil || hdr.EventsLen > 0) {
+		return hdr, nil, fmt.Errorf("session %s: a drop carries a spec or a log", hdr.ID)
+	}
+	return hdr, blob, nil
 }
 
 // frameBodyBuf pools the replica-side raw frame buffer. Everything
@@ -611,11 +555,9 @@ func readFrameBody(r *http.Request, fb *frameBodyBuf) ([]byte, error) {
 }
 
 // handleReplicaFrame is POST /v1/cluster/replica/frame: apply one
-// coalesced stream frame. Only a malformed frame is an HTTP error —
-// and an entry with a checkpoint is malformed here, refused before any
-// entry applies, because the replica holds the log alone; per-session
-// failures travel in the result body so one gappy session cannot veto
-// its neighbors' acks.
+// stream or drop frame. Only a malformed frame is an HTTP error; a
+// gap or a missing replica travels in the 200 reply's status, and the
+// owner heals it by re-shipping.
 func (n *Node) handleReplicaFrame(w http.ResponseWriter, r *http.Request) {
 	fb := frameBodyPool.Get().(*frameBodyBuf)
 	defer frameBodyPool.Put(fb)
@@ -624,32 +566,19 @@ func (n *Node) handleReplicaFrame(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	hdr, blobs, err := decodeFrame(body)
+	hdr, blob, err := decodeFrame(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	for _, e := range hdr.Sessions {
-		if e.CheckpointLen > 0 {
-			httpError(w, http.StatusBadRequest, "session %s: a stream entry carries no checkpoint", e.ID)
-			return
-		}
-	}
-	res := frameResult{Sessions: make([]frameEntryResult, 0, len(hdr.Sessions))}
-	off := 0
-	for _, e := range hdr.Sessions {
-		evBlob := blobs[off : off+e.EventsLen]
-		off += e.EventsLen
-		res.Sessions = append(res.Sessions, n.applyFrameEntry(hdr.From, e, evBlob))
-	}
-	writeClusterJSON(w, res)
+	writeClusterJSON(w, n.applyFrame(hdr, blob))
 }
 
-// frameDecode is the replica-side scratch for one frame entry's event
-// blob: the buffered layer, the trace reader, and the intermediate
-// event slice all die with the request, so they are pooled. appendLog
-// copies events (and dictionary strings are freshly allocated per
-// trace), so nothing applied to the replica aliases the scratch.
+// frameDecode is the replica-side scratch for one frame's event blob:
+// the buffered layer, the trace reader, and the intermediate event
+// slice all die with the request, so they are pooled. appendLog copies
+// events (and dictionary strings are freshly allocated per trace), so
+// nothing applied to the replica aliases the scratch.
 type frameDecode struct {
 	src bytes.Reader
 	buf *bufio.Reader
@@ -683,39 +612,38 @@ func (d *frameDecode) decodeEvents(blob []byte) ([]obs.Event, error) {
 	}
 }
 
-// applyFrameEntry is the per-session half of a frame from sender
-// from: a drop, or open (when the spec rides along), then append the
-// log blob.
-func (n *Node) applyFrameEntry(from string, e frameEntry, evBlob []byte) frameEntryResult {
-	er := frameEntryResult{ID: e.ID, Status: frameStatusOK}
-	if e.Drop {
-		n.replicas.dropFrom(e.ID, from)
-		return er
+// applyFrame applies a decoded frame to the replica it names: a drop,
+// or open (when the spec rides along), then append the log blob.
+func (n *Node) applyFrame(h frameHeader, blob []byte) frameResult {
+	res := frameResult{Status: frameStatusOK}
+	if h.Drop {
+		n.replicas.dropFrom(h.ID, h.From)
+		return res
 	}
 	var rep *replica
-	if e.Spec != nil {
-		rep = n.replicas.open(e.ID, *e.Spec, from)
+	if h.Spec != nil {
+		rep = n.replicas.open(h.ID, *h.Spec, h.From)
 	} else {
 		var ok bool
-		if rep, ok = n.replicas.get(e.ID); !ok {
-			er.Status = frameStatusNoReplica
-			return er
+		if rep, ok = n.replicas.get(h.ID); !ok {
+			res.Status = frameStatusNoReplica
+			return res
 		}
 	}
-	if len(evBlob) > 0 {
+	if len(blob) > 0 {
 		d := frameDecodePool.Get().(*frameDecode)
 		// Only the plain-string gap message survives past the Put: the
 		// error values (and the event slice) may alias pooled memory.
 		var gapMsg string
-		if events, err := d.decodeEvents(evBlob); err != nil {
+		if events, err := d.decodeEvents(blob); err != nil {
 			gapMsg = "decode log: " + err.Error()
 		} else if err := rep.appendLog(events); err != nil {
 			gapMsg = err.Error()
 		}
 		frameDecodePool.Put(d)
 		if gapMsg != "" {
-			er.Status, er.Error = frameStatusGap, gapMsg
+			res.Status, res.Error = frameStatusGap, gapMsg
 		}
 	}
-	return er
+	return res
 }

@@ -410,9 +410,9 @@ func TestClusterStreamCoalesces(t *testing.T) {
 }
 
 // standIn is a stand-in replica for peer n2: it counts the frames it
-// gets and those whose entry opens the session, and answers each as
-// its mode says — "ok", "other" (a 200 whose result names another
-// session) or "refuse" (a 400 refusal of the whole frame).
+// gets and those that open the session, and answers each as its mode
+// says — "ok", "gap" (a 200 reporting a log gap) or "refuse" (a 400
+// refusal of the whole frame).
 type standIn struct {
 	mu     sync.Mutex
 	mode   string
@@ -427,14 +427,13 @@ func (s *standIn) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	hdr, _, err := decodeFrame(body)
-	if err != nil || len(hdr.Sessions) != 1 {
-		httpError(w, http.StatusBadRequest, "want a one-entry frame (err %v)", err)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "malformed frame: %v", err)
 		return
 	}
-	e := hdr.Sessions[0]
 	s.mu.Lock()
 	s.frames++
-	if e.Spec != nil {
+	if hdr.Spec != nil {
 		s.opens++
 	}
 	mode := s.mode
@@ -442,11 +441,11 @@ func (s *standIn) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch mode {
 	case "refuse":
 		httpError(w, http.StatusBadRequest, "refused")
-		return
-	case "other":
-		e.ID = "someone-else"
+	case "gap":
+		writeClusterJSON(w, frameResult{Status: frameStatusGap, Error: "stand-in gap"})
+	default:
+		writeClusterJSON(w, frameResult{Status: frameStatusOK})
 	}
-	writeClusterJSON(w, frameResult{Sessions: []frameEntryResult{{ID: e.ID, Status: frameStatusOK}}})
 }
 
 // set switches the mode for the frames to come and returns the counts
@@ -521,18 +520,18 @@ func (sn *standInNode) cursor() (opened bool, acked uint64, heals int) {
 	return cur.opened, cur.acked, cur.heals
 }
 
-// TestShipResultNamingAnotherSessionHeals: a 200 whose only result
-// names another session is not an ack. Each such frame heals the
-// cursor to a full re-ship, and the frame that would run the heals
-// past maxShipHeals in a row fails the submit.
-func TestShipResultNamingAnotherSessionHeals(t *testing.T) {
+// TestShipGapReplyHeals: a 200 whose status is not ok (here a gap) is
+// not an ack. Each such frame heals the cursor to a full re-ship, and
+// the frame that would run the heals past maxShipHeals in a row fails
+// the submit.
+func TestShipGapReplyHeals(t *testing.T) {
 	sn := startStandIn(t)
 	heals := sn.node.srv.Registry().Counter(obs.ClusterShipHeals)
 	healsBefore := heals.Value()
-	framesBefore, _ := sn.rep.set("other")
+	framesBefore, _ := sn.rep.set("gap")
 	code, body := sn.submit()
 	if code != http.StatusBadGateway || !strings.Contains(body, "consecutive re-ships") {
-		t.Fatalf("submit against a replica naming another session: %d %s, want 502 after the heals", code, body)
+		t.Fatalf("submit against a replica reporting gaps: %d %s, want 502 after the heals", code, body)
 	}
 	framesAfter, _ := sn.rep.set("ok")
 	if got := framesAfter - framesBefore; got != maxShipHeals+1 {

@@ -210,7 +210,7 @@ func BenchmarkReplaySession(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rb, err := ReplaySession(ctx, spec, nil, log)
+				rb, err := ReplaySession(ctx, spec, log)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -6,7 +6,6 @@ import (
 
 	"dvfsched/internal/core"
 	"dvfsched/internal/obs"
-	"dvfsched/internal/sim"
 )
 
 // SessionIDHeader carries a caller-chosen session ID on POST
@@ -31,9 +30,10 @@ const SenderAddrHeader = "X-Dvfs-Sender-Addr"
 // placement or ring view.
 const forwardHopsHeader = "X-Dvfs-Forward-Hops"
 
-// validSessionID accepts 1-64 characters of [A-Za-z0-9._-]: safe in
-// URL paths, ring keys and log lines without escaping.
-func validSessionID(id string) bool {
+// ValidID is the one rule for session and node IDs: 1-64 characters
+// of [A-Za-z0-9._-], safe in URL paths, ring keys, log lines and frame
+// headers without escaping.
+func ValidID(id string) bool {
 	if len(id) == 0 || len(id) > 64 {
 		return false
 	}
@@ -60,17 +60,14 @@ type RebuiltSession struct {
 	Submitted int
 }
 
-// ReplaySession rebuilds a live session from replicated state: the
-// session's event log and, from a migration handoff only, the
-// checkpoint (core.OnlineSession.Snapshot bytes) taken at the freeze.
-// Without a checkpoint the log's arrivals replay through
-// core.OnlineSession.ReplayTrace, and the engine re-derives the
-// schedule it had committed to — LMC's choices are a deterministic
-// function of the arrivals. A checkpoint must end the log (its EvSeq
-// is the log's last Seq): the log is preloaded into the recorder, so
-// the full history stays readable, the checkpoint restores the engine
-// exactly, and nothing is replayed.
-func ReplaySession(ctx context.Context, spec PlatformSpec, checkpoint []byte, log []obs.Event) (*RebuiltSession, error) {
+// ReplaySession rebuilds a live session from its event log: the
+// log's arrivals replay through core.OnlineSession.ReplayTrace, and
+// the engine re-derives the schedule it had committed to — LMC's
+// choices are a deterministic function of the arrivals — then steps
+// on to the log's last Seq, so the rebuild's clock, pending work and
+// trace are the source's. A log the engine cannot end on exactly is
+// refused. Promotion and migration both rebuild this way.
+func ReplaySession(ctx context.Context, spec PlatformSpec, log []obs.Event) (*RebuiltSession, error) {
 	spec, params, plat, err := spec.normalize()
 	if err != nil {
 		return nil, err
@@ -80,38 +77,15 @@ func ReplaySession(ctx context.Context, spec PlatformSpec, checkpoint []byte, lo
 	if err != nil {
 		return nil, err
 	}
-	if len(checkpoint) == 0 {
-		sess, err := sched.OpenOnline(ctx)
-		if err != nil {
-			return nil, err
-		}
-		n, err := sess.ReplayTrace(ctx, log)
-		if err != nil {
-			return nil, err
-		}
-		return &RebuiltSession{Spec: spec, Rec: rec, Sess: sess, Submitted: n}, nil
-	}
-	cp, err := sim.UnmarshalCheckpoint(checkpoint)
-	if err != nil {
-		return nil, fmt.Errorf("decode checkpoint: %w", err)
-	}
-	var lastSeq uint64
-	if len(log) > 0 {
-		lastSeq = log[len(log)-1].Seq
-	}
-	if cp.EvSeq != lastSeq {
-		return nil, fmt.Errorf("checkpoint at seq %d does not end the log at seq %d", cp.EvSeq, lastSeq)
-	}
-	// The restored engine's events continue at EvSeq+1, right after the
-	// preloaded log, so the trace stays byte-identical to the owner's.
-	for _, ev := range log {
-		rec.Emit(ev)
-	}
-	sess, err := sched.RestoreOnline(ctx, checkpoint)
+	sess, err := sched.OpenOnline(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return &RebuiltSession{Spec: spec, Rec: rec, Sess: sess, Submitted: len(cp.Tasks)}, nil
+	n, err := sess.ReplayTrace(ctx, log)
+	if err != nil {
+		return nil, err
+	}
+	return &RebuiltSession{Spec: spec, Rec: rec, Sess: sess, Submitted: n}, nil
 }
 
 // HasSession reports whether id is registered (live or tombstoned).
@@ -162,45 +136,24 @@ func (s *Server) SessionLastSeq(id string) (uint64, error) {
 	return sh.committed.Load(), nil
 }
 
-// HandoffState is the payload of a planned migration: everything the
-// target node needs to adopt the session and everything the trace
-// guarantee needs — the checkpoint taken at the freeze and the full
-// event log it ends, so the rebuilt recorder holds the complete
-// byte-identical history.
-type HandoffState struct {
-	Spec       PlatformSpec
-	Submitted  int
-	Checkpoint []byte
-	Events     []obs.Event
-}
-
-// HandoffSession freezes a live session for migration and returns its
-// handoff state. The freeze happens under the session's lock, so the
-// checkpoint lands between two submissions; from that moment every
-// mutation against the shard is fenced with ErrSessionMigrating until
-// AbortHandoff or FinishHandoff.
+// HandoffSession freezes a live session for migration and returns
+// its admitted-task count. The freeze happens under the session's
+// lock, so the log ends between two submissions; from that moment
+// every mutation against the shard is fenced with ErrSessionMigrating
+// until AbortHandoff or FinishHandoff, and the log read for the handoff
+// (AppendSessionEventsSince) is the whole history.
 // A drained session returns ErrSessionDrained (tombstones don't
 // migrate); a session already frozen returns ErrSessionMigrating.
-func (s *Server) HandoffSession(ctx context.Context, id string) (*HandoffState, error) {
+func (s *Server) HandoffSession(ctx context.Context, id string) (int, error) {
 	sh, ok := s.sessions.get(id)
 	if !ok {
-		return nil, s.sessionErr(id, fmt.Errorf("%w: %s", ErrSessionGone, id))
+		return 0, s.sessionErr(id, fmt.Errorf("%w: %s", ErrSessionGone, id))
 	}
 	resp, err := sh.do(ctx, opHandoff)
 	if err != nil {
-		return nil, s.sessionErr(id, err)
+		return 0, s.sessionErr(id, err)
 	}
-	if resp.err != nil {
-		return nil, resp.err
-	}
-	// The engine is frozen: the recorder is quiescent, so this read
-	// observes exactly the events the checkpoint covers.
-	return &HandoffState{
-		Spec:       sh.spec,
-		Submitted:  resp.submitted,
-		Checkpoint: resp.snapshot,
-		Events:     sh.rec.Events(),
-	}, nil
+	return resp.submitted, resp.err
 }
 
 // AbortHandoff lifts a migration freeze after a failed ship: the shard
@@ -251,16 +204,16 @@ func (s *Server) LiveSessionIDs(ctx context.Context) []string {
 	return out
 }
 
-// AdoptSession rebuilds a session from replicated state (ReplaySession)
-// and installs it as a live shard under the dead owner's ID: the
-// cluster failover path, and (via the handoff endpoint) the planned
-// migration path. The adopted shard serves exactly like a locally
-// created one — submits, snapshots, drain, events.
-func (s *Server) AdoptSession(ctx context.Context, id string, spec PlatformSpec, checkpoint []byte, log []obs.Event) (SessionInfo, error) {
-	if !validSessionID(id) {
+// AdoptSession rebuilds a session from its event log (ReplaySession)
+// and installs it as a live shard under its original ID: the cluster
+// failover path, and (via the handoff endpoint) the planned migration
+// path. The adopted shard serves exactly like a locally created one —
+// submits, snapshots, drain, events.
+func (s *Server) AdoptSession(ctx context.Context, id string, spec PlatformSpec, log []obs.Event) (SessionInfo, error) {
+	if !ValidID(id) {
 		return SessionInfo{}, fmt.Errorf("invalid session ID %q", id)
 	}
-	rb, err := ReplaySession(ctx, spec, checkpoint, log)
+	rb, err := ReplaySession(ctx, spec, log)
 	if err != nil {
 		return SessionInfo{}, err
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 	"syscall"
 	"testing"
 
+	"dvfsched/internal/core"
 	"dvfsched/internal/obs"
 	"dvfsched/internal/trace"
 )
@@ -342,16 +344,16 @@ func TestValidSessionID(t *testing.T) {
 		{"slash/y", false},
 		{string(make([]byte, 65)), false},
 	} {
-		if got := validSessionID(tc.id); got != tc.ok {
-			t.Errorf("validSessionID(%q) = %v, want %v", tc.id, got, tc.ok)
+		if got := ValidID(tc.id); got != tc.ok {
+			t.Errorf("ValidID(%q) = %v, want %v", tc.id, got, tc.ok)
 		}
 	}
 }
 
 // TestAdoptSessionParity is the in-package handoff drill: run a
-// session on one server, take its checkpoint at the end and its log,
-// adopt both on a second server, and require the adopted session to
-// serve and drain exactly like the original would have.
+// session on one server, take its log, adopt it on a second server,
+// and require the adopted session to serve and drain exactly like the
+// original would have.
 func TestAdoptSessionParity(t *testing.T) {
 	owner, ts := newTestServer(t, Config{})
 	id := createSession(t, ts.URL)
@@ -363,10 +365,6 @@ func TestAdoptSessionParity(t *testing.T) {
 	submitOver(t, ts.URL, id, recs[8:], true)
 
 	ctx := context.Background()
-	code, checkpoint, _ := getRaw(t, ts.URL+"/v1/sessions/"+id+"/snapshot")
-	if code != http.StatusOK {
-		t.Fatalf("snapshot: %d %s", code, checkpoint)
-	}
 	spec, ok := owner.SessionSpec(id)
 	if !ok {
 		t.Fatal("owner lost the session spec")
@@ -377,22 +375,22 @@ func TestAdoptSessionParity(t *testing.T) {
 	}
 
 	standby, standbyTS := newTestServer(t, Config{})
-	if _, err := standby.AdoptSession(ctx, "bad id!", spec, checkpoint, log); err == nil {
+	if _, err := standby.AdoptSession(ctx, "bad id!", spec, log); err == nil {
 		t.Fatal("AdoptSession accepted an invalid ID")
 	}
-	info, err := standby.AdoptSession(ctx, id, spec, checkpoint, log)
+	info, err := standby.AdoptSession(ctx, id, spec, log)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Submitted != len(recs) {
 		t.Fatalf("adopted session carries %d submitted tasks, want %d", info.Submitted, len(recs))
 	}
-	if _, err := standby.AdoptSession(ctx, id, spec, checkpoint, log); err == nil {
+	if _, err := standby.AdoptSession(ctx, id, spec, log); err == nil {
 		t.Fatal("AdoptSession accepted a duplicate ID")
 	}
 
 	// The owner and the adopted copy drain to the same trace, bit for
-	// bit — checkpoint restore behind the preloaded log loses nothing.
+	// bit — the log replay loses nothing.
 	var drOwner, drAdopted DrainResponse
 	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/sessions/"+id, nil, &drOwner); code != http.StatusOK {
 		t.Fatalf("owner drain: %d", code)
@@ -411,41 +409,104 @@ func TestAdoptSessionParity(t *testing.T) {
 	}
 }
 
-// TestReplaySessionErrors covers the rebuild failure modes: a corrupt
-// checkpoint, a bad spec, a checkpoint that does not end the log (taken
-// mid-session, or passed with an empty log), and a fresh
-// (checkpoint-free) rebuild.
+// TestReplaySessionErrors covers a bad spec and an empty log, which
+// rebuilds an empty session.
 func TestReplaySessionErrors(t *testing.T) {
 	ctx := context.Background()
-	spec := PlatformSpec{Cores: 2}
-	if _, err := ReplaySession(ctx, spec, []byte("garbage"), nil); err == nil {
-		t.Fatal("ReplaySession accepted a corrupt checkpoint")
-	}
-	if _, err := ReplaySession(ctx, PlatformSpec{Cores: -1}, nil, nil); err == nil {
+	if _, err := ReplaySession(ctx, PlatformSpec{Cores: -1}, nil); err == nil {
 		t.Fatal("ReplaySession accepted a bad spec")
 	}
-	if _, err := ReplaySession(ctx, spec, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	owner, ts := newTestServer(t, Config{})
-	id := createSession(t, ts.URL)
-	submitOver(t, ts.URL, id, []trace.Record{{ID: 1, Cycles: 2}, {ID: 2, Cycles: 3}}, true)
-	code, mid, _ := getRaw(t, ts.URL+"/v1/sessions/"+id+"/snapshot")
-	if code != http.StatusOK {
-		t.Fatalf("snapshot: %d %s", code, mid)
-	}
-	submitOver(t, ts.URL, id, []trace.Record{{ID: 3, Cycles: 4}}, true)
-	ownerSpec, _ := owner.SessionSpec(id)
-	log, err := owner.AppendSessionEventsSince(id, 0, nil)
+	rb, err := ReplaySession(ctx, PlatformSpec{Cores: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReplaySession(ctx, ownerSpec, mid, log); err == nil || !strings.Contains(err.Error(), "does not end the log") {
-		t.Fatalf("ReplaySession of a mid-session checkpoint with the full log: %v, want a refusal", err)
+	if rb.Submitted != 0 || rb.Sess.Pending() != 0 || rb.Rec.Len() != 0 {
+		t.Fatalf("empty log rebuilt %d tasks, %d pending, %d events", rb.Submitted, rb.Sess.Pending(), rb.Rec.Len())
 	}
-	if _, err := ReplaySession(ctx, ownerSpec, mid, nil); err == nil || !strings.Contains(err.Error(), "does not end the log") {
-		t.Fatalf("ReplaySession of a checkpoint with an empty log: %v, want a refusal", err)
+}
+
+// countdownCtx reports no error on its first n Err calls and
+// context.Canceled after: a context that ends at a chosen poll.
+type countdownCtx struct {
+	context.Context
+	n int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.n > 0 {
+		c.n--
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestReplaySessionEndsWhereTheLogEnds rebuilds a 16-core session whose
+// log ends inside a canceled drain — retryable, so still live and
+// replicated. The rebuild must match the source's clock, pending count
+// and last Seq, not stop at the last arrival. A log the engine cannot
+// end on exactly (cut inside one step, or naming an event past the
+// engine's last) is refused.
+func TestReplaySessionEndsWhereTheLogEnds(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	var info SessionInfo
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", PlatformSpec{Cores: 16}, &info); code != http.StatusCreated {
+		t.Fatalf("create: %d", code)
+	}
+	for b := 0; b < 40; b++ {
+		recs := make([]trace.Record, 64)
+		for i := range recs {
+			id := b*64 + i
+			recs[i] = trace.Record{ID: id, Cycles: 1 + float64(id%13), Arrival: float64(id) / 6400}
+		}
+		submitOver(t, ts.URL, info.ID, recs, false)
+	}
+	sh, _ := s.sessions.get(info.ID)
+	before := sh.committed.Load()
+	// The lock wait and the drain's first poll see a live context; the
+	// second poll, a few hundred events in, sees it canceled.
+	resp, err := sh.do(&countdownCtx{Context: context.Background(), n: 2}, opDrain)
+	if err != nil || !errors.Is(resp.err, core.ErrCanceled) {
+		t.Fatalf("drain: %v / %v, want a canceled drain", err, resp.err)
+	}
+	st, err := sh.do(context.Background(), opStatus)
+	if err != nil || st.drained || st.pending == 0 || sh.committed.Load() == before {
+		t.Fatalf("after the canceled drain: %v, drained %v, %d pending, seq %d -> %d", err, st.drained, st.pending, before, sh.committed.Load())
+	}
+	log, err := s.AppendSessionEventsSince(info.ID, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := context.Background()
+	rb, err := ReplaySession(ctx, info.PlatformSpec, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(rb.Sess.Clock()) != math.Float64bits(st.clock) || rb.Sess.Pending() != st.pending || rb.Rec.LastSeq() != sh.committed.Load() {
+		t.Fatalf("rebuilt clock %v, pending %d, last seq %d; source %v, %d, %d",
+			rb.Sess.Clock(), rb.Sess.Pending(), rb.Rec.LastSeq(), st.clock, st.pending, sh.committed.Load())
+	}
+
+	cut := -1
+	for i, ev := range log {
+		if ev.Kind == obs.KindComplete {
+			cut = i + 1
+			break
+		}
+	}
+	if cut < 0 || log[cut].Kind != obs.KindCoreIdle {
+		t.Fatal("log has no completion followed by its idle event")
+	}
+	// Far past anything the session's remaining work emits.
+	extra := log[len(log)-1]
+	extra.Seq += 1 << 20
+	for name, bad := range map[string][]obs.Event{
+		"cut inside a step":      log[:cut],
+		"past the engine's last": append(log[:len(log):len(log)], extra),
+	} {
+		if _, err := ReplaySession(ctx, info.PlatformSpec, bad); err == nil {
+			t.Errorf("%s: ReplaySession accepted a log the engine cannot end on", name)
+		}
 	}
 }
 

@@ -16,8 +16,11 @@ import (
 )
 
 // maxMovedMarkers caps the moved-marker map; past it the markers reset
-// wholesale. Markers only upgrade a 404 into a retryable 503 for
-// requests racing a migration flip, so losing old ones is harmless.
+// wholesale. A marker upgrades a 404 into a retryable 503 for requests
+// racing a migration flip, and it is also the cluster's promotion
+// fence during a join window (cluster.Node.EnsureLocal): while it
+// stands, a replica the new owner shipped back here is not promoted.
+// A reset can drop a marker that still fences a live session.
 const maxMovedMarkers = 65536
 
 // sessions is the registry of live and drained (tombstoned) shards.
@@ -179,7 +182,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	// minting the ID before the create reaches the owning node; honor
 	// its choice when the header is present.
 	id := r.Header.Get(SessionIDHeader)
-	if id != "" && !validSessionID(id) {
+	if id != "" && !ValidID(id) {
 		writeError(w, http.StatusBadRequest, "invalid %s %q: want 1-64 chars of [A-Za-z0-9._-]", SessionIDHeader, id)
 		return
 	}
@@ -358,9 +361,10 @@ func writeEvents(w http.ResponseWriter, rec *obs.Recorder, format string) {
 // magic). The snapshot is taken under the session's lock, so it lands
 // between two submissions, never inside one. Restore it
 // with core.Scheduler.RestoreOnline on a scheduler configured with the
-// same platform and cost constants. A traced session needs no snapshot
-// to recover: its events-endpoint log alone rebuilds it by replay
-// (ReplaySession), and a snapshot passed along must end that log.
+// same platform and cost constants. It is a client-facing export only:
+// nodes never exchange snapshots, because a session's event log alone
+// rebuilds it by replay (ReplaySession), for promotion and migration
+// alike.
 func (s *Server) handleSessionSnapshot(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		// Shutdown is draining every shard to its final result; a

@@ -26,10 +26,10 @@ const (
 	opStatus shardOp = iota
 	opDrain
 	opSnapshot
-	// opHandoff freezes the shard for a planned migration: it snapshots
-	// the session between two submissions and fences every subsequent
-	// mutation (submit, drain, snapshot) with ErrSessionMigrating until
-	// an unfreeze or a purge.
+	// opHandoff freezes the shard for a planned migration: the log
+	// ends between two submissions, and every later mutation (submit,
+	// drain, snapshot) is fenced with ErrSessionMigrating until an
+	// unfreeze or a purge.
 	opHandoff
 )
 
@@ -44,8 +44,8 @@ type shardResp struct {
 	// so lifecycle counters fire exactly once per session.
 	first  bool
 	result *sim.Result
-	// snapshot is the opSnapshot and opHandoff payload: a serialized
-	// session checkpoint.
+	// snapshot is the opSnapshot payload: a serialized session
+	// checkpoint.
 	snapshot []byte
 }
 
@@ -213,9 +213,10 @@ func (sh *shard) do(ctx context.Context, op shardOp) (shardResp, error) {
 			resp.clock = sh.final.Makespan
 		}
 	case opSnapshot, opHandoff:
-		// Under the lock the checkpoint lands between two submissions,
-		// never inside one. After a handoff freeze every later mutation
-		// is fenced and retried by the client against the new owner.
+		// Under the lock the checkpoint, or the handed-off log, ends
+		// between two submissions, never inside one. After a handoff
+		// freeze every later mutation is fenced and retried by the
+		// client against the new owner.
 		if sh.frozen {
 			resp.err = fmt.Errorf("%w: %s", ErrSessionMigrating, sh.id)
 			break
@@ -224,9 +225,10 @@ func (sh *shard) do(ctx context.Context, op shardOp) (shardResp, error) {
 			resp.err = fmt.Errorf("%w: %s", ErrSessionDrained, sh.id)
 			break
 		}
-		resp.snapshot, resp.err = sh.sess.Snapshot()
-		if resp.err == nil && op == opHandoff {
+		if op == opHandoff {
 			sh.frozen = true
+		} else {
+			resp.snapshot, resp.err = sh.sess.Snapshot()
 		}
 		resp.clock, resp.pending, resp.submitted = sh.sess.Clock(), sh.sess.Pending(), sh.submitted
 	}
