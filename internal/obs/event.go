@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -321,12 +322,16 @@ func (r *Recorder) suffixLocked(after uint64) (int, int) {
 }
 
 // appendSinceLocked appends every recorded event with Seq > after to
-// dst. Caller holds r.mu.
+// dst, growing it at most once: a whole-log read into an empty slice
+// would otherwise re-copy the log at every growth step. Caller holds
+// r.mu.
 func (r *Recorder) appendSinceLocked(dst []Event, after uint64) []Event {
 	ci, i := r.suffixLocked(after)
 	if ci == len(r.chunks) {
 		return dst
 	}
+	// Every chunk but the last is full.
+	dst = slices.Grow(dst, r.n-ci*recorderChunk-i)
 	dst = append(dst, r.chunks[ci][i:]...)
 	for _, c := range r.chunks[ci+1:] {
 		dst = append(dst, c...)

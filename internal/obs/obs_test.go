@@ -116,6 +116,28 @@ func TestRecorderAppendRange(t *testing.T) {
 	}
 }
 
+// TestRecorderAppendSince reads suffixes that start inside, at and past
+// chunk boundaries, and requires a whole-log read into an empty slice
+// to allocate once instead of re-copying the log at each growth step.
+func TestRecorderAppendSince(t *testing.T) {
+	r := &Recorder{}
+	const n = 3*recorderChunk + 17
+	for i := 0; i < n; i++ {
+		r.Emit(Event{Seq: uint64(i + 1), Kind: KindArrival, Task: i})
+	}
+	all := r.Events()
+	for _, after := range []int{0, 5, recorderChunk - 1, recorderChunk, 2*recorderChunk + 3, n - 1, n, n + 5} {
+		got := r.AppendSince([]Event{{Task: -1}}, uint64(after))
+		want := append([]Event{{Task: -1}}, all[min(after, n):]...)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("AppendSince(%d): %d events, want %d", after, len(got)-1, len(want)-1)
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, func() { _ = r.AppendSince(nil, 0) }); allocs != 1 {
+		t.Errorf("whole-log AppendSince into nil: %v allocations, want 1", allocs)
+	}
+}
+
 func TestEffectiveAt(t *testing.T) {
 	if got := (Event{T: 2}).EffectiveAt(); got != 2 {
 		t.Errorf("unset Eff: got %v", got)
