@@ -104,7 +104,9 @@ func (o *OnlineSession) Admit(ctx context.Context, tasks model.TaskSet) error {
 // finishAdvance advances an injected batch to its latest arrival
 // without polling a context: a batch cut off mid-advance would hold
 // tasks with no arrival in the trace, and its retry would be refused
-// as a duplicate.
+// as a duplicate. Background, not context.WithoutCancel(ctx), because
+// the advance reads no context values and WithoutCancel allocates on
+// every submit.
 func (o *OnlineSession) finishAdvance(latest float64) error {
 	return o.sess.AdvanceTo(context.Background(), latest)
 }
