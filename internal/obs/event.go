@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -331,7 +330,9 @@ func (r *Recorder) appendSinceLocked(dst []Event, after uint64) []Event {
 		return dst
 	}
 	// Every chunk but the last is full.
-	dst = slices.Grow(dst, r.n-ci*recorderChunk-i)
+	if need := r.n - ci*recorderChunk - i; cap(dst)-len(dst) < need {
+		dst = append(make([]Event, 0, len(dst)+need), dst...)
+	}
 	dst = append(dst, r.chunks[ci][i:]...)
 	for _, c := range r.chunks[ci+1:] {
 		dst = append(dst, c...)
