@@ -47,10 +47,10 @@ fuzz-smoke:
 # machine-readable baseline for this PR (diff against the previous
 # PR's with `make benchdiff`).
 bench:
-	scripts/bench.sh BENCH_PR26.json
+	scripts/bench.sh BENCH_PR27.json
 
 # Compare the two newest BENCH_PR<N>.json baselines (numeric order);
-# fails on >20% ns/op, allocs/op or B/op regressions and on any ckpt_B
+# fails on >20% ns/op, allocs/op or B/op regressions and on any log_B
 # growth in benchmarks both files share, and reports benchmarks new in
 # this PR.
 benchdiff:

@@ -27,7 +27,7 @@ import (
 // count and the pin. The target rebuilds the session by replaying the
 // log exactly, the way a promotion does (server.ReplaySession), and
 // refuses the handoff unless the rebuild holds the sender's task
-// count; no checkpoint crosses nodes. flip installs the placement
+// count. flip installs the placement
 // record (locally, on the target at adopt, and broadcast to the rest),
 // retires the local shard behind a moved marker, and drops the old
 // replica chain with a sender-fenced drop frame. The fencing rule that

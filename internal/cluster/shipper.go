@@ -258,8 +258,8 @@ var shipBufPool = sync.Pool{New: func() any { return &shipBuf{} }}
 // returns the last event Seq it carries (from when none) and its event
 // count: the spec when opening, then the log tail past from. Any
 // handoff fields set in h ride along. The log is the replica's whole
-// state, so no frame carries a checkpoint. A session that vanished
-// locally returns server.ErrSessionGone.
+// state. A session that vanished locally returns
+// server.ErrSessionGone.
 func (n *Node) build(buf *shipBuf, h frameHeader, open bool, from uint64) (toSeq uint64, events int, err error) {
 	h.From = n.cfg.ID
 	if open {

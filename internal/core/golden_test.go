@@ -17,7 +17,6 @@ import (
 	"dvfsched/internal/model"
 	"dvfsched/internal/obs"
 	"dvfsched/internal/platform"
-	"dvfsched/internal/sim"
 	"dvfsched/internal/workload"
 )
 
@@ -28,10 +27,9 @@ var update = flag.Bool("update", false, "rewrite the judge replay golden in test
 // online constants, the shape of the judge-online benchmark.
 const (
 	goldenBatch  = 64
-	goldenCutAt  = 6 // the frozen checkpoint is taken after this many batches
+	goldenCutAt  = 6 // the frozen log replay resumes after this many batches
 	goldenTrace  = "judge16.bintrace"
 	goldenCost   = "judge16.cost"
-	frozenDVSC   = "judge16_mid_v1.dvsc"
 	goldenJudgeS = 1.0 / 64
 )
 
@@ -129,63 +127,15 @@ func TestJudgeReplayGolden(t *testing.T) {
 	}
 }
 
-// TestFrozenCheckpointRestores is the checkpoint compatibility
-// contract. testdata/judge16_mid_v1.dvsc is the judge replay's session
-// after goldenCutAt batches, written by the engine version that left
-// superseded completion events in its queue; it is NEVER regenerated
-// (-update creates it only if absent). Restoring it and submitting the
-// remaining batches must reproduce the golden trace's suffix byte for
-// byte and the golden total cost bit for bit.
-func TestFrozenCheckpointRestores(t *testing.T) {
+// TestFrozenLogReplays is the compatibility promise of the event log,
+// the one format a session is exported and rebuilt from.
+// testdata/judge16.bintrace is the judge replay's whole log. Replaying
+// it up to the last Seq of the first goldenCutAt batches and submitting
+// the remaining batches must reproduce the golden bytes byte for byte
+// and the golden total cost bit for bit.
+func TestFrozenLogReplays(t *testing.T) {
 	ctx := context.Background()
 	batches := goldenBatches(t)
-	path := filepath.Join("testdata", frozenDVSC)
-	if _, err := os.Stat(path); os.IsNotExist(err) && *update {
-		// A sink keeps the event seq counting, so EvSeq marks the cut.
-		sess, err := judgeScheduler(t, &obs.Recorder{}).OpenOnline(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		submitAll(t, sess, batches[:goldenCutAt])
-		blob, err := sess.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (frozen checkpoint missing; create once with -update)", err)
-	}
-	cp, err := sim.UnmarshalCheckpoint(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Only completions carry a nonzero seq; one whose seq is not its
-	// core's live run seq was superseded by a reschedule.
-	stale := 0
-	for _, ev := range cp.Events {
-		if ev.Seq != 0 && ev.Seq != cp.Cores[ev.Core].RunSeq {
-			stale++
-		}
-	}
-	if stale == 0 {
-		t.Fatal("frozen checkpoint holds no superseded completions; it no longer covers restore's drop path")
-	}
-
-	rec := &obs.Recorder{}
-	sess, err := judgeScheduler(t, rec).RestoreOnline(ctx, blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	submitAll(t, sess, batches[goldenCutAt:])
-	res, err := sess.Drain(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	raw, err := os.ReadFile(filepath.Join("testdata", goldenTrace))
 	if err != nil {
 		t.Fatal(err)
@@ -194,18 +144,38 @@ func TestFrozenCheckpointRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var suffix []obs.Event
-	for i, ev := range golden {
-		if ev.Seq > cp.EvSeq {
-			suffix = golden[i:]
-			break
-		}
+
+	// The cut: where the log stood when the first goldenCutAt batches
+	// had been submitted.
+	live := &obs.Recorder{}
+	src, err := judgeScheduler(t, live).OpenOnline(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(suffix) == 0 {
-		t.Fatal("golden trace has no events after the checkpoint")
+	submitAll(t, src, batches[:goldenCutAt])
+	cut := 0
+	for cut < len(golden) && golden[cut].Seq <= live.LastSeq() {
+		cut++
 	}
-	if got, want := obs.AppendBinary(nil, rec.Events()), obs.AppendBinary(nil, suffix); !bytes.Equal(got, want) {
-		t.Errorf("restored trace differs from the golden suffix (%d vs %d bytes)", len(got), len(want))
+	if cut == 0 || cut == len(golden) {
+		t.Fatalf("cut at seq %d leaves %d of %d golden events to replay", live.LastSeq(), cut, len(golden))
+	}
+
+	rec := &obs.Recorder{}
+	sess, err := judgeScheduler(t, rec).OpenOnline(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.ReplayTrace(ctx, golden[:cut]); err != nil {
+		t.Fatal(err)
+	}
+	submitAll(t, sess, batches[goldenCutAt:])
+	res, err := sess.Drain(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := obs.AppendBinary(nil, rec.Events()); !bytes.Equal(got, raw) {
+		t.Errorf("replayed and resumed log differs from the golden (%d vs %d bytes)", len(got), len(raw))
 	}
 	wantCost, err := os.ReadFile(filepath.Join("testdata", goldenCost))
 	if err != nil {
@@ -216,6 +186,6 @@ func TestFrozenCheckpointRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := math.Float64bits(res.TotalCost); got != bits {
-		t.Errorf("restored total cost %v (%016x), golden %016x", res.TotalCost, got, bits)
+		t.Errorf("replayed total cost %v (%016x), golden %016x", res.TotalCost, got, bits)
 	}
 }

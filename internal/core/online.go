@@ -129,6 +129,15 @@ func (o *OnlineSession) Drain(ctx context.Context) (*sim.Result, error) {
 	return res, nil
 }
 
+// Snapshot returns a copy of every task the session has admitted, in
+// the engine's task-table order. It never fails; the error result keeps
+// the signature its callers compile against. It exports no engine
+// state: a session's event log is its export, and ReplayTrace rebuilds
+// the session from it.
+func (o *OnlineSession) Snapshot() (model.TaskSet, error) {
+	return o.sess.Tasks(), nil
+}
+
 // Close ends the caller's use of an undrained session. A session owns
 // no goroutines or other resources beyond memory, so there is nothing
 // to release: Close is a no-op, kept for callers that defer it.

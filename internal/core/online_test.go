@@ -179,6 +179,49 @@ func (c *flipCtx) Err() error {
 	return context.Canceled
 }
 
+// TestDrainCanceledBeforeCallChangesNothing: a drain whose context
+// ended before the call processes no event, however far the session's
+// own step count is from a poll, and the retry drains.
+func TestDrainCanceledBeforeCallChangesNothing(t *testing.T) {
+	rec := &obs.Recorder{}
+	sched, err := core.New(model.CostParams{Re: 0.1, Rt: 0.4},
+		platform.Homogeneous(4, platform.TableII(), platform.Ideal{}), core.WithSink(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := sched.OpenOnline(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make(model.TaskSet, 20)
+	for i := range batch {
+		batch[i] = model.Task{ID: i + 1, Cycles: 1 + float64(i%3), Arrival: float64(i) * 0.01, Deadline: model.NoDeadline}
+	}
+	if err := sess.Submit(context.Background(), batch); err != nil {
+		t.Fatal(err)
+	}
+	pending, last := sess.Pending(), rec.LastSeq()
+	if pending == 0 {
+		t.Fatal("nothing pending; the drain would have nothing to do")
+	}
+
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := sess.Drain(canceled); !errors.Is(err, core.ErrCanceled) {
+		t.Fatalf("drain under a canceled context = %v, want ErrCanceled", err)
+	}
+	if sess.Pending() != pending || rec.LastSeq() != last {
+		t.Fatalf("canceled drain moved the session: %d pending, last seq %d; before %d, %d", sess.Pending(), rec.LastSeq(), pending, last)
+	}
+	res, err := sess.Drain(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Tasks) != len(batch) {
+		t.Fatalf("retried drain finished %d tasks, %d were submitted", len(res.Tasks), len(batch))
+	}
+}
+
 // TestSubmitAppliesWholeOrNothing: Submit and Admit either apply a
 // batch whole or leave the session untouched. A context canceled
 // before the call changes nothing and the retry is accepted; a context

@@ -4,13 +4,19 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"dvfsched/internal/core"
 	"dvfsched/internal/model"
 	"dvfsched/internal/obs"
+	"dvfsched/internal/platform"
+	"dvfsched/internal/sim"
 )
+
+func bitEq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // TestReplayTraceRebuildsPromotedSession is the promotion path at the
 // facade level: run the golden judge session to the end, then rebuild
@@ -182,5 +188,109 @@ func TestReplayTraceRefusesInexactEnd(t *testing.T) {
 		if _, err := fresh.ReplayTrace(ctx, log); err == nil || !strings.Contains(err.Error(), "last seq") {
 			t.Errorf("%s: ReplayTrace = %v, want a refusal naming the last seq", name, err)
 		}
+	}
+}
+
+// TestReplayTraceWithoutSink rebuilds a session on a scheduler with no
+// sink, the way a client rebuilds a session from its exported log. The
+// engine must count the events it does not record, so the replay ends
+// on the log's last Seq with the source's clock and pending work, and
+// drains to the source's cost.
+func TestReplayTraceWithoutSink(t *testing.T) {
+	ctx := context.Background()
+	rec := &obs.Recorder{}
+	src, err := judgeScheduler(t, rec).OpenOnline(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitAll(t, src, goldenBatches(t)[:2])
+	if src.Pending() == 0 {
+		t.Fatal("nothing pending at the cut; the rebuild would be trivial")
+	}
+	sess, err := judgeScheduler(t, nil).OpenOnline(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.ReplayTrace(ctx, rec.Events()); err != nil {
+		t.Fatal(err)
+	}
+	if !bitEq(sess.Clock(), src.Clock()) || sess.Pending() != src.Pending() {
+		t.Fatalf("rebuilt clock %v, pending %d; source %v, %d", sess.Clock(), sess.Pending(), src.Clock(), src.Pending())
+	}
+	want, err := src.Drain(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sess.Drain(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bitEq(got.TotalCost, want.TotalCost) {
+		t.Errorf("rebuilt drain cost %v, source %v", got.TotalCost, want.TotalCost)
+	}
+}
+
+// TestRestoreBeforeEveryArrival replays arrivals one at a time on two
+// cores and, before every arrival, rebuilds the session from its log
+// alone, abandons it, and continues on the rebuild. The log the last
+// rebuild holds must equal the uninterrupted run's byte for byte, and
+// the drained cost bit for bit: a replay must re-derive all rounding
+// history, including that of dynamic-schedule ranges that deletes
+// emptied. The arrivals come in bursts of one to four equal 0.3-Gcycle
+// tasks, so Eq. 27 ties are common and a 1-ulp cost drift moves a task
+// to the other core.
+func TestRestoreBeforeEveryArrival(t *testing.T) {
+	ctx := context.Background()
+	params := model.CostParams{Re: 0.1, Rt: 0.4}
+	plat := platform.Homogeneous(2, platform.TableII(), platform.Ideal{})
+	rng := rand.New(rand.NewSource(1)) // deterministic workload, not randomness
+	var tasks model.TaskSet
+	for at := 0.0; len(tasks) < 200; at += 0.05 * float64(1+rng.Intn(4)) {
+		for k := rng.Intn(4); k >= 0; k-- {
+			tasks = append(tasks, model.Task{ID: len(tasks) + 1, Cycles: 0.3, Arrival: at, Deadline: model.NoDeadline})
+		}
+	}
+	open := func(rec *obs.Recorder) *core.OnlineSession {
+		sched, err := core.New(params, plat, core.WithSink(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := sched.OpenOnline(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+
+	run := func(rebuildEach bool) ([]byte, *sim.Result) {
+		rec := &obs.Recorder{}
+		sess := open(rec)
+		for _, task := range tasks {
+			if rebuildEach {
+				log := rec.Events()
+				rec = &obs.Recorder{}
+				sess = open(rec)
+				if _, err := sess.ReplayTrace(ctx, log); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sess.Submit(ctx, model.TaskSet{task}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := sess.Drain(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return obs.AppendBinary(nil, rec.Events()), res
+	}
+
+	want, wantRes := run(false)
+	got, gotRes := run(true)
+	if !bytes.Equal(got, want) {
+		t.Errorf("rebuilt-before-every-arrival log differs from the uninterrupted run (%d vs %d bytes)", len(got), len(want))
+	}
+	if !bitEq(gotRes.TotalCost, wantRes.TotalCost) {
+		t.Errorf("total cost %v, uninterrupted %v", gotRes.TotalCost, wantRes.TotalCost)
 	}
 }

@@ -208,7 +208,7 @@ func (s *Server) LiveSessionIDs(ctx context.Context) []string {
 // and installs it as a live shard under its original ID: the cluster
 // failover path, and (via the handoff endpoint) the planned migration
 // path. The adopted shard serves exactly like a locally created one —
-// submits, snapshots, drain, events.
+// submits, drain, events.
 func (s *Server) AdoptSession(ctx context.Context, id string, spec PlatformSpec, log []obs.Event) (SessionInfo, error) {
 	if !ValidID(id) {
 		return SessionInfo{}, fmt.Errorf("invalid session ID %q", id)

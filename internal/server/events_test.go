@@ -56,7 +56,7 @@ func TestWriteEventsMatchesWholeTrace(t *testing.T) {
 		emitEvents(rec, 0, n)
 		for _, format := range []string{"jsonl", "binary"} {
 			w := httptest.NewRecorder()
-			writeEvents(w, rec, format)
+			writeEvents(w, rec, n, format)
 			if got, want := w.Body.Bytes(), wholeTrace(rec.Events(), format); !bytes.Equal(got, want) {
 				t.Errorf("%d events, %s: %d bytes differ from the whole-trace encoding's %d", n, format, len(got), len(want))
 			}
@@ -69,7 +69,8 @@ func TestWriteEventsMatchesWholeTrace(t *testing.T) {
 
 // TestWriteEventsCountUnderConcurrentEmit streams while the session
 // keeps emitting: the body must carry exactly the X-Event-Count
-// events, the recorder's prefix at the time the count was fixed.
+// events, the recorder's prefix at the time the caller fixed the
+// count.
 func TestWriteEventsCountUnderConcurrentEmit(t *testing.T) {
 	const total = 16 * eventReadChunk
 	rec := &obs.Recorder{}
@@ -89,7 +90,7 @@ func TestWriteEventsCountUnderConcurrentEmit(t *testing.T) {
 		}
 		for _, format := range []string{"jsonl", "binary"} {
 			w := httptest.NewRecorder()
-			writeEvents(w, rec, format)
+			writeEvents(w, rec, rec.Len(), format)
 			n, err := strconv.Atoi(w.Header().Get("X-Event-Count"))
 			if err != nil {
 				t.Fatal(err)

@@ -107,9 +107,7 @@ func NewRouter(srv *Server, cl Cluster) *Router {
 func (rt *Router) SetTransport(t http.RoundTripper) { rt.client.Transport = t }
 
 // forwardedHeaders are the response headers a forward relays.
-var forwardedHeaders = []string{
-	"Content-Type", "X-Event-Count", "X-Checkpoint-Clock", "X-Checkpoint-Pending",
-}
+var forwardedHeaders = []string{"Content-Type", "X-Event-Count"}
 
 // maxForwardHops bounds router-to-router forwarding chains. Normal
 // routing is one hop; a couple more can happen transiently while

@@ -103,7 +103,6 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /v1/sessions/{id}", s.handleSessionStatus)
 	mux.HandleFunc("POST /v1/sessions/{id}/tasks", s.handleSessionSubmit)
 	mux.HandleFunc("GET /v1/sessions/{id}/events", s.handleSessionEvents)
-	mux.HandleFunc("GET /v1/sessions/{id}/snapshot", s.handleSessionSnapshot)
 	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleSessionDelete)
 	s.handler = s.instrument(mux)
 	return s

@@ -281,11 +281,15 @@ func (s *Server) handleSessionSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSessionEvents is GET /v1/sessions/{id}/events: the shard's obs
-// event trace so far. The default is JSON Lines; with ?format=binary
-// the same events stream in the compact framed binary trace encoding
+// event trace up to its last finished operation, so a read never ends
+// inside a submit. The default is JSON Lines; with ?format=binary the
+// same events stream in the compact framed binary trace encoding
 // (decode with obs.BinaryReader or cmd/traceinfo, which auto-detects
-// the magic). After a drain it is the complete trace of the session
-// and replays through report.TimelineFromEvents.
+// the magic). The binary trace is the session's export:
+// core.OnlineSession.ReplayTrace rebuilds the session from it, on a
+// scheduler configured with the same platform and cost constants.
+// After a drain it is the complete trace of the session and replays
+// through report.TimelineFromEvents.
 func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	sh, ok := s.lookupShard(w, r)
 	if !ok {
@@ -300,23 +304,25 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "unknown trace format %q (want jsonl or binary)", format)
 		return
 	}
-	writeEvents(w, sh.rec, format)
+	// A shard's log numbers its events 1, 2, ... without gaps, so the
+	// events up to the commit point are its first committed events.
+	writeEvents(w, sh.rec, int(sh.committed.Load()), format)
 }
 
 // eventReadChunk is how many events writeEvents copies out of the
 // recorder per read: one recorder chunk.
 const eventReadChunk = 1024
 
-// writeEvents streams rec's events in format ("jsonl" or "binary"). The
-// count is fixed once, up front, so X-Event-Count and the body agree
-// while the session keeps emitting; the events are then read in
-// bounded ranges into one reused scratch instead of copying the whole
-// trace. They go out through one pooled buffer, append-framed — the
-// same bytes the serializers produce, without a marshal allocation per
-// event. Both encoders emit self-contained append-only bytes, so the
-// buffer can flush to the wire at any point.
-func writeEvents(w http.ResponseWriter, rec *obs.Recorder, format string) {
-	n := rec.Len()
+// writeEvents streams rec's first n events, which rec must already
+// hold, in format ("jsonl" or "binary"). The caller fixes n up front,
+// so X-Event-Count and the body agree while the session keeps
+// emitting; the events are then read in bounded ranges into one reused
+// scratch instead of copying the whole trace. They go out through one
+// pooled buffer, append-framed — the same bytes the serializers
+// produce, without a marshal allocation per event. Both encoders emit
+// self-contained append-only bytes, so the buffer can flush to the
+// wire at any point.
+func writeEvents(w http.ResponseWriter, rec *obs.Recorder, n int, format string) {
 	w.Header().Set("X-Event-Count", strconv.Itoa(n))
 	if format == "binary" {
 		w.Header().Set("Content-Type", "application/octet-stream")
@@ -354,43 +360,6 @@ func writeEvents(w http.ResponseWriter, rec *obs.Recorder, format string) {
 	}
 	*bp = buf[:0]
 	encBufPool.Put(bp)
-}
-
-// handleSessionSnapshot is GET /v1/sessions/{id}/snapshot: a binary
-// checkpoint of the live session (sim checkpoint format, "DVSC"
-// magic). The snapshot is taken under the session's lock, so it lands
-// between two submissions, never inside one. Restore it
-// with core.Scheduler.RestoreOnline on a scheduler configured with the
-// same platform and cost constants. It is a client-facing export only:
-// nodes never exchange snapshots, because a session's event log alone
-// rebuilds it by replay (ReplaySession), for promotion and migration
-// alike.
-func (s *Server) handleSessionSnapshot(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		// Shutdown is draining every shard to its final result; a
-		// checkpoint taken mid-drain would race the tombstone, and a
-		// drained session cannot be snapshotted anyway. Fail over.
-		s.writeAPIError(w, ErrDraining, http.StatusServiceUnavailable)
-		return
-	}
-	sh, ok := s.lookupShard(w, r)
-	if !ok {
-		return
-	}
-	resp, err := sh.do(r.Context(), opSnapshot)
-	if err != nil {
-		s.writeAPIError(w, s.sessionErr(sh.id, err), http.StatusInternalServerError)
-		return
-	}
-	if resp.err != nil {
-		s.writeAPIError(w, resp.err, http.StatusConflict)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Checkpoint-Clock", fmt.Sprint(resp.clock))
-	w.Header().Set("X-Checkpoint-Pending", fmt.Sprint(resp.pending))
-	//dvfslint:allow errcheck-hot header already sent; nothing useful to do on error
-	_, _ = w.Write(resp.snapshot)
 }
 
 // handleSessionDelete is DELETE /v1/sessions/{id}: the first call

@@ -25,11 +25,10 @@ type shardOp int
 const (
 	opStatus shardOp = iota
 	opDrain
-	opSnapshot
 	// opHandoff freezes the shard for a planned migration: the log
 	// ends between two submissions, and every later mutation (submit,
-	// drain, snapshot) is fenced with ErrSessionMigrating until an
-	// unfreeze or a purge.
+	// drain) is fenced with ErrSessionMigrating until an unfreeze or a
+	// purge.
 	opHandoff
 )
 
@@ -44,14 +43,11 @@ type shardResp struct {
 	// so lifecycle counters fire exactly once per session.
 	first  bool
 	result *sim.Result
-	// snapshot is the opSnapshot payload: a serialized session
-	// checkpoint.
-	snapshot []byte
 }
 
 // shard is one online session: a core.OnlineSession and its lifecycle
 // state behind one mutex. Every operation (submit, status, drain,
-// snapshot, handoff freeze, unfreeze, purge) runs on the caller's own
+// handoff freeze, unfreeze, purge) runs on the caller's own
 // goroutine while holding mu, so the engine sees one caller at a time
 // and the trace is the serial trace of the operations in lock order.
 type shard struct {
@@ -68,7 +64,8 @@ type shard struct {
 	waiting atomic.Int32
 	// committed is the Seq of the last event of the last operation that
 	// finished under mu. Events past it belong to an operation still
-	// running, so the replication stream reads the log only up to it.
+	// running, so the replication stream and the events endpoint read
+	// the log only up to it.
 	committed atomic.Uint64
 
 	mu        sync.Mutex
@@ -212,11 +209,11 @@ func (sh *shard) do(ctx context.Context, op shardOp) (shardResp, error) {
 		if sh.final != nil {
 			resp.clock = sh.final.Makespan
 		}
-	case opSnapshot, opHandoff:
-		// Under the lock the checkpoint, or the handed-off log, ends
-		// between two submissions, never inside one. After a handoff
-		// freeze every later mutation is fenced and retried by the
-		// client against the new owner.
+	case opHandoff:
+		// Under the lock the handed-off log ends between two
+		// submissions, never inside one. After the freeze every later
+		// mutation is fenced and retried by the client against the new
+		// owner.
 		if sh.frozen {
 			resp.err = fmt.Errorf("%w: %s", ErrSessionMigrating, sh.id)
 			break
@@ -225,12 +222,8 @@ func (sh *shard) do(ctx context.Context, op shardOp) (shardResp, error) {
 			resp.err = fmt.Errorf("%w: %s", ErrSessionDrained, sh.id)
 			break
 		}
-		if op == opHandoff {
-			sh.frozen = true
-		} else {
-			resp.snapshot, resp.err = sh.sess.Snapshot()
-		}
-		resp.clock, resp.pending, resp.submitted = sh.sess.Clock(), sh.sess.Pending(), sh.submitted
+		sh.frozen = true
+		resp.submitted = sh.submitted
 	}
 	return resp, nil
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -28,18 +27,6 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/"+digestFile)
 
 const digestFile = "engine_digests.txt"
-
-// engineOnly gives a policy without checkpoint support an empty policy
-// section, so Snapshot captures the engine's own state (clock, event
-// queue with its order and seq counters, run segments, residency) for
-// every policy.
-type engineOnly struct{ sim.Policy }
-
-func (engineOnly) SnapshotPolicy(func(*sim.TaskState) int) ([]byte, error) { return nil, nil }
-
-func (engineOnly) RestorePolicy([]byte, func(int) *sim.TaskState) error {
-	return errors.New("engineOnly: nothing to restore")
-}
 
 // digestScenario is one engine configuration whose outputs are pinned.
 type digestScenario struct {
@@ -70,10 +57,8 @@ func digestScenarios() []digestScenario {
 	}
 	// OnTick retunes every core the governor moves, running or not; on
 	// the mixed workload one tick often retunes several running cores.
-	ondemand := func(testing.TB) sim.Policy { return engineOnly{&sched.OnDemandRR{Preemptive: true}} }
-	replan := func(testing.TB) sim.Policy {
-		return engineOnly{&online.Replan{Params: digestParams}}
-	}
+	ondemand := func(testing.TB) sim.Policy { return &sched.OnDemandRR{Preemptive: true} }
+	replan := func(testing.TB) sim.Policy { return &online.Replan{Params: digestParams} }
 	var out []digestScenario
 	for _, plat := range []struct {
 		name  string
@@ -149,9 +134,8 @@ func digestBatches(tasks model.TaskSet) []model.TaskSet {
 }
 
 // runDigest submits every batch the way an online session does
-// (inject, then advance to the batch's latest arrival), hashes the
-// session's checkpoint after each batch, then drains and hashes the
-// event trace and the result.
+// (inject, then advance to the batch's latest arrival), then drains and
+// hashes the event trace and the result.
 func runDigest(t *testing.T, sc digestScenario) []string {
 	t.Helper()
 	batches := digestBatches(sc.tasks(t, sc.cores))
@@ -166,8 +150,7 @@ func runDigest(t *testing.T, sc digestScenario) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lines []string
-	for i, b := range batches {
+	for _, b := range batches {
 		if err := s.Inject(b.Clone()); err != nil {
 			t.Fatal(err)
 		}
@@ -178,15 +161,6 @@ func runDigest(t *testing.T, sc digestScenario) []string {
 		if err := s.AdvanceTo(ctx, latest); err != nil {
 			t.Fatal(err)
 		}
-		cp, err := s.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob, err := cp.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines = append(lines, fmt.Sprintf("%s dvsc %02d %x", sc.name, i, sha256.Sum256(blob)))
 	}
 	res, err := s.Finish(ctx)
 	if err != nil {
@@ -205,19 +179,19 @@ func runDigest(t *testing.T, sc digestScenario) []string {
 			resid.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(r[rate])))
 		}
 	}
-	return append(lines,
+	return []string{
 		fmt.Sprintf("%s trace %x", sc.name, sha256.Sum256(obs.AppendBinary(nil, rec.Events()))),
 		fmt.Sprintf("%s cost %016x", sc.name, math.Float64bits(res.TotalCost)),
 		fmt.Sprintf("%s switches %d", sc.name, res.Switches),
 		fmt.Sprintf("%s preemptions %d", sc.name, res.Preemptions),
 		fmt.Sprintf("%s residency %x", sc.name, resid.Sum(nil)),
-	)
+	}
 }
 
 // TestEngineDigests pins the engine's outputs bit for bit across
-// policies and execution models: the checkpoint bytes after every
-// submitted batch, the binary event trace, and the drained cost bits,
-// switch and preemption counts and per-core residency. The realistic
+// policies and execution models: the binary event trace, and the
+// drained cost bits, switch and preemption counts and per-core
+// residency. The realistic
 // platform makes speeds depend on the active-core count, and the
 // on-demand policy's governor changes levels of running cores several
 // times per tick. Regenerate with -update only for an intended change

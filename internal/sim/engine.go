@@ -251,8 +251,7 @@ type coreState struct {
 }
 
 // levelSeconds is one rate level's residency counter. A rate is
-// reported, in Result.Residency and checkpoints, once its core has
-// been settled at it.
+// reported in Result.Residency once its core has been settled at it.
 type levelSeconds struct {
 	seconds float64
 	seen    bool
@@ -308,13 +307,15 @@ type Engine struct {
 var testInvariants bool
 
 // emit forwards an event to the configured sink, stamping the current
-// clock and the next sequence number. No-op without a sink, so the
-// hot path stays allocation-free when observability is off.
+// clock and the next sequence number. The sequence number advances
+// with or without a sink, so StepTo counts the same events either way;
+// without one nothing else happens, and the hot path stays
+// allocation-free when observability is off.
 func (e *Engine) emit(ev obs.Event) {
+	e.evSeq++
 	if e.sink == nil {
 		return
 	}
-	e.evSeq++
 	ev.Seq = e.evSeq
 	ev.T = e.clock
 	e.sink.Emit(ev)
@@ -403,8 +404,8 @@ func (e *Engine) invalidate() {
 // count) and restamps every running core's completion, replacing the
 // one it held. Start, Preempt, SetLevel and completions only
 // invalidate; step restamps once before it returns, and every reader
-// of stamps, nextDone or the counters (next, Inject, Snapshot, the
-// tick push) restamps first.
+// of stamps, nextDone or the counters (next, Inject, the tick push)
+// restamps first.
 //
 // One pass stands for all the passes the instant's mutations owe, bit
 // for bit. The clock does not move within a step, and the first
@@ -414,7 +415,7 @@ func (e *Engine) invalidate() {
 // active count. seqCtr and orderCtr first skip the stamps of the
 // earlier passes, then the pass stamps the running cores in core order,
 // so every counter, seq and order ends where a pass per mutation would
-// leave it and checkpoints do not change.
+// leave it and traces do not change.
 func (e *Engine) restamp() {
 	if !e.stale {
 		return

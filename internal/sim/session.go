@@ -29,10 +29,6 @@ type Session struct {
 	// tickAt is the virtual time of the pending tick event, or NaN when
 	// no tick is scheduled.
 	tickAt float64
-	// steps counts processed events; the driving context is polled
-	// every ctxPollInterval of them so cancellation latency stays
-	// bounded without paying a context check per event.
-	steps uint64
 	// finished is set once Finish has run; further mutation is an
 	// error.
 	finished bool
@@ -41,9 +37,10 @@ type Session struct {
 	inv *obs.InvariantSink
 }
 
-// ctxPollInterval is how many events a session processes between
-// context checks. Events are sub-microsecond, so cancellation is still
-// observed within tens of microseconds.
+// ctxPollInterval is how many events a call processes between context
+// checks; AdvanceTo, StepTo and Drain each check before their first
+// event. Events are sub-microsecond, so cancellation is still observed
+// within tens of microseconds.
 const ctxPollInterval = 256
 
 // OpenSession validates the configuration and returns an empty session
@@ -97,6 +94,16 @@ func (s *Session) Clock() float64 { return s.e.clock }
 // Pending returns the number of injected tasks that have not completed.
 func (s *Session) Pending() int { return s.e.undone }
 
+// Tasks returns a copy of every injected task, in the order the engine
+// holds them: batch by batch, each batch by arrival.
+func (s *Session) Tasks() model.TaskSet {
+	tasks := make(model.TaskSet, len(s.e.tasks))
+	for i, ts := range s.e.tasks {
+		tasks[i] = ts.Task
+	}
+	return tasks
+}
+
 // Inject adds tasks to the session. Every task must validate, carry an
 // ID never seen by this session, and arrive at or after the current
 // virtual clock (a session cannot rewrite the past) and no later than
@@ -145,11 +152,13 @@ func (s *Session) Inject(tasks model.TaskSet) error {
 }
 
 // step processes the earliest pending event if its time is at most
-// limit; it reports whether an event was consumed. Mirrors one
-// iteration of the original Run loop, including the undone>0 guard:
-// once every task has completed the session parks, leaving any future
-// tick in the queue.
-func (s *Session) step(ctx context.Context, limit float64) (bool, error) {
+// limit; it reports whether an event was consumed. n counts the events
+// the calling loop has processed: the context is checked before the
+// first and every ctxPollInterval-th after it. Mirrors one iteration
+// of the original Run loop, including the undone>0 guard: once every
+// task has completed the session parks, leaving any future tick in the
+// queue.
+func (s *Session) step(ctx context.Context, limit float64, n int) (bool, error) {
 	e := s.e
 	next := e.next()
 	if next == nil || e.undone == 0 {
@@ -158,12 +167,11 @@ func (s *Session) step(ctx context.Context, limit float64) (bool, error) {
 	if next.time > limit {
 		return false, nil
 	}
-	if s.steps%ctxPollInterval == 0 {
+	if n%ctxPollInterval == 0 {
 		if err := ctx.Err(); err != nil {
 			return false, fmt.Errorf("%w: %w", ErrCanceled, err)
 		}
 	}
-	s.steps++
 	ev := *next
 	if len(e.events) > 0 && next == &e.events[0] {
 		e.events.pop()
@@ -241,8 +249,8 @@ func (s *Session) AdvanceTo(ctx context.Context, t float64) error {
 	if t > s.maxTime {
 		return fmt.Errorf("sim: advance target %v exceeds max time %v", t, s.maxTime)
 	}
-	for {
-		ok, err := s.step(ctx, t)
+	for n := 0; ; n++ {
+		ok, err := s.step(ctx, t, n)
 		if err != nil {
 			return err
 		}
@@ -266,8 +274,8 @@ func (s *Session) StepTo(ctx context.Context, seq uint64) error {
 	if s.finished {
 		return ErrSessionFinished
 	}
-	for s.e.evSeq < seq {
-		ok, err := s.step(ctx, math.Inf(1))
+	for n := 0; s.e.evSeq < seq; n++ {
+		ok, err := s.step(ctx, math.Inf(1), n)
 		if err != nil {
 			return err
 		}
@@ -287,8 +295,8 @@ func (s *Session) Drain(ctx context.Context) error {
 	if s.finished {
 		return ErrSessionFinished
 	}
-	for s.e.undone > 0 {
-		ok, err := s.step(ctx, math.Inf(1))
+	for n := 0; s.e.undone > 0; n++ {
+		ok, err := s.step(ctx, math.Inf(1), n)
 		if err != nil {
 			return err
 		}

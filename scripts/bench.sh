@@ -14,8 +14,8 @@
 # Every benchmark runs COUNT times (default 5) for BENCHTIME each
 # (default 1s; shorter runs let a burst of load from elsewhere on the
 # machine move a figure by more than the benchdiff gate). Each recorded
-# figure — ns/op, B/op, allocs/op and any custom metric, such as ckpt-B
-# as "ckpt_B" — is the median over the runs; ns_per_op_min and
+# figure — ns/op, B/op, allocs/op and any custom metric, such as log-B
+# as "log_B" — is the median over the runs; ns_per_op_min and
 # ns_per_op_max record the spread. Names drop go test's -N GOMAXPROCS
 # suffix, so baselines taken on machines with different core counts
 # share names.
@@ -27,7 +27,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-OUT=${1:-BENCH_PR26.json}
+OUT=${1:-BENCH_PR27.json}
 BENCHTIME=${BENCHTIME:-1s}
 COUNT=${COUNT:-5}
 PKGS=${BENCH_PKGS:-./internal/sim ./internal/core ./internal/batch ./internal/envelope ./internal/rangetree ./internal/dynsched ./internal/online ./internal/obs ./internal/server ./internal/cluster}

@@ -26,7 +26,7 @@
 # benchmark that was allocation-free in the old baseline and allocates
 # at all in the new one fails too: 0 -> N has no finite percentage and
 # is exactly the hot-path regression the gate exists to catch.
-# ckpt_B, the byte size of a deterministic checkpoint, must repeat
+# log_B, the byte size of a deterministic event log, must repeat
 # exactly, so any growth in it fails. Timing-dependent custom metrics
 # (frames_op, MB_s) are not gated. Benchmarks present only in the new
 # file are reported as "new benchmark" — not a regression, but
@@ -100,9 +100,9 @@ function num(line, key) {
     return 1
 }
 # parse extracts package/name/ns_per_op (and allocs_per_op,
-# bytes_per_op and ckpt_B when the line carries them — benchmarks run
+# bytes_per_op and log_B when the line carries them — benchmarks run
 # without -benchmem do not) from one bench.sh JSON line into K, NS,
-# APO/HASA, BPO/HASB and CKB/HASC; bench.sh writes one object per line,
+# APO/HASA, BPO/HASB and LOGB/HASL; bench.sh writes one object per line,
 # so a line-wise scan is exact for these files.
 function parse(line) {
     if (line !~ /"name": "Benchmark/) return 0
@@ -114,7 +114,7 @@ function parse(line) {
     NS = V
     HASA = num(line, "allocs_per_op"); APO = HASA ? V : 0
     HASB = num(line, "bytes_per_op"); BPO = HASB ? V : 0
-    HASC = num(line, "ckpt_B"); CKB = HASC ? V : 0
+    HASL = num(line, "log_B"); LOGB = HASL ? V : 0
     K = pkg "/" nm
     return 1
 }
@@ -139,7 +139,7 @@ NR == FNR {
         base[K] = NS
         if (HASA) { basea[K] = APO; baseha[K] = 1 }
         if (HASB) { baseb[K] = BPO; basehb[K] = 1 }
-        if (HASC) { basec[K] = CKB; basehc[K] = 1 }
+        if (HASL) { basel[K] = LOGB; basehl[K] = 1 }
     }
     next
 }
@@ -154,7 +154,7 @@ NR == FNR {
     delta = (NS - base[K]) / base[K] * 100
     printf("%-66s %11.1f -> %11.1f ns/op  %+7.1f%%", K, base[K], NS, delta)
     if (baseha[K] && HASA) printf("  %6d -> %6d allocs/op", basea[K], APO)
-    if (basehc[K] && HASC) printf("  %d -> %d ckpt_B", basec[K], CKB)
+    if (basehl[K] && HASL) printf("  %d -> %d log_B", basel[K], LOGB)
     printf("\n")
     if (delta > threshold) {
         printf("REGRESSION: %s slowed %.1f%% (limit %d%%)\n", K, delta, threshold)
@@ -165,8 +165,8 @@ NR == FNR {
     # signal to regress against.
     if (baseha[K] && HASA) gate("allocs/op", basea[K], APO)
     if (basehb[K] && HASB) gate("B/op", baseb[K], BPO)
-    if (basehc[K] && HASC && CKB > basec[K]) {
-        printf("REGRESSION: %s ckpt_B grew %d -> %d (deterministic: must not grow)\n", K, basec[K], CKB)
+    if (basehl[K] && HASL && LOGB > basel[K]) {
+        printf("REGRESSION: %s log_B grew %d -> %d (deterministic: must not grow)\n", K, basel[K], LOGB)
         bad++
     }
 }

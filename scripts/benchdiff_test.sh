@@ -21,7 +21,7 @@ linea() {
 }
 
 # linex is linea with its bytes/op given and custom metric fields
-# (", \"ckpt_B\": 7", ...) appended.
+# (", \"log_B\": 7", ...) appended.
 linex() {
     printf '  {"package": "%s", "name": "%s", "iterations": 100, "ns_per_op": %s, "bytes_per_op": %s, "allocs_per_op": %s%s}' "$1" "$2" "$3" "$4" "$5" "$6"
 }
@@ -143,18 +143,18 @@ printf '[\n%s,\n%s\n]\n' "$(linex pkg/a BenchmarkBytes 100.0 1000 5 '')" \
     "$(linex pkg/a BenchmarkNoBytes 100.0 48 0 '')" > "$DIR/bytes_zero_broken.json"
 expect 1 "now 48 B/op" "zero-to-nonzero bytes gate" "$DIR/bytes_old.json" "$DIR/bytes_zero_broken.json"
 
-# ckpt_B is deterministic: growing by a single byte fails, while an
-# equal or smaller checkpoint passes. Timing-dependent custom metrics
+# log_B is deterministic: growing by a single byte fails, while an
+# equal or smaller log passes. Timing-dependent custom metrics
 # (frames_op, MB_s) stay ungated however far they move.
-printf '[\n%s\n]\n' "$(linex pkg/a BenchmarkCkpt 100.0 1000 5 ', "ckpt_B": 236007, "frames_op": 4, "MB_s": 100')" > "$DIR/ckpt_old.json"
-printf '[\n%s\n]\n' "$(linex pkg/a BenchmarkCkpt 100.0 1000 5 ', "ckpt_B": 236008, "frames_op": 4, "MB_s": 100')" > "$DIR/ckpt_grew.json"
-expect 1 "ckpt_B grew 236007 -> 236008" "ckpt_B growth gate" "$DIR/ckpt_old.json" "$DIR/ckpt_grew.json"
-printf '[\n%s\n]\n' "$(linex pkg/a BenchmarkCkpt 100.0 1000 5 ', "ckpt_B": 236007, "frames_op": 4, "MB_s": 100')" > "$DIR/ckpt_same.json"
-expect 0 "236007 -> 236007 ckpt_B" "unchanged ckpt_B" "$DIR/ckpt_old.json" "$DIR/ckpt_same.json"
-printf '[\n%s\n]\n' "$(linex pkg/a BenchmarkCkpt 100.0 1000 5 ', "ckpt_B": 200000, "frames_op": 4, "MB_s": 100')" > "$DIR/ckpt_shrank.json"
-expect 0 "1 shared benchmarks" "smaller ckpt_B" "$DIR/ckpt_old.json" "$DIR/ckpt_shrank.json"
-printf '[\n%s\n]\n' "$(linex pkg/a BenchmarkCkpt 100.0 1000 5 ', "ckpt_B": 236007, "frames_op": 40, "MB_s": 10')" > "$DIR/ckpt_timing.json"
-expect 0 "1 shared benchmarks" "frames_op and MB_s ungated" "$DIR/ckpt_old.json" "$DIR/ckpt_timing.json"
+printf '[\n%s\n]\n' "$(linex pkg/a BenchmarkLog 100.0 1000 5 ', "log_B": 236007, "frames_op": 4, "MB_s": 100')" > "$DIR/log_old.json"
+printf '[\n%s\n]\n' "$(linex pkg/a BenchmarkLog 100.0 1000 5 ', "log_B": 236008, "frames_op": 4, "MB_s": 100')" > "$DIR/log_grew.json"
+expect 1 "log_B grew 236007 -> 236008" "log_B growth gate" "$DIR/log_old.json" "$DIR/log_grew.json"
+printf '[\n%s\n]\n' "$(linex pkg/a BenchmarkLog 100.0 1000 5 ', "log_B": 236007, "frames_op": 4, "MB_s": 100')" > "$DIR/log_same.json"
+expect 0 "236007 -> 236007 log_B" "unchanged log_B" "$DIR/log_old.json" "$DIR/log_same.json"
+printf '[\n%s\n]\n' "$(linex pkg/a BenchmarkLog 100.0 1000 5 ', "log_B": 200000, "frames_op": 4, "MB_s": 100')" > "$DIR/log_shrank.json"
+expect 0 "1 shared benchmarks" "smaller log_B" "$DIR/log_old.json" "$DIR/log_shrank.json"
+printf '[\n%s\n]\n' "$(linex pkg/a BenchmarkLog 100.0 1000 5 ', "log_B": 236007, "frames_op": 40, "MB_s": 10')" > "$DIR/log_timing.json"
+expect 0 "1 shared benchmarks" "frames_op and MB_s ungated" "$DIR/log_old.json" "$DIR/log_timing.json"
 
 # Missing baselines must fail loudly, not vacuously pass.
 expect 1 "missing" "missing old baseline" "$DIR/absent.json" "$DIR/new.json"
@@ -217,7 +217,7 @@ pkg: pkg/a
 BenchmarkShared-2   	     100	       300.0 ns/op	      64 B/op	       3 allocs/op
 BenchmarkShared-2   	     100	        95.0 ns/op	      64 B/op	       3 allocs/op
 BenchmarkShared-2   	     100	       100.0 ns/op	      64 B/op	       3 allocs/op
-BenchmarkSub/case-2 	     100	        10.0 ns/op	         7.000 ckpt-B
+BenchmarkSub/case-2 	     100	        10.0 ns/op	         7.000 log-B
 RAW
 if ! COUNT=0 BENCH_LOG="$DIR/raw.txt" scripts/bench.sh "$DIR/conv.json" >/dev/null 2>&1; then
     fail "bench.sh could not convert a raw log"
@@ -226,7 +226,7 @@ expect 0 "1 shared benchmarks" "suffixed names match a suffix-free baseline" "$D
 grep -q '"name": "BenchmarkShared", "iterations": 100, "runs": 3, "ns_per_op": 100, "ns_per_op_min": 95, "ns_per_op_max": 300, "bytes_per_op": 64, "allocs_per_op": 3}' "$DIR/conv.json" ||
     fail "conversion did not record the median and spread of three runs
 $(cat "$DIR/conv.json")"
-grep -q '"name": "BenchmarkSub/case", .*"ckpt_B": 7}' "$DIR/conv.json" ||
+grep -q '"name": "BenchmarkSub/case", .*"log_B": 7}' "$DIR/conv.json" ||
     fail "conversion dropped a custom metric
 $(cat "$DIR/conv.json")"
 
