@@ -27,10 +27,10 @@ import (
 // count and the pin. The target rebuilds the session by replaying the
 // log exactly, the way a promotion does (server.ReplaySession), and
 // refuses the handoff unless the rebuild holds the sender's task
-// count. flip installs the placement
-// record (locally, on the target at adopt, and broadcast to the rest),
-// retires the local shard behind a moved marker, and drops the old
-// replica chain with a sender-fenced drop frame. The fencing rule that
+// count. flip installs the placement record (locally, on the target at
+// adopt, and broadcast to the rest), retires the local shard behind a
+// moved marker, and drops the old replica chain with a sender-fenced
+// drop frame. The fencing rule that
 // makes admission exactly-once: a submit either lands before the
 // freeze (it is then in the shipped log), or it is fenced with a
 // retryable 503 and its retry routes to the new owner. No interleaving

@@ -135,7 +135,7 @@ func rebuild(t *testing.T, spec PlatformSpec, bin []byte) (*core.OnlineSession, 
 // TestSessionEventsExportRebuilds exports a live session over HTTP as
 // its binary events, rebuilds it in-process on a scheduler with no
 // sink, and drains it: the totals must equal the live DELETE's bit for
-// bit. The checkpoint route is gone.
+// bit. The events are the only export: GET /snapshot answers 404.
 func TestSessionEventsExportRebuilds(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	id := createSession(t, ts.URL)
