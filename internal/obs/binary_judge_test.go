@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"dvfsched/internal/model"
 	"dvfsched/internal/obs"
@@ -191,6 +192,26 @@ func BenchmarkJSONLEncodeJudge(b *testing.B) {
 		buf = appendJSONL(buf[:0], events)
 	}
 	_ = buf
+}
+
+// BenchmarkRecorderEmitJudge prices a session's log on its emit path:
+// the judge trace emitted into a fresh Recorder, whose commit point is
+// then read once, as a session's shard does after each operation.
+// log-B reports the bytes the recorder stores the log in.
+func BenchmarkRecorderEmitJudge(b *testing.B) {
+	events := judgeTrace(b)
+	var rec *obs.Recorder
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec = &obs.Recorder{}
+		for _, ev := range events {
+			rec.Emit(ev)
+		}
+		_ = rec.LastSeq()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(rec.Len()*int(unsafe.Sizeof(obs.Event{}))), "log-B")
 }
 
 func BenchmarkBinaryDecodeJudge(b *testing.B) {
