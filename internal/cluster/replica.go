@@ -25,8 +25,9 @@ type replica struct {
 
 	mu   sync.Mutex
 	spec server.PlatformSpec
-	// log is the shipped event log. Its last event's Seq is the log
-	// tail every append is checked against.
+	// log is the shipped event log, written and committed under mu.
+	// Its last event's Seq is the log tail every append is checked
+	// against.
 	log obs.Recorder
 }
 
@@ -102,10 +103,12 @@ func (rs *replicaStore) ids() []string {
 // log exactly — a gap means the owner and replica disagree about what
 // was shipped, and accepting it would leave a hole the promotion
 // replay cannot cross. The owner heals a reported gap by re-shipping
-// from zero.
+// from zero. What the batch appended is committed when it returns,
+// gap or not.
 func (rep *replica) appendLog(events []obs.Event) error {
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
+	defer rep.log.Commit()
 	lastSeq := rep.log.LastSeq()
 	for _, ev := range events {
 		if ev.Seq <= lastSeq {

@@ -239,12 +239,11 @@ func (n *Node) fly(cur *shipCursor, f *shipFlight, open bool, from uint64) bool 
 	return posted || err != nil
 }
 
-// shipBuf is the reusable scratch of one frame round trip: the event
-// read buffer, the blob area, the final wire body, the request body
-// reader, the reply read buffer and the decoded reply. Pooled; Get and
-// Put happen in fly, so no ownership leaves that frame.
+// shipBuf is the reusable scratch of one frame round trip: the blob
+// area, the final wire body, the request body reader, the reply read
+// buffer and the decoded reply. Pooled; Get and Put happen in fly, so
+// no ownership leaves that frame.
 type shipBuf struct {
-	evs  []obs.Event
 	blob []byte
 	body []byte
 	rd   bytes.Reader
@@ -269,19 +268,13 @@ func (n *Node) build(buf *shipBuf, h frameHeader, open bool, from uint64) (toSeq
 		}
 		h.Spec = &spec
 	}
-	evs, err := n.srv.AppendSessionEventsSince(h.ID, from, buf.evs[:0])
+	buf.blob, toSeq, events, err = n.srv.AppendSessionLogSince(h.ID, from, buf.blob[:0])
 	if err != nil {
 		return from, 0, err
 	}
-	buf.evs = evs
-	toSeq = from
-	if len(evs) > 0 {
-		toSeq = evs[len(evs)-1].Seq
-	}
-	buf.blob = obs.AppendBinary(buf.blob[:0], evs)
 	h.EventsLen = len(buf.blob)
 	buf.body, err = appendFrame(buf.body[:0], h, buf.blob)
-	return toSeq, len(evs), err
+	return toSeq, events, err
 }
 
 // appendFrame appends one whole frame to dst: the 4-byte header

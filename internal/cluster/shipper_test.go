@@ -136,6 +136,7 @@ func TestClusterStreamHealsAckGap(t *testing.T) {
 	first := rep.log.Events()[0]
 	rep.log = obs.Recorder{}
 	rep.log.Emit(first)
+	rep.log.Commit()
 	rep.mu.Unlock()
 
 	// One submit, one request: the gap must be detected and healed

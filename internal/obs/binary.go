@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -130,6 +132,347 @@ func (e *FrameError) Unwrap() error { return e.Err }
 // corresponds to optFields index i.
 const numOptFields = 6
 
+const (
+	// frameHeaderLen is a frame's header: payload length and CRC.
+	frameHeaderLen = 8
+
+	// maxRecordLen bounds one record's bytes besides its kind string:
+	// the kind's index and length, the flags byte, Seq, T, Core, Task
+	// and the six optional fields, each varint at its longest.
+	maxRecordLen = 2*binary.MaxVarintLen64 + 1 + (4+numOptFields)*binary.MaxVarintLen64
+)
+
+// recordRoom is the spare capacity putRecord needs for ev.
+func recordRoom(ev *Event) int { return maxRecordLen + len(ev.Kind) }
+
+// predictors is the per-frame state every record is coded against:
+// the previous record's Seq and T bits and each optional field's
+// previous bits. Encoder and decoder both reset it at each frame.
+type predictors struct {
+	seq uint64
+	t   uint64
+	f   [numOptFields]uint64
+}
+
+// putRecord is the one record encoder: it writes ev's record at the
+// end of b and returns b extended by it. kind is the kind's index in
+// the frame's dictionary, and intro marks the record that introduces
+// it (kind equals the dictionary's size before the record), which
+// carries the kind's bytes inline. b must have recordRoom(ev) bytes of
+// spare capacity, so a record costs one capacity check, its caller's.
+func (p *predictors) putRecord(b []byte, ev *Event, kind int, intro bool) []byte {
+	n := len(b)
+	b = b[:n+recordRoom(ev)]
+	n = putUvarint(b, n, uint64(kind))
+	if intro {
+		n = putUvarint(b, n, uint64(len(ev.Kind)))
+		n += copy(b[n:], ev.Kind)
+	}
+	// A field is set unless it is ±0: shifting the sign bit out makes
+	// -0 compare equal to 0, as it does as a float.
+	opt := [numOptFields]uint64{
+		math.Float64bits(ev.Rate), math.Float64bits(ev.PrevRate), math.Float64bits(ev.Eff),
+		math.Float64bits(ev.Cycles), math.Float64bits(ev.Remaining), math.Float64bits(ev.Energy),
+	}
+	flags := bit(opt[0]<<1 != 0) | bit(opt[1]<<1 != 0)<<1 | bit(opt[2]<<1 != 0)<<2 |
+		bit(opt[3]<<1 != 0)<<3 | bit(opt[4]<<1 != 0)<<4 | bit(opt[5]<<1 != 0)<<5 | bit(ev.Interactive)<<6
+	b[n] = flags
+	n++
+	n = putUvarint(b, n, ev.Seq-p.seq)
+	p.seq = ev.Seq
+	tb := math.Float64bits(ev.T)
+	n = putUvarint(b, n, tb^p.t)
+	p.t = tb
+	n = putUvarint(b, n, zigzag(ev.Core))
+	n = putUvarint(b, n, zigzag(ev.Task))
+	for i := range opt {
+		if flags&(1<<i) != 0 {
+			n = putUvarint(b, n, opt[i]^p.f[i])
+			p.f[i] = opt[i]
+		}
+	}
+	return b[:n]
+}
+
+// bit is 1 for true and 0 for false.
+func bit(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// zigzag maps a signed value to the unsigned one binary.PutVarint
+// encodes it as.
+func zigzag(v int) uint64 { return uint64(v)<<1 ^ uint64(v>>63) }
+
+// putUvarint writes v as binary.PutUvarint would at b[n:] and returns
+// the position past it. b must have binary.MaxVarintLen64 bytes of
+// room there.
+func putUvarint(b []byte, n int, v uint64) int {
+	if v < 0x80 {
+		b[n] = byte(v)
+		return n + 1
+	}
+	return putLongUvarint(b, n, v)
+}
+
+// putLongUvarint is putUvarint for a value of more than one byte: its
+// low 56 bits are spread into 7-bit groups and stored as one 8-byte
+// word, with no branch on the value's length below 2^56. A loop that
+// stops where the value ends mispredicts at each length change, and
+// the XOR-coded fields change length from record to record.
+func putLongUvarint(b []byte, n int, v uint64) int {
+	x := v&0x7f | v<<1&(0x7f<<8) | v<<2&(0x7f<<16) | v<<3&(0x7f<<24) |
+		v<<4&(0x7f<<32) | v<<5&(0x7f<<40) | v<<6&(0x7f<<48) | v<<7&(0x7f<<56)
+	if v < 1<<56 {
+		l := (bits.Len64(v) + 6) / 7
+		binary.LittleEndian.PutUint64(b[n:], x|0x8080808080808080&(1<<(8*(l-1))-1))
+		return n + l
+	}
+	binary.LittleEndian.PutUint64(b[n:], x|0x8080808080808080)
+	if v < 1<<63 {
+		b[n+8] = byte(v >> 56)
+		return n + 9
+	}
+	b[n+8] = byte(v>>56) | 0x80
+	b[n+9] = 1
+	return n + 10
+}
+
+// getRecord decodes the record at p[pos:] into ev against the frame's
+// kind dictionary and predictors, and returns the position past it, or
+// -1 when the record does not parse.
+func (pr *predictors) getRecord(ev *Event, p []byte, pos int, kinds *kindTable) int {
+	idx, pos := getUvarint(p, pos)
+	switch {
+	case pos < 0:
+		return -1
+	case idx < uint64(kinds.n):
+		ev.Kind = kinds.at(int(idx))
+	case idx == uint64(kinds.n):
+		var n uint64
+		if n, pos = getUvarint(p, pos); pos < 0 || n > uint64(len(p)-pos) {
+			return -1
+		}
+		ev.Kind = kindOf(p[pos : pos+int(n)])
+		kinds.add(ev.Kind)
+		pos += int(n)
+	default:
+		return -1
+	}
+	if pos >= len(p) || p[pos]&(1<<7) != 0 {
+		return -1
+	}
+	flags := p[pos]
+	pos++
+	d, pos := getUvarint(p, pos)
+	tx, pos := getUvarint(p, pos)
+	core, pos := getUvarint(p, pos)
+	task, pos := getUvarint(p, pos)
+	if pos < 0 {
+		return -1
+	}
+	pr.seq += d
+	pr.t ^= tx
+	ev.Seq, ev.T = pr.seq, math.Float64frombits(pr.t)
+	ev.Core, ev.Task = int(unzigzag(core)), int(unzigzag(task))
+	var opt [numOptFields]float64
+	for i := range opt {
+		if flags&(1<<i) != 0 {
+			var fx uint64
+			if fx, pos = getUvarint(p, pos); pos < 0 {
+				return -1
+			}
+			pr.f[i] ^= fx
+			opt[i] = math.Float64frombits(pr.f[i])
+		}
+	}
+	ev.Rate, ev.PrevRate, ev.Eff, ev.Cycles, ev.Remaining, ev.Energy =
+		opt[0], opt[1], opt[2], opt[3], opt[4], opt[5]
+	ev.Interactive = flags&(1<<6) != 0
+	return pos
+}
+
+// getUvarint decodes the uvarint at p[pos:] and returns it with the
+// position past it, or -1 when there is none (and for pos -1, so a
+// run of reads checks once at its end).
+func getUvarint(p []byte, pos int) (uint64, int) {
+	if pos >= 0 && pos < len(p) && p[pos] < 0x80 {
+		return uint64(p[pos]), pos + 1
+	}
+	return getLongUvarint(p, pos)
+}
+
+// getLongUvarint is getUvarint for a value of more than one byte. One
+// of at most eight bytes is loaded as one word and its 7-bit groups
+// gathered without a loop, the inverse of putLongUvarint.
+func getLongUvarint(p []byte, pos int) (uint64, int) {
+	if pos < 0 || pos >= len(p) {
+		return 0, -1
+	}
+	if len(p)-pos >= 8 {
+		x := binary.LittleEndian.Uint64(p[pos:])
+		if stop := ^x & 0x8080808080808080; stop != 0 {
+			l := bits.TrailingZeros64(stop)/8 + 1
+			x &= 1<<(8*l) - 1
+			v := x&0x7f | x>>1&(0x7f<<7) | x>>2&(0x7f<<14) | x>>3&(0x7f<<21) |
+				x>>4&(0x7f<<28) | x>>5&(0x7f<<35) | x>>6&(0x7f<<42) | x>>7&(0x7f<<49)
+			return v, pos + l
+		}
+	}
+	v, n := binary.Uvarint(p[pos:])
+	if n <= 0 {
+		return 0, -1
+	}
+	return v, pos + n
+}
+
+// unzigzag inverts zigzag.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// kindOf returns the Kind a frame's dictionary entry spells: one of
+// the Kind constants without allocating, a new string otherwise.
+func kindOf(b []byte) Kind {
+	switch string(b) {
+	case string(KindArrival):
+		return KindArrival
+	case string(KindStart):
+		return KindStart
+	case string(KindPreempt):
+		return KindPreempt
+	case string(KindComplete):
+		return KindComplete
+	case string(KindDVFS):
+		return KindDVFS
+	case string(KindCoreActive):
+		return KindCoreActive
+	case string(KindCoreIdle):
+		return KindCoreIdle
+	}
+	return Kind(b)
+}
+
+// kindTable is a frame's kind dictionary in introduction order. The
+// first kinds live inline, so coding a frame of the engine's seven
+// kinds allocates nothing even when the table lives on the stack.
+type kindTable struct {
+	n     int
+	first [8]Kind
+	more  []Kind
+}
+
+func (t *kindTable) reset() {
+	t.n = 0
+	t.more = t.more[:0]
+}
+
+// index returns k's index, or -1 when the frame has not introduced it.
+func (t *kindTable) index(k Kind) int {
+	for i := 0; i < min(t.n, len(t.first)); i++ {
+		if t.first[i] == k {
+			return i
+		}
+	}
+	for i, m := range t.more {
+		if m == k {
+			return len(t.first) + i
+		}
+	}
+	return -1
+}
+
+func (t *kindTable) at(i int) Kind {
+	if i < len(t.first) {
+		return t.first[i]
+	}
+	return t.more[i-len(t.first)]
+}
+
+func (t *kindTable) add(k Kind) {
+	if t.n < len(t.first) {
+		t.first[t.n] = k
+	} else {
+		t.more = append(t.more, k)
+	}
+	t.n++
+}
+
+// load sets the table to kinds, a frame's dictionary prefix.
+func (t *kindTable) load(kinds []Kind) {
+	t.reset()
+	for _, k := range kinds {
+		t.add(k)
+	}
+}
+
+// frameEncoder frames records in place in the slice it appends to: it
+// reserves a frame's header before the frame's first record and
+// writes it when the frame seals, so a record is copied nowhere after
+// it is encoded. The zero value has no frame open.
+type frameEncoder struct {
+	kinds kindTable
+	pred  predictors
+	// open marks a frame in progress whose header was reserved at
+	// offset start of the slice.
+	open  bool
+	start int
+}
+
+// appendEvent appends ev's record to b, opening a frame first when
+// none is open, and seals the frame once its payload reaches the
+// target. sealed reports that b now ends with a sealed frame.
+func (e *frameEncoder) appendEvent(b []byte, ev *Event) (out []byte, sealed bool) {
+	if need := frameHeaderLen + recordRoom(ev); cap(b)-len(b) < need {
+		b = slices.Grow(b, need)
+	}
+	if !e.open {
+		e.open, e.start = true, len(b)
+		b = b[:len(b)+frameHeaderLen]
+	}
+	k := e.kinds.index(ev.Kind)
+	intro := k < 0
+	if intro {
+		k = e.kinds.n
+		e.kinds.add(ev.Kind)
+	}
+	b = e.pred.putRecord(b, ev, k, intro)
+	if len(b)-e.start-frameHeaderLen < binaryFrameTarget {
+		return b, false
+	}
+	return e.seal(b), true
+}
+
+// seal writes the open frame's header, if a frame is open, and resets
+// the per-frame state.
+func (e *frameEncoder) seal(b []byte) []byte {
+	if e.open {
+		sealFrame(b[e.start:])
+		e.reset()
+	}
+	return b
+}
+
+func (e *frameEncoder) reset() {
+	e.kinds.reset()
+	e.pred = predictors{}
+	e.open = false
+}
+
+// sealFrame writes the header of the frame f holds: its reserved
+// header, then its payload.
+func sealFrame(f []byte) {
+	binary.LittleEndian.PutUint32(f[0:4], uint32(len(f)-frameHeaderLen))
+	binary.LittleEndian.PutUint32(f[4:8], crc32.ChecksumIEEE(f[frameHeaderLen:]))
+}
+
+// appendStreamHeader appends the magic and version every binary trace
+// starts with.
+func appendStreamHeader(b []byte) []byte {
+	b = append(b, binaryMagic[:]...)
+	return append(b, binaryVersion)
+}
+
 // BinaryEncoder appends events in the binary trace format. It is the
 // append-style twin of Event.AppendJSON: the caller owns the
 // destination slice, the encoder owns only its frame scratch, and a
@@ -140,25 +483,15 @@ const numOptFields = 6
 // an unflushed encoder has buffered, unframed bytes.
 type BinaryEncoder struct {
 	frame   []byte
-	dict    []string
-	prevSeq uint64
-	prevT   uint64
-	prevF   [numOptFields]uint64
+	enc     frameEncoder
 	started bool
-}
-
-// resetFrame clears the per-frame prediction state.
-func (e *BinaryEncoder) resetFrame() {
-	e.frame = e.frame[:0]
-	e.dict = e.dict[:0]
-	e.prevSeq, e.prevT = 0, 0
-	e.prevF = [numOptFields]uint64{}
 }
 
 // Reset returns the encoder to the empty-stream state, keeping its
 // buffers for reuse.
 func (e *BinaryEncoder) Reset() {
-	e.resetFrame()
+	e.frame = e.frame[:0]
+	e.enc.reset()
 	e.started = false
 }
 
@@ -168,19 +501,7 @@ func (e *BinaryEncoder) header(dst []byte) []byte {
 		return dst
 	}
 	e.started = true
-	dst = append(dst, binaryMagic[:]...)
-	return append(dst, binaryVersion)
-}
-
-// seal frames the buffered payload onto dst: length, CRC, bytes.
-func (e *BinaryEncoder) seal(dst []byte) []byte {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(e.frame)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(e.frame))
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, e.frame...)
-	e.resetFrame()
-	return dst
+	return appendStreamHeader(dst)
 }
 
 // AppendEvent encodes ev, appending any completed output (the stream
@@ -190,9 +511,10 @@ func (e *BinaryEncoder) seal(dst []byte) []byte {
 // the frame.
 func (e *BinaryEncoder) AppendEvent(dst []byte, ev Event) []byte {
 	dst = e.header(dst)
-	e.appendRecord(ev)
-	if len(e.frame) >= binaryFrameTarget {
-		dst = e.seal(dst)
+	var sealed bool
+	if e.frame, sealed = e.enc.appendEvent(e.frame, &ev); sealed {
+		dst = append(dst, e.frame...)
+		e.frame = e.frame[:0]
 	}
 	return dst
 }
@@ -203,61 +525,10 @@ func (e *BinaryEncoder) AppendEvent(dst []byte, ev Event) []byte {
 func (e *BinaryEncoder) Flush(dst []byte) []byte {
 	dst = e.header(dst)
 	if len(e.frame) > 0 {
-		dst = e.seal(dst)
+		dst = append(dst, e.enc.seal(e.frame)...)
+		e.frame = e.frame[:0]
 	}
 	return dst
-}
-
-// appendRecord encodes one event into the frame buffer.
-func (e *BinaryEncoder) appendRecord(ev Event) {
-	b := e.frame
-	// Inline kind interning: an index equal to the dictionary size
-	// introduces the string it is about to mean.
-	kind := string(ev.Kind)
-	idx := -1
-	for i, s := range e.dict {
-		if s == kind {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		b = binary.AppendUvarint(b, uint64(len(e.dict)))
-		b = binary.AppendUvarint(b, uint64(len(kind)))
-		b = append(b, kind...)
-		e.dict = append(e.dict, kind)
-	} else {
-		b = binary.AppendUvarint(b, uint64(idx))
-	}
-
-	var flags byte
-	opt := [numOptFields]float64{ev.Rate, ev.PrevRate, ev.Eff, ev.Cycles, ev.Remaining, ev.Energy}
-	for i, v := range opt {
-		if v != 0 {
-			flags |= 1 << i
-		}
-	}
-	if ev.Interactive {
-		flags |= 1 << 6
-	}
-	b = append(b, flags)
-
-	b = binary.AppendUvarint(b, ev.Seq-e.prevSeq)
-	e.prevSeq = ev.Seq
-	tb := math.Float64bits(ev.T)
-	b = binary.AppendUvarint(b, tb^e.prevT)
-	e.prevT = tb
-	b = binary.AppendVarint(b, int64(ev.Core))
-	b = binary.AppendVarint(b, int64(ev.Task))
-	for i, v := range opt {
-		if flags&(1<<i) == 0 {
-			continue
-		}
-		fb := math.Float64bits(v)
-		b = binary.AppendUvarint(b, fb^e.prevF[i])
-		e.prevF[i] = fb
-	}
-	e.frame = b
 }
 
 // BinaryWriter is a Sink that streams events in the binary trace
@@ -336,10 +607,9 @@ type BinaryReader struct {
 	r        *bufio.Reader
 	frame    []byte
 	pos      int
-	dict     []string
-	prevSeq  uint64
-	prevT    uint64
-	prevF    [numOptFields]uint64
+	kinds    kindTable
+	pred     predictors
+	hdr      [frameHeaderLen]byte // header scratch that does not escape per read
 	started  bool
 	frameIdx int
 	off      int64
@@ -369,9 +639,8 @@ func (r *BinaryReader) Reset(src io.Reader) {
 	}
 	r.frame = r.frame[:0]
 	r.pos = 0
-	r.dict = r.dict[:0]
-	r.prevSeq, r.prevT = 0, 0
-	r.prevF = [numOptFields]uint64{}
+	r.kinds.reset()
+	r.pred = predictors{}
 	r.started = false
 	r.frameIdx = 0
 	r.off = 0
@@ -397,8 +666,9 @@ func (r *BinaryReader) Next() (Event, error) {
 			return Event{}, err
 		}
 	}
-	ev, err := r.decodeRecord()
-	if err != nil {
+	var ev Event
+	r.pos = r.pred.getRecord(&ev, r.frame, r.pos, &r.kinds)
+	if r.pos < 0 {
 		// A CRC-valid frame that does not parse: drop its remainder.
 		ferr := &FrameError{Frame: r.frameIdx - 1, Offset: r.off - int64(len(r.frame)) - 8, Err: ErrFrameCorrupt}
 		r.frame = r.frame[:0]
@@ -410,8 +680,8 @@ func (r *BinaryReader) Next() (Event, error) {
 
 // readHeader consumes and validates the stream magic and version.
 func (r *BinaryReader) readHeader() error {
-	var hdr [binaryHeaderLen]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
+	hdr := r.hdr[:binaryHeaderLen]
+	if _, err := io.ReadFull(r.r, hdr); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return ErrBadMagic
 		}
@@ -432,8 +702,8 @@ func (r *BinaryReader) readHeader() error {
 // may call Next again.
 func (r *BinaryReader) loadFrame() error {
 	frameOff := r.off
-	var hdr [8]byte
-	n, err := io.ReadFull(r.r, hdr[:])
+	hdr := r.hdr[:]
+	n, err := io.ReadFull(r.r, hdr)
 	if err != nil {
 		if errors.Is(err, io.EOF) && n == 0 {
 			r.sticky = io.EOF
@@ -474,103 +744,9 @@ func (r *BinaryReader) loadFrame() error {
 	}
 	// Fresh frame: reset the prediction state.
 	r.pos = 0
-	r.dict = r.dict[:0]
-	r.prevSeq, r.prevT = 0, 0
-	r.prevF = [numOptFields]uint64{}
+	r.kinds.reset()
+	r.pred = predictors{}
 	return nil
-}
-
-// uvarint decodes one uvarint at the cursor.
-func (r *BinaryReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.frame[r.pos:])
-	if n <= 0 {
-		return 0, ErrFrameCorrupt
-	}
-	r.pos += n
-	return v, nil
-}
-
-// varint decodes one zigzag varint at the cursor.
-func (r *BinaryReader) varint() (int64, error) {
-	v, n := binary.Varint(r.frame[r.pos:])
-	if n <= 0 {
-		return 0, ErrFrameCorrupt
-	}
-	r.pos += n
-	return v, nil
-}
-
-// decodeRecord parses one event at the cursor.
-func (r *BinaryReader) decodeRecord() (Event, error) {
-	var ev Event
-	kindIdx, err := r.uvarint()
-	if err != nil {
-		return ev, err
-	}
-	switch {
-	case kindIdx < uint64(len(r.dict)):
-		ev.Kind = Kind(r.dict[kindIdx])
-	case kindIdx == uint64(len(r.dict)):
-		n, err := r.uvarint()
-		if err != nil {
-			return ev, err
-		}
-		if n > uint64(len(r.frame)-r.pos) {
-			return ev, ErrFrameCorrupt
-		}
-		s := string(r.frame[r.pos : r.pos+int(n)])
-		r.pos += int(n)
-		r.dict = append(r.dict, s)
-		ev.Kind = Kind(s)
-	default:
-		return ev, ErrFrameCorrupt
-	}
-	if r.pos >= len(r.frame) {
-		return ev, ErrFrameCorrupt
-	}
-	flags := r.frame[r.pos]
-	r.pos++
-	if flags&(1<<7) != 0 {
-		return ev, ErrFrameCorrupt
-	}
-
-	d, err := r.uvarint()
-	if err != nil {
-		return ev, err
-	}
-	r.prevSeq += d
-	ev.Seq = r.prevSeq
-	tx, err := r.uvarint()
-	if err != nil {
-		return ev, err
-	}
-	r.prevT ^= tx
-	ev.T = math.Float64frombits(r.prevT)
-	core, err := r.varint()
-	if err != nil {
-		return ev, err
-	}
-	task, err := r.varint()
-	if err != nil {
-		return ev, err
-	}
-	ev.Core, ev.Task = int(core), int(task)
-	var opt [numOptFields]float64
-	for i := 0; i < numOptFields; i++ {
-		if flags&(1<<i) == 0 {
-			continue
-		}
-		fx, err := r.uvarint()
-		if err != nil {
-			return ev, err
-		}
-		r.prevF[i] ^= fx
-		opt[i] = math.Float64frombits(r.prevF[i])
-	}
-	ev.Rate, ev.PrevRate, ev.Eff, ev.Cycles, ev.Remaining, ev.Energy =
-		opt[0], opt[1], opt[2], opt[3], opt[4], opt[5]
-	ev.Interactive = flags&(1<<6) != 0
-	return ev, nil
 }
 
 // ReadBinary decodes a complete binary trace strictly: any damaged
@@ -592,13 +768,14 @@ func ReadBinary(r io.Reader) ([]Event, error) {
 
 // AppendBinary encodes events as one complete binary trace (header,
 // frames, sealed tail) appended to b. It is the one-shot form of
-// BinaryEncoder for whole in-memory traces.
+// BinaryEncoder for whole in-memory traces, and frames in place in b.
 func AppendBinary(b []byte, events []Event) []byte {
-	var enc BinaryEncoder
-	for _, ev := range events {
-		b = enc.AppendEvent(b, ev)
+	b = appendStreamHeader(b)
+	var enc frameEncoder
+	for i := range events {
+		b, _ = enc.appendEvent(b, &events[i])
 	}
-	return enc.Flush(b)
+	return enc.seal(b)
 }
 
 // ReadEvents reads an event trace in either format, sniffing the

@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"dvfsched/internal/model"
 	"dvfsched/internal/obs"
@@ -195,9 +194,9 @@ func BenchmarkJSONLEncodeJudge(b *testing.B) {
 }
 
 // BenchmarkRecorderEmitJudge prices a session's log on its emit path:
-// the judge trace emitted into a fresh Recorder, whose commit point is
-// then read once, as a session's shard does after each operation.
-// log-B reports the bytes the recorder stores the log in.
+// the judge trace emitted into a fresh Recorder, then committed once.
+// log-B reports the bytes the recorder stores the log in: its binary
+// export, frames and stream header.
 func BenchmarkRecorderEmitJudge(b *testing.B) {
 	events := judgeTrace(b)
 	var rec *obs.Recorder
@@ -208,10 +207,10 @@ func BenchmarkRecorderEmitJudge(b *testing.B) {
 		for _, ev := range events {
 			rec.Emit(ev)
 		}
-		_ = rec.LastSeq()
+		rec.Commit()
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(rec.Len()*int(unsafe.Sizeof(obs.Event{}))), "log-B")
+	b.ReportMetric(float64(len(rec.Log().AppendBinary(nil))), "log-B")
 }
 
 func BenchmarkBinaryDecodeJudge(b *testing.B) {

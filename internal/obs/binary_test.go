@@ -462,6 +462,55 @@ func TestBinaryWriterEmitZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestBinaryReaderKnownKindsAllocFree: a reused reader decodes a
+// multi-frame trace of the engine's kinds without allocating, since
+// each frame's dictionary maps its kind bytes to the Kind constants; a
+// kind of its own costs one string per frame that introduces it.
+func TestBinaryReaderKnownKindsAllocFree(t *testing.T) {
+	decodeAll := func(r *BinaryReader, src *bytes.Reader, trace []byte) int {
+		src.Reset(trace)
+		r.Reset(src)
+		n := 0
+		for {
+			if _, err := r.Next(); err != nil {
+				if err != io.EOF {
+					t.Fatal(err)
+				}
+				return n
+			}
+			n++
+		}
+	}
+	for _, unknown := range []bool{false, true} {
+		evs := recEvents(6000, 7, unknown)
+		trace := AppendBinary(nil, evs)
+		frames := len(sealedFrameOffsets(trace))
+		src := bytes.NewReader(nil)
+		r := NewBinaryReader(src)
+		if n := decodeAll(r, src, trace); n != len(evs) || frames < 3 {
+			t.Fatalf("decoded %d of %d events over %d frames, want several frames", n, len(evs), frames)
+		}
+		want := 0.0
+		if unknown {
+			want = float64(frames)
+		}
+		if allocs := testing.AllocsPerRun(5, func() { decodeAll(r, src, trace) }); allocs != want {
+			t.Errorf("unknown kind %v: %v allocations over %d frames, want %v", unknown, allocs, frames, want)
+		}
+	}
+}
+
+// sealedFrameOffsets returns the header offset of every frame of a
+// binary trace.
+func sealedFrameOffsets(trace []byte) []int {
+	var offs []int
+	for off := binaryHeaderLen; off+frameHeaderLen <= len(trace); {
+		offs = append(offs, off)
+		off += frameHeaderLen + int(binary.LittleEndian.Uint32(trace[off:]))
+	}
+	return offs
+}
+
 func BenchmarkBinaryAppendEvent(b *testing.B) {
 	var enc BinaryEncoder
 	ev := Event{Seq: 42, T: 1.25, Kind: KindStart, Core: 3, Task: 9, Rate: 2.4, Eff: 1.251, Remaining: 7.5, Energy: 12.25}

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"sync"
 	"unicode/utf8"
@@ -245,12 +244,37 @@ type Sink interface {
 	Emit(Event)
 }
 
+// Committer is a Sink that publishes what it received at operation
+// boundaries: its readers see the stream as of its last Commit, never
+// the head of an operation still emitting. The engine commits its sink
+// at the end of every call that advances a session, so a reader never
+// sees part of a submit or a drain.
+type Committer interface {
+	Sink
+	Commit()
+}
+
+// Commit commits s if it is a Committer; other sinks publish as they
+// receive.
+func Commit(s Sink) {
+	if c, ok := s.(Committer); ok {
+		c.Commit()
+	}
+}
+
 // multiSink fans one stream out to several sinks.
 type multiSink []Sink
 
 func (m multiSink) Emit(ev Event) {
 	for _, s := range m {
 		s.Emit(ev)
+	}
+}
+
+// Commit forwards a commit to every sink that takes one.
+func (m multiSink) Commit() {
+	for _, s := range m {
+		Commit(s)
 	}
 }
 
@@ -271,132 +295,6 @@ func Multi(sinks ...Sink) Sink {
 	default:
 		return ms
 	}
-}
-
-// recorderChunk is the event count per Recorder chunk.
-const recorderChunk = 1024
-
-// Recorder is a Sink that buffers every event in memory, for tests and
-// for replaying a run without serializing it. Safe for concurrent
-// Emit calls. The buffer is chunked rather than one flat slice: a
-// session trace only grows, and a flat slice's doubling steps re-copy
-// (and the allocator re-zeroes) the entire history — a pause on the
-// emit hot path that scales with trace length and briefly doubles the
-// trace's memory. Chunks keep Emit O(1); contiguous reads are rare and
-// pay the copy instead.
-type Recorder struct {
-	mu     sync.Mutex
-	chunks [][]Event
-	n      int
-}
-
-// Emit implements Sink.
-func (r *Recorder) Emit(ev Event) {
-	r.mu.Lock()
-	if len(r.chunks) == 0 || len(r.chunks[len(r.chunks)-1]) == recorderChunk {
-		r.chunks = append(r.chunks, make([]Event, 0, recorderChunk))
-	}
-	last := len(r.chunks) - 1
-	r.chunks[last] = append(r.chunks[last], ev)
-	r.n++
-	r.mu.Unlock()
-}
-
-// suffixLocked locates the first recorded event with Seq > after,
-// returning its chunk index and offset (len(r.chunks), 0 when no such
-// event exists). Engine sequence numbers are nondecreasing in emission
-// order, so the chunk is found by binary search on each chunk's last
-// sequence number and the offset by binary search within it; every
-// later chunk then lies entirely past `after`. Caller holds r.mu.
-func (r *Recorder) suffixLocked(after uint64) (int, int) {
-	ci := sort.Search(len(r.chunks), func(i int) bool {
-		c := r.chunks[i]
-		return c[len(c)-1].Seq > after
-	})
-	if ci == len(r.chunks) {
-		return ci, 0
-	}
-	c := r.chunks[ci]
-	return ci, sort.Search(len(c), func(i int) bool { return c[i].Seq > after })
-}
-
-// appendSinceLocked appends every recorded event with Seq > after to
-// dst, growing it at most once: a whole-log read into an empty slice
-// would otherwise re-copy the log at every growth step. Caller holds
-// r.mu.
-func (r *Recorder) appendSinceLocked(dst []Event, after uint64) []Event {
-	ci, i := r.suffixLocked(after)
-	if ci == len(r.chunks) {
-		return dst
-	}
-	// Every chunk but the last is full.
-	if need := r.n - ci*recorderChunk - i; cap(dst)-len(dst) < need {
-		dst = append(make([]Event, 0, len(dst)+need), dst...)
-	}
-	dst = append(dst, r.chunks[ci][i:]...)
-	for _, c := range r.chunks[ci+1:] {
-		dst = append(dst, c...)
-	}
-	return dst
-}
-
-// Events returns a copy of the recorded stream in emission order.
-func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.appendSinceLocked(make([]Event, 0, r.n), 0)
-}
-
-// AppendSince appends the recorded events with Seq > after to dst and
-// returns the extended slice. It is the replication fast path: a
-// stream tracking the last shipped sequence number pulls only the
-// unshipped tail into a reused scratch slice, so building a frame
-// costs no per-ship event copy beyond the append itself.
-func (r *Recorder) AppendSince(dst []Event, after uint64) []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.appendSinceLocked(dst, after)
-}
-
-// AppendRange appends the events at emission positions [from, to) to
-// dst, clamped to what has been recorded, and returns the extended
-// slice. Recorded events never change, so a reader that fixes `to`
-// once (say, Len at the start) sees one consistent prefix however many
-// bounded reads it takes, while Emit keeps appending.
-func (r *Recorder) AppendRange(dst []Event, from, to int) []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	from, to = max(from, 0), min(to, r.n)
-	for from < to {
-		// Every chunk but the last is full, so positions map directly.
-		c := r.chunks[from/recorderChunk]
-		i := from % recorderChunk
-		k := min(len(c), i+to-from)
-		dst = append(dst, c[i:k]...)
-		from += k - i
-	}
-	return dst
-}
-
-// LastSeq returns the sequence number of the last recorded event, or 0
-// when nothing was recorded. Engine sequence numbers are nondecreasing
-// in emission order, so this is the log tail a replication ack must
-// cover for every recorded event to be replicated.
-func (r *Recorder) LastSeq() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.chunks) == 0 {
-		return 0
-	}
-	c := r.chunks[len(r.chunks)-1]
-	return c[len(c)-1].Seq
-}
-
-// Len returns the number of recorded events.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
 }
 
 // JSONLWriter is a Sink that streams events as JSON Lines. Errors are

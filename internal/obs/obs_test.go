@@ -85,56 +85,9 @@ func TestMultiDropsNilsAndFansOut(t *testing.T) {
 	r2 := &Recorder{}
 	m := Multi(r, nil, r2)
 	m.Emit(Event{Seq: 1, Kind: KindArrival, Core: -1, Task: 0})
+	Commit(m)
 	if r.Len() != 1 || r2.Len() != 1 {
 		t.Errorf("fan-out failed: %d, %d", r.Len(), r2.Len())
-	}
-}
-
-// TestRecorderAppendRange reads positional ranges across chunk
-// boundaries and clamps ranges that run past either end.
-func TestRecorderAppendRange(t *testing.T) {
-	r := &Recorder{}
-	const n = 3*recorderChunk + 17
-	for i := 0; i < n; i++ {
-		r.Emit(Event{Seq: uint64(i + 1), Kind: KindArrival, Task: i})
-	}
-	all := r.Events()
-	for _, c := range [][2]int{
-		{0, n}, {0, 0}, {5, 6}, {recorderChunk - 1, recorderChunk + 1},
-		{recorderChunk, 2 * recorderChunk}, {10, 3*recorderChunk + 3}, {n - 3, n + 50}, {-4, 2}, {n + 1, n + 9},
-	} {
-		from, to := c[0], c[1]
-		got := r.AppendRange([]Event{{Task: -1}}, from, to)
-		lo, hi := max(from, 0), min(to, n)
-		want := []Event{{Task: -1}}
-		if lo < hi {
-			want = append(want, all[lo:hi]...)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("AppendRange(%d, %d): %d events, want %d", from, to, len(got)-1, len(want)-1)
-		}
-	}
-}
-
-// TestRecorderAppendSince reads suffixes that start inside, at and past
-// chunk boundaries, and requires a whole-log read into an empty slice
-// to allocate once instead of re-copying the log at each growth step.
-func TestRecorderAppendSince(t *testing.T) {
-	r := &Recorder{}
-	const n = 3*recorderChunk + 17
-	for i := 0; i < n; i++ {
-		r.Emit(Event{Seq: uint64(i + 1), Kind: KindArrival, Task: i})
-	}
-	all := r.Events()
-	for _, after := range []int{0, 5, recorderChunk - 1, recorderChunk, 2*recorderChunk + 3, n - 1, n, n + 5} {
-		got := r.AppendSince([]Event{{Task: -1}}, uint64(after))
-		want := append([]Event{{Task: -1}}, all[min(after, n):]...)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("AppendSince(%d): %d events, want %d", after, len(got)-1, len(want)-1)
-		}
-	}
-	if allocs := testing.AllocsPerRun(5, func() { _ = r.AppendSince(nil, 0) }); allocs != 1 {
-		t.Errorf("whole-log AppendSince into nil: %v allocations, want 1", allocs)
 	}
 }
 

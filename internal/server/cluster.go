@@ -103,25 +103,32 @@ func (s *Server) SessionSpec(id string) (PlatformSpec, bool) {
 	return sh.spec, true
 }
 
-// AppendSessionEventsSince appends the session's committed events with
-// Seq > after to dst, in emission order: the events of whole
+// AppendSessionEventsSince appends the session's committed events
+// with Seq > after to dst, in emission order: the events of whole
 // operations only, never the head of one still running. It reads the
-// shard's recorder directly (internally locked), so it never waits for
-// the session's lock; the replication stream reuses one pooled scratch
-// slice per frame build, so a ship costs no event-slice allocation.
+// shard's recorder without waiting for the session's lock.
 func (s *Server) AppendSessionEventsSince(id string, after uint64, dst []obs.Event) ([]obs.Event, error) {
 	sh, ok := s.sessions.get(id)
 	if !ok {
 		return dst, fmt.Errorf("%w: %s", ErrSessionGone, id)
 	}
-	// Load the commit point before reading: every event up to it is
-	// already recorded.
-	committed, n := sh.committed.Load(), len(dst)
-	dst = sh.rec.AppendSince(dst, after)
-	for len(dst) > n && dst[len(dst)-1].Seq > committed {
-		dst = dst[:len(dst)-1]
+	return sh.rec.AppendSince(dst, after), nil
+}
+
+// AppendSessionLogSince appends the session's committed events with
+// Seq > after to dst as one binary trace (obs.AppendBinary of those
+// events), and returns it with the Seq of its last event (after when
+// it holds none) and its event count. It is the replication stream's
+// read: whole operations only, without the session's lock, copying
+// stored frames for a stream's open and re-framing only the tail past
+// a recent commit otherwise.
+func (s *Server) AppendSessionLogSince(id string, after uint64, dst []byte) ([]byte, uint64, int, error) {
+	sh, ok := s.sessions.get(id)
+	if !ok {
+		return dst, after, 0, fmt.Errorf("%w: %s", ErrSessionGone, id)
 	}
-	return dst, nil
+	dst, last, n := sh.rec.AppendBinarySince(dst, after)
+	return dst, last, n, nil
 }
 
 // SessionLastSeq returns the sequence number of the last event of the
@@ -133,7 +140,7 @@ func (s *Server) SessionLastSeq(id string) (uint64, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrSessionGone, id)
 	}
-	return sh.committed.Load(), nil
+	return sh.rec.LastSeq(), nil
 }
 
 // HandoffSession freezes a live session for migration and returns
@@ -141,7 +148,7 @@ func (s *Server) SessionLastSeq(id string) (uint64, error) {
 // lock, so the log ends between two submissions; from that moment
 // every mutation against the shard is fenced with ErrSessionMigrating
 // until AbortHandoff or FinishHandoff, and the log read for the handoff
-// (AppendSessionEventsSince) is the whole history.
+// (AppendSessionLogSince from 0) is the whole history.
 // A drained session returns ErrSessionDrained (tombstones don't
 // migrate); a session already frozen returns ErrSessionMigrating.
 func (s *Server) HandoffSession(ctx context.Context, id string) (int, error) {

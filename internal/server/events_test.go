@@ -10,6 +10,11 @@ import (
 	"dvfsched/internal/obs"
 )
 
+// eventReadChunk sizes the synthetic logs: 3*eventReadChunk+500 of
+// emitEvents' events fill several 32 KiB frames, and eventReadChunk of
+// them one frame and part of the next.
+const eventReadChunk = 1024
+
 // emitEvents records n synthetic events numbered from first, cycling
 // through the kinds and the optional fields the codecs frame.
 func emitEvents(rec *obs.Recorder, first, n int) {
@@ -54,6 +59,7 @@ func TestWriteEventsMatchesWholeTrace(t *testing.T) {
 	for _, n := range []int{0, 1, eventReadChunk, 3*eventReadChunk + 500} {
 		rec := &obs.Recorder{}
 		emitEvents(rec, 0, n)
+		rec.Commit()
 		for _, format := range []string{"jsonl", "binary"} {
 			w := httptest.NewRecorder()
 			writeEvents(w, rec, n, format)
@@ -68,18 +74,20 @@ func TestWriteEventsMatchesWholeTrace(t *testing.T) {
 }
 
 // TestWriteEventsCountUnderConcurrentEmit streams while the session
-// keeps emitting: the body must carry exactly the X-Event-Count
-// events, the recorder's prefix at the time the caller fixed the
-// count.
+// keeps emitting and committing: the body must carry exactly the
+// X-Event-Count events, and they must be a prefix the writer
+// committed, never the head of a batch it is still emitting.
 func TestWriteEventsCountUnderConcurrentEmit(t *testing.T) {
-	const total = 16 * eventReadChunk
+	const total, batch = 16 * eventReadChunk, 100
 	rec := &obs.Recorder{}
 	emitEvents(rec, 0, 2*eventReadChunk)
+	rec.Commit()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 2 * eventReadChunk; i < total; i++ {
-			emitEvents(rec, i, 1)
+		for i := 2 * eventReadChunk; i < total; i += batch {
+			emitEvents(rec, i, min(batch, total-i))
+			rec.Commit()
 		}
 	}()
 	for emitting := true; emitting; {
@@ -90,10 +98,13 @@ func TestWriteEventsCountUnderConcurrentEmit(t *testing.T) {
 		}
 		for _, format := range []string{"jsonl", "binary"} {
 			w := httptest.NewRecorder()
-			writeEvents(w, rec, rec.Len(), format)
+			writeEvents(w, rec, -1, format)
 			n, err := strconv.Atoi(w.Header().Get("X-Event-Count"))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if n < 2*eventReadChunk || (n-2*eventReadChunk)%batch != 0 && n != total {
+				t.Fatalf("%s: X-Event-Count %d is not a committed prefix", format, n)
 			}
 			read := obs.ReadJSONL
 			if format == "binary" {
@@ -107,5 +118,8 @@ func TestWriteEventsCountUnderConcurrentEmit(t *testing.T) {
 				t.Fatalf("%s: streamed %d events, X-Event-Count %d, or they are not the recorder's prefix", format, len(got), n)
 			}
 		}
+	}
+	if n := rec.Len(); n != total {
+		t.Fatalf("recorded %d events, want %d", n, total)
 	}
 }

@@ -461,7 +461,7 @@ func TestReplaySessionEndsWhereTheLogEnds(t *testing.T) {
 		submitOver(t, ts.URL, info.ID, recs, false)
 	}
 	sh, _ := s.sessions.get(info.ID)
-	before := sh.committed.Load()
+	before := sh.rec.LastSeq()
 	// The lock wait and the drain's first poll see a live context; the
 	// second poll, a few hundred events in, sees it canceled.
 	resp, err := sh.do(&countdownCtx{Context: context.Background(), n: 2}, opDrain)
@@ -469,8 +469,8 @@ func TestReplaySessionEndsWhereTheLogEnds(t *testing.T) {
 		t.Fatalf("drain: %v / %v, want a canceled drain", err, resp.err)
 	}
 	st, err := sh.do(context.Background(), opStatus)
-	if err != nil || st.drained || st.pending == 0 || sh.committed.Load() == before {
-		t.Fatalf("after the canceled drain: %v, drained %v, %d pending, seq %d -> %d", err, st.drained, st.pending, before, sh.committed.Load())
+	if err != nil || st.drained || st.pending == 0 || sh.rec.LastSeq() == before {
+		t.Fatalf("after the canceled drain: %v, drained %v, %d pending, seq %d -> %d", err, st.drained, st.pending, before, sh.rec.LastSeq())
 	}
 	log, err := s.AppendSessionEventsSince(info.ID, 0, nil)
 	if err != nil {
@@ -482,9 +482,9 @@ func TestReplaySessionEndsWhereTheLogEnds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Float64bits(rb.Sess.Clock()) != math.Float64bits(st.clock) || rb.Sess.Pending() != st.pending || rb.Rec.LastSeq() != sh.committed.Load() {
+	if math.Float64bits(rb.Sess.Clock()) != math.Float64bits(st.clock) || rb.Sess.Pending() != st.pending || rb.Rec.LastSeq() != sh.rec.LastSeq() {
 		t.Fatalf("rebuilt clock %v, pending %d, last seq %d; source %v, %d, %d",
-			rb.Sess.Clock(), rb.Sess.Pending(), rb.Rec.LastSeq(), st.clock, st.pending, sh.committed.Load())
+			rb.Sess.Clock(), rb.Sess.Pending(), rb.Rec.LastSeq(), st.clock, st.pending, sh.rec.LastSeq())
 	}
 
 	cut := -1

@@ -88,7 +88,6 @@ func (ss *sessions) adopt(id string, rb *RebuiltSession) (*shard, error) {
 		return nil, fmt.Errorf("%w (%d); drain and delete old sessions", ErrSessionTableFull, ss.maxOpen)
 	}
 	sh := &shard{id: id, spec: rb.Spec, rec: rb.Rec, sess: rb.Sess, submitted: rb.Submitted}
-	sh.committed.Store(rb.Rec.LastSeq())
 	ss.m[id] = sh
 	delete(ss.moved, id) // adopted back: the marker no longer applies
 	ss.opened.Inc()
@@ -285,11 +284,11 @@ func (s *Server) handleSessionSubmit(w http.ResponseWriter, r *http.Request) {
 // inside a submit. The default is JSON Lines; with ?format=binary the
 // same events stream in the compact framed binary trace encoding
 // (decode with obs.BinaryReader or cmd/traceinfo, which auto-detects
-// the magic). The binary trace is the session's export:
-// core.OnlineSession.ReplayTrace rebuilds the session from it, on a
-// scheduler configured with the same platform and cost constants.
-// After a drain it is the complete trace of the session and replays
-// through report.TimelineFromEvents.
+// the magic), copied from the recorder's stored frames. The binary
+// trace is the session's export: core.OnlineSession.ReplayTrace
+// rebuilds the session from it, on a scheduler configured with the
+// same platform and cost constants. After a drain it is the complete
+// trace of the session and replays through report.TimelineFromEvents.
 func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	sh, ok := s.lookupShard(w, r)
 	if !ok {
@@ -304,55 +303,42 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "unknown trace format %q (want jsonl or binary)", format)
 		return
 	}
-	// A shard's log numbers its events 1, 2, ... without gaps, so the
-	// events up to the commit point are its first committed events.
-	writeEvents(w, sh.rec, int(sh.committed.Load()), format)
+	writeEvents(w, sh.rec, -1, format)
 }
 
-// eventReadChunk is how many events writeEvents copies out of the
-// recorder per read: one recorder chunk.
-const eventReadChunk = 1024
-
-// writeEvents streams rec's first n events, which rec must already
-// hold, in format ("jsonl" or "binary"). The caller fixes n up front,
-// so X-Event-Count and the body agree while the session keeps
-// emitting; the events are then read in bounded ranges into one reused
-// scratch instead of copying the whole trace. They go out through one
-// pooled buffer, append-framed — the same bytes the serializers
-// produce, without a marshal allocation per event. Both encoders emit
-// self-contained append-only bytes, so the buffer can flush to the
-// wire at any point.
+// writeEvents streams the first n events of rec's committed log, or
+// all of them when n is negative, in format ("jsonl" or "binary").
+// X-Event-Count and the body come from one view of the log, which
+// later commits leave unchanged, so they agree while the session keeps
+// running. The binary body is written straight from the recorder's
+// frames, byte for byte obs.AppendBinary of those events. JSON Lines
+// are decoded one event at a time and go out through one pooled
+// buffer, append-framed, without a marshal allocation per event.
 func writeEvents(w http.ResponseWriter, rec *obs.Recorder, n int, format string) {
-	w.Header().Set("X-Event-Count", strconv.Itoa(n))
+	log := rec.Log().Prefix(n)
+	w.Header().Set("X-Event-Count", strconv.Itoa(log.Len()))
 	if format == "binary" {
 		w.Header().Set("Content-Type", "application/octet-stream")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
+		_ = log.WriteBinary(w) // header already sent; a client that went away ends the stream
+		return
 	}
-	scratch := make([]obs.Event, 0, min(n, eventReadChunk))
-	var enc obs.BinaryEncoder
+	w.Header().Set("Content-Type", "application/x-ndjson")
 	bp := encBufPool.Get().(*[]byte)
 	buf := (*bp)[:0]
-	for from := 0; from < n; from += eventReadChunk {
-		scratch = rec.AppendRange(scratch[:0], from, min(from+eventReadChunk, n))
-		for _, ev := range scratch {
-			if format == "binary" {
-				buf = enc.AppendEvent(buf, ev)
-			} else {
-				buf = append(ev.AppendJSON(buf), '\n')
-			}
-			if len(buf) >= eventFlushBytes {
-				if _, err := w.Write(buf); err != nil {
-					*bp = buf[:0]
-					encBufPool.Put(bp)
-					return // client went away mid-stream
-				}
-				buf = buf[:0]
-			}
+	for r := log.Reader(); ; {
+		ev, ok := r.Next()
+		if !ok {
+			break
 		}
-	}
-	if format == "binary" {
-		buf = enc.Flush(buf)
+		buf = append(ev.AppendJSON(buf), '\n')
+		if len(buf) >= eventFlushBytes {
+			if _, err := w.Write(buf); err != nil {
+				*bp = buf[:0]
+				encBufPool.Put(bp)
+				return // client went away mid-stream
+			}
+			buf = buf[:0]
+		}
 	}
 	if len(buf) > 0 {
 		//dvfslint:allow errcheck-hot header already sent; nothing useful to do on error

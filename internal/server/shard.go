@@ -53,20 +53,16 @@ type shardResp struct {
 type shard struct {
 	id   string
 	spec PlatformSpec
-	// rec records the session's event stream; obs.Recorder is
-	// internally locked, so the events endpoint reads it without
-	// taking mu.
+	// rec records the session's event stream. The engine commits it at
+	// the end of each operation, so the events endpoint and the
+	// replication stream read whole operations from it without taking
+	// mu.
 	rec *obs.Recorder
 
 	// waiting counts the callers queued for mu. Past
 	// maxSessionWaiters a caller is shed with ErrBusy: backpressure at
 	// the HTTP layer.
 	waiting atomic.Int32
-	// committed is the Seq of the last event of the last operation that
-	// finished under mu. Events past it belong to an operation still
-	// running, so the replication stream and the events endpoint read
-	// the log only up to it.
-	committed atomic.Uint64
 
 	mu        sync.Mutex
 	sess      *core.OnlineSession
@@ -127,13 +123,6 @@ func (sh *shard) acquired(ctx context.Context) error {
 	return nil
 }
 
-// release publishes the log position the finished operation reached
-// as committed and unlocks mu.
-func (sh *shard) release() {
-	sh.committed.Store(sh.rec.LastSeq())
-	sh.mu.Unlock()
-}
-
 // submit applies one submission to the session. clamp selects Admit
 // (stale arrivals clamped to the clock) over Submit (stale arrivals
 // rejected). Session-level refusals come back in the reply's err.
@@ -142,7 +131,7 @@ func (sh *shard) submit(ctx context.Context, tasks model.TaskSet, clamp bool) (s
 		return shardResp{}, err
 	}
 	sh.mu.Lock()
-	defer sh.release()
+	defer sh.mu.Unlock()
 	if err := sh.acquired(ctx); err != nil {
 		return shardResp{}, err
 	}
@@ -173,7 +162,7 @@ func (sh *shard) do(ctx context.Context, op shardOp) (shardResp, error) {
 		return shardResp{}, err
 	}
 	sh.mu.Lock()
-	defer sh.release()
+	defer sh.mu.Unlock()
 	if err := sh.acquired(ctx); err != nil {
 		return shardResp{}, err
 	}

@@ -16,8 +16,11 @@ import (
 // network rather than from a pre-recorded trace; Run is a one-shot
 // wrapper around it.
 //
-// A session is single-owner: all methods must be called from one
-// goroutine (shards serialize access through a request channel).
+// A session is single-owner: its methods must not run concurrently (a
+// server shard runs each operation on the caller's goroutine under the
+// session's one mutex). Every call that advances the session commits
+// its sink when it returns (obs.Commit), so a reader of an
+// obs.Recorder sink sees whole calls only.
 type Session struct {
 	e      *Engine
 	params model.CostParams
@@ -85,8 +88,13 @@ func OpenSession(cfg Config, params model.CostParams) (*Session, error) {
 		counters = counters[n:]
 	}
 	cfg.Policy.Init(e)
+	s.commit()
 	return s, nil
 }
+
+// commit publishes the events the last call emitted to the sink's
+// readers.
+func (s *Session) commit() { obs.Commit(s.e.sink) }
 
 // Clock returns the session's current virtual time in seconds.
 func (s *Session) Clock() float64 { return s.e.clock }
@@ -240,6 +248,7 @@ func (s *Session) step(ctx context.Context, limit float64, n int) (bool, error) 
 // context is polled between events; cancellation aborts with an error
 // matching ErrCanceled.
 func (s *Session) AdvanceTo(ctx context.Context, t float64) error {
+	defer s.commit()
 	if s.finished {
 		return ErrSessionFinished
 	}
@@ -271,6 +280,7 @@ func (s *Session) AdvanceTo(ctx context.Context, t float64) error {
 // events the source processed after its last advance, such as those
 // of a canceled drain.
 func (s *Session) StepTo(ctx context.Context, seq uint64) error {
+	defer s.commit()
 	if s.finished {
 		return ErrSessionFinished
 	}
@@ -292,6 +302,7 @@ func (s *Session) StepTo(ctx context.Context, seq uint64) error {
 // Drain runs the session until every injected task has completed or
 // the context is canceled.
 func (s *Session) Drain(ctx context.Context) error {
+	defer s.commit()
 	if s.finished {
 		return ErrSessionFinished
 	}
