@@ -194,10 +194,11 @@ func (r *Recorder) AppendRange(dst []Event, from, to int) []Event {
 // dst as one binary trace, byte for byte AppendBinary of those events,
 // and returns the extended slice, the Seq of the last event it holds
 // (after when it holds none) and their count. It is the replication
-// stream's read: a tail that starts at a frame boundary (a stream's
-// open from Seq 0, say) copies the stored frames, and one that starts
-// at a recent commit decodes and re-frames only the events past it.
-// A steady-state tail allocates nothing once dst has room.
+// stream's read. A tail that starts at a frame boundary (a stream's
+// open from Seq 0, say) copies the stored frames; one that starts
+// where one of the last few tails ended decodes and re-frames only the
+// events past it; any other decodes from the start of its frame. A
+// steady-state tail allocates nothing once dst has room.
 func (r *Recorder) AppendBinarySince(dst []byte, after uint64) ([]byte, uint64, int) {
 	c, i := r.since(after)
 	n := c.log.Len() - i
@@ -349,15 +350,9 @@ func (l Log) Prefix(n int) Log {
 	}
 }
 
-// AppendBinary appends the log as one binary trace, byte for byte
-// AppendBinary of its events: it copies the sealed frames and seals a
-// copy of the open one.
-func (l Log) AppendBinary(dst []byte) []byte {
-	return l.appendFrames(appendStreamHeader(dst), 0)
-}
-
-// WriteBinary writes the log to w as AppendBinary would append it,
-// straight from the stored frames.
+// WriteBinary writes the log to w as one binary trace, byte for byte
+// AppendBinary of its events, straight from the stored frames: the
+// open frame's header is written on the way out.
 func (l Log) WriteBinary(w io.Writer) error {
 	var hdr [binaryHeaderLen + frameHeaderLen]byte
 	if _, err := w.Write(appendStreamHeader(hdr[:0])); err != nil {

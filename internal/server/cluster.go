@@ -119,9 +119,9 @@ func (s *Server) AppendSessionEventsSince(id string, after uint64, dst []obs.Eve
 // Seq > after to dst as one binary trace (obs.AppendBinary of those
 // events), and returns it with the Seq of its last event (after when
 // it holds none) and its event count. It is the replication stream's
-// read: whole operations only, without the session's lock, copying
-// stored frames for a stream's open and re-framing only the tail past
-// a recent commit otherwise.
+// read (obs.Recorder.AppendBinarySince): whole operations only,
+// without the session's lock, copying the stored frames for a
+// stream's open.
 func (s *Server) AppendSessionLogSince(id string, after uint64, dst []byte) ([]byte, uint64, int, error) {
 	sh, ok := s.sessions.get(id)
 	if !ok {
