@@ -37,9 +37,9 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # Short fuzz sessions for the dynamic structures, the binary trace
-# codec, the one-pass request decoder and its number scan, and the
-# cluster frame decoder; the list lives in scripts/fuzz_smoke.sh, which
-# scripts/check.sh runs too.
+# codec and the recorder's publish contract, the one-pass request
+# decoder and its number scan, and the cluster frame decoder; the list
+# lives in scripts/fuzz_smoke.sh, which scripts/check.sh runs too.
 fuzz-smoke:
 	GO=$(GO) scripts/fuzz_smoke.sh
 
@@ -47,7 +47,7 @@ fuzz-smoke:
 # machine-readable baseline for this PR (diff against the previous
 # PR's with `make benchdiff`).
 bench:
-	scripts/bench.sh BENCH_PR27.json
+	scripts/bench.sh BENCH_PR28.json
 
 # Compare the two newest BENCH_PR<N>.json baselines (numeric order);
 # fails on >20% ns/op, allocs/op or B/op regressions and on any log_B

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Short fuzz sessions, 5s each: the dynamic structures, the binary
-# trace codec, the one-pass request decoder and its number scan
-# (against encoding/json and strconv), and the cluster frame decoder.
+# trace codec and the recorder's publish contract, the one-pass
+# request decoder and its number scan (against encoding/json and
+# strconv), and the cluster frame decoder.
 # Cheap enough to run in every `make check`; `make fuzz-smoke` and
 # scripts/check.sh both run this list.
 #
@@ -16,7 +17,8 @@ cd "$(dirname "$0")/.."
 GO=${GO:-go}
 $GO test -fuzz=FuzzInsertDelete -fuzztime=5s ./internal/rangetree
 $GO test -fuzz=FuzzDynamicCost -fuzztime=5s ./internal/dynsched
-$GO test -fuzz=FuzzBinaryRoundTrip -fuzztime=5s ./internal/obs
+$GO test -run='^$' -fuzz='^FuzzBinaryRoundTrip$' -fuzztime=5s ./internal/obs
+$GO test -run='^$' -fuzz='^FuzzRecorderPublish$' -fuzztime=5s ./internal/obs
 $GO test -run='^$' -fuzz='^FuzzDecodeRequest$' -fuzztime=5s ./internal/server
 $GO test -run='^$' -fuzz='^FuzzDecodeNumber$' -fuzztime=5s ./internal/server
 $GO test -run='^$' -fuzz=FuzzDecodeFrame -fuzztime=5s ./internal/cluster
