@@ -155,12 +155,19 @@ type predictors struct {
 }
 
 // putRecord is the one record encoder: it writes ev's record at the
-// end of b and returns b extended by it. kind is the kind's index in
-// the frame's dictionary, and intro marks the record that introduces
-// it (kind equals the dictionary's size before the record), which
-// carries the kind's bytes inline. b must have recordRoom(ev) bytes of
-// spare capacity, so a record costs one capacity check, its caller's.
-func (p *predictors) putRecord(b []byte, ev *Event, kind int, intro bool) []byte {
+// end of b against the frame's state and returns b extended by it. A
+// kind the frame has not seen yet is added to its dictionary, and the
+// record carries the kind's bytes inline. b must have recordRoom(ev)
+// bytes of spare capacity, so a record costs one capacity check, its
+// caller's.
+func (st *frameState) putRecord(b []byte, ev *Event) []byte {
+	kind := st.kinds.index(ev.Kind)
+	intro := kind < 0
+	if intro {
+		kind = st.kinds.n
+		st.kinds.add(ev.Kind)
+	}
+	p := &st.pred
 	n := len(b)
 	b = b[:n+recordRoom(ev)]
 	n = putUvarint(b, n, uint64(kind))
@@ -241,9 +248,10 @@ func putLongUvarint(b []byte, n int, v uint64) int {
 }
 
 // getRecord decodes the record at p[pos:] into ev against the frame's
-// kind dictionary and predictors, and returns the position past it, or
-// -1 when the record does not parse.
-func (pr *predictors) getRecord(ev *Event, p []byte, pos int, kinds *kindTable) int {
+// state, and returns the position past it, or -1 when the record does
+// not parse.
+func (st *frameState) getRecord(ev *Event, p []byte, pos int) int {
+	kinds, pr := &st.kinds, &st.pred
 	idx, pos := getUvarint(p, pos)
 	switch {
 	case pos < 0:
@@ -353,30 +361,68 @@ func kindOf(b []byte) Kind {
 	return Kind(b)
 }
 
+// frameState is what coding a frame's next record needs: the frame's
+// kind dictionary and predictors. Encoder and decoder reset it at
+// every frame boundary.
+type frameState struct {
+	kinds kindTable
+	pred  predictors
+}
+
+func (st *frameState) reset() {
+	st.kinds.reset()
+	st.pred = predictors{}
+}
+
 // kindTable is a frame's kind dictionary in introduction order. The
 // first kinds live inline, so coding a frame of the engine's seven
-// kinds allocates nothing even when the table lives on the stack.
+// kinds allocates nothing, and a copy of the table is a snapshot.
 type kindTable struct {
 	n     int
 	first [8]Kind
 	more  []Kind
+	// known holds, for each engine kind (by knownKind), its index plus
+	// one, or 0 before the frame introduces it: the encoder finds an
+	// engine kind without comparing strings.
+	known [8]int32
 }
 
+// reset empties the table. It drops more instead of reusing it: a
+// Recorder's committed views may still read the old one.
 func (t *kindTable) reset() {
-	t.n = 0
-	t.more = t.more[:0]
+	t.n, t.more, t.known = 0, nil, [8]int32{}
+}
+
+// knownKind numbers the engine's kinds from 1, and returns 0 for any
+// other kind.
+func knownKind(k Kind) int {
+	switch k {
+	case KindArrival:
+		return 1
+	case KindStart:
+		return 2
+	case KindPreempt:
+		return 3
+	case KindComplete:
+		return 4
+	case KindDVFS:
+		return 5
+	case KindCoreActive:
+		return 6
+	case KindCoreIdle:
+		return 7
+	}
+	return 0
 }
 
 // index returns k's index, or -1 when the frame has not introduced it.
 func (t *kindTable) index(k Kind) int {
-	for i := 0; i < min(t.n, len(t.first)); i++ {
-		if t.first[i] == k {
-			return i
-		}
+	if c := knownKind(k); c > 0 {
+		return int(t.known[c]) - 1
 	}
-	for i, m := range t.more {
-		if m == k {
-			return len(t.first) + i
+	for i := 0; i < t.n; i++ {
+		if t.at(i) == k {
+			return i
 		}
 	}
 	return -1
@@ -390,6 +436,9 @@ func (t *kindTable) at(i int) Kind {
 }
 
 func (t *kindTable) add(k Kind) {
+	if c := knownKind(k); c > 0 {
+		t.known[c] = int32(t.n + 1)
+	}
 	if t.n < len(t.first) {
 		t.first[t.n] = k
 	} else {
@@ -398,21 +447,12 @@ func (t *kindTable) add(k Kind) {
 	t.n++
 }
 
-// load sets the table to kinds, a frame's dictionary prefix.
-func (t *kindTable) load(kinds []Kind) {
-	t.reset()
-	for _, k := range kinds {
-		t.add(k)
-	}
-}
-
 // frameEncoder frames records in place in the slice it appends to: it
 // reserves a frame's header before the frame's first record and
 // writes it when the frame seals, so a record is copied nowhere after
 // it is encoded. The zero value has no frame open.
 type frameEncoder struct {
-	kinds kindTable
-	pred  predictors
+	frameState
 	// open marks a frame in progress whose header was reserved at
 	// offset start of the slice.
 	open  bool
@@ -421,26 +461,32 @@ type frameEncoder struct {
 
 // appendEvent appends ev's record to b, opening a frame first when
 // none is open, and seals the frame once its payload reaches the
-// target. sealed reports that b now ends with a sealed frame.
+// target. sealed reports that b now ends with a sealed frame. b must
+// have eventRoom(ev) bytes of spare capacity: the one capacity check
+// per record is the caller's.
 func (e *frameEncoder) appendEvent(b []byte, ev *Event) (out []byte, sealed bool) {
-	if need := frameHeaderLen + recordRoom(ev); cap(b)-len(b) < need {
-		b = slices.Grow(b, need)
-	}
 	if !e.open {
 		e.open, e.start = true, len(b)
 		b = b[:len(b)+frameHeaderLen]
 	}
-	k := e.kinds.index(ev.Kind)
-	intro := k < 0
-	if intro {
-		k = e.kinds.n
-		e.kinds.add(ev.Kind)
-	}
-	b = e.pred.putRecord(b, ev, k, intro)
+	b = e.putRecord(b, ev)
 	if len(b)-e.start-frameHeaderLen < binaryFrameTarget {
 		return b, false
 	}
 	return e.seal(b), true
+}
+
+// eventRoom is the spare capacity appendEvent needs for ev: a record,
+// and a frame header if it opens a frame.
+func eventRoom(ev *Event) int { return frameHeaderLen + recordRoom(ev) }
+
+// roomFor returns b with eventRoom(ev) bytes of spare capacity,
+// growing it as append would.
+func roomFor(b []byte, ev *Event) []byte {
+	if need := eventRoom(ev); cap(b)-len(b) < need {
+		return slices.Grow(b, need)
+	}
+	return b
 }
 
 // seal writes the open frame's header, if a frame is open, and resets
@@ -454,8 +500,7 @@ func (e *frameEncoder) seal(b []byte) []byte {
 }
 
 func (e *frameEncoder) reset() {
-	e.kinds.reset()
-	e.pred = predictors{}
+	e.frameState.reset()
 	e.open = false
 }
 
@@ -512,7 +557,7 @@ func (e *BinaryEncoder) header(dst []byte) []byte {
 func (e *BinaryEncoder) AppendEvent(dst []byte, ev Event) []byte {
 	dst = e.header(dst)
 	var sealed bool
-	if e.frame, sealed = e.enc.appendEvent(e.frame, &ev); sealed {
+	if e.frame, sealed = e.enc.appendEvent(roomFor(e.frame, &ev), &ev); sealed {
 		dst = append(dst, e.frame...)
 		e.frame = e.frame[:0]
 	}
@@ -607,8 +652,7 @@ type BinaryReader struct {
 	r        *bufio.Reader
 	frame    []byte
 	pos      int
-	kinds    kindTable
-	pred     predictors
+	st       frameState
 	hdr      [frameHeaderLen]byte // header scratch that does not escape per read
 	started  bool
 	frameIdx int
@@ -639,8 +683,7 @@ func (r *BinaryReader) Reset(src io.Reader) {
 	}
 	r.frame = r.frame[:0]
 	r.pos = 0
-	r.kinds.reset()
-	r.pred = predictors{}
+	r.st.reset()
 	r.started = false
 	r.frameIdx = 0
 	r.off = 0
@@ -667,7 +710,7 @@ func (r *BinaryReader) Next() (Event, error) {
 		}
 	}
 	var ev Event
-	r.pos = r.pred.getRecord(&ev, r.frame, r.pos, &r.kinds)
+	r.pos = r.st.getRecord(&ev, r.frame, r.pos)
 	if r.pos < 0 {
 		// A CRC-valid frame that does not parse: drop its remainder.
 		ferr := &FrameError{Frame: r.frameIdx - 1, Offset: r.off - int64(len(r.frame)) - 8, Err: ErrFrameCorrupt}
@@ -744,8 +787,7 @@ func (r *BinaryReader) loadFrame() error {
 	}
 	// Fresh frame: reset the prediction state.
 	r.pos = 0
-	r.kinds.reset()
-	r.pred = predictors{}
+	r.st.reset()
 	return nil
 }
 
@@ -773,7 +815,7 @@ func AppendBinary(b []byte, events []Event) []byte {
 	b = appendStreamHeader(b)
 	var enc frameEncoder
 	for i := range events {
-		b, _ = enc.appendEvent(b, &events[i])
+		b, _ = enc.appendEvent(roomFor(b, &events[i]), &events[i])
 	}
 	return enc.seal(b)
 }

@@ -17,7 +17,7 @@ const (
 	// rounded up unseen.
 	recorderFrameCap = 40 << 10
 	// recorderFirstCap is the first frame buffer's capacity; it grows
-	// fourfold up to recorderFrameCap as the frame fills, so a short
+	// eightfold up to recorderFrameCap as the frame fills, so a short
 	// log stays small.
 	recorderFirstCap = 512
 	// tailMarks is how many tail ends a Recorder keeps the encoder
@@ -50,8 +50,7 @@ type Recorder struct {
 	// The writer's state, touched only by Emit and Commit.
 	frames []recFrame // sealed frames
 	buf    []byte     // the open frame: its reserved header, then its records
-	kinds  []Kind     // the open frame's kind dictionary
-	pred   predictors
+	st     frameState // the open frame's encoder state
 	n      int
 	last   uint64
 
@@ -66,10 +65,9 @@ type Recorder struct {
 // the writer only appends past them, and writes the header of a frame
 // it seals, which no reader of the open frame reads.
 type recFrame struct {
-	b     []byte // the frame's header (once sealed), then its payload
-	kinds []Kind // its kind dictionary in introduction order
-	n     int    // events recorded through the frame's end
-	last  uint64 // the Seq of the last of them
+	b    []byte // the frame's header (once sealed), then its payload
+	n    int    // events recorded through the frame's end
+	last uint64 // the Seq of the last of them
 }
 
 // payload returns the frame's records.
@@ -83,12 +81,11 @@ func (f *recFrame) payload() []byte {
 // tailMark is where a tail read ended: the end of the committed view
 // it read, with the encoder state there.
 type tailMark struct {
-	seq    uint64 // the Seq of the view's last event
-	n      int    // the view's events
-	frame  int    // its open frame's index
-	pos    int    // the offset of that frame's next record
-	nKinds int    // that frame's dictionary size
-	pred   predictors
+	seq   uint64 // the Seq of the view's last event
+	n     int    // the view's events
+	frame int    // its open frame's index
+	pos   int    // the offset of that frame's next record
+	st    frameState
 }
 
 // Emit implements Sink: it encodes ev into the open frame and seals
@@ -98,32 +95,22 @@ func (r *Recorder) Emit(ev Event) {
 	if room := recordRoom(&ev); cap(r.buf)-len(r.buf) < room {
 		r.grow(room)
 	}
-	k := -1
-	for i, kind := range r.kinds {
-		if kind == ev.Kind {
-			k = i
-			break
-		}
-	}
-	intro := k < 0
-	if intro {
-		k = len(r.kinds)
-		r.kinds = append(r.kinds, ev.Kind)
-	}
-	r.buf = r.pred.putRecord(r.buf, &ev, k, intro)
+	r.buf = r.st.putRecord(r.buf, &ev)
 	r.n++
 	r.last = ev.Seq
 	if len(r.buf)-frameHeaderLen >= binaryFrameTarget {
 		sealFrame(r.buf)
-		r.frames = append(r.frames, recFrame{b: r.buf, kinds: r.kinds, n: r.n, last: r.last})
-		r.buf, r.kinds, r.pred = nil, nil, predictors{}
+		r.frames = append(r.frames, recFrame{b: r.buf, n: r.n, last: r.last})
+		r.buf = nil
+		r.st.reset()
 	}
 }
 
 // grow makes room for a record of room bytes in the open frame,
-// opening it when it has no buffer yet. A full buffer moves to a new
-// one: committed bytes are never written again, so a reader still
-// holding the old buffer reads it unchanged.
+// opening the frame, with its header reserved, when it has no buffer
+// yet. A buffer that fills moves to a new one: committed bytes are
+// never written again, so a reader still holding the old buffer reads
+// it unchanged.
 func (r *Recorder) grow(room int) {
 	if len(r.buf) == 0 {
 		c := recorderFrameCap
@@ -131,10 +118,9 @@ func (r *Recorder) grow(room int) {
 			c = recorderFirstCap
 		}
 		r.buf = make([]byte, frameHeaderLen, max(c, frameHeaderLen+room))
-		r.kinds = make([]Kind, 0, len(kindTable{}.first))
 		return
 	}
-	b := make([]byte, len(r.buf), max(min(4*cap(r.buf), recorderFrameCap), len(r.buf)+room))
+	b := make([]byte, len(r.buf), max(min(8*cap(r.buf), recorderFrameCap), len(r.buf)+room))
 	copy(b, r.buf)
 	r.buf = b
 }
@@ -144,7 +130,7 @@ func (r *Recorder) grow(room int) {
 // nothing.
 func (r *Recorder) Commit() {
 	r.mu.Lock()
-	r.log = Log{sealed: r.frames, open: recFrame{b: r.buf, kinds: r.kinds, n: r.n, last: r.last}, pred: r.pred}
+	r.log = Log{sealed: r.frames, open: recFrame{b: r.buf, n: r.n, last: r.last}, st: r.st}
 	r.mu.Unlock()
 }
 
@@ -216,7 +202,7 @@ func (r *Recorder) AppendBinarySince(dst []byte, after uint64) ([]byte, uint64, 
 		if !ok {
 			return enc.seal(dst), last, n
 		}
-		dst, _ = enc.appendEvent(dst, &ev)
+		dst, _ = enc.appendEvent(roomFor(dst, &ev), &ev)
 	}
 }
 
@@ -252,7 +238,7 @@ func (r *Recorder) since(after uint64) (LogReader, int) {
 			break
 		}
 	}
-	if end := l.end(); end.n > 0 && r.marks[(r.next-1+tailMarks)%tailMarks] != end {
+	if end, prev := l.end(), &r.marks[(r.next-1+tailMarks)%tailMarks]; end.n > prev.n || end.seq != prev.seq {
 		r.marks[r.next] = end
 		r.next = (r.next + 1) % tailMarks
 	}
@@ -261,9 +247,7 @@ func (r *Recorder) since(after uint64) (LogReader, int) {
 		return LogReader{log: l, frame: len(l.sealed), pos: len(l.open.b)}, l.Len()
 	}
 	if found {
-		c := LogReader{log: l, frame: m.frame, pos: m.pos, pred: m.pred}
-		c.kinds.load(l.frame(m.frame).kinds[:m.nKinds])
-		return c, m.n
+		return LogReader{log: l, frame: m.frame, pos: m.pos, st: m.st}, m.n
 	}
 	f := sort.Search(len(l.sealed), func(k int) bool { return l.sealed[k].last > after })
 	c := LogReader{log: l, frame: f, pos: frameHeaderLen}
@@ -293,8 +277,8 @@ type Log struct {
 	// open is the open frame's records so far; its header is not
 	// written, and a read seals a copy.
 	open recFrame
-	// pred is the encoder state after open's last record.
-	pred predictors
+	// st is the encoder state after open's last record.
+	st frameState
 }
 
 // Len returns the number of events in the log.
@@ -306,10 +290,7 @@ func (l Log) LastSeq() uint64 { return l.open.last }
 
 // end returns the mark of the log's end.
 func (l *Log) end() tailMark {
-	return tailMark{
-		seq: l.open.last, n: l.open.n, frame: len(l.sealed), pos: max(len(l.open.b), frameHeaderLen),
-		nKinds: len(l.open.kinds), pred: l.pred,
-	}
+	return tailMark{seq: l.open.last, n: l.open.n, frame: len(l.sealed), pos: max(len(l.open.b), frameHeaderLen), st: l.st}
 }
 
 // frame returns frame i: the sealed frames, then the open one.
@@ -336,7 +317,7 @@ func (l Log) Prefix(n int) Log {
 	}
 	c := l.readerAt(n)
 	f := l.frame(c.frame)
-	last := c.pred.seq
+	last := c.st.pred.seq
 	if c.pos == frameHeaderLen {
 		last = 0
 		if c.frame > 0 {
@@ -345,8 +326,8 @@ func (l Log) Prefix(n int) Log {
 	}
 	return Log{
 		sealed: l.sealed[:c.frame],
-		open:   recFrame{b: f.b[:c.pos], kinds: f.kinds[:c.kinds.n], n: n, last: last},
-		pred:   c.pred,
+		open:   recFrame{b: f.b[:c.pos], n: n, last: last},
+		st:     c.st,
 	}
 }
 
@@ -423,8 +404,7 @@ type LogReader struct {
 	log   Log
 	frame int // the frame being decoded
 	pos   int // the offset of its next record
-	kinds kindTable
-	pred  predictors
+	st    frameState
 }
 
 // Next returns the next event, or false at the log's end.
@@ -437,11 +417,10 @@ func (c *LogReader) Next() (Event, bool) {
 		c.frame++
 		f = c.log.frame(c.frame)
 		c.pos = frameHeaderLen
-		c.kinds.reset()
-		c.pred = predictors{}
+		c.st.reset()
 	}
 	var ev Event
-	pos := c.pred.getRecord(&ev, f.b, c.pos, &c.kinds)
+	pos := c.st.getRecord(&ev, f.b, c.pos)
 	if pos < 0 {
 		// The recorder encoded these bytes itself.
 		panic(fmt.Sprintf("obs: recorded frame %d does not decode at offset %d", c.frame, c.pos))
