@@ -10,15 +10,17 @@ import (
 )
 
 const (
-	// recorderFrameCap is the capacity of each Recorder frame buffer
-	// after a log's first: a whole frame (header, a payload just under
-	// binaryFrameTarget, one more record of an engine kind) fits, and
-	// it is five of the allocator's 8 KiB pages, so no capacity is
-	// rounded up unseen.
-	recorderFrameCap = 40 << 10
+	// recorderFrameRoom is the room a frame needs: its header, a
+	// payload just under binaryFrameTarget, and one more record of an
+	// engine kind.
+	recorderFrameRoom = frameHeaderLen + binaryFrameTarget + maxRecordLen + len(KindCoreActive)
+	// recorderSlabCap is the capacity of the buffers a Recorder carves
+	// its frames from once a log outgrows its first: two whole frames
+	// fit in nine of the allocator's 8 KiB pages. A buffer per frame
+	// would round each 32 KiB frame up to 40 KiB.
+	recorderSlabCap = 72 << 10
 	// recorderFirstCap is the first frame buffer's capacity; it grows
-	// eightfold up to recorderFrameCap as the frame fills, so a short
-	// log stays small.
+	// eightfold until a whole frame fits, so a short log stays small.
 	recorderFirstCap = 512
 	// tailMarks is how many tail ends a Recorder keeps the encoder
 	// state of. A replication tail starts at the Seq its stream last
@@ -50,6 +52,7 @@ type Recorder struct {
 	// The writer's state, touched only by Emit and Commit.
 	frames []recFrame // sealed frames
 	buf    []byte     // the open frame: its reserved header, then its records
+	slab   []byte     // the capacity past the last sealed frame
 	st     frameState // the open frame's encoder state
 	n      int
 	last   uint64
@@ -101,26 +104,30 @@ func (r *Recorder) Emit(ev Event) {
 	if len(r.buf)-frameHeaderLen >= binaryFrameTarget {
 		sealFrame(r.buf)
 		r.frames = append(r.frames, recFrame{b: r.buf, n: r.n, last: r.last})
-		r.buf = nil
+		r.buf, r.slab = nil, r.buf[len(r.buf):]
 		r.st.reset()
 	}
 }
 
-// grow makes room for a record of room bytes in the open frame,
-// opening the frame, with its header reserved, when it has no buffer
-// yet. A buffer that fills moves to a new one: committed bytes are
-// never written again, so a reader still holding the old buffer reads
-// it unchanged.
+// grow makes room for a record of room bytes in the open frame. A
+// frame with no buffer yet is carved from the capacity past the last
+// sealed frame when a whole frame fits there, or opens a new buffer,
+// its header reserved either way. A buffer that fills moves to a new
+// one: committed bytes are never written again, so a reader still
+// holding the old buffer reads it unchanged.
 func (r *Recorder) grow(room int) {
-	if len(r.buf) == 0 {
-		c := recorderFrameCap
-		if len(r.frames) == 0 {
-			c = recorderFirstCap
-		}
-		r.buf = make([]byte, frameHeaderLen, max(c, frameHeaderLen+room))
+	if len(r.buf) == 0 && cap(r.slab) >= recorderFrameRoom+room {
+		r.buf = r.slab[:frameHeaderLen]
 		return
 	}
-	b := make([]byte, len(r.buf), max(min(8*cap(r.buf), recorderFrameCap), len(r.buf)+room))
+	c := recorderFirstCap
+	if len(r.buf) > 0 {
+		c = 8 * cap(r.buf)
+	}
+	if c >= recorderFrameRoom || len(r.frames) > 0 {
+		c = recorderSlabCap
+	}
+	b := make([]byte, max(len(r.buf), frameHeaderLen), max(c, len(r.buf)+room))
 	copy(b, r.buf)
 	r.buf = b
 }
