@@ -151,7 +151,8 @@ func (r *Recorder) Log() Log {
 // Events returns a copy of the committed stream in emission order.
 func (r *Recorder) Events() []Event {
 	l := r.Log()
-	return l.appendFrom(make([]Event, 0, l.Len()), l.Reader())
+	c := l.Reader()
+	return c.appendRest(make([]Event, 0, l.Len()))
 }
 
 // AppendSince appends the committed events with Seq > after to dst,
@@ -162,7 +163,7 @@ func (r *Recorder) AppendSince(dst []Event, after uint64) []Event {
 	if need := c.log.Len() - i; cap(dst)-len(dst) < need {
 		dst = append(make([]Event, 0, len(dst)+need), dst...)
 	}
-	return c.log.appendFrom(dst, c)
+	return c.appendRest(dst)
 }
 
 // AppendRange appends the committed events at emission positions
@@ -375,20 +376,9 @@ func (l *Log) appendFrames(dst []byte, i int) []byte {
 }
 
 // appendOpenHeader appends the header that seals payload p.
-func appendOpenHeader(dst []byte, p []byte) []byte {
+func appendOpenHeader(dst, p []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p)))
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(p))
-}
-
-// appendFrom appends every event from c on to dst.
-func (l *Log) appendFrom(dst []Event, c LogReader) []Event {
-	for {
-		ev, ok := c.Next()
-		if !ok {
-			return dst
-		}
-		dst = append(dst, ev)
-	}
 }
 
 // Reader returns a reader at the log's first event.
@@ -412,6 +402,17 @@ type LogReader struct {
 	frame int // the frame being decoded
 	pos   int // the offset of its next record
 	st    frameState
+}
+
+// appendRest appends every event from c on to dst.
+func (c *LogReader) appendRest(dst []Event) []Event {
+	for {
+		ev, ok := c.Next()
+		if !ok {
+			return dst
+		}
+		dst = append(dst, ev)
+	}
 }
 
 // Next returns the next event, or false at the log's end.
