@@ -132,6 +132,39 @@ func TestAdmitClampsStaleArrivals(t *testing.T) {
 	}
 }
 
+// TestSubmitRefusesRepeatedIDInBatch: a batch that names one ID twice
+// is refused whole, leaving the session empty, and the ID is still free.
+func TestSubmitRefusesRepeatedIDInBatch(t *testing.T) {
+	rec := &obs.Recorder{}
+	sched, err := core.New(model.CostParams{Re: 0.1, Rt: 0.4},
+		platform.Homogeneous(2, platform.TableII(), platform.Ideal{}), core.WithSink(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := sched.OpenOnline(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := model.Task{ID: 7, Cycles: 10, Arrival: 1, Deadline: model.NoDeadline}
+	err = sess.Submit(context.Background(), model.TaskSet{task, task})
+	if err == nil || err.Error() != "sim: duplicate task ID 7" {
+		t.Fatalf("Submit of ID 7 twice = %v, want sim: duplicate task ID 7", err)
+	}
+	if sess.Pending() != 0 || sess.Clock() != 0 || rec.Len() != 0 {
+		t.Fatalf("refused batch left %d pending, clock %v, %d events", sess.Pending(), sess.Clock(), rec.Len())
+	}
+	if err := sess.Submit(context.Background(), model.TaskSet{task}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Drain(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Tasks) != 1 {
+		t.Fatalf("drained %d tasks, want 1", len(res.Tasks))
+	}
+}
+
 func TestOpenOnlineRejectsBadSubmissions(t *testing.T) {
 	params := model.CostParams{Re: 0.1, Rt: 0.4}
 	sched, err := core.New(params, platform.Homogeneous(2, platform.TableII(), platform.Ideal{}))

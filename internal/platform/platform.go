@@ -80,6 +80,10 @@ func RateTableByName(name string) (*model.RateTable, error) {
 // time and energy a task observes, given how many cores are busy.
 // The analytic cost model of the paper corresponds to Ideal; the
 // "experiment" side of Fig. 1 corresponds to a Realistic model.
+//
+// Both methods must be pure functions of (l, activeCores): the
+// simulator keeps a running task's speeds and asks again only when the
+// task's level or the active-core count changes.
 type ExecutionModel interface {
 	// TimePerCycle returns the effective ns/cycle at level l while
 	// activeCores cores (including this one) are busy.

@@ -21,7 +21,8 @@ func checkLiveCompletions(t *testing.T, e *Engine) {
 		}
 	}
 	first := -1
-	for _, c := range e.cores {
+	for i := range e.cores {
+		c := &e.cores[i]
 		if c.run == nil {
 			continue
 		}

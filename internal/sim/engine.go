@@ -218,10 +218,14 @@ func (h eventHeap) down(i, n int) {
 
 // runSeg is the execution segment of the task currently on a core.
 type runSeg struct {
-	ts         *TaskState
-	level      model.RateLevel
-	lvl        int     // level's index in the core's rate table
-	tpc, epc   float64 // effective ns/cycle, nJ/cycle (set by restamp)
+	ts       *TaskState
+	level    model.RateLevel
+	lvl      int     // level's index in the core's rate table
+	tpc, epc float64 // effective ns/cycle, nJ/cycle (set by restamp)
+	// speedAt is the active-core count tpc and epc were computed for;
+	// 0, which no running segment sees, marks them owed after Start
+	// or SetLevel set a new level.
+	speedAt    int
 	execStart  float64 // first instant cycles advance (after any switch stall)
 	lastSettle float64
 	seq        uint64
@@ -235,9 +239,11 @@ type coreState struct {
 	// seg is the per-core scratch segment reused across starts so the
 	// steady-state arrival path never allocates. Nothing outside the
 	// engine may retain *runSeg across events.
-	run    *runSeg
-	seg    runSeg
-	done   event // run's one live completion, set by restamp
+	run *runSeg
+	seg runSeg
+	// done is run's one live completion. Its kind, core and task are
+	// set when the core is made; restamp writes the rest in place.
+	done   event
 	isBusy bool
 	// busy accounting
 	busyMark     float64
@@ -289,16 +295,19 @@ type Engine struct {
 	// stale marks the completion stamps and nextDone out of date;
 	// stamps sums the running-core counts of the mutations since the
 	// last restamp (see restamp).
-	stale    bool
-	stamps   uint64
-	cores    []*coreState
-	active   int
-	tasks    []*TaskState
-	undone   int
-	timeline []TimelineSegment
-	sink     obs.Sink
-	evSeq    uint64
-	err      error
+	stale  bool
+	stamps uint64
+	// settledAt is the clock of the last settleAll (see there); its
+	// zero value is right, as no segment has time to charge at 0.
+	settledAt float64
+	cores     []coreState
+	active    int
+	tasks     []*TaskState
+	undone    int
+	timeline  []TimelineSegment
+	sink      obs.Sink
+	evSeq     uint64
+	err       error
 }
 
 // testInvariants, when set (by this package's tests), attaches a
@@ -352,9 +361,18 @@ func (e *Engine) BusyFraction(i int) float64 { return e.cores[i].lastFraction }
 func (e *Engine) ActiveCores() int { return e.active }
 
 // settleAll charges elapsed time to every running task and emits meter
-// segments up to the current clock.
+// segments up to the current clock. Only an instant's first call does
+// anything: it leaves every running segment with lastSettle >= clock,
+// and Start and SetLevel only ever set a lastSettle at or after the
+// clock, so a later call at the same clock would charge nothing.
 func (e *Engine) settleAll() {
-	for _, c := range e.cores {
+	//dvfslint:allow floatcmp a repeat call at the very clock of the last is the no-op; any later clock must settle
+	if e.clock == e.settledAt {
+		return
+	}
+	e.settledAt = e.clock
+	for i := range e.cores {
+		c := &e.cores[i]
 		seg := c.run
 		if seg == nil {
 			continue
@@ -400,12 +418,18 @@ func (e *Engine) invalidate() {
 	e.stamps += uint64(e.active)
 }
 
-// restamp recomputes effective speeds (which depend on the active-core
-// count) and restamps every running core's completion, replacing the
-// one it held. Start, Preempt, SetLevel and completions only
-// invalidate; step restamps once before it returns, and every reader
-// of stamps, nextDone or the counters (next, Inject, the tick push)
-// restamps first.
+// restamp brings effective speeds (which depend on the level and the
+// active-core count) up to date and restamps every running core's
+// completion, replacing the one it held. Start, Preempt, SetLevel and
+// completions only invalidate; step restamps once before it returns,
+// and every reader of stamps, nextDone or the counters (next, Inject,
+// the tick push) restamps first.
+//
+// A segment's speeds are recomputed only when the active count differs
+// from the one they were computed for, or after Start or SetLevel set
+// its level: the execution model is a pure function of the two
+// (platform.ExecutionModel), so a recomputation would return the same
+// bits.
 //
 // One pass stands for all the passes the instant's mutations owe, bit
 // for bit. The clock does not move within a step, and the first
@@ -424,32 +448,33 @@ func (e *Engine) restamp() {
 	e.seqCtr += skipped
 	e.orderCtr += skipped
 	e.stale, e.stamps = false, 0
-	for _, c := range e.cores {
+	e.nextDone = -1
+	for i := range e.cores {
+		c := &e.cores[i]
 		seg := c.run
 		if seg == nil {
 			continue
 		}
-		seg.tpc = e.exec.TimePerCycle(seg.level, e.active)
-		seg.epc = e.exec.EnergyPerCycle(seg.level, e.active)
+		if seg.speedAt != e.active {
+			seg.tpc = e.exec.TimePerCycle(seg.level, e.active)
+			seg.epc = e.exec.EnergyPerCycle(seg.level, e.active)
+			seg.speedAt = e.active
+		}
 		e.seqCtr++
 		seg.seq = e.seqCtr
 		start := seg.lastSettle
 		if start < e.clock {
 			start = e.clock
 		}
-		end := start + seg.ts.Remaining*seg.tpc
+		// Field by field: a composite literal is built on the stack
+		// and copied over, and the copy's wide loads stall on the
+		// stores just made.
 		e.orderCtr++
-		c.done = event{time: end, kind: evCompletion, order: e.orderCtr, core: c.id, seq: seg.seq, task: -1}
-	}
-	e.findNextDone()
-}
-
-// findNextDone caches the core whose live completion comes first.
-func (e *Engine) findNextDone() {
-	e.nextDone = -1
-	for _, c := range e.cores {
-		if c.run != nil && (e.nextDone < 0 || eventLess(&c.done, &e.cores[e.nextDone].done)) {
-			e.nextDone = c.id
+		c.done.time = start + seg.ts.Remaining*seg.tpc
+		c.done.order = e.orderCtr
+		c.done.seq = seg.seq
+		if e.nextDone < 0 || eventLess(&c.done, &e.cores[e.nextDone].done) {
+			e.nextDone = i
 		}
 	}
 }
@@ -474,7 +499,7 @@ func (e *Engine) next() *event {
 // If the level differs from the core's current setting, the switch
 // latency stalls execution first.
 func (e *Engine) Start(i int, ts *TaskState, level model.RateLevel) error {
-	c := e.cores[i]
+	c := &e.cores[i]
 	if c.run != nil {
 		return fmt.Errorf("sim: core %d busy, cannot start task %d", i, ts.Task.ID)
 	}
@@ -498,14 +523,16 @@ func (e *Engine) Start(i int, ts *TaskState, level model.RateLevel) error {
 		ts.Started = true
 		ts.FirstStart = e.clock
 	}
-	c.seg = runSeg{
-		ts:         ts,
-		level:      level,
-		lvl:        lvl,
-		execStart:  e.clock + stall,
-		lastSettle: e.clock + stall,
-	}
-	c.run = &c.seg
+	// In place, as restamp writes done. tpc, epc and seq keep the last
+	// segment's values until the restamp that precedes any clock move.
+	seg := &c.seg
+	seg.ts = ts
+	seg.level = level
+	seg.lvl = lvl
+	seg.speedAt = 0
+	seg.execStart = e.clock + stall
+	seg.lastSettle = seg.execStart
+	c.run = seg
 	c.accountBusy(e.clock)
 	c.isBusy = true
 	e.active++
@@ -521,7 +548,7 @@ func (e *Engine) Start(i int, ts *TaskState, level model.RateLevel) error {
 // Remaining cycles updated. The policy is responsible for resuming it
 // later via Start.
 func (e *Engine) Preempt(i int) (*TaskState, error) {
-	c := e.cores[i]
+	c := &e.cores[i]
 	if c.run == nil {
 		return nil, fmt.Errorf("sim: core %d idle, nothing to preempt", i)
 	}
@@ -542,7 +569,7 @@ func (e *Engine) Preempt(i int) (*TaskState, error) {
 // SetLevel changes core i's frequency. A running task continues at the
 // new speed after the switch stall.
 func (e *Engine) SetLevel(i int, level model.RateLevel) error {
-	c := e.cores[i]
+	c := &e.cores[i]
 	lvl := c.rates.IndexOf(level.Rate)
 	if lvl < 0 {
 		return fmt.Errorf("sim: core %d does not support rate %v", i, level.Rate)
@@ -561,6 +588,7 @@ func (e *Engine) SetLevel(i int, level model.RateLevel) error {
 	e.settleAll()
 	c.run.level = level
 	c.run.lvl = lvl
+	c.run.speedAt = 0
 	c.run.execStart = e.clock + e.cfg.Platform.SwitchLatency
 	if c.run.lastSettle < c.run.execStart {
 		c.run.lastSettle = c.run.execStart
@@ -635,7 +663,8 @@ func (e *Engine) finalize(params model.CostParams) (*Result, error) {
 	res.Tasks = append(res.Tasks, e.tasks...)
 	sort.Slice(res.Tasks, func(i, j int) bool { return res.Tasks[i].Task.ID < res.Tasks[j].Task.ID })
 	var busyTotal float64
-	for _, c := range e.cores {
+	for i := range e.cores {
+		c := &e.cores[i]
 		c.accountBusy(e.clock)
 		busyTotal += c.busyTotal
 		res.Switches += c.switches

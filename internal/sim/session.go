@@ -26,8 +26,14 @@ type Session struct {
 	params model.CostParams
 	// maxTime mirrors Run's runaway guard.
 	maxTime float64
-	// ids tracks every task ID ever injected, for cross-batch
-	// uniqueness.
+	// maxID is the largest task ID ever injected (math.MinInt before
+	// the first). An ID above it is fresh, so while every injected ID
+	// has exceeded all earlier ones, maxID is the whole uniqueness
+	// check and ids stays nil.
+	maxID int
+	// ids holds every task ID ever injected once one did not exceed
+	// maxID: the first batch admitted with such an ID builds it from
+	// the engine's task table, and every later batch adds its IDs.
 	ids map[int]bool
 	// tickAt is the virtual time of the pending tick event, or NaN when
 	// no tick is scheduled.
@@ -71,12 +77,12 @@ func OpenSession(cfg Config, params model.CostParams) (*Session, error) {
 	}
 
 	e := &Engine{cfg: cfg, exec: cfg.Platform.ExecModel(), sink: cfg.Sink, nextDone: -1}
-	s := &Session{e: e, params: params, maxTime: maxTime, ids: map[int]bool{}, tickAt: math.NaN()}
+	s := &Session{e: e, params: params, maxTime: maxTime, maxID: math.MinInt, tickAt: math.NaN()}
 	if testInvariants {
 		s.inv = obs.NewInvariantSink()
 		e.sink = obs.Multi(e.sink, s.inv)
 	}
-	e.cores = make([]*coreState, cfg.Platform.NumCores())
+	e.cores = make([]coreState, cfg.Platform.NumCores())
 	levels := 0
 	for _, rt := range cfg.Platform.Cores {
 		levels += rt.Len()
@@ -84,7 +90,8 @@ func OpenSession(cfg Config, params model.CostParams) (*Session, error) {
 	counters := make([]levelSeconds, levels)
 	for i, rt := range cfg.Platform.Cores {
 		n := rt.Len()
-		e.cores[i] = &coreState{id: i, rates: rt, level: rt.Min(), residency: counters[:n:n]}
+		e.cores[i] = coreState{id: i, rates: rt, level: rt.Min(), residency: counters[:n:n],
+			done: event{kind: evCompletion, core: i, task: -1}}
 		counters = counters[n:]
 	}
 	cfg.Policy.Init(e)
@@ -117,36 +124,74 @@ func (s *Session) Tasks() model.TaskSet {
 // virtual clock (a session cannot rewrite the past) and no later than
 // the max time, past which virtual time cannot advance. Tasks become
 // visible to the policy when virtual time reaches their arrival. A
-// refused batch leaves the session unchanged.
+// refused batch leaves the session unchanged, its ID state included.
 func (s *Session) Inject(tasks model.TaskSet) error {
 	if s.finished {
 		return ErrSessionFinished
 	}
-	for _, t := range tasks {
+	e := s.e
+	// An ID above top, the largest before it, is fresh. Any other is
+	// looked up in ids, the session's set, and in batch, the batch's
+	// IDs before it. The first such ID builds batch, and ids too from
+	// the task table if the session's IDs had only increased; ids
+	// becomes the session's only once the batch is admitted, so a
+	// refused batch leaves the ID state as it was.
+	top, ids := s.maxID, s.ids
+	var batch map[int]bool
+	for i, t := range tasks {
 		if err := t.Validate(); err != nil {
 			return err
 		}
-		if s.ids[t.ID] {
-			return fmt.Errorf("sim: duplicate task ID %d", t.ID)
+		switch {
+		case t.ID > top:
+			top = t.ID
+		case batch == nil:
+			if ids == nil {
+				ids = make(map[int]bool, len(e.tasks)+len(tasks))
+				for _, ts := range e.tasks {
+					ids[ts.Task.ID] = true
+				}
+			}
+			batch = make(map[int]bool, len(tasks))
+			for _, u := range tasks[:i] {
+				batch[u.ID] = true
+			}
+			fallthrough
+		default:
+			if ids[t.ID] || batch[t.ID] {
+				return fmt.Errorf("sim: duplicate task ID %d", t.ID)
+			}
 		}
-		if t.Arrival < s.e.clock {
-			return fmt.Errorf("sim: task %d arrives at %v, before the session clock %v", t.ID, t.Arrival, s.e.clock)
+		if batch != nil {
+			batch[t.ID] = true
+		}
+		if t.Arrival < e.clock {
+			return fmt.Errorf("sim: task %d arrives at %v, before the session clock %v", t.ID, t.Arrival, e.clock)
 		}
 		if t.Arrival > s.maxTime {
 			return fmt.Errorf("sim: task %d arrives at %v, past the max time %v", t.ID, t.Arrival, s.maxTime)
 		}
 	}
-	e := s.e
+	s.maxID = top
+	if ids != nil {
+		for _, t := range tasks {
+			ids[t.ID] = true
+		}
+		s.ids = ids
+	}
 	e.restamp() // arrivals take orderCtr values after any owed stamps
 	sorted := tasks.Clone()
 	sorted.ByArrival()
 	// One TaskState slab per batch: e.tasks holds pointers into it, so
-	// injection costs O(1) allocations however large the batch is.
+	// injection costs O(1) allocations however large the batch is. The
+	// slab is zeroed, so each state needs only its task and cycles,
+	// written in place.
 	states := make([]TaskState, len(sorted))
 	for i, t := range sorted {
-		s.ids[t.ID] = true
-		states[i] = TaskState{Task: t, Remaining: t.Cycles}
-		e.tasks = append(e.tasks, &states[i])
+		st := &states[i]
+		st.Task = t
+		st.Remaining = t.Cycles
+		e.tasks = append(e.tasks, st)
 		e.orderCtr++
 		e.events.push(event{time: t.Arrival, kind: evArrival, order: e.orderCtr, task: len(e.tasks) - 1})
 	}
@@ -195,7 +240,7 @@ func (s *Session) step(ctx context.Context, limit float64, n int) (bool, error) 
 	e.clock = ev.time
 	switch ev.kind {
 	case evCompletion:
-		c := e.cores[ev.core]
+		c := &e.cores[ev.core]
 		if c.run == nil || c.run.seq != ev.seq {
 			return true, e.err // not the core's live completion
 		}
@@ -219,7 +264,8 @@ func (s *Session) step(ctx context.Context, limit float64, n int) (bool, error) 
 		e.cfg.Policy.OnCompletion(e, ev.core, ts)
 	case evTick:
 		s.tickAt = math.NaN()
-		for _, c := range e.cores {
+		for i := range e.cores {
+			c := &e.cores[i]
 			c.accountBusy(e.clock)
 			c.lastFraction = c.busyInWindow / e.cfg.TickInterval
 			c.busyInWindow = 0

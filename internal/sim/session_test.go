@@ -2,8 +2,10 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -163,11 +165,11 @@ func TestSessionRefusesArrivalPastMaxTime(t *testing.T) {
 	type state struct {
 		clock                  uint64
 		pending, events, tasks int
-		ids                    int
+		ids                    idState
 		orderCtr               uint64
 	}
 	snap := func() state {
-		return state{math.Float64bits(s.Clock()), s.Pending(), len(s.e.events), len(s.e.tasks), len(s.ids), s.e.orderCtr}
+		return state{math.Float64bits(s.Clock()), s.Pending(), len(s.e.events), len(s.e.tasks), idsOf(s), s.e.orderCtr}
 	}
 	before := snap()
 	if err := s.Inject(model.TaskSet{task(2, 3), task(3, 2e9)}); err == nil || !strings.Contains(err.Error(), "past the max time") {
@@ -185,6 +187,177 @@ func TestSessionRefusesArrivalPastMaxTime(t *testing.T) {
 	}
 	if len(res.Tasks) != 3 {
 		t.Fatalf("drained %d tasks, want 3", len(res.Tasks))
+	}
+}
+
+// idState is a session's ID bookkeeping: the largest ID and the set,
+// which is nil until an ID fails to exceed every earlier one.
+type idState struct {
+	maxID   int
+	indexed bool
+	n       int
+}
+
+func idsOf(s *Session) idState { return idState{s.maxID, s.ids != nil, len(s.ids)} }
+
+// TestSessionRefusesDuplicateWithinBatch: a batch that repeats an ID is
+// refused whole, whether the repeat follows an increasing run or not,
+// and leaves the session as it was.
+func TestSessionRefusesDuplicateWithinBatch(t *testing.T) {
+	task := func(id int) model.Task {
+		return model.Task{ID: id, Cycles: 5, Deadline: model.NoDeadline}
+	}
+	for _, tc := range []struct {
+		name         string
+		before, dups model.TaskSet
+	}{
+		{"fresh session", nil, model.TaskSet{task(7), task(7)}},
+		{"after an increasing run", model.TaskSet{task(1), task(2)}, model.TaskSet{task(5), task(8), task(5)}},
+		{"after a step back", model.TaskSet{task(4), task(2)}, model.TaskSet{task(3), task(7), task(3)}},
+	} {
+		plat := platform.Homogeneous(1, platform.TableII(), platform.Ideal{})
+		s, err := OpenSession(Config{Platform: plat, Policy: &sessionFIFO{}}, sessionParams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tc.before) > 0 {
+			if err := s.Inject(tc.before); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		ids, events := idsOf(s), len(s.e.events)
+		want := fmt.Sprintf("sim: duplicate task ID %d", tc.dups[len(tc.dups)-1].ID)
+		if err := s.Inject(tc.dups); err == nil || err.Error() != want {
+			t.Fatalf("%s: Inject(%v) = %v, want %q", tc.name, tc.dups, err, want)
+		}
+		if got := idsOf(s); got != ids || len(s.e.events) != events || s.Pending() != len(tc.before) {
+			t.Fatalf("%s: refused batch changed the session: ids %+v -> %+v, %d -> %d events", tc.name, ids, got, events, len(s.e.events))
+		}
+		if err := s.Inject(tc.dups[:len(tc.dups)-1]); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		res, err := s.Finish(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(tc.before) + len(tc.dups) - 1; len(res.Tasks) != n {
+			t.Fatalf("%s: drained %d tasks, want %d", tc.name, len(res.Tasks), n)
+		}
+	}
+}
+
+// TestSessionIDsMatchMap holds Inject's ID bookkeeping to a plain map
+// on seeded random batch sequences: increasing runs broken by step
+// backs, repeats within and across batches, negative and zero IDs, and
+// batches refused for an arrival before the clock or past the max time.
+// Every batch must be accepted or refused with the error the map model
+// predicts, a refused one must leave the ID state as it was, and the
+// drained tasks must be exactly the accepted ones.
+func TestSessionIDsMatchMap(t *testing.T) {
+	const maxTime = 1e6
+	rng := rand.New(rand.NewSource(1))
+	plat := platform.Homogeneous(2, platform.TableII(), platform.Ideal{})
+	outcomes := map[string]int{}
+	indexed := 0
+	for seq := 0; seq < 300; seq++ {
+		s, err := OpenSession(Config{Platform: plat, Policy: &sessionFIFO{}, MaxTime: maxTime}, sessionParams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		taken := map[int]bool{}
+		id := rng.Intn(7) - 3
+		for b := 0; b < 1+rng.Intn(12); b++ {
+			batch := make(model.TaskSet, 1+rng.Intn(6))
+			for k := range batch {
+				arrival := s.Clock() + rng.Float64()*2
+				switch r := rng.Intn(40); {
+				case r == 0 && s.Clock() > 0:
+					arrival = s.Clock() / 2
+				case r == 1:
+					arrival = maxTime * 2
+				}
+				batch[k] = model.Task{ID: id, Cycles: 0.5 + rng.Float64(), Arrival: arrival, Deadline: model.NoDeadline}
+				switch r := rng.Intn(20); {
+				case r < 2:
+					id -= rng.Intn(4) // a repeat or a step back
+				case r == 2:
+					id = rng.Intn(7) - 3
+				default:
+					id += 1 + rng.Intn(3)
+				}
+			}
+			// The map model: the first task's fault, checked in
+			// Inject's order, refuses the batch.
+			var want error
+			inBatch := map[int]bool{}
+			for _, task := range batch {
+				switch {
+				case taken[task.ID] || inBatch[task.ID]:
+					want = fmt.Errorf("sim: duplicate task ID %d", task.ID)
+				case task.Arrival < s.Clock():
+					want = fmt.Errorf("sim: task %d arrives at %v, before the session clock %v", task.ID, task.Arrival, s.Clock())
+				case task.Arrival > maxTime:
+					want = fmt.Errorf("sim: task %d arrives at %v, past the max time %v", task.ID, task.Arrival, float64(maxTime))
+				}
+				if want != nil {
+					break
+				}
+				inBatch[task.ID] = true
+			}
+			before := idsOf(s)
+			got := s.Inject(batch.Clone())
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("sequence %d batch %d %+v (taken %v): Inject = %v, map model %v", seq, b, batch, taken, got, want)
+			}
+			if want != nil {
+				for _, o := range []string{"duplicate", "before the session clock", "past the max time"} {
+					if strings.Contains(want.Error(), o) {
+						outcomes[o]++
+					}
+				}
+				if after := idsOf(s); after != before {
+					t.Fatalf("sequence %d batch %d: refused batch changed the ID state %+v -> %+v", seq, b, before, after)
+				}
+				continue
+			}
+			outcomes["ok"]++
+			for _, task := range batch {
+				taken[task.ID] = true
+			}
+			if rng.Intn(2) == 0 {
+				if err := s.AdvanceTo(context.Background(), s.Clock()+rng.Float64()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if s.ids != nil {
+			indexed++
+		}
+		if len(taken) == 0 {
+			continue
+		}
+		res, err := s.Finish(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		drained := map[int]bool{}
+		for _, ts := range res.Tasks {
+			if drained[ts.Task.ID] {
+				t.Fatalf("sequence %d: task %d drained twice", seq, ts.Task.ID)
+			}
+			drained[ts.Task.ID] = true
+		}
+		if !reflect.DeepEqual(drained, taken) {
+			t.Fatalf("sequence %d: drained IDs %v, accepted %v", seq, drained, taken)
+		}
+	}
+	for _, o := range []string{"ok", "duplicate", "before the session clock", "past the max time"} {
+		if outcomes[o] == 0 {
+			t.Fatalf("batches did not cover %q: %v", o, outcomes)
+		}
+	}
+	if indexed == 0 || indexed == 300 {
+		t.Fatalf("%d of 300 sessions built the ID set; want both paths covered", indexed)
 	}
 }
 
