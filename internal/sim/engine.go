@@ -300,14 +300,15 @@ type Engine struct {
 	// settledAt is the clock of the last settleAll (see there); its
 	// zero value is right, as no segment has time to charge at 0.
 	settledAt float64
-	cores     []coreState
-	active    int
-	tasks     []*TaskState
-	undone    int
-	timeline  []TimelineSegment
-	sink      obs.Sink
-	evSeq     uint64
-	err       error
+	// cores is made once: a running core's run points into its element.
+	cores    []coreState
+	active   int
+	tasks    []*TaskState
+	undone   int
+	timeline []TimelineSegment
+	sink     obs.Sink
+	evSeq    uint64
+	err      error
 }
 
 // testInvariants, when set (by this package's tests), attaches a
