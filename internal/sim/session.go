@@ -132,32 +132,31 @@ func (s *Session) Inject(tasks model.TaskSet) error {
 	e := s.e
 	// An ID above top, the largest before it, is fresh. Any other is
 	// looked up in ids, the session's set, and in batch, the batch's
-	// IDs before it. The first such ID builds batch, and ids too from
-	// the task table if the session's IDs had only increased; ids
-	// becomes the session's only once the batch is admitted, so a
-	// refused batch leaves the ID state as it was.
+	// IDs before it. The first such ID builds ids from the task table
+	// if the session's IDs had only increased, and batch unless it is
+	// the batch's first; ids becomes the session's only once the batch
+	// is admitted, so a refused batch leaves the ID state as it was.
 	top, ids := s.maxID, s.ids
 	var batch map[int]bool
 	for i, t := range tasks {
 		if err := t.Validate(); err != nil {
 			return err
 		}
-		switch {
-		case t.ID > top:
+		if t.ID > top {
 			top = t.ID
-		case batch == nil:
+		} else {
 			if ids == nil {
 				ids = make(map[int]bool, len(e.tasks)+len(tasks))
 				for _, ts := range e.tasks {
 					ids[ts.Task.ID] = true
 				}
 			}
-			batch = make(map[int]bool, len(tasks))
-			for _, u := range tasks[:i] {
-				batch[u.ID] = true
+			if batch == nil && i > 0 {
+				batch = make(map[int]bool, len(tasks))
+				for _, u := range tasks[:i] {
+					batch[u.ID] = true
+				}
 			}
-			fallthrough
-		default:
 			if ids[t.ID] || batch[t.ID] {
 				return fmt.Errorf("sim: duplicate task ID %d", t.ID)
 			}

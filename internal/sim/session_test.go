@@ -200,52 +200,6 @@ type idState struct {
 
 func idsOf(s *Session) idState { return idState{s.maxID, s.ids != nil, len(s.ids)} }
 
-// TestSessionRefusesDuplicateWithinBatch: a batch that repeats an ID is
-// refused whole, whether the repeat follows an increasing run or not,
-// and leaves the session as it was.
-func TestSessionRefusesDuplicateWithinBatch(t *testing.T) {
-	task := func(id int) model.Task {
-		return model.Task{ID: id, Cycles: 5, Deadline: model.NoDeadline}
-	}
-	for _, tc := range []struct {
-		name         string
-		before, dups model.TaskSet
-	}{
-		{"fresh session", nil, model.TaskSet{task(7), task(7)}},
-		{"after an increasing run", model.TaskSet{task(1), task(2)}, model.TaskSet{task(5), task(8), task(5)}},
-		{"after a step back", model.TaskSet{task(4), task(2)}, model.TaskSet{task(3), task(7), task(3)}},
-	} {
-		plat := platform.Homogeneous(1, platform.TableII(), platform.Ideal{})
-		s, err := OpenSession(Config{Platform: plat, Policy: &sessionFIFO{}}, sessionParams)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(tc.before) > 0 {
-			if err := s.Inject(tc.before); err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
-			}
-		}
-		ids, events := idsOf(s), len(s.e.events)
-		want := fmt.Sprintf("sim: duplicate task ID %d", tc.dups[len(tc.dups)-1].ID)
-		if err := s.Inject(tc.dups); err == nil || err.Error() != want {
-			t.Fatalf("%s: Inject(%v) = %v, want %q", tc.name, tc.dups, err, want)
-		}
-		if got := idsOf(s); got != ids || len(s.e.events) != events || s.Pending() != len(tc.before) {
-			t.Fatalf("%s: refused batch changed the session: ids %+v -> %+v, %d -> %d events", tc.name, ids, got, events, len(s.e.events))
-		}
-		if err := s.Inject(tc.dups[:len(tc.dups)-1]); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		res, err := s.Finish(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := len(tc.before) + len(tc.dups) - 1; len(res.Tasks) != n {
-			t.Fatalf("%s: drained %d tasks, want %d", tc.name, len(res.Tasks), n)
-		}
-	}
-}
-
 // TestSessionIDsMatchMap holds Inject's ID bookkeeping to a plain map
 // on seeded random batch sequences: increasing runs broken by step
 // backs, repeats within and across batches, negative and zero IDs, and
