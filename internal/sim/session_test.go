@@ -220,7 +220,8 @@ func TestSessionIDsMatchMap(t *testing.T) {
 		}
 		taken := map[int]bool{}
 		id := rng.Intn(7) - 3
-		for b := 0; b < 1+rng.Intn(12); b++ {
+		batches := 1 + rng.Intn(12)
+		for b := 0; b < batches; b++ {
 			batch := make(model.TaskSet, 1+rng.Intn(6))
 			for k := range batch {
 				arrival := s.Clock() + rng.Float64()*2
