@@ -57,24 +57,29 @@ const benchSessions = 1
 // BenchmarkReplicatedSubmit measures the cluster mutation hot path —
 // concurrent single-task submits across benchSessions owner-resident
 // sessions with "acked implies replicated" held. Requests run
-// in-process against the owner's handler; `stream` replicates them
-// over the per-peer frame stream across a real loopback socket, so
-// its gap to `solo` is the price of replication.
+// in-process against a front's handler; `stream` enters at the owner
+// and replicates over the per-session frame stream across a real
+// loopback socket, so its gap to `solo` is the price of replication.
+// `forwarded` enters at a non-owner front, which forwards each submit
+// over loopback to the owner, so its gap to `stream` is the price of
+// the forward exchange.
 func BenchmarkReplicatedSubmit(b *testing.B) {
 	for _, mode := range []struct {
 		name  string
 		nodes int
+		front string
 	}{
 		// solo is the no-replication floor: a 1-node view never ships,
 		// so this prices the cluster submit machinery alone.
-		{"solo", 1},
-		{"stream", 2},
+		{"solo", 1, "n1"},
+		{"stream", 2, "n1"},
+		{"forwarded", 3, "n3"},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			tc := startCluster(b, mode.nodes, nil)
 			owner := "n1"
 			ids := sessionsOwnedBy(b, tc, owner, benchSessions)
-			h := tc.byID[owner].node.Handler()
+			h := tc.byID[mode.front].node.Handler()
 
 			paths := make([]string, len(ids))
 			for i, id := range ids {
