@@ -28,18 +28,21 @@ import (
 // so the rebuilt schedule is unchanged.
 func (o *OnlineSession) ReplayTrace(ctx context.Context, events []obs.Event) (int, error) {
 	n := 0
+	// Submit keeps no reference to its batch, so one one-task set
+	// carries every arrival.
+	one := make(model.TaskSet, 1)
 	for _, ev := range events {
 		if ev.Kind != obs.KindArrival {
 			continue
 		}
-		task := model.Task{
+		one[0] = model.Task{
 			ID:          ev.Task,
 			Cycles:      ev.Cycles,
 			Arrival:     ev.T,
 			Deadline:    model.NoDeadline,
 			Interactive: ev.Interactive,
 		}
-		if err := o.Submit(ctx, model.TaskSet{task}); err != nil {
+		if err := o.Submit(ctx, one); err != nil {
 			return n, fmt.Errorf("replay arrival seq %d (task %d at t=%v): %w", ev.Seq, ev.Task, ev.T, err)
 		}
 		n++

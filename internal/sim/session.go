@@ -179,8 +179,14 @@ func (s *Session) Inject(tasks model.TaskSet) error {
 		s.ids = ids
 	}
 	e.restamp() // arrivals take orderCtr values after any owed stamps
-	sorted := tasks.Clone()
-	sorted.ByArrival()
+	// Arrivals enter in ByArrival's order. A batch already in it (every
+	// one-task submit, judge batch and replayed arrival) is read where
+	// it is; only another is copied and sorted.
+	sorted := tasks
+	if !inArrivalOrder(tasks) {
+		sorted = tasks.Clone()
+		sorted.ByArrival()
+	}
 	// One TaskState slab per batch: e.tasks holds pointers into it, so
 	// injection costs O(1) allocations however large the batch is. The
 	// slab is zeroed, so each state needs only its task and cycles,
@@ -201,6 +207,20 @@ func (s *Session) Inject(tasks model.TaskSet) error {
 		e.events.push(event{time: s.tickAt, kind: evTick, order: e.orderCtr, task: -1})
 	}
 	return nil
+}
+
+// inArrivalOrder reports whether ByArrival would leave ts as it is:
+// its (arrival, ID) pairs increase strictly. Inject calls it after the
+// ID check, so no two tasks share an ID.
+func inArrivalOrder(ts model.TaskSet) bool {
+	for i := 1; i < len(ts); i++ {
+		a, b := &ts[i-1], &ts[i]
+		//dvfslint:allow floatcmp ByArrival orders equal arrivals by ID, so the check must tell equal from close
+		if b.Arrival < a.Arrival || b.Arrival == a.Arrival && b.ID < a.ID {
+			return false
+		}
+	}
+	return true
 }
 
 // step processes the earliest pending event if its time is at most

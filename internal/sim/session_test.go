@@ -428,3 +428,40 @@ func TestSessionMaxTimeGuard(t *testing.T) {
 		t.Fatal("infinite advance accepted")
 	}
 }
+
+// TestInjectOrderMatchesByArrival: Inject reads a batch in place only
+// when ByArrival would leave it unchanged, so the engine holds every
+// batch in ByArrival's order whether or not it was sorted. Arrivals
+// are drawn from four values, signed zero included, so ties are common.
+func TestInjectOrderMatchesByArrival(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	plat := platform.Homogeneous(2, platform.TableII(), platform.Ideal{})
+	arrivals := []float64{math.Copysign(0, -1), 0, 1, 2}
+	inPlace := 0
+	for trial := 0; trial < 500; trial++ {
+		batch := make(model.TaskSet, 1+rng.Intn(5))
+		for k, id := range rng.Perm(len(batch)) {
+			batch[k] = model.Task{ID: id, Cycles: 1, Arrival: arrivals[rng.Intn(len(arrivals))], Deadline: model.NoDeadline}
+		}
+		want := batch.Clone()
+		want.ByArrival()
+		if got := inArrivalOrder(batch); got != reflect.DeepEqual(batch, want) {
+			t.Fatalf("inArrivalOrder(%+v) = %v, want %v", batch, got, !got)
+		} else if got {
+			inPlace++
+		}
+		s, err := OpenSession(Config{Platform: plat, Policy: &sessionFIFO{}}, sessionParams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Inject(batch); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Tasks(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("batch %+v: engine holds %+v, want %+v", batch, got, want)
+		}
+	}
+	if inPlace == 0 || inPlace == 500 {
+		t.Fatalf("%d of 500 batches were in order; want both paths covered", inPlace)
+	}
+}
