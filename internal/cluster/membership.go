@@ -188,7 +188,7 @@ func (n *Node) pullMembership(addr string) {
 	if err != nil {
 		return
 	}
-	resp, err := n.client.Do(req)
+	resp, err := n.transport.RoundTrip(req)
 	if err != nil {
 		return
 	}

@@ -47,7 +47,9 @@ type Node struct {
 	srv     *server.Server
 	router  *server.Router
 	handler http.Handler
-	client  *http.Client
+	// transport carries every node-to-node call: the router's
+	// forwards, the replica stream, admin RPCs and probes.
+	transport *peerTransport
 
 	// membership is the current epoch'd view (peers + ring), swapped
 	// atomically by joins/leaves; viewMu serializes the writers.
@@ -117,15 +119,13 @@ func NewNode(cfg Config, srv *server.Server) (*Node, error) {
 		return nil, err
 	}
 	reg := srv.Registry()
-	transport := newClusterTransport()
 	n := &Node{
 		cfg: cfg,
 		srv: srv,
-		// No client-level timeout: every call site bounds itself with a
-		// context deadline (shipTimeout for replication, adminTimeout
-		// for fan-out admin RPCs). The transport is the node-wide tuned
-		// keep-alive pool, shared with the router's forwards below.
-		client:          &http.Client{Transport: transport},
+		// Every call site bounds itself with a context deadline
+		// (shipTimeout for replication, adminTimeout for fan-out admin
+		// RPCs); the router's forwards below share the pool.
+		transport:       newPeerTransport(),
 		placements:      map[string]Placement{},
 		down:            map[string]bool{},
 		replicas:        replicaStore{m: map[string]*replica{}},
@@ -145,7 +145,7 @@ func NewNode(cfg Config, srv *server.Server) (*Node, error) {
 	n.membership.Store(seed)
 	n.epochGauge.Set(1)
 	n.router = server.NewRouter(srv, n)
-	n.router.SetTransport(transport)
+	n.router.SetTransport(n.transport)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/cluster/replica/frame", n.handleReplicaFrame)
@@ -275,7 +275,7 @@ func (n *Node) probeOnce(timeout time.Duration) {
 			cancel()
 			continue
 		}
-		resp, err := n.client.Do(req)
+		resp, err := n.transport.RoundTrip(req)
 		if err == nil {
 			_, _ = io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
@@ -427,9 +427,8 @@ func (n *Node) doAddrJSON(ctx context.Context, method, addr, path string, body [
 
 // roundTrip is the transport primitive under post/doAddr/doAddrJSON:
 // one bounded request, whole reply body read. The context deadline is
-// the only timeout — the shared client carries none, so admin RPCs
-// (which fan out into per-session migrations) can run longer than one
-// ship budget.
+// the only timeout, so admin RPCs (which fan out into per-session
+// migrations) can run longer than one ship budget.
 func (n *Node) roundTrip(ctx context.Context, method, addr, path, contentType string, body []byte, timeout time.Duration) (int, []byte, error) {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
@@ -440,7 +439,7 @@ func (n *Node) roundTrip(ctx context.Context, method, addr, path, contentType st
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
-	resp, err := n.client.Do(req)
+	resp, err := n.transport.RoundTrip(req)
 	if err != nil {
 		return 0, nil, err
 	}

@@ -346,13 +346,14 @@ func (n *Node) postFrame(buf *shipBuf, peer string) (string, error) {
 		Header:        frameReqHeader,
 		Body:          io.NopCloser(&buf.rd),
 		ContentLength: int64(len(body)),
-		// GetBody keeps the transport's stale-idle-connection retry,
-		// which NewRequest would have derived from the bytes.Reader.
+		// GetBody lets the transport re-send a frame none of whose
+		// bytes reached a reused connection, which NewRequest would
+		// have derived from the bytes.Reader.
 		GetBody: func() (io.ReadCloser, error) {
 			return io.NopCloser(bytes.NewReader(body)), nil
 		},
 	}).WithContext(ctx)
-	resp, err := n.client.Do(req)
+	resp, err := n.transport.RoundTrip(req)
 	if err != nil {
 		return "", err
 	}
@@ -443,6 +444,7 @@ func (n *Node) Close() {
 	for _, f := range flights {
 		<-f.done
 	}
+	n.transport.closeIdle()
 }
 
 // --- wire format ------------------------------------------------------

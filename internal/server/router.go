@@ -76,9 +76,9 @@ type Cluster interface {
 // one: forwarded responses pass through byte-for-byte, and transport
 // failures surface as 502.
 type Router struct {
-	srv    *Server
-	cl     Cluster
-	client *http.Client
+	srv       *Server
+	cl        Cluster
+	transport http.RoundTripper
 
 	forwards      *obs.Counter
 	forwardErrors *obs.Counter
@@ -89,22 +89,20 @@ type Router struct {
 func NewRouter(srv *Server, cl Cluster) *Router {
 	reg := srv.Registry()
 	return &Router{
-		srv: srv,
-		cl:  cl,
-		// Twice the per-request budget: a forwarded request pays the
-		// remote node's own RequestTimeout plus the hop.
-		client:        &http.Client{Timeout: 2 * srv.cfg.RequestTimeout},
+		srv:           srv,
+		cl:            cl,
+		transport:     http.DefaultTransport,
 		forwards:      reg.Counter(obs.ClusterForwards),
 		forwardErrors: reg.Counter(obs.ClusterForwardErrors),
 		replErrors:    reg.Counter(obs.ClusterReplicationErrors),
 	}
 }
 
-// SetTransport replaces the forwarding client's transport. The cluster
-// node installs its shared tuned transport here so forwards, ships and
-// probes draw from one keep-alive connection pool per peer instead of
-// three. Call before serving; the router does not lock the client.
-func (rt *Router) SetTransport(t http.RoundTripper) { rt.client.Transport = t }
+// SetTransport replaces the transport forwards go through (by default
+// http.DefaultTransport). The cluster node installs its own here, so
+// forwards, ships and probes draw from one keep-alive connection pool
+// per peer. Call before serving; the router does not lock it.
+func (rt *Router) SetTransport(t http.RoundTripper) { rt.transport = t }
 
 // forwardedHeaders are the response headers a forward relays.
 var forwardedHeaders = []string{"Content-Type", "X-Event-Count"}
@@ -266,7 +264,13 @@ func mutationOf(r *http.Request) Mutation {
 // fail over; once any byte of the peer's response is relayed, errors
 // are swallowed (the client sees a truncated body, as with any proxy).
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, node string, body []byte) error {
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, rt.cl.Addr(node)+r.URL.RequestURI(), bytes.NewReader(body))
+	// Twice the per-request budget: a forwarded request pays the remote
+	// node's own RequestTimeout plus the hop. A deadline on the context,
+	// not a client timeout, which net/http would watch with a timer
+	// goroutine per request.
+	ctx, cancel := context.WithTimeout(r.Context(), 2*rt.srv.cfg.RequestTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, r.Method, rt.cl.Addr(node)+r.URL.RequestURI(), bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -286,7 +290,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, node string, b
 		hops, _ = strconv.Atoi(hv)
 	}
 	req.Header.Set(forwardHopsHeader, strconv.Itoa(hops+1))
-	resp, err := rt.client.Do(req)
+	resp, err := rt.transport.RoundTrip(req)
 	if err != nil {
 		return err
 	}

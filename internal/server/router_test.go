@@ -545,13 +545,13 @@ func TestRouterForwardClosesBody(t *testing.T) {
 	rt := NewRouter(s, fc)
 
 	body := &closeBody{Reader: strings.NewReader(`{"id":"x"}`)}
-	rt.client.Transport = &scriptedTransport{round: func(int, *http.Request) (*http.Response, error) {
+	rt.SetTransport(&scriptedTransport{round: func(int, *http.Request) (*http.Response, error) {
 		return &http.Response{
 			StatusCode: http.StatusOK,
 			Header:     http.Header{"Content-Type": []string{"application/json"}},
 			Body:       body,
 		}, nil
-	}}
+	}})
 
 	rec := httptest.NewRecorder()
 	rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/sessions/x/result", nil))
@@ -576,9 +576,9 @@ func TestRouterFailoverRefusedConn(t *testing.T) {
 	fc := &fakeCluster{self: "a", routes: []string{"b", "a"}, addrs: map[string]string{"b": "http://peer-b"}}
 	rt := NewRouter(s, fc)
 	refused := &net.OpError{Op: "dial", Err: &os.SyscallError{Syscall: "connect", Err: syscall.ECONNREFUSED}}
-	rt.client.Transport = &scriptedTransport{round: func(int, *http.Request) (*http.Response, error) {
+	rt.SetTransport(&scriptedTransport{round: func(int, *http.Request) (*http.Response, error) {
 		return nil, refused
-	}}
+	}})
 
 	rec := httptest.NewRecorder()
 	rt.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/sessions/nope/result", nil))
