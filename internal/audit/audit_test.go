@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"maps"
@@ -21,6 +22,22 @@ type fixture struct {
 	events []obs.Event
 	acked  map[int]bool
 	drain  *server.DrainResponse
+}
+
+// sessionLog reads a session's whole committed log from srv the way
+// the replication stream does, through AppendSessionLogSince from
+// Seq 0, decoded.
+func sessionLog(t *testing.T, srv *server.Server, id string) []obs.Event {
+	t.Helper()
+	blob, _, _, err := srv.AppendSessionLogSince(id, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ReadBinary(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events
 }
 
 // realSession runs one session through the service handler: 24 tasks
@@ -55,10 +72,7 @@ func realSession(t *testing.T) fixture {
 	}
 	call(http.MethodPost, path+"/tasks", `{"tasks":[`+strings.Join(recs, ",")+`]}`, http.StatusOK, nil)
 	call(http.MethodDelete, path, "", http.StatusOK, f.drain)
-	var err error
-	if f.events, err = srv.AppendSessionEventsSince(info.ID, 0, nil); err != nil {
-		t.Fatal(err)
-	}
+	f.events = sessionLog(t, srv, info.ID)
 	return f
 }
 

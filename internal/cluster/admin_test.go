@@ -857,3 +857,40 @@ func TestClusterMembershipChurn(t *testing.T) {
 	t.Logf("join moved %d, migrate %s to %s, leave evacuated %d, killed %s owning %d, %v promotions",
 		join.Moved, ids[0], target, len(evacuated), victim, victimOwned, promotions)
 }
+
+// TestStampedForwardPullsMembership: a node that missed a broadcast
+// learns the newer view from the first forward stamped with it. n1
+// installs epoch 2 alone; one session request through n1 for a
+// session the ring places on n2 carries epoch 2 and n1's address, and
+// n2 must pull and install the view. The pull runs on its own
+// goroutine, so the test polls n2's /v1/cluster/info, bounded.
+func TestStampedForwardPullsMembership(t *testing.T) {
+	tc := startCluster(t, 3, nil)
+	newer := tc.byID["n1"].node.view().wire()
+	newer.Epoch++
+	if ok, err := tc.byID["n1"].node.applyMembership(newer); !ok || err != nil {
+		t.Fatalf("install epoch %d on n1: %v, %v", newer.Epoch, ok, err)
+	}
+	if got := tc.nodeInfo("n2").Epoch; got != 1 {
+		t.Fatalf("n2 holds epoch %d before the forward, want 1", got)
+	}
+	var id string
+	for i := 0; id == ""; i++ {
+		if cand := fmt.Sprintf("s-pull-%d", i); tc.byID["n1"].node.Route(cand)[0] == "n2" {
+			id = cand
+		}
+	}
+	if code, b := tc.do("n1", http.MethodGet, "/v1/sessions/"+id, nil); code != http.StatusNotFound {
+		t.Fatalf("forwarded status of an unknown session: %d %s, want 404", code, b)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for tc.nodeInfo("n2").Epoch != newer.Epoch {
+		if time.Now().After(deadline) {
+			t.Fatalf("n2 did not install epoch %d within 10 s of a stamped forward", newer.Epoch)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := tc.byID["n2"].srv.Registry().Counter(obs.ClusterMembershipSyncs).Value(); got != 1 {
+		t.Errorf("n2 cluster.membership_syncs %v, want 1", got)
+	}
+}

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -140,6 +142,21 @@ func (tc *testCluster) createSession(front string, body string) server.SessionIn
 	return info
 }
 
+// sessionLog reads a session's whole committed log from srv the way a
+// frame does, through AppendSessionLogSince from Seq 0, decoded.
+func sessionLog(t testing.TB, srv *server.Server, id string) []obs.Event {
+	t.Helper()
+	blob, _, _, err := srv.AppendSessionLogSince(id, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ReadBinary(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events
+}
+
 // taskBatch builds a submit body for sequential task IDs with strictly
 // increasing arrivals derived from the IDs.
 func taskBatch(ids []int, clamp bool) []byte {
@@ -270,10 +287,7 @@ func TestClusterReplicationParity(t *testing.T) {
 		t.Fatalf("drain: %d tasks, want %d", dr.Tasks, next-1)
 	}
 
-	ownerEvents, err := tc.byID[owner].srv.AppendSessionEventsSince(info.ID, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ownerEvents := sessionLog(t, tc.byID[owner].srv, info.ID)
 	rep, ok := tc.byID[replicaID].node.replicas.get(info.ID)
 	if !ok {
 		t.Fatalf("no replica state on %s", replicaID)
@@ -420,5 +434,55 @@ func TestNodeConfigValidation(t *testing.T) {
 	}
 	if _, err := NewNode(Config{ID: "a", Peers: map[string]string{"a": ""}}, srv); err == nil {
 		t.Error("peer without address accepted")
+	}
+}
+
+// TestProbeMarksPeers drives one probe round by hand: a peer whose
+// listener is closed is marked down, a stand-in that answers /healthz
+// with 503 stays up (any reply is a live peer), and a live peer that
+// had been marked down is marked up again.
+func TestProbeMarksPeers(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := "http://" + ln.Addr().String()
+	ln.Close()
+	unhealthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "draining", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(unhealthy.Close)
+	live := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.WriteString(w, "ok\n")
+	}))
+	t.Cleanup(live.Close)
+
+	srv := server.New(server.Config{})
+	t.Cleanup(srv.Close)
+	// n1's own address is never dialed: the prober skips itself.
+	n, err := NewNode(Config{ID: "n1", Peers: map[string]string{
+		"n1": "http://127.0.0.1:1", "closed": closed, "unhealthy": unhealthy.URL, "live": live.URL,
+	}}, srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Close)
+	n.Observe("live", errors.New("an earlier exchange failed"))
+	if n.alive("live") {
+		t.Fatal("Observe with an error left the peer up")
+	}
+
+	n.probeOnce(5 * time.Second)
+	if n.alive("closed") {
+		t.Error("a peer whose listener is closed stayed up")
+	}
+	if !n.alive("unhealthy") {
+		t.Error("a peer that answered /healthz with 503 was marked down")
+	}
+	if !n.alive("live") {
+		t.Error("a live peer marked down was not marked up by the probe")
+	}
+	if got := srv.Registry().Gauge(obs.ClusterPeersDown).Value(); got != 1 {
+		t.Errorf("cluster.peers_down %v after the probe, want 1", got)
 	}
 }

@@ -148,10 +148,7 @@ func TestClusterStreamHealsAckGap(t *testing.T) {
 		t.Errorf("owner heal counter %v after a forced gap, want >= 1", v)
 	}
 
-	ownerEvents, err := tc.byID[owner].srv.AppendSessionEventsSince(info.ID, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ownerEvents := sessionLog(t, tc.byID[owner].srv, info.ID)
 	rep.mu.Lock()
 	repLog := rep.log.Events()
 	rep.mu.Unlock()

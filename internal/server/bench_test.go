@@ -202,7 +202,7 @@ func BenchmarkReplaySession(b *testing.B) {
 				}
 			}
 			spec, _ := s.SessionSpec(id)
-			log, err := s.AppendSessionEventsSince(id, 0, nil)
+			log, err := logSince(s, id, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

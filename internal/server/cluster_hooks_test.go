@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
@@ -14,8 +15,18 @@ import (
 	"dvfsched/internal/trace"
 )
 
+// logSince reads the session's committed events past after the way
+// the replication stream does: AppendSessionLogSince, decoded.
+func logSince(s *Server, id string, after uint64) ([]obs.Event, error) {
+	blob, _, _, err := s.AppendSessionLogSince(id, after, nil)
+	if err != nil {
+		return nil, err
+	}
+	return obs.ReadBinary(bytes.NewReader(blob))
+}
+
 // TestSessionEventHooks pins the recorder-backed cluster hooks the
-// replication shipper lives on: AppendSessionEventsSince must select
+// replication shipper lives on: AppendSessionLogSince must select
 // the suffix by Seq and preserve the caller's prefix, and
 // SessionLastSeq must name exactly the tail the covering ack has to
 // reach.
@@ -36,16 +47,20 @@ func TestSessionEventHooks(t *testing.T) {
 		}
 	}
 
-	evs, err := s.AppendSessionEventsSince(info.ID, 0, nil)
-	if err != nil || len(evs) == 0 {
-		t.Fatalf("AppendSessionEventsSince: %d events, err %v", len(evs), err)
+	blob, lastRead, n, err := s.AppendSessionLogSince(info.ID, 0, nil)
+	if err != nil {
+		t.Fatalf("AppendSessionLogSince: %v", err)
+	}
+	evs, err := obs.ReadBinary(bytes.NewReader(blob))
+	if err != nil || len(evs) == 0 || n != len(evs) {
+		t.Fatalf("AppendSessionLogSince: %d events decoded, %d reported, err %v", len(evs), n, err)
 	}
 	last, err := s.SessionLastSeq(info.ID)
 	if err != nil {
 		t.Fatalf("SessionLastSeq: %v", err)
 	}
-	if want := evs[len(evs)-1].Seq; last != want || last == 0 {
-		t.Fatalf("SessionLastSeq %d, want trace tail %d", last, want)
+	if want := evs[len(evs)-1].Seq; last != want || last == 0 || lastRead != want {
+		t.Fatalf("SessionLastSeq %d, read up to %d, want trace tail %d", last, lastRead, want)
 	}
 
 	// A mid-trace cursor selects exactly the suffix past it.
@@ -57,12 +72,16 @@ func TestSessionEventHooks(t *testing.T) {
 			break
 		}
 	}
-	tail, err := s.AppendSessionEventsSince(info.ID, mid, nil)
+	blob, lastRead, n, err = s.AppendSessionLogSince(info.ID, mid, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(tail, wantTail) {
-		t.Fatalf("suffix after %d diverges: %d vs %d events", mid, len(tail), len(wantTail))
+	tail, err := obs.ReadBinary(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tail, wantTail) || n != len(wantTail) || lastRead != last {
+		t.Fatalf("suffix after %d diverges: %d (reported %d, up to %d) vs %d events", mid, len(tail), n, lastRead, len(wantTail))
 	}
 	for _, ev := range tail {
 		if ev.Seq <= mid {
@@ -71,19 +90,22 @@ func TestSessionEventHooks(t *testing.T) {
 	}
 
 	// The caller's prefix survives, and a fully-covered cursor appends
-	// nothing.
-	dst := []obs.Event{evs[0]}
-	dst, err = s.AppendSessionEventsSince(info.ID, last, dst)
+	// no event.
+	prefix := []byte("prefix")
+	dst, lastRead, n, err := s.AppendSessionLogSince(info.ID, last, append([]byte(nil), prefix...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dst) != 1 || dst[0].Seq != evs[0].Seq {
-		t.Fatalf("covered cursor mutated dst: %d events", len(dst))
+	if !bytes.HasPrefix(dst, prefix) {
+		t.Fatalf("covered cursor mutated the caller's prefix: %q", dst)
+	}
+	if covered, err := obs.ReadBinary(bytes.NewReader(dst[len(prefix):])); err != nil || len(covered) != 0 || n != 0 || lastRead != last {
+		t.Fatalf("covered cursor read %d events (reported %d, up to %d), err %v; want none", len(covered), n, lastRead, err)
 	}
 
 	// Unknown sessions fail with the typed gone error on every hook.
-	if _, err := s.AppendSessionEventsSince("nope", 0, nil); !errors.Is(err, ErrSessionGone) {
-		t.Fatalf("AppendSessionEventsSince(unknown): %v", err)
+	if _, _, _, err := s.AppendSessionLogSince("nope", 0, nil); !errors.Is(err, ErrSessionGone) {
+		t.Fatalf("AppendSessionLogSince(unknown): %v", err)
 	}
 	if _, err := s.SessionLastSeq("nope"); !errors.Is(err, ErrSessionGone) {
 		t.Fatalf("SessionLastSeq(unknown): %v", err)
@@ -128,7 +150,7 @@ func TestEventsSinceWholeMutations(t *testing.T) {
 	}()
 
 	var after uint64
-	var buf []obs.Event
+	var buf []byte
 	arrivals := 0
 	for finished := false; !finished; {
 		select {
@@ -139,17 +161,19 @@ func TestEventsSinceWholeMutations(t *testing.T) {
 			finished = true // one last read sees everything
 		default:
 		}
-		buf, err = s.AppendSessionEventsSince(sh.id, after, buf[:0])
+		var n int
+		buf, after, n, err = s.AppendSessionLogSince(sh.id, after, buf[:0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ev := range buf {
+		evs, err := obs.ReadBinary(bytes.NewReader(buf))
+		if err != nil || len(evs) != n {
+			t.Fatalf("tail up to seq %d: %d events decoded, %d reported, err %v", after, len(evs), n, err)
+		}
+		for _, ev := range evs {
 			if ev.Kind == obs.KindArrival {
 				arrivals++
 			}
-		}
-		if len(buf) > 0 {
-			after = buf[len(buf)-1].Seq
 		}
 		if arrivals%size != 0 {
 			t.Fatalf("read up to seq %d holds %d arrivals: part of a %d-task batch", after, arrivals, size)

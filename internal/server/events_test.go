@@ -114,7 +114,7 @@ func TestWriteEventsCountUnderConcurrentEmit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := rec.AppendRange(nil, 0, n); len(got) != n || !reflect.DeepEqual(got, want) {
+			if want := rec.Events(); len(got) != n || len(want) < n || !reflect.DeepEqual(got, want[:n]) {
 				t.Fatalf("%s: streamed %d events, X-Event-Count %d, or they are not the recorder's prefix", format, len(got), n)
 			}
 		}

@@ -129,15 +129,15 @@ func TestRouterLocalLifecycle(t *testing.T) {
 		t.Fatalf("submit: %d", code)
 	}
 
-	evs, err := s.AppendSessionEventsSince(info.ID, 0, nil)
+	evs, err := logSince(s, info.ID, 0)
 	if err != nil || len(evs) == 0 {
-		t.Fatalf("AppendSessionEventsSince: %d events, err %v", len(evs), err)
+		t.Fatalf("AppendSessionLogSince: %d events, err %v", len(evs), err)
 	}
-	if tail, err := s.AppendSessionEventsSince(info.ID, evs[0].Seq, nil); err != nil || len(tail) != len(evs)-1 {
-		t.Fatalf("AppendSessionEventsSince(after first) = %d events, err %v, want %d", len(tail), err, len(evs)-1)
+	if tail, err := logSince(s, info.ID, evs[0].Seq); err != nil || len(tail) != len(evs)-1 {
+		t.Fatalf("AppendSessionLogSince(after first) = %d events, err %v, want %d", len(tail), err, len(evs)-1)
 	}
-	if _, err := s.AppendSessionEventsSince("nope", 0, nil); !errors.Is(err, ErrSessionGone) {
-		t.Fatalf("AppendSessionEventsSince unknown: %v, want ErrSessionGone", err)
+	if _, err := logSince(s, "nope", 0); !errors.Is(err, ErrSessionGone) {
+		t.Fatalf("AppendSessionLogSince unknown: %v, want ErrSessionGone", err)
 	}
 
 	// Status and events are reads: no replication.
@@ -369,7 +369,7 @@ func TestAdoptSessionParity(t *testing.T) {
 	if !ok {
 		t.Fatal("owner lost the session spec")
 	}
-	log, err := owner.AppendSessionEventsSince(id, 0, nil)
+	log, err := logSince(owner, id, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +472,7 @@ func TestReplaySessionEndsWhereTheLogEnds(t *testing.T) {
 	if err != nil || st.drained || st.pending == 0 || sh.rec.LastSeq() == before {
 		t.Fatalf("after the canceled drain: %v, drained %v, %d pending, seq %d -> %d", err, st.drained, st.pending, before, sh.rec.LastSeq())
 	}
-	log, err := s.AppendSessionEventsSince(info.ID, 0, nil)
+	log, err := logSince(s, info.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
