@@ -22,11 +22,6 @@ const (
 	// recorderFirstCap is the first frame buffer's capacity; it grows
 	// eightfold until a whole frame fits, so a short log stays small.
 	recorderFirstCap = 512
-	// tailMarks is how many tail ends a Recorder keeps the encoder
-	// state of. A replication tail starts at the Seq its stream last
-	// had acked, which is where an earlier tail of the same stream
-	// ended, and decodes from the state saved there.
-	tailMarks = 4
 )
 
 // Recorder is a Sink that keeps the event stream in memory in the
@@ -36,8 +31,7 @@ const (
 // AppendBinary of those events.
 //
 // Readers see the stream as of the last Commit: Log, Events,
-// AppendRange, AppendSince, AppendBinarySince, LastSeq and Len all
-// read the committed prefix, and a reader never sees the head of an
+// AppendBinarySince, LastSeq and Len all read the committed prefix, and a reader never sees the head of an
 // operation that is still emitting. The engine commits its sink at the
 // end of every call that advances a session; a caller that emits by
 // hand calls Commit itself.
@@ -57,10 +51,13 @@ type Recorder struct {
 	n      int
 	last   uint64
 
-	mu    sync.Mutex
-	log   Log // the stream at the last Commit
-	marks [tailMarks]tailMark
-	next  int // the slot the next mark takes
+	mu  sync.Mutex
+	log Log // the stream at the last Commit
+	// mark is where the last AppendBinarySince ended. A replication
+	// tail starts at the Seq its stream last had acked, which is where
+	// the stream's previous tail ended, and decodes from the state
+	// saved there.
+	mark tailMark
 }
 
 // recFrame is one frame of a recorded log, with running totals at its
@@ -155,43 +152,14 @@ func (r *Recorder) Events() []Event {
 	return c.appendRest(make([]Event, 0, l.Len()))
 }
 
-// AppendSince appends the committed events with Seq > after to dst,
-// growing it at most once, and returns the extended slice. Sequence
-// numbers must increase in emission order, as the engine's do.
-func (r *Recorder) AppendSince(dst []Event, after uint64) []Event {
-	c, i := r.since(after)
-	if need := c.log.Len() - i; cap(dst)-len(dst) < need {
-		dst = append(make([]Event, 0, len(dst)+need), dst...)
-	}
-	return c.appendRest(dst)
-}
-
-// AppendRange appends the committed events at emission positions
-// [from, to) to dst, clamped to what was committed, and returns the
-// extended slice. Committed events never change, so reads that fix
-// `to` once see one prefix however many reads they take.
-func (r *Recorder) AppendRange(dst []Event, from, to int) []Event {
-	l := r.Log()
-	from, to = max(from, 0), min(to, l.Len())
-	if from >= to {
-		return dst
-	}
-	c := l.readerAt(from)
-	for ; from < to; from++ {
-		ev, _ := c.Next()
-		dst = append(dst, ev)
-	}
-	return dst
-}
-
 // AppendBinarySince appends the committed events with Seq > after to
 // dst as one binary trace, byte for byte AppendBinary of those events,
 // and returns the extended slice, the Seq of the last event it holds
 // (after when it holds none) and their count. It is the replication
 // stream's read. A tail that starts at a frame boundary (a stream's
 // open from Seq 0, say) copies the stored frames; one that starts
-// where one of the last few tails ended decodes and re-frames only the
-// events past it; any other decodes from the start of its frame. A
+// where the previous tail ended decodes and re-frames only the events
+// past it; any other decodes from the start of its frame. A
 // steady-state tail allocates nothing once dst has room.
 func (r *Recorder) AppendBinarySince(dst []byte, after uint64) ([]byte, uint64, int) {
 	c, i := r.since(after)
@@ -231,30 +199,19 @@ func (r *Recorder) Len() int {
 
 // since returns a reader at the first committed event with Seq >
 // after, and that event's position (the committed count when there is
-// none). It starts from the encoder state saved where an earlier tail
-// ended at after, when one of the last few did, and otherwise from the
-// start of the frame that holds the event. It saves where this read
-// ends, since the stream's next tail starts there once it is acked.
+// none). It starts from the encoder state saved where the previous
+// tail ended, when that was at after, and otherwise from the start of
+// the frame that holds the event. It saves where this read ends, since
+// the stream's next tail starts there once it is acked.
 func (r *Recorder) since(after uint64) (LogReader, int) {
 	r.mu.Lock()
-	l := r.log
-	var m tailMark
-	found := false
-	for k := 1; k <= tailMarks; k++ {
-		if mk := &r.marks[(r.next-k+tailMarks)%tailMarks]; mk.n > 0 && mk.seq == after {
-			m, found = *mk, true
-			break
-		}
-	}
-	if end, prev := l.end(), &r.marks[(r.next-1+tailMarks)%tailMarks]; end.n > prev.n || end.seq != prev.seq {
-		r.marks[r.next] = end
-		r.next = (r.next + 1) % tailMarks
-	}
+	l, m := r.log, r.mark
+	r.mark = l.end()
 	r.mu.Unlock()
 	if l.Len() == 0 || after >= l.LastSeq() {
 		return LogReader{log: l, frame: len(l.sealed), pos: len(l.open.b)}, l.Len()
 	}
-	if found {
+	if m.n > 0 && m.seq == after {
 		return LogReader{log: l, frame: m.frame, pos: m.pos, st: m.st}, m.n
 	}
 	f := sort.Search(len(l.sealed), func(k int) bool { return l.sealed[k].last > after })

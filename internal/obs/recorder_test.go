@@ -94,43 +94,11 @@ func TestRecorderCommitPublishes(t *testing.T) {
 	}
 }
 
-// TestRecorderAppendRange reads positional ranges that start and end
-// inside, at and across frame boundaries, and clamps ranges that run
-// past either end.
-func TestRecorderAppendRange(t *testing.T) {
-	evs := recEvents(5000, 2, false)
-	r := &Recorder{}
-	for _, ev := range evs {
-		r.Emit(ev)
-	}
-	r.Commit()
-	if len(r.frames) < 3 {
-		t.Fatalf("%d sealed frames, want several", len(r.frames))
-	}
-	n := len(evs)
-	ranges := [][2]int{{0, n}, {0, 0}, {5, 6}, {-4, 2}, {n - 3, n + 50}, {n + 1, n + 9}}
-	for _, f := range r.frames {
-		ranges = append(ranges, [2]int{f.n - 1, f.n + 1}, [2]int{f.n, n}, [2]int{10, f.n}, [2]int{f.n - 3, f.n})
-	}
-	for _, c := range ranges {
-		from, to := c[0], c[1]
-		got := r.AppendRange([]Event{{Task: -1}}, from, to)
-		lo, hi := max(from, 0), min(to, n)
-		want := []Event{{Task: -1}}
-		if lo < hi {
-			want = append(want, evs[lo:hi]...)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("AppendRange(%d, %d): %d events, want %d", from, to, len(got)-1, len(want)-1)
-		}
-	}
-}
-
-// TestRecorderAppendSince reads suffixes that start at commit points
-// (the ring holds the recent ones), inside and at frame boundaries and
-// past the end, and requires a whole-log read into an empty slice to
-// allocate once.
-func TestRecorderAppendSince(t *testing.T) {
+// TestRecorderAppendBinarySince reads tails that start at commit
+// points, inside and at frame boundaries and past the end: each must
+// be AppendBinary of the suffix past its start, after the caller's
+// prefix. A whole-log struct read allocates once.
+func TestRecorderAppendBinarySince(t *testing.T) {
 	evs := recEvents(5000, 3, false)
 	r := &Recorder{}
 	commits := recordBatches(r, evs, 3)
@@ -142,15 +110,19 @@ func TestRecorderAppendSince(t *testing.T) {
 	for _, f := range r.frames {
 		afters = append(afters, f.n-1, f.n, f.n+1)
 	}
-	for _, after := range afters {
-		got := r.AppendSince([]Event{{Task: -1}}, uint64(after))
-		want := append([]Event{{Task: -1}}, evs[min(after, n):]...)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("AppendSince(%d): %d events, want %d", after, len(got)-1, len(want)-1)
-		}
+	if len(r.frames) < 3 {
+		t.Fatalf("%d sealed frames, want several", len(r.frames))
 	}
-	if allocs := testing.AllocsPerRun(5, func() { _ = r.AppendSince(nil, 0) }); allocs != 1 {
-		t.Errorf("whole-log AppendSince into nil: %v allocations, want 1", allocs)
+	for _, after := range afters {
+		tail := evs[min(after, n):]
+		wantLast := uint64(after)
+		if len(tail) > 0 {
+			wantLast = tail[len(tail)-1].Seq
+		}
+		got, last, m := r.AppendBinarySince([]byte("x"), uint64(after))
+		if !bytes.Equal(got, AppendBinary([]byte("x"), tail)) || m != len(tail) || last != wantLast {
+			t.Errorf("AppendBinarySince(%d): %d events up to %d, want %d up to %d", after, m, last, len(tail), wantLast)
+		}
 	}
 	if allocs := testing.AllocsPerRun(5, func() { _ = r.Events() }); allocs != 1 {
 		t.Errorf("Events: %v allocations, want 1", allocs)
@@ -187,11 +159,12 @@ func TestRecorderBinaryReads(t *testing.T) {
 				t.Fatalf("prefix of %d: last seq %d, want %d", p, pl.LastSeq(), evs[p-1].Seq)
 			}
 		}
-		// Tails from the recent commits, where earlier tails ended (the
-		// marks hold the last few), an older one, and points between
-		// commits (decoded from a frame start).
-		afters := []int{0, rng.Intn(i + 1), i, i + 3}
-		afters = append(afters, commits[max(0, len(commits)-tailMarks-2):]...)
+		// Tails from where the last tail ended (the previous commit,
+		// first, while the mark holds it), from the recent commits, an
+		// older one, and points between commits (decoded from a frame
+		// start).
+		afters := []int{commits[max(0, len(commits)-2)], 0, rng.Intn(i + 1), i, i + 3}
+		afters = append(afters, commits[max(0, len(commits)-3):]...)
 		for _, after := range afters {
 			tail := evs[min(after, i):i]
 			got, last, m := r.AppendBinarySince([]byte("x"), uint64(after))
@@ -302,9 +275,9 @@ func TestRecorderReadsDuringEmit(t *testing.T) {
 					}
 					after = last
 				default: // struct reads
-					got := r.AppendSince(nil, 0)
+					got := r.Events()
 					if !isCommit(len(got)) || !same(got, 0, len(got)) {
-						t.Errorf("AppendSince read %d events, not a committed prefix", len(got))
+						t.Errorf("Events read %d events, not a committed prefix", len(got))
 						return
 					}
 				}
@@ -319,8 +292,8 @@ func TestRecorderReadsDuringEmit(t *testing.T) {
 
 // FuzzRecorderPublish emits random events with random commit points:
 // every committed export must equal AppendBinary of the committed
-// events, and at the end AppendSince and AppendBinarySince from every
-// committed Seq must give the suffix past it.
+// events, and at the end AppendBinarySince from every committed Seq
+// must give the suffix past it.
 func FuzzRecorderPublish(f *testing.F) {
 	f.Add(int64(1), uint16(50), uint8(7), false)
 	f.Add(int64(2), uint16(1999), uint8(200), true)
@@ -343,9 +316,6 @@ func FuzzRecorderPublish(f *testing.F) {
 			}
 		}
 		for _, c := range commits {
-			if got := r.AppendSince(nil, uint64(c)); len(got) != len(evs)-c || (len(got) > 0 && !reflect.DeepEqual(got, evs[c:])) {
-				t.Fatalf("AppendSince(%d): %d events, want %d", c, len(got), len(evs)-c)
-			}
 			if got, _, m := r.AppendBinarySince(nil, uint64(c)); m != len(evs)-c || !bytes.Equal(got, AppendBinary(nil, evs[c:])) {
 				t.Fatalf("AppendBinarySince(%d): %d events differ from AppendBinary of the suffix", c, m)
 			}

@@ -103,18 +103,6 @@ func (s *Server) SessionSpec(id string) (PlatformSpec, bool) {
 	return sh.spec, true
 }
 
-// AppendSessionEventsSince appends the session's committed events
-// with Seq > after to dst, in emission order: the events of whole
-// operations only, never the head of one still running. It reads the
-// shard's recorder without waiting for the session's lock.
-func (s *Server) AppendSessionEventsSince(id string, after uint64, dst []obs.Event) ([]obs.Event, error) {
-	sh, ok := s.sessions.get(id)
-	if !ok {
-		return dst, fmt.Errorf("%w: %s", ErrSessionGone, id)
-	}
-	return sh.rec.AppendSince(dst, after), nil
-}
-
 // AppendSessionLogSince appends the session's committed events with
 // Seq > after to dst as one binary trace (obs.AppendBinary of those
 // events), and returns it with the Seq of its last event (after when
