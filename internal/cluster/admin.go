@@ -54,24 +54,20 @@ func (n *Node) placementIDs() []string {
 	return out
 }
 
-// broadcastPlacement pushes a placement record (or, with del, its
-// removal) to every current peer except self and except the session's
-// new owner, which installed its own at handoff time. Best effort: a
-// node that misses the push still reaches the session through the ring
-// chain's forward path once the membership flip lands.
-func (n *Node) broadcastPlacement(ctx context.Context, p Placement, del bool) {
+// broadcastPlacement pushes a placement record to every current peer
+// except self and except the session's new owner, which installed its
+// own at handoff time. Best effort: a node that misses the push still
+// reaches the session through the ring chain's forward path once the
+// membership flip lands.
+func (n *Node) broadcastPlacement(ctx context.Context, p Placement) {
 	v := n.view()
-	var body []byte
-	method := http.MethodDelete
-	if !del {
-		method = http.MethodPost
-		body = mustClusterJSON(p)
-	}
+	body := mustClusterJSON(p)
+	buf := new(shipBuf)
 	for _, id := range v.nodeIDs() {
-		if id == n.cfg.ID || (!del && id == p.Owner) {
+		if id == n.cfg.ID || id == p.Owner {
 			continue
 		}
-		err := n.doAddr(ctx, method, v.peers[id], "/v1/cluster/placement/"+p.Session, "application/json", body, shipTimeout)
+		_, err := n.call(ctx, shipTimeout, buf, v.peers[id], "/v1/cluster/placement/"+p.Session, body, nil)
 		if !isStatusError(err) {
 			n.Observe(id, err)
 		}
@@ -95,12 +91,6 @@ func (n *Node) handlePlacementPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n.setPlacement(p)
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// handlePlacementDel is DELETE /v1/cluster/placement/{id}.
-func (n *Node) handlePlacementDel(w http.ResponseWriter, r *http.Request) {
-	n.dropPlacement(r.PathValue("id"))
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -170,7 +160,7 @@ func (n *Node) handleNodeJoin(w http.ResponseWriter, r *http.Request) {
 	// The joiner must hold the new view before any session can migrate
 	// to it: an unreachable or misconfigured joiner aborts the join
 	// with the cluster unchanged.
-	if err := n.doAddr(ctx, http.MethodPost, req.Addr, "/v1/cluster/membership", "application/json", mustClusterJSON(proposed), adminTimeout); err != nil {
+	if _, err := n.call(ctx, adminTimeout, new(shipBuf), req.Addr, "/v1/cluster/membership", mustClusterJSON(proposed), nil); err != nil {
 		httpError(w, http.StatusBadGateway, "push membership to joiner %s: %v", req.Addr, err)
 		return
 	}
@@ -226,7 +216,7 @@ func (n *Node) handleNodeLeave(w http.ResponseWriter, r *http.Request) {
 		}
 	} else if n.alive(id) {
 		var rep MembershipChange
-		err := n.doAddrJSON(ctx, http.MethodPost, addr, "/v1/cluster/evacuate", mustClusterJSON(proposed), adminTimeout, &rep)
+		_, err := n.call(ctx, adminTimeout, new(shipBuf), addr, "/v1/cluster/evacuate", mustClusterJSON(proposed), &rep)
 		switch {
 		case err == nil:
 			moved, failed = rep.Moved, rep.Failed
@@ -253,7 +243,7 @@ func (n *Node) handleNodeLeave(w http.ResponseWriter, r *http.Request) {
 	if id != n.cfg.ID {
 		// Best effort: a dead or partitioned node converges via
 		// anti-entropy if it returns.
-		_ = n.doAddr(ctx, http.MethodPost, addr, "/v1/cluster/membership", "application/json", mustClusterJSON(proposed), shipTimeout)
+		_, _ = n.call(ctx, shipTimeout, new(shipBuf), addr, "/v1/cluster/membership", mustClusterJSON(proposed), nil)
 	}
 	writeClusterJSON(w, MembershipChange{Epoch: proposed.Epoch, Nodes: n.view().nodeIDs(), Moved: moved, Failed: failed})
 }
@@ -265,6 +255,7 @@ func (n *Node) handleNodeLeave(w http.ResponseWriter, r *http.Request) {
 // they are and move on a later rebalance or fail over if it dies.
 func (n *Node) rebalanceAll(ctx context.Context, cur *membership, proposed Membership) (moved, failed int) {
 	body := mustClusterJSON(proposed)
+	buf := new(shipBuf)
 	for _, member := range cur.nodeIDs() {
 		if member == n.cfg.ID {
 			mv, fl := n.rebalanceLocal(ctx, proposed)
@@ -275,7 +266,7 @@ func (n *Node) rebalanceAll(ctx context.Context, cur *membership, proposed Membe
 			continue
 		}
 		var rep MembershipChange
-		err := n.doAddrJSON(ctx, http.MethodPost, cur.peers[member], "/v1/cluster/rebalance", body, adminTimeout, &rep)
+		_, err := n.call(ctx, adminTimeout, buf, cur.peers[member], "/v1/cluster/rebalance", body, &rep)
 		if err != nil {
 			if !isStatusError(err) {
 				n.Observe(member, err)
@@ -326,7 +317,7 @@ func (n *Node) rebalanceLocal(ctx context.Context, proposed Membership) (moved, 
 			failed++
 			p := Placement{Session: id, Owner: n.cfg.ID}
 			n.setPlacement(p)
-			n.broadcastPlacement(ctx, p, false)
+			n.broadcastPlacement(ctx, p)
 			continue
 		}
 		moved++

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 
 	"dvfsched/internal/server"
 )
@@ -182,19 +184,12 @@ func (n *Node) maybeSyncMembership(remoteEpoch uint64, senderAddr string) {
 
 // pullMembership fetches a peer's view by address and applies it.
 func (n *Node) pullMembership(addr string) {
-	ctx, cancel := context.WithTimeout(context.Background(), shipTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/v1/cluster/membership", nil)
-	if err != nil {
+	var buf shipBuf
+	if _, err := n.call(context.Background(), shipTimeout, &buf, addr, "/v1/cluster/membership", nil, nil); err != nil {
 		return
 	}
-	resp, err := n.transport.RoundTrip(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
 	var m Membership
-	if err := decodeClusterJSON(resp.Body, &m); err != nil {
+	if err := decodeClusterJSON(bytes.NewReader(buf.resp), &m); err != nil {
 		return
 	}
 	// Anti-entropy is best effort; a bad view is ignored and retried on
@@ -208,11 +203,12 @@ func (n *Node) pullMembership(addr string) {
 func (n *Node) broadcastMembership(ctx context.Context) {
 	v := n.view()
 	body := mustClusterJSON(v.wire())
+	buf := new(shipBuf)
 	for _, id := range v.nodeIDs() {
 		if id == n.cfg.ID {
 			continue
 		}
-		err := n.doAddr(ctx, http.MethodPost, v.peers[id], "/v1/cluster/membership", "application/json", body, shipTimeout)
+		_, err := n.call(ctx, shipTimeout, buf, v.peers[id], "/v1/cluster/membership", body, nil)
 		if !isStatusError(err) {
 			n.Observe(id, err)
 		}
@@ -226,8 +222,7 @@ func (n *Node) broadcastMembership(ctx context.Context) {
 func (n *Node) epochAware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if eh := r.Header.Get(server.EpochHeader); eh != "" {
-			var remote uint64
-			if _, err := fmt.Sscanf(eh, "%d", &remote); err == nil {
+			if remote, err := strconv.ParseUint(eh, 10, 64); err == nil {
 				n.maybeSyncMembership(remote, r.Header.Get(server.SenderAddrHeader))
 			}
 		}

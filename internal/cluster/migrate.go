@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -104,7 +103,7 @@ func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
 			if pinned {
 				p := Placement{Session: id, Owner: n.cfg.ID, Pinned: true}
 				n.setPlacement(p)
-				n.broadcastPlacement(r.Context(), p, false)
+				n.broadcastPlacement(r.Context(), p)
 			}
 			writeClusterJSON(w, MigrateInfo{Session: id, From: n.cfg.ID, To: target, Epoch: v.epoch, Pinned: pinned})
 			return
@@ -136,9 +135,9 @@ func (n *Node) writeMigrateError(w http.ResponseWriter, id string, err error) {
 // proxyMigrate relays the operator call to the session's current home
 // and forwards the reply verbatim (same envelope either way).
 func (n *Node) proxyMigrate(w http.ResponseWriter, ctx context.Context, home, id string, req migrateRequest) {
-	v := n.view()
-	status, body, err := n.roundTrip(ctx, http.MethodPost, v.peers[home], "/v1/cluster/sessions/"+id+"/migrate", "application/json", mustClusterJSON(req), adminTimeout)
-	if err != nil {
+	var buf shipBuf
+	status, err := n.call(ctx, adminTimeout, &buf, n.view().peers[home], "/v1/cluster/sessions/"+id+"/migrate", mustClusterJSON(req), nil)
+	if status == 0 {
 		n.Observe(home, err)
 		httpError(w, http.StatusBadGateway, "proxy migrate to %s: %v", home, err)
 		return
@@ -147,7 +146,7 @@ func (n *Node) proxyMigrate(w http.ResponseWriter, ctx context.Context, home, id
 	w.WriteHeader(status)
 	// Status already written; nothing useful to do on a failed relay
 	// write.
-	_, _ = w.Write(body)
+	_, _ = w.Write(buf.resp)
 }
 
 // migrateSession performs the owner-side drain-and-handoff of one live
@@ -184,7 +183,7 @@ func (n *Node) migrateSessionTo(ctx context.Context, id, target, addr string, pi
 	var buf shipBuf
 	_, _, err = n.build(&buf, frameHeader{ID: id, Submitted: submitted, Pinned: pinned}, true, 0)
 	if err == nil {
-		err = n.doAddr(ctx, http.MethodPost, addr, "/v1/cluster/handoff/"+id, "application/octet-stream", buf.body, adminTimeout)
+		_, err = n.call(ctx, adminTimeout, &buf, addr, "/v1/cluster/handoff/"+id, buf.body, nil)
 		if err != nil && !isStatusError(err) {
 			n.Observe(target, err)
 		}
@@ -203,7 +202,7 @@ func (n *Node) migrateSessionTo(ctx context.Context, id, target, addr string, pi
 	p := Placement{Session: id, Owner: target, Pinned: pinned}
 	n.setPlacement(p)
 	n.srv.FinishHandoff(id, target)
-	n.broadcastPlacement(ctx, p, false)
+	n.broadcastPlacement(ctx, p)
 	// Retire the ship cursor and drop the replica on our old target: the
 	// target now replicates the session along its own chain, and a stale
 	// cold copy must never outlive us to promote ancient state. The drop
@@ -224,40 +223,38 @@ func (n *Node) migrateSessionTo(ctx context.Context, id, target, addr string, pi
 // is the sender's, byte for byte.
 func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	raw, err := io.ReadAll(io.LimitReader(r.Body, maxReplicaBody))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	hdr, blob, err := decodeFrame(raw)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "handoff %s: %v", id, err)
-		return
-	}
-	if hdr.ID != id || hdr.Spec == nil {
-		httpError(w, http.StatusBadRequest, "handoff %s: want a frame naming the session, with its spec", id)
-		return
+	in := frameIntakePool.Get().(*frameIntake)
+	hdr, blob, err := in.read(r)
+	if err == nil && (hdr.ID != id || hdr.Spec == nil) {
+		err = errors.New("want a frame naming the session, with its spec")
 	}
 	var events []obs.Event
-	if len(blob) > 0 {
-		events, err = obs.ReadBinary(bytes.NewReader(blob))
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "handoff %s: decode log: %v", id, err)
-			return
+	if err == nil && len(blob) > 0 {
+		if events, err = in.decodeEvents(blob); err != nil {
+			err = fmt.Errorf("decode log: %w", err)
 		}
 	}
-
-	// Any cold replica we held for this session is strictly older than
-	// the handoff state; drop it before adopting so EnsureLocal cannot
-	// race a promotion against the adopt.
-	n.replicas.drop(id)
-	info, err := n.srv.AdoptSession(r.Context(), id, *hdr.Spec, events)
-	if err != nil {
-		if errors.Is(err, server.ErrSessionExists) {
-			httpError(w, http.StatusConflict, "handoff %s: %v", id, err)
-			return
-		}
-		httpError(w, http.StatusInternalServerError, "handoff %s: adopt: %v", id, err)
+	var info server.SessionInfo
+	var adoptErr error
+	if err == nil {
+		// Any cold replica we held for this session is strictly older
+		// than the handoff state; drop it before adopting so EnsureLocal
+		// cannot race a promotion against the adopt.
+		n.replicas.drop(id)
+		info, adoptErr = n.srv.AdoptSession(r.Context(), id, *hdr.Spec, events)
+	}
+	if in.poolable() {
+		frameIntakePool.Put(in)
+	}
+	switch {
+	case err != nil:
+		httpError(w, http.StatusBadRequest, "handoff %s: %v", id, err)
+		return
+	case errors.Is(adoptErr, server.ErrSessionExists):
+		httpError(w, http.StatusConflict, "handoff %s: %v", id, adoptErr)
+		return
+	case adoptErr != nil:
+		httpError(w, http.StatusInternalServerError, "handoff %s: adopt: %v", id, adoptErr)
 		return
 	}
 	if info.Submitted != hdr.Submitted {

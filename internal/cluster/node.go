@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -158,7 +159,6 @@ func NewNode(cfg Config, srv *server.Server) (*Node, error) {
 	mux.HandleFunc("POST /v1/cluster/rebalance", n.handleRebalance)
 	mux.HandleFunc("POST /v1/cluster/evacuate", n.handleEvacuate)
 	mux.HandleFunc("POST /v1/cluster/placement/{id}", n.handlePlacementPut)
-	mux.HandleFunc("DELETE /v1/cluster/placement/{id}", n.handlePlacementDel)
 	mux.HandleFunc("GET /v1/cluster/route", n.handleRoute)
 	mux.HandleFunc("GET /v1/cluster/info", n.handleInfo)
 	mux.Handle("/", n.router)
@@ -265,23 +265,17 @@ func (n *Node) probeOnce(timeout time.Duration) {
 	// The prober follows the current view each tick, so members that
 	// joined after boot are probed and departed ones are not.
 	v := n.view()
+	buf := new(shipBuf)
 	for _, id := range v.nodeIDs() {
 		if id == n.cfg.ID {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, v.peers[id]+"/healthz", nil)
-		if err != nil {
-			cancel()
-			continue
+		// A reply of any status shows a live peer.
+		if status, err := n.call(context.Background(), timeout, buf, v.peers[id], "/healthz", nil, nil); status != 0 {
+			n.Observe(id, nil)
+		} else {
+			n.Observe(id, err)
 		}
-		resp, err := n.transport.RoundTrip(req)
-		if err == nil {
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-		cancel()
-		n.Observe(id, err)
 	}
 }
 
@@ -370,80 +364,58 @@ func isStatusError(err error) bool {
 	return errors.As(err, &se)
 }
 
-// post sends one replication RPC to a peer by node ID, resolving its
-// address against the current view. It returns nil on 2xx, a
-// *statusError on any other reply, and the raw transport error when
-// the peer was unreachable. Any HTTP-level response (even an error
-// status) marks the peer up: it is alive, just refusing.
-func (n *Node) post(ctx context.Context, node, path, contentType string, body []byte) error {
-	addr := n.Addr(node)
-	if addr == "" {
-		return &statusError{code: http.StatusGone, body: fmt.Sprintf("node %s is not in the current view", node)}
-	}
-	err := n.doAddr(ctx, http.MethodPost, addr, path, contentType, body, shipTimeout)
-	if err == nil || isStatusError(err) {
-		n.Observe(node, nil)
-	}
-	return err
-}
+// callHeader is the header set of every request call sends. The
+// transport only reads request headers, so one shared map serves all
+// concurrent calls.
+var callHeader = http.Header{"Content-Type": {"application/json"}}
 
-// doAddr sends one RPC to an explicit base URL (which need not be in
-// the view yet — joiners aren't) and discards the reply body. Non-2xx
-// replies become *statusError; transport failures pass through raw.
-func (n *Node) doAddr(ctx context.Context, method, addr, path, contentType string, body []byte, timeout time.Duration) error {
-	status, msg, err := n.roundTrip(ctx, method, addr, path, contentType, body, timeout)
+// call is the node's one request path: every node-to-node request but
+// the router's forwards is built, sent and read here. It sends body to
+// the peer at base URL addr (which need not be in the view: a joiner
+// is not yet), as a POST, or as a GET when body is nil, under timeout
+// on ctx, and reads the reply into buf.resp, at most maxReplicaBody
+// bytes. The request's body reader, its GetBody, which lets the
+// transport re-send a request none of whose bytes reached a reused
+// connection, and the reply buffer come from buf, so a call on a
+// pooled buf allocates little beyond the request itself.
+//
+// It returns the reply's status, 0 when no reply arrived. The error is
+// the transport's when no reply arrived, a *statusError for a non-2xx
+// reply (the peer is alive but refused), or a failure to read the
+// reply or decode it into out when out is non-nil. A caller that
+// passes no out acts on the status alone, so a reply read short fails
+// only a call that decodes it.
+func (n *Node) call(ctx context.Context, timeout time.Duration, buf *shipBuf, addr, path string, body []byte, out any) (int, error) {
+	u, err := url.Parse(addr + path)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if status < 200 || status >= 300 {
-		if len(msg) > 1024 {
-			msg = msg[:1024]
-		}
-		return &statusError{code: status, body: string(bytes.TrimSpace(msg))}
-	}
-	return nil
-}
-
-// doAddrJSON is doAddr plus decoding a 2xx reply body into out.
-func (n *Node) doAddrJSON(ctx context.Context, method, addr, path string, body []byte, timeout time.Duration, out any) error {
-	status, msg, err := n.roundTrip(ctx, method, addr, path, "application/json", body, timeout)
-	if err != nil {
-		return err
-	}
-	if status < 200 || status >= 300 {
-		if len(msg) > 1024 {
-			msg = msg[:1024]
-		}
-		return &statusError{code: status, body: string(bytes.TrimSpace(msg))}
-	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(msg, out); err != nil {
-		return fmt.Errorf("decode reply from %s%s: %w", addr, path, err)
-	}
-	return nil
-}
-
-// roundTrip is the transport primitive under post/doAddr/doAddrJSON:
-// one bounded request, whole reply body read. The context deadline is
-// the only timeout, so admin RPCs (which fan out into per-session
-// migrations) can run longer than one ship budget.
-func (n *Node) roundTrip(ctx context.Context, method, addr, path, contentType string, body []byte, timeout time.Duration) (int, []byte, error) {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, method, addr+path, bytes.NewReader(body))
+	req := &http.Request{Method: http.MethodGet, URL: u, Host: u.Host, Header: callHeader, Body: http.NoBody}
+	if body != nil {
+		buf.rd.Reset(body)
+		req.Method, req.Body, req.ContentLength = http.MethodPost, io.NopCloser(&buf.rd), int64(len(body))
+		req.GetBody = func() (io.ReadCloser, error) {
+			return io.NopCloser(bytes.NewReader(body)), nil
+		}
+	}
+	resp, err := n.transport.RoundTrip(req.WithContext(ctx))
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
+	buf.resp, err = appendLimitedRead(buf.resp[:0], resp.Body, maxReplicaBody)
+	resp.Body.Close()
+	switch {
+	case err != nil && out != nil:
+		return resp.StatusCode, err
+	case resp.StatusCode < 200 || resp.StatusCode >= 300:
+		msg := bytes.TrimSpace(buf.resp[:min(len(buf.resp), 1024)])
+		return resp.StatusCode, &statusError{code: resp.StatusCode, body: string(msg)}
+	case out != nil:
+		if err := json.Unmarshal(buf.resp, out); err != nil {
+			return resp.StatusCode, fmt.Errorf("decode reply from %s: %w", u, err)
+		}
 	}
-	resp, err := n.transport.RoundTrip(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	msg, _ := io.ReadAll(io.LimitReader(resp.Body, maxReplicaBody))
-	return resp.StatusCode, msg, nil
+	return resp.StatusCode, nil
 }

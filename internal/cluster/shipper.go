@@ -10,10 +10,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
+	"unsafe"
 
 	"dvfsched/internal/obs"
 	"dvfsched/internal/server"
@@ -180,7 +181,10 @@ func (n *Node) fly(cur *shipCursor, f *shipFlight, open bool, from uint64) bool 
 		n.shipFrames.Inc()
 		n.frameEvents.Observe(float64(events))
 		n.shipInflight.Add(1)
-		status, postErr = n.postFrame(buf, f.target)
+		// The frame's own budget, not a caller's context: other callers
+		// may be waiting on this frame, and a client that went away must
+		// not abort it under them.
+		status, postErr = n.postFrame(context.Background(), buf, f.target)
 		n.shipInflight.Add(-1)
 	}
 	shipBufPool.Put(buf)
@@ -239,10 +243,11 @@ func (n *Node) fly(cur *shipCursor, f *shipFlight, open bool, from uint64) bool 
 	return posted || err != nil
 }
 
-// shipBuf is the reusable scratch of one frame round trip: the blob
-// area, the final wire body, the request body reader, the reply read
-// buffer and the decoded reply. Pooled; Get and Put happen in fly, so
-// no ownership leaves that frame.
+// shipBuf is the scratch of one request: the blob area and the wire
+// body of a frame, and call's request body reader, reply buffer and
+// decoded frame reply. Frames take it from shipBufPool; Get and Put
+// happen in the function that sends the frame, so no ownership leaves
+// it.
 type shipBuf struct {
 	blob []byte
 	body []byte
@@ -313,88 +318,32 @@ func appendFrameHeader(b []byte, h frameHeader) ([]byte, bool) {
 	return append(b, '}'), true
 }
 
-// frameReqHeader is the fixed header set of every frame POST. The
-// transport only reads request headers, so one shared map serves all
-// concurrent sends.
-var frameReqHeader = http.Header{"Content-Type": {"application/json"}}
-
-// postFrame posts the frame in buf to peer and returns the status of
-// the replica's reply. It is a hand-built, scratch-reusing variant of
-// doAddrJSON: frames are the replication hot path, so the request, its
-// body reader and the reply buffer all come from the pooled shipBuf
-// instead of being allocated per ship.
-func (n *Node) postFrame(buf *shipBuf, peer string) (string, error) {
+// postFrame posts the frame in buf to peer under shipTimeout on ctx
+// and returns the status of the replica's reply. Any reply marks the
+// peer up; a failed send marks nothing, and the caller decides.
+func (n *Node) postFrame(ctx context.Context, buf *shipBuf, peer string) (string, error) {
 	addr := n.Addr(peer)
 	if addr == "" {
 		return "", &statusError{code: http.StatusGone, body: fmt.Sprintf("node %s is not in the current view", peer)}
 	}
-	u, err := url.Parse(addr + "/v1/cluster/replica/frame")
-	if err != nil {
-		return "", err
-	}
-	// The frame's own budget, not the caller's context: other callers
-	// may be waiting on this frame, and a client that went away must
-	// not abort it under them.
-	ctx, cancel := context.WithTimeout(context.Background(), shipTimeout)
-	defer cancel()
-	body := buf.body
-	buf.rd.Reset(body)
-	req := (&http.Request{
-		Method:        http.MethodPost,
-		URL:           u,
-		Host:          u.Host,
-		Header:        frameReqHeader,
-		Body:          io.NopCloser(&buf.rd),
-		ContentLength: int64(len(body)),
-		// GetBody lets the transport re-send a frame none of whose
-		// bytes reached a reused connection, which NewRequest would
-		// have derived from the bytes.Reader.
-		GetBody: func() (io.ReadCloser, error) {
-			return io.NopCloser(bytes.NewReader(body)), nil
-		},
-	}).WithContext(ctx)
-	resp, err := n.transport.RoundTrip(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	buf.resp, err = appendLimitedRead(buf.resp[:0], resp.Body, maxReplicaBody)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		msg := buf.resp
-		if len(msg) > 1024 {
-			msg = msg[:1024]
-		}
-		n.Observe(peer, nil)
-		return "", &statusError{code: resp.StatusCode, body: string(bytes.TrimSpace(msg))}
-	}
 	// Reset the reused reply first: Error is omitempty, so a decode
 	// that omits it must not inherit a previous frame's value.
 	buf.res = frameResult{}
-	if err := json.Unmarshal(buf.resp, &buf.res); err != nil {
-		return "", fmt.Errorf("decode reply from %s: %w", addr, err)
+	_, err := n.call(ctx, shipTimeout, buf, addr, "/v1/cluster/replica/frame", buf.body, &buf.res)
+	if err == nil || isStatusError(err) {
+		n.Observe(peer, nil)
 	}
-	n.Observe(peer, nil)
-	return buf.res.Status, nil
+	return buf.res.Status, err
 }
 
-// appendLimitedRead reads r to EOF into dst (reusing its capacity),
-// refusing to grow past max.
-func appendLimitedRead(dst []byte, r io.Reader, max int64) ([]byte, error) {
-	for {
+// appendLimitedRead reads r to EOF into dst, reusing its capacity, and
+// stops after max bytes.
+func appendLimitedRead(dst []byte, r io.Reader, max int) ([]byte, error) {
+	for len(dst) < max {
 		if len(dst) == cap(dst) {
-			if int64(len(dst)) >= max {
-				return dst, nil
-			}
-			grow := cap(dst)
-			if grow < 512 {
-				grow = 512
-			}
-			dst = append(dst, make([]byte, grow)...)[:len(dst)]
+			dst = slices.Grow(dst, 512)
 		}
-		m, err := r.Read(dst[len(dst):cap(dst)])
+		m, err := r.Read(dst[len(dst):min(cap(dst), max)])
 		dst = dst[:len(dst)+m]
 		if err == io.EOF {
 			return dst, nil
@@ -403,6 +352,7 @@ func appendLimitedRead(dst []byte, r io.Reader, max int64) ([]byte, error) {
 			return dst, err
 		}
 	}
+	return dst, nil
 }
 
 // purgeStream retires a purged session's stream state and best-effort
@@ -420,9 +370,12 @@ func (n *Node) purgeStream(ctx context.Context, id string) error {
 	if target != "" {
 		// Best effort: a leaked tombstone on the replica is dropped the
 		// next time the session ID is reused or the node restarts.
-		if body, err := appendFrame(nil, frameHeader{From: n.cfg.ID, ID: id, Drop: true}, nil); err == nil {
-			_ = n.post(ctx, target, "/v1/cluster/replica/frame", "application/json", body)
+		buf := shipBufPool.Get().(*shipBuf)
+		var err error
+		if buf.body, err = appendFrame(buf.body[:0], frameHeader{From: n.cfg.ID, ID: id, Drop: true}, nil); err == nil {
+			_, _ = n.postFrame(ctx, buf, target)
 		}
+		shipBufPool.Put(buf)
 	}
 	return nil
 }
@@ -524,29 +477,70 @@ func decodeFrame(body []byte) (frameHeader, []byte, error) {
 	return hdr, blob, nil
 }
 
-// frameBodyBuf pools the replica-side raw frame buffer. Everything
-// the frame applies is copied out (appendLog copies events) before the
-// handler returns, so the buffer never outlives the request.
-type frameBodyBuf struct{ b []byte }
+// frameIntake is the receive side's scratch for one frame: the body,
+// read whole, and the decoder of its event blob with the event slice
+// it fills. Both frame endpoints take it from frameIntakePool, and give
+// it back only while it holds at most maxPooledIntake bytes of body
+// and as many of events, so an open frame or a handoff of a long
+// history is left to the garbage collector instead of pinned in the
+// pool. Nothing applied or adopted aliases it: appendLog copies
+// events, a replay keeps none, and dictionary strings are allocated
+// per trace.
+type frameIntake struct {
+	body []byte
+	src  bytes.Reader
+	buf  *bufio.Reader
+	br   *obs.BinaryReader
+	evs  []obs.Event
+}
 
-var frameBodyPool = sync.Pool{New: func() any { return new(frameBodyBuf) }}
+var frameIntakePool = sync.Pool{New: func() any {
+	in := &frameIntake{}
+	in.buf = bufio.NewReaderSize(&in.src, 32<<10)
+	in.br = obs.NewBinaryReader(in.buf)
+	return in
+}}
 
-// readFrameBody reads the request body into the pooled buffer when
-// the declared length allows it, falling back to a bounded ReadAll
-// for chunked or oversized requests (the latter then fail frame
-// validation exactly as before).
-func readFrameBody(r *http.Request, fb *frameBodyBuf) ([]byte, error) {
-	if n := r.ContentLength; n >= 0 && n <= maxReplicaBody {
-		if cap(fb.b) < int(n) {
-			fb.b = make([]byte, n)
+// maxPooledIntake is the pooled intake's bound, the 1 MiB
+// server.taskDecoderPool keeps its bodies under.
+const maxPooledIntake = 1 << 20
+
+// poolable reports whether in may go back to frameIntakePool.
+func (in *frameIntake) poolable() bool {
+	return cap(in.body) <= maxPooledIntake && cap(in.evs)*int(unsafe.Sizeof(obs.Event{})) <= maxPooledIntake
+}
+
+// read reads r's body, at most maxReplicaBody bytes, and splits it
+// into the frame's header and event blob (decodeFrame). The blob
+// aliases in.
+func (in *frameIntake) read(r *http.Request) (frameHeader, []byte, error) {
+	if n := r.ContentLength; n > int64(cap(in.body)) && n <= maxReplicaBody {
+		in.body = make([]byte, 0, n)
+	}
+	var err error
+	if in.body, err = appendLimitedRead(in.body[:0], r.Body, maxReplicaBody); err != nil {
+		return frameHeader{}, nil, fmt.Errorf("read body: %w", err)
+	}
+	return decodeFrame(in.body)
+}
+
+// decodeEvents strictly decodes a complete binary trace into in.evs,
+// failing on any damaged frame like obs.ReadBinary.
+func (in *frameIntake) decodeEvents(blob []byte) ([]obs.Event, error) {
+	in.src.Reset(blob)
+	in.buf.Reset(&in.src)
+	in.br.Reset(in.buf)
+	in.evs = in.evs[:0]
+	for {
+		ev, err := in.br.Next()
+		if errors.Is(err, io.EOF) {
+			return in.evs, nil
 		}
-		fb.b = fb.b[:n]
-		if _, err := io.ReadFull(r.Body, fb.b); err != nil {
+		if err != nil {
 			return nil, err
 		}
-		return fb.b, nil
+		in.evs = append(in.evs, ev)
 	}
-	return io.ReadAll(io.LimitReader(r.Body, maxReplicaBody))
 }
 
 // handleReplicaFrame is POST /v1/cluster/replica/frame: apply one
@@ -554,62 +548,26 @@ func readFrameBody(r *http.Request, fb *frameBodyBuf) ([]byte, error) {
 // gap or a missing replica travels in the 200 reply's status, and the
 // owner heals it by re-shipping.
 func (n *Node) handleReplicaFrame(w http.ResponseWriter, r *http.Request) {
-	fb := frameBodyPool.Get().(*frameBodyBuf)
-	defer frameBodyPool.Put(fb)
-	body, err := readFrameBody(r, fb)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
-		return
+	in := frameIntakePool.Get().(*frameIntake)
+	hdr, blob, err := in.read(r)
+	var res frameResult
+	if err == nil {
+		res = n.applyFrame(in, hdr, blob)
 	}
-	hdr, blob, err := decodeFrame(body)
+	if in.poolable() {
+		frameIntakePool.Put(in)
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeClusterJSON(w, n.applyFrame(hdr, blob))
-}
-
-// frameDecode is the replica-side scratch for one frame's event blob:
-// the buffered layer, the trace reader, and the intermediate event
-// slice all die with the request, so they are pooled. appendLog copies
-// events (and dictionary strings are freshly allocated per trace), so
-// nothing applied to the replica aliases the scratch.
-type frameDecode struct {
-	src bytes.Reader
-	buf *bufio.Reader
-	br  *obs.BinaryReader
-	evs []obs.Event
-}
-
-var frameDecodePool = sync.Pool{New: func() any {
-	d := &frameDecode{}
-	d.buf = bufio.NewReaderSize(&d.src, 32<<10)
-	d.br = obs.NewBinaryReader(d.buf)
-	return d
-}}
-
-// decodeEvents strictly decodes a complete binary trace into the
-// scratch slice, failing on any damaged frame like obs.ReadBinary.
-func (d *frameDecode) decodeEvents(blob []byte) ([]obs.Event, error) {
-	d.src.Reset(blob)
-	d.buf.Reset(&d.src)
-	d.br.Reset(d.buf)
-	d.evs = d.evs[:0]
-	for {
-		ev, err := d.br.Next()
-		if errors.Is(err, io.EOF) {
-			return d.evs, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		d.evs = append(d.evs, ev)
-	}
+	writeClusterJSON(w, res)
 }
 
 // applyFrame applies a decoded frame to the replica it names: a drop,
-// or open (when the spec rides along), then append the log blob.
-func (n *Node) applyFrame(h frameHeader, blob []byte) frameResult {
+// or open (when the spec rides along), then append the log blob,
+// decoded in in.
+func (n *Node) applyFrame(in *frameIntake, h frameHeader, blob []byte) frameResult {
 	res := frameResult{Status: frameStatusOK}
 	if h.Drop {
 		n.replicas.dropFrom(h.ID, h.From)
@@ -626,18 +584,10 @@ func (n *Node) applyFrame(h frameHeader, blob []byte) frameResult {
 		}
 	}
 	if len(blob) > 0 {
-		d := frameDecodePool.Get().(*frameDecode)
-		// Only the plain-string gap message survives past the Put: the
-		// error values (and the event slice) may alias pooled memory.
-		var gapMsg string
-		if events, err := d.decodeEvents(blob); err != nil {
-			gapMsg = "decode log: " + err.Error()
+		if events, err := in.decodeEvents(blob); err != nil {
+			res.Status, res.Error = frameStatusGap, "decode log: "+err.Error()
 		} else if err := rep.appendLog(events); err != nil {
-			gapMsg = err.Error()
-		}
-		frameDecodePool.Put(d)
-		if gapMsg != "" {
-			res.Status, res.Error = frameStatusGap, gapMsg
+			res.Status, res.Error = frameStatusGap, err.Error()
 		}
 	}
 	return res
