@@ -243,9 +243,8 @@ func (n *Node) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		n.replicas.drop(id)
 		info, adoptErr = n.srv.AdoptSession(r.Context(), id, *hdr.Spec, events)
 	}
-	if in.poolable() {
-		frameIntakePool.Put(in)
-	}
+	in.trim()
+	frameIntakePool.Put(in)
 	switch {
 	case err != nil:
 		httpError(w, http.StatusBadRequest, "handoff %s: %v", id, err)

@@ -270,12 +270,11 @@ func (n *Node) probeOnce(timeout time.Duration) {
 		if id == n.cfg.ID {
 			continue
 		}
-		// A reply of any status shows a live peer.
-		if status, err := n.call(context.Background(), timeout, buf, v.peers[id], "/healthz", nil, nil); status != 0 {
-			n.Observe(id, nil)
-		} else {
-			n.Observe(id, err)
+		status, err := n.call(context.Background(), timeout, buf, v.peers[id], "/healthz", nil, nil)
+		if status != 0 {
+			err = nil // a reply of any status shows a live peer
 		}
+		n.Observe(id, err)
 	}
 }
 

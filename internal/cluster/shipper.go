@@ -479,13 +479,11 @@ func decodeFrame(body []byte) (frameHeader, []byte, error) {
 
 // frameIntake is the receive side's scratch for one frame: the body,
 // read whole, and the decoder of its event blob with the event slice
-// it fills. Both frame endpoints take it from frameIntakePool, and give
-// it back only while it holds at most maxPooledIntake bytes of body
-// and as many of events, so an open frame or a handoff of a long
-// history is left to the garbage collector instead of pinned in the
-// pool. Nothing applied or adopted aliases it: appendLog copies
-// events, a replay keeps none, and dictionary strings are allocated
-// per trace.
+// it fills. Both frame endpoints take it from frameIntakePool and give
+// it back through trim, so the pool never pins an open frame's or a
+// handoff's body or events. Nothing applied or adopted aliases it:
+// appendLog copies events, a replay keeps none, and dictionary strings
+// are allocated per trace.
 type frameIntake struct {
 	body []byte
 	src  bytes.Reader
@@ -501,13 +499,20 @@ var frameIntakePool = sync.Pool{New: func() any {
 	return in
 }}
 
-// maxPooledIntake is the pooled intake's bound, the 1 MiB
-// server.taskDecoderPool keeps its bodies under.
+// maxPooledIntake bounds what a pooled intake keeps of its body and,
+// separately, of its events: the 1 MiB server.taskDecoderPool keeps
+// its bodies under.
 const maxPooledIntake = 1 << 20
 
-// poolable reports whether in may go back to frameIntakePool.
-func (in *frameIntake) poolable() bool {
-	return cap(in.body) <= maxPooledIntake && cap(in.evs)*int(unsafe.Sizeof(obs.Event{})) <= maxPooledIntake
+// trim drops the body or the event slice when it holds more than
+// maxPooledIntake bytes, before in goes back to frameIntakePool.
+func (in *frameIntake) trim() {
+	if cap(in.body) > maxPooledIntake {
+		in.body = nil
+	}
+	if cap(in.evs)*int(unsafe.Sizeof(obs.Event{})) > maxPooledIntake {
+		in.evs = nil
+	}
 }
 
 // read reads r's body, at most maxReplicaBody bytes, and splits it
@@ -554,9 +559,8 @@ func (n *Node) handleReplicaFrame(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		res = n.applyFrame(in, hdr, blob)
 	}
-	if in.poolable() {
-		frameIntakePool.Put(in)
-	}
+	in.trim()
+	frameIntakePool.Put(in)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
