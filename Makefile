@@ -47,7 +47,7 @@ fuzz-smoke:
 # machine-readable baseline for this PR (diff against the previous
 # PR's with `make benchdiff`).
 bench:
-	scripts/bench.sh BENCH_PR30.json
+	scripts/bench.sh BENCH_PR31.json
 
 # Compare the two newest BENCH_PR<N>.json baselines (numeric order);
 # fails on >20% ns/op, allocs/op or B/op regressions and on any log_B

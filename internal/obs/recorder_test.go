@@ -102,6 +102,9 @@ func TestRecorderAppendBinarySince(t *testing.T) {
 	evs := recEvents(5000, 3, false)
 	r := &Recorder{}
 	commits := recordBatches(r, evs, 3)
+	if len(r.frames) < 3 {
+		t.Fatalf("%d sealed frames, want several", len(r.frames))
+	}
 	n := len(evs)
 	afters := []int{0, 5, n - 1, n, n + 5}
 	for _, c := range commits {
@@ -109,9 +112,6 @@ func TestRecorderAppendBinarySince(t *testing.T) {
 	}
 	for _, f := range r.frames {
 		afters = append(afters, f.n-1, f.n, f.n+1)
-	}
-	if len(r.frames) < 3 {
-		t.Fatalf("%d sealed frames, want several", len(r.frames))
 	}
 	for _, after := range afters {
 		tail := evs[min(after, n):]

@@ -27,7 +27,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-OUT=${1:-BENCH_PR30.json}
+OUT=${1:-BENCH_PR31.json}
 BENCHTIME=${BENCHTIME:-1s}
 COUNT=${COUNT:-5}
 PKGS=${BENCH_PKGS:-./internal/sim ./internal/core ./internal/batch ./internal/envelope ./internal/rangetree ./internal/dynsched ./internal/online ./internal/obs ./internal/server ./internal/cluster}
